@@ -18,6 +18,7 @@ from .errors import EmptySetError, GridMismatchError, SymmetryDefectError
 from .grids import GridSet, GridSpec, bisect_halves, pad_domain, unit_ball_volume
 from .kernels import InteractionTable
 from .perimeter import DEFAULT_MARGIN, fractional_perimeter, single_cell_perimeter
+from .quadrature import rounded_counts
 from .rearrange import GridFunction, symmetric_rearrangement
 
 __all__ = [
@@ -124,7 +125,7 @@ def _lattice_scan(e: GridSet, r: float) -> tuple[int, np.ndarray]:
         d2 = off[:, None] ** 2 + off[None, :] ** 2
         stencil = (d2 < r * r).astype(np.float64)
     conv = signal.fftconvolve(e.occupancy.astype(np.float64), stencil, mode="full")
-    counts = np.rint(conv).astype(np.int64)
+    counts = rounded_counts(conv)
     flat = int(np.argmax(counts))  # first maximum in C order: deterministic
     idx = np.unravel_index(flat, counts.shape)
     center = np.array(

@@ -1,34 +1,35 @@
 """Assembly of fractional perimeters and Gagliardo seminorms on grids.
 
-The perimeter of a cell set E splits into three exactly-accounted parts:
+The perimeter of a cell set E splits at the box Q, the bounding box of E
+grown by a margin, into two exactly-accounted parts:
 
-  near:  pairs within the table cutoff, via per-offset pair counts
-         (shifted-AND overlaps against the enlarged box Q);
-  far:   pairs beyond the cutoff but inside Q, via a tabulated far kernel
-         summed with prefix rectangles (E x Q) and run-pair overlap algebra
-         (E x E), no FFT involved;
-  tail:  the complement beyond Q, reduced per cell to closed form: the exact
-         antiderivative in one dimension, and in two an angular identity
-         whose edge arcs are incomplete Beta functions.
+  in-box:  sum over offsets d of K(d) * R(d), where K is the pair kernel
+           over the whole offset box (the table inside its cutoff window,
+           the far rule beyond) and R(d) = #{c in E : c + d in Q \\ E} is an
+           integer count read off one FFT cross-correlation, rounded and
+           checked against its rounding residual;
+  tail:    the complement beyond Q, reduced per cell to closed form: the
+           exact antiderivative in one dimension, and in two an angular
+           identity whose edge arcs are incomplete Beta functions.
 
-All sums run on the unit lattice in a canonical frame (lexicographically
-smallest among reflections and axis swaps of the occupancy), so congruent
-sets produce bit-identical values; the physical scale enters once through
-h^(dim-s).
+The Gagliardo seminorm runs through the same kernel and correlation, with
+R the autocorrelation of the grid function.  All sums run on the unit
+lattice in a canonical frame (lexicographically smallest among reflections
+and axis swaps of the occupancy), so congruent sets produce bit-identical
+values; the physical scale enters once through h^(dim-s).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import special
+from scipy import fft, special
 
 from .errors import EmptySetError, GridMismatchError, MarginError
 from .grids import GridSet
 from .kernels import InteractionTable, KernelParams, _pair_unit, far_kernel_unit
-from .quadrature import gauss_unit
+from .quadrature import gauss_unit, rounded_counts
 
 __all__ = [
     "fractional_perimeter",
@@ -156,223 +157,42 @@ def tail_integral(cell, box, params: KernelParams, h: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# far kernel tabulation over the box offset range
+# in-box pair sums: one kernel over the offset box times one correlation
 
 
-def _far_table_1d(n: int, cutoff: int, params: KernelParams, rule: int):
-    """f[d + n - 1] = far kernel at offset d, zero inside the near window."""
-    f = np.zeros(2 * n - 1)
-    ds = np.arange(cutoff + 1, n)
-    if len(ds):
-        vals = far_kernel_unit(ds.reshape(-1, 1), params, rule)
-        f[n - 1 + ds] = vals
-        f[n - 1 - ds] = vals
-    return f
+def _offset_kernel(shape: tuple, table: InteractionTable) -> np.ndarray:
+    """Unit pair values K[d + n - 1] for every offset d of a box of this shape.
 
-
-def _far_table_2d(nx: int, ny: int, cutoff: int, params: KernelParams,
-                  rule: int):
-    """f[dx+nx-1, dy+ny-1], zero where max(|dx|,|dy|) <= cutoff."""
-    f = np.zeros((2 * nx - 1, 2 * ny - 1))
-    dx = np.arange(0, nx)
-    dy = np.arange(0, ny)
-    gx, gy = np.meshgrid(dx, dy, indexing="ij")
-    mask = np.maximum(gx, gy) > cutoff
-    offs = np.stack([gx[mask], gy[mask]], axis=1)
-    vals = far_kernel_unit(offs, params, rule)
-    quad = np.zeros((nx, ny))
-    quad[mask] = vals
-    f[nx - 1 :, ny - 1 :] = quad
-    f[: nx - 1, ny - 1 :] = quad[:0:-1, :]
-    f[nx - 1 :, : ny - 1] = quad[:, :0:-1]
-    f[: nx - 1, : ny - 1] = quad[:0:-1, :0:-1]
-    return f
-
-
-# ---------------------------------------------------------------------------
-# E x E far sums via run overlap algebra
-
-
-def _row_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Inclusive (start, stop) runs of True in a 1D mask."""
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[0], breaks + 1])
-    stops = np.concatenate([breaks, [len(idx) - 1]])
-    return [(int(idx[a]), int(idx[b])) for a, b in zip(starts, stops)]
-
-
-def _run_pair_sum(g0: np.ndarray, g1: np.ndarray, off: int,
-                  r1: tuple[int, int], r2: tuple[int, int]) -> float:
-    """Sum of f(x' - x) over x in run r1, x' in run r2.
-
-    g0/g1 are padded prefix sums of f and of u*f along the offset axis
-    (index u + off + 1); the pair count per offset is a trapezoid, handled
-    as rise/plateau/fall pieces.
+    The table fills the near window (clipped to the box) and the far rule
+    the rest; K is 0 at d = 0.  Far values are computed once per offset
+    magnitude and mirrored, so K(d) = K(-d) bit for bit.
     """
-    a1, b1 = r1
-    a2, b2 = r2
-    lo = a2 - b1
-    hi = b2 - a1
-    m = min(b1 - a1, b2 - a2) + 1
-
-    def s0(ta, tb):
-        return g0[tb + off + 1] - g0[ta + off]
-
-    def s1(ta, tb):
-        return g1[tb + off + 1] - g1[ta + off]
-
-    total = 0.0
-    if m >= 2:
-        total += s1(lo, lo + m - 2) + (1 - lo) * s0(lo, lo + m - 2)
-        total += (hi + 1) * s0(hi - m + 2, hi) - s1(hi - m + 2, hi)
-    total += m * s0(lo + m - 1, hi - m + 1)
-    return total
-
-
-def _far_self_sum_1d(occ: np.ndarray, f: np.ndarray) -> float:
-    n = len(occ)
-    off = n - 1
-    g0 = np.concatenate([[0.0], np.cumsum(f)])
-    u = np.arange(-off, off + 1, dtype=np.float64)
-    g1 = np.concatenate([[0.0], np.cumsum(u * f)])
-    runs = _row_runs(occ)
-    parts = []
-    for r1 in runs:
-        for r2 in runs:
-            parts.append(_run_pair_sum(g0, g1, off, r1, r2))
-    return math.fsum(parts)
-
-
-def _far_self_sum_2d(occ: np.ndarray, f: np.ndarray) -> float:
-    nx, ny = occ.shape
-    offx = nx - 1
-    # prefix tables along dx for every dy column of f
-    g0 = np.zeros((2 * nx, 2 * ny - 1))
-    g0[1:] = np.cumsum(f, axis=0)
-    u = np.arange(-offx, offx + 1, dtype=np.float64)
-    g1 = np.zeros((2 * nx, 2 * ny - 1))
-    g1[1:] = np.cumsum(u[:, None] * f, axis=0)
-    rows = [_row_runs(occ[:, y]) for y in range(ny)]
-    # runs were taken along axis 0, so the pair offset axis is dx
-    parts = []
-    for y1 in range(ny):
-        runs1 = rows[y1]
-        if not runs1:
-            continue
-        for y2 in range(y1, ny):
-            runs2 = rows[y2]
-            if not runs2:
-                continue
-            dycol = (y2 - y1) + ny - 1
-            c0 = g0[:, dycol]
-            c1 = g1[:, dycol]
-            acc = 0.0
-            for r1 in runs1:
-                for r2 in runs2:
-                    acc += _run_pair_sum(c0, c1, offx, r1, r2)
-            parts.append(acc if y1 == y2 else 2.0 * acc)
-    return math.fsum(parts)
-
-
-# ---------------------------------------------------------------------------
-# main assembly
-
-
-def _near_sum(occ: np.ndarray, dense: np.ndarray, cutoff: int,
-              threads: int) -> float:
-    """Sum of J(d) * #{c in E, c+d in Q \\ E} over the near window."""
-    dim = occ.ndim
-    shape = occ.shape
-    prefix = np.zeros(tuple(n + 1 for n in shape))
-    if dim == 1:
-        prefix[1:] = np.cumsum(occ)
-    else:
-        prefix[1:, 1:] = np.cumsum(np.cumsum(occ, axis=0), axis=1)
-
-    def rect_count(lo, hi):
-        # occupied cells with index in [lo, hi) per axis
-        lo = [max(0, l) for l in lo]
-        hi = [min(n, h_) for n, h_ in zip(shape, hi)]
-        if any(a >= b for a, b in zip(lo, hi)):
-            return 0.0
-        if dim == 1:
-            return prefix[hi[0]] - prefix[lo[0]]
-        return (
-            prefix[hi[0], hi[1]]
-            - prefix[lo[0], hi[1]]
-            - prefix[hi[0], lo[1]]
-            + prefix[lo[0], lo[1]]
-        )
-
-    if dim == 1:
-        half = [(d,) for d in range(1, cutoff + 1)]
-    else:
-        half = [
-            (dx, dy)
-            for dx in range(0, cutoff + 1)
-            for dy in range(-cutoff, cutoff + 1)
-            if dx > 0 or dy > 0
-        ]
-
-    def shifted_and(d):
-        sl_a = []
-        sl_b = []
-        for k, dk in enumerate(d):
-            a = max(0, -dk)
-            b = shape[k] - max(0, dk)
-            if a >= b:
-                return 0.0
-            sl_a.append(slice(a, b))
-            sl_b.append(slice(a + dk, b + dk))
-        return float(
-            np.count_nonzero(occ[tuple(sl_a)] & occ[tuple(sl_b)])
-        )
-
-    contrib = np.zeros(len(half))
-
-    def work(i):
-        d = half[i]
-        auto = shifted_and(d)
-        cq_pos = rect_count([-dk for dk in d], [n - dk for n, dk in zip(shape, d)])
-        cq_neg = rect_count(list(d), [n + dk for n, dk in zip(shape, d)])
-        j = dense[tuple(dk + cutoff for dk in d)]
-        contrib[i] = j * (cq_pos + cq_neg - 2.0 * auto)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(half))))
-    else:
-        for i in range(len(half)):
-            work(i)
-    return math.fsum(contrib.tolist())
-
-
-def _far_cross_sum(occ: np.ndarray, f: np.ndarray) -> float:
-    """Sum of f(c' - c) over c in E, c' anywhere in Q (prefix rectangles)."""
-    if occ.ndim == 1:
-        n = len(occ)
-        pf = np.concatenate([[0.0], np.cumsum(f)])
-        cells = np.flatnonzero(occ)
-        # window of offsets seen from cell c: [-c, n-1-c] -> shifted indices
-        starts = n - 1 - cells
-        vals = pf[starts + n] - pf[starts]
-        return math.fsum(vals.tolist())
-    nx, ny = occ.shape
-    pf = np.zeros((2 * nx, 2 * ny))
-    pf[1:, 1:] = np.cumsum(np.cumsum(f, axis=0), axis=1)
-    cx, cy = np.nonzero(occ)
-    ax = nx - 1 - cx
-    ay = ny - 1 - cy
-    vals = (
-        pf[ax + nx, ay + ny]
-        - pf[ax, ay + ny]
-        - pf[ax + nx, ay]
-        + pf[ax, ay]
+    rc = table.cutoff_radius
+    grids = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
+    far = np.maximum.reduce(grids) > rc
+    quad = np.zeros(shape)
+    offs = np.stack([g[far] for g in grids], axis=1)
+    quad[far] = far_kernel_unit(offs, table.params, table.far_field_rule)
+    k = quad[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in shape))]
+    w = [min(rc, n - 1) for n in shape]
+    k[tuple(slice(n - 1 - wk, n + wk) for n, wk in zip(shape, w))] = (
+        table.near_dense[tuple(slice(rc - wk, rc + wk + 1) for wk in w)]
     )
-    return math.fsum(vals.tolist())
+    return k
+
+
+def _correlate(a: np.ndarray, b: np.ndarray, workers: int) -> np.ndarray:
+    """c[d + n - 1] = sum_x a[x] * b[x + d] for every offset d of the box."""
+    size = [fft.next_fast_len(2 * n - 1, real=True) for n in a.shape]
+    fa = fft.rfftn(a, size, workers=workers)
+    fb = fa if b is a else fft.rfftn(b, size, workers=workers)
+    raw = fft.irfftn(np.conj(fa) * fb, size, workers=workers)
+    return raw[np.ix_(*(np.arange(1 - n, n) % m for n, m in zip(a.shape, size)))]
+
+
+def _pair_sum(k: np.ndarray, r: np.ndarray) -> float:
+    """Exactly rounded sum of K(d) * R(d) over every offset of the box."""
+    return math.fsum((k * r).ravel().tolist())
 
 
 def _checked(e: GridSet, table: InteractionTable) -> None:
@@ -400,8 +220,10 @@ def fractional_perimeter(
     ``bounding_margin`` cells; inside, pair sums use the table and the far
     rule, outside the exact per-cell tail.  The result is invariant under
     translations, reflections and axis swaps of E (bit for bit) and scales
-    as h^(dim-s) exactly.  Cost grows with the box volume and, through the
-    run algebra, with the number of occupied runs per grid line.
+    as h^(dim-s) exactly.  The in-box part costs one FFT correlation over
+    twice the box, with ``threads`` FFT workers, and one kernel evaluation
+    per offset beyond the table cutoff; the tail costs one closed form per
+    occupied cell.  The thread count never changes the result.
     """
     _checked(e, table)
     if bounding_margin < 2:
@@ -419,27 +241,17 @@ def fractional_perimeter(
     occ = np.zeros(shape_q, dtype=bool)
     occ[tuple(slice(m, m + n) for n in occ_c.shape)] = occ_c
 
-    rc = table.cutoff_radius
-    near = _near_sum(occ, table.near_dense, rc, threads)
+    # R(d) = #{c in E : c + d in Q \ E}, an exact count once rounded
+    r = rounded_counts(_correlate(occ, ~occ, threads))
+    inbox = _pair_sum(_offset_kernel(shape_q, table), r)
 
+    cells = np.argwhere(occ).astype(np.float64)
     if params.dim == 1:
-        n = shape_q[0]
-        f = _far_table_1d(n, rc, params, table.far_field_rule)
-        t_cross = _far_cross_sum(occ, f)
-        t_self = _far_self_sum_1d(occ, f)
-        cells = np.flatnonzero(occ).astype(np.float64)
-        tail = math.fsum(_tail_1d_units(cells, float(n), params.s).tolist())
+        tail_units = _tail_1d_units(cells[:, 0], float(shape_q[0]), params.s)
     else:
-        nx, ny = shape_q
-        f = _far_table_2d(nx, ny, rc, params, table.far_field_rule)
-        t_cross = _far_cross_sum(occ, f)
-        t_self = _far_self_sum_2d(occ, f)
-        cx, cy = np.nonzero(occ)
-        cells = np.stack([cx, cy], axis=1).astype(np.float64)
-        tail = math.fsum(_tail_2d_units(cells, nx, ny, params.s).tolist())
-
-    total_units = math.fsum([near, t_cross, -t_self, tail])
-    return total_units * table.scale_factor
+        tail_units = _tail_2d_units(cells, *shape_q, params.s)
+    tail = math.fsum(tail_units.tolist())
+    return math.fsum([inbox, tail]) * table.scale_factor
 
 
 _SELF_PERIM_CACHE: dict[tuple, float] = {}
@@ -471,9 +283,11 @@ def gagliardo_seminorm(g, table: InteractionTable) -> float:
     """Squared fractional seminorm of a nonnegative grid function.
 
     Computed from the algebraic split over ordered cell pairs:
-      seminorm^2 = 2 * (P_cell * sum g_c^2 - sum_{c != c'} g_c g_c' J(c-c'))
-    where P_cell is the single-cell perimeter; the complement tail beyond
-    the grid is exact in this form.  For an indicator this equals twice the
+      seminorm^2 = 2 * (P_cell * sum g_c^2 - sum_{d != 0} K(d) R(d))
+    where P_cell is the single-cell perimeter, K the pair kernel of the
+    perimeter engine and R(d) = sum_c g_c g_{c+d} the autocorrelation of g
+    over its support box, taken by one FFT; the complement tail beyond the
+    grid is exact in this form.  For an indicator this equals twice the
     fractional perimeter of the underlying set.
     """
     values = np.asarray(g.values, dtype=np.float64)
@@ -486,37 +300,10 @@ def gagliardo_seminorm(g, table: InteractionTable) -> float:
         raise GridMismatchError(
             f"table cell size {table.h} does not match grid cell size {spec.h}"
         )
-    params = table.params
-    flat = values.reshape(-1)
-    support = np.flatnonzero(flat)
-    if len(support) == 0:
+    support = np.nonzero(values)
+    if len(support[0]) == 0:
         return 0.0
-    if spec.dim == 1:
-        coords = support.reshape(-1, 1)
-    else:
-        cx, cy = np.unravel_index(support, spec.cells)
-        coords = np.stack([cx, cy], axis=1)
-    gv = flat[support]
-    p_cell = single_cell_perimeter(params)
-    diag = p_cell * float(np.dot(gv, gv))
-
-    rc = table.cutoff_radius
-    dense = table.near_dense
-    cross_parts = []
-    chunk = max(1, int(2e6) // max(1, len(support)))
-    for a in range(0, len(support), chunk):
-        d = coords[a : a + chunk, None, :] - coords[None, :, :]
-        w = gv[a : a + chunk, None] * gv[None, :]
-        inf = np.abs(d).max(axis=2)
-        jvals = np.zeros(d.shape[:2])
-        near_mask = (inf <= rc) & (inf > 0)
-        if near_mask.any():
-            idx = tuple(d[near_mask][:, k] + rc for k in range(params.dim))
-            jvals[near_mask] = dense[idx]
-        far_mask = inf > rc
-        if far_mask.any():
-            jvals[far_mask] = far_kernel_unit(d[far_mask], params,
-                                              table.far_field_rule)
-        cross_parts.append(float(np.sum(w * jvals)))
-    cross = math.fsum(cross_parts)
+    box = values[tuple(slice(ix.min(), ix.max() + 1) for ix in support)]
+    diag = single_cell_perimeter(table.params) * float(np.vdot(box, box))
+    cross = _pair_sum(_offset_kernel(box.shape, table), _correlate(box, box, 1))
     return 2.0 * (diag - cross) * table.scale_factor

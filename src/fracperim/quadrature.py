@@ -1,11 +1,12 @@
-"""Small quadrature and summation helpers used by the numeric core."""
+"""Small quadrature and counting helpers used by the numeric core."""
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
+
+from .errors import FracperimError
 
 
 @functools.lru_cache(maxsize=32)
@@ -21,28 +22,20 @@ def gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_interval(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped to (a, b)."""
-    x, w = gauss_unit(n)
-    return a + (b - a) * x, (b - a) * w
+COUNT_RESIDUAL_BOUND = 1e-3
 
 
-class KahanAccumulator:
-    """Compensated running sum; deterministic for a fixed add order."""
+def rounded_counts(raw: np.ndarray) -> np.ndarray:
+    """Integer counts from a floating-point correlation of 0/1 arrays.
 
-    __slots__ = ("total", "_carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._carry = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self._carry
-        t = self.total + y
-        self._carry = (t - self.total) - y
-        self.total = t
-
-
-def stable_sum(parts) -> float:
-    """Exactly rounded sum of a small iterable of partial results."""
-    return math.fsum(parts)
+    Rounding is exact only while every value sits near an integer, so the
+    largest distance to one is checked against COUNT_RESIDUAL_BOUND.
+    """
+    counts = np.rint(raw)
+    residual = float(np.max(np.abs(raw - counts), initial=0.0))
+    if residual >= COUNT_RESIDUAL_BOUND:
+        raise FracperimError(
+            f"correlation rounding residual {residual:.3g} is not below "
+            f"{COUNT_RESIDUAL_BOUND:g}; the counts are not exact"
+        )
+    return counts.astype(np.int64)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fracperim import (
     AxisBox,
     Ball,
     EmptySetError,
+    FracperimError,
     GridMismatchError,
     GridSet,
     GridSpec,
@@ -16,13 +20,19 @@ from fracperim import (
     rasterize,
     translate_cells,
 )
-from fracperim.kernels import KernelParams, build_table, cell_pair_integral
+from fracperim.kernels import (
+    KernelParams,
+    build_table,
+    cell_pair_integral,
+    far_kernel_unit,
+)
 from fracperim.perimeter import (
     fractional_perimeter,
     gagliardo_seminorm,
     single_cell_perimeter,
     tail_integral,
 )
+from fracperim.quadrature import rounded_counts
 from fracperim.rearrange import GridFunction
 from oracles import brute_perimeter_2d
 
@@ -294,3 +304,79 @@ def test_two_component_subadditivity():
         p_two = fractional_perimeter(e, tab)
         cross.append(2.0 * p_one - p_two)
     assert cross[0] > cross[1] > cross[2] > 0.0
+
+
+def test_rounded_counts_checks_its_residual():
+    raw = np.array([[3.0, -2e-11], [7.0 + 4e-4, 1.0 - 1e-9]])
+    assert rounded_counts(raw).tolist() == [[3, 0], [7, 1]]
+    with pytest.raises(FracperimError, match="residual"):
+        rounded_counts(raw + np.array([[0.0, 0.0], [0.0, 2e-3]]))
+
+
+def _double_sum_seminorm(values, tab):
+    # reference for the pair sum: every ordered pair of support cells
+    params = tab.params
+    coords = [tuple(int(c) for c in ix) for ix in np.argwhere(values > 0)]
+    cross = []
+    for c in coords:
+        for c2 in coords:
+            d = tuple(b - a for a, b in zip(c, c2))
+            if max(abs(x) for x in d) == 0:
+                continue
+            if max(abs(x) for x in d) <= tab.cutoff_radius:
+                j = tab.unit_entry(d)
+            else:
+                j = far_kernel_unit(np.array([d]), params, tab.far_field_rule)[0]
+            cross.append(values[c] * values[c2] * j)
+    diag = single_cell_perimeter(params) * math.fsum((values**2).ravel())
+    return 2.0 * (diag - math.fsum(cross)) * tab.scale_factor
+
+
+@pytest.mark.parametrize("dim,shape", [(1, (23,)), (2, (11, 9))])
+def test_gagliardo_general_function_matches_double_sum(dim, shape):
+    # supports wider than the cutoff, so far-rule offsets enter both sums
+    rng = np.random.default_rng(11 + dim)
+    tab = build_table(KernelParams(dim, 0.4), h=0.5, cutoff=3)
+    for _ in range(3):
+        values = rng.random(shape) * (rng.random(shape) < 0.7)
+        spec = GridSpec(dim, (30,) * dim, 0.5, (0.0,) * dim)
+        padded = np.zeros(spec.cells)
+        padded[tuple(slice(2, 2 + n) for n in shape)] = values
+        got = gagliardo_seminorm(GridFunction(spec, padded), tab)
+        want = _double_sum_seminorm(padded, tab)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+_PROPERTY_TABLE = build_table(KernelParams(2, 0.45), h=0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))).filter(
+        lambda a: a.any()
+    ),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+def test_engine_properties_on_random_sets(occ, tx, ty):
+    tab = _PROPERTY_TABLE
+
+    def perim(a, **kw):
+        spec = GridSpec(2, a.shape, 0.5, (0.0, 0.0))
+        return fractional_perimeter(GridSet(spec, a.copy()), tab, **kw)
+
+    base = perim(occ)
+    for variant in (occ, occ.T):
+        for flipped in (variant, variant[::-1], variant[:, ::-1],
+                        variant[::-1, ::-1]):
+            assert perim(flipped) == base
+    moved = np.zeros((occ.shape[0] + tx + 1, occ.shape[1] + ty + 1), bool)
+    moved[tx : tx + occ.shape[0], ty : ty + occ.shape[1]] = occ
+    assert perim(moved) == base
+    assert perim(occ, threads=3) == perim(occ, threads=1)
+
+    # at the default margin the order-4 tail rule alone sits near 1e-11
+    # from the single-cell split; a margin of 8 brings it under 1e-12
+    spec = GridSpec(2, occ.shape, 0.5, (0.0, 0.0))
+    semi = gagliardo_seminorm(GridFunction(spec, occ.astype(float)), tab)
+    assert semi / 2.0 == pytest.approx(perim(occ, bounding_margin=8), rel=1e-11)
