@@ -1,0 +1,94 @@
+"""Strict line-oriented ASCII I/O shared by the four file formats.
+
+Every file opens with a version header.  The grid formats go on with a
+geometry line ``dim [lead...] h origin... cells...`` and row-major value
+blocks.  Loaders run their body under ``strict``, so a parse error or a
+range error from a validating constructor surfaces as a FormatError.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from contextlib import contextmanager
+
+import numpy as np
+
+from .errors import FormatError, FracperimError
+
+
+def g17(x) -> str:
+    """17 significant digits: enough to round-trip any float64."""
+    return format(float(x), ".17g")
+
+
+def write_lines(path, lines) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@contextmanager
+def strict(what: str):
+    """Re-raise parse and validation errors in the block as FormatError."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (ValueError, IndexError, KeyError, OverflowError, FracperimError) as exc:
+        raise FormatError(f"bad {what} file: {exc}") from exc
+
+
+def read_lines(path, header: str) -> tuple[tuple[str, ...], list[str]]:
+    """The header's fields and the nonblank lines after it.
+
+    The first line must match ``header`` exactly, each ``{}`` standing for
+    one whitespace-free field.
+    """
+    with strict(path):
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    pattern = r"(\S+)".join(re.escape(part) for part in header.split("{}"))
+    match = re.fullmatch(pattern, lines[0]) if lines else None
+    if match is None:
+        raise FormatError(f"{path}: first line does not match {header!r}")
+    return match.groups(), [ln for ln in lines[1:] if ln.strip()]
+
+
+def geometry_line(spec, *lead) -> str:
+    """``dim [lead...] h origin... cells...``, floats in shortest repr."""
+    floats = [repr(float(x)) for x in (*lead, spec.h, *spec.origin)]
+    return " ".join([str(spec.dim), *floats, *map(str, spec.cells)])
+
+
+def parse_geometry(line: str, nlead: int):
+    """Inverse of geometry_line: GridSpec's ``(dim, cells, h, origin)``, lead."""
+    fields = line.split()
+    dim = int(fields[0])
+    if len(fields) != 2 + nlead + 2 * dim:
+        raise FormatError(f"geometry line has {len(fields)} fields: {line!r}")
+    floats = [float(x) for x in fields[1 : 2 + nlead + dim]]
+    cells = tuple(int(x) for x in fields[2 + nlead + dim :])
+    return (dim, cells, floats[nlead], floats[nlead + 1 :]), floats[:nlead]
+
+
+def bit(token: str) -> bool:
+    """One cell of a 0/1 block."""
+    if token not in ("0", "1"):
+        raise FormatError(f"expected a 0/1 cell, got {token!r}")
+    return token == "1"
+
+
+def format_block(arr, fmt, sep: str = " ") -> list[str]:
+    """Row-major text: one line per index along axis 0, values by ``fmt``."""
+    return [sep.join(fmt(x) for x in row) for row in arr.reshape(len(arr), -1)]
+
+
+def parse_block(rows, shape, conv, sep: str = " ") -> np.ndarray:
+    """Inverse of format_block: an array of ``shape``, values read by ``conv``."""
+    ncols = math.prod(shape[1:])
+    if len(rows) != shape[0]:
+        raise FormatError(f"expected {shape[0]} rows, found {len(rows)}")
+    tokens = [row.split() if sep else list(row) for row in rows]
+    if any(len(t) != ncols for t in tokens):
+        raise FormatError(f"expected {ncols} values in every row")
+    return np.array([[conv(x) for x in t] for t in tokens]).reshape(shape)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ._textio import g17
 from .deficit import DEFICIT_CSV_HEADER, fraenkel_asymmetry, s_deficit
 from .errors import FracperimError
 from .experiments import (
@@ -36,10 +37,6 @@ from .rearrange import (
 from .shapes import auto_spec, parse_shape, rasterize
 
 __all__ = ["main"]
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -188,7 +185,7 @@ def _cmd_perim(args, cfg: ExperimentConfig) -> int:
     rows = [
         "set,N,s,h,cells,Ps",
         ",".join(
-            [args.shape, str(shape.dim), _g17(s), _g17(h), str(e.cell_count), _g17(ps)]
+            [args.shape, str(shape.dim), g17(s), g17(h), str(e.cell_count), g17(ps)]
         ),
     ]
     _emit("\n".join(rows) + "\n", cfg.out)
@@ -198,10 +195,10 @@ def _cmd_perim(args, cfg: ExperimentConfig) -> int:
 def _cmd_asym(args, cfg: ExperimentConfig) -> int:
     shape, e, h = _shape_setup(args, cfg)
     a, center = fraenkel_asymmetry(e)
-    cy = _g17(center[1]) if shape.dim == 2 else ""
+    cy = g17(center[1]) if shape.dim == 2 else ""
     rows = [
         "set,N,h,A,cx,cy",
-        ",".join([args.shape, str(shape.dim), _g17(h), _g17(a), _g17(center[0]), cy]),
+        ",".join([args.shape, str(shape.dim), g17(h), g17(a), g17(center[0]), cy]),
     ]
     _emit("\n".join(rows) + "\n", cfg.out)
     return 0
@@ -229,11 +226,11 @@ def _cmd_rearrange(args, cfg: ExperimentConfig) -> int:
         ",".join(
             [
                 args.infile,
-                _g17(report.energy_g),
-                _g17(report.energy_gsharp),
-                _g17(report.gap),
-                _g17(report.l1_distance),
-                _g17(report.support_measure),
+                g17(report.energy_g),
+                g17(report.energy_gsharp),
+                g17(report.gap),
+                g17(report.l1_distance),
+                g17(report.support_measure),
             ]
         ),
     ]
@@ -261,15 +258,15 @@ def _cmd_extend(args, cfg: ExperimentConfig) -> int:
             [
                 args.shape,
                 str(shape.dim),
-                _g17(s),
-                _g17(h),
+                g17(s),
+                g17(h),
                 str(grid.level_count),
-                _g17(grid.z_levels[0]),
-                _g17(grid.z_levels[-1]),
-                _g17(energy.total),
-                _g17(energy.x_part),
-                _g17(energy.z_part),
-                _g17(energy.truncation_estimate),
+                g17(grid.z_levels[0]),
+                g17(grid.z_levels[-1]),
+                g17(energy.total),
+                g17(energy.x_part),
+                g17(energy.z_part),
+                g17(energy.truncation_estimate),
             ]
         ),
     ]
@@ -283,7 +280,7 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     _emit(text, cfg.out)
     if cfg.out:
         sys.stdout.write(f"{len(records)} records -> {cfg.out}\n")
-        sys.stdout.write(f"K_limit_estimate,{_g17(k_limit_estimate(records))}\n")
+        sys.stdout.write(f"K_limit_estimate,{g17(k_limit_estimate(records))}\n")
     return 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
+from ._textio import g17
 from .errors import EmptySetError, GridMismatchError, SymmetryDefectError
 from .grids import GridSet, GridSpec, bisect_halves, pad_domain, unit_ball_volume
 from .kernels import InteractionTable
@@ -42,10 +43,6 @@ __all__ = [
 DEFICIT_CSV_HEADER = "id,N,s,h,Ps,r,PsBall,Ds,A,cx,cy,err_budget,flags"
 
 _REFLECTION_RTOL = 1e-9
-
-
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def equivalent_radius(e: GridSet) -> float:
@@ -226,21 +223,21 @@ class DeficitReport:
     flags: tuple[str, ...]
 
     def csv_row(self) -> str:
-        cx = _g17(self.center[0])
-        cy = _g17(self.center[1]) if self.dim == 2 else ""
+        cx = g17(self.center[0])
+        cy = g17(self.center[1]) if self.dim == 2 else ""
         parts = [
             self.set_id,
             str(self.dim),
-            _g17(self.s),
-            _g17(self.h),
-            _g17(self.perimeter),
-            _g17(self.radius),
-            _g17(self.ball_perimeter),
-            _g17(self.deficit),
-            _g17(self.asymmetry),
+            g17(self.s),
+            g17(self.h),
+            g17(self.perimeter),
+            g17(self.radius),
+            g17(self.ball_perimeter),
+            g17(self.deficit),
+            g17(self.asymmetry),
             cx,
             cy,
-            _g17(self.error_budget),
+            g17(self.error_budget),
             ";".join(self.flags),
         ]
         return ",".join(parts)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._textio import g17
 from .deficit import (
     centered_sandwich_check,
     n_symmetrize,
@@ -67,10 +68,6 @@ SWEEP_CSV_HEADER = (
 )
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs for sweeps and studies; invalid values refuse to construct."""
@@ -99,8 +96,14 @@ class ExperimentConfig:
             raise ValueError("dim must be 1 or 2")
         if not self.s_values or any(not 0.0 < s < 1.0 for s in self.s_values):
             raise ValueError("every s must lie strictly inside (0, 1)")
-        if not self.h_values or any(h <= 0.0 for h in self.h_values):
-            raise ValueError("every h must be positive")
+        if not self.h_values or any(not 0.0 < h < math.inf for h in self.h_values):
+            raise ValueError(f"every h must be positive and finite: {self.h_values}")
+        for name in ("tolerance", "rho", "top_factor", "lateral_factor", "z0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.margin < 1:
@@ -201,19 +204,19 @@ class SweepRecord:
     flags: tuple[str, ...] = ()
 
     def csv_row(self) -> str:
-        ratio = "" if math.isnan(self.ratio_theorem) else _g17(self.ratio_theorem)
+        ratio = "" if math.isnan(self.ratio_theorem) else g17(self.ratio_theorem)
         return ",".join(
             [
                 self.family,
-                _g17(self.param),
-                _g17(self.s),
-                _g17(self.h),
-                _g17(self.asymmetry),
-                _g17(self.deficit),
-                _g17(self.perimeter),
+                g17(self.param),
+                g17(self.s),
+                g17(self.h),
+                g17(self.asymmetry),
+                g17(self.deficit),
+                g17(self.perimeter),
                 ratio,
-                _g17(self.ratio_limit_s1),
-                _g17(self.ratio_limit_s0),
+                g17(self.ratio_limit_s1),
+                g17(self.ratio_limit_s0),
                 ";".join(self.flags),
             ]
         )
@@ -408,8 +411,8 @@ class VerifyCheck:
             [
                 self.name,
                 "pass" if self.passed else "FAIL",
-                _g17(self.measured),
-                _g17(self.bound),
+                g17(self.measured),
+                g17(self.bound),
                 self.detail,
             ]
         )
@@ -700,15 +703,15 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         return VerifyCheck("family-normalization", worst <= 1e-8, worst, 1e-8)
 
     def chk_tamper() -> VerifyCheck:
-        # fault injection: a 1% dent in one table entry must push the
-        # closed-form reproduction outside the oracle tolerance
+        # fault injection: a 1% dent in one table entry and its mirror must
+        # push the closed-form reproduction outside the oracle tolerance
         h, s = 2.0**-8, 0.5
         oracle_tol = 1e-4
         e = _aligned_interval_set(h, ((0.0, 1.0),))
         table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
         entries = dict(table.entries)
-        key = (1,)
-        entries[key] = entries[key] * 1.01
+        for key in ((1,), (-1,)):
+            entries[key] = entries[key] * 1.01
         tampered = InteractionTable(
             table.params, table.h, table.cutoff_radius, entries,
             table.far_field_rule,

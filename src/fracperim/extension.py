@@ -28,6 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, signal, special
 
+from ._textio import (
+    bit, format_block, g17, geometry_line, parse_block, parse_geometry, read_lines,
+    strict, write_lines,
+)
 from .errors import (
     CalibrationError,
     EmptySetError,
@@ -664,88 +668,32 @@ def save_extension(u: ExtensionField, path) -> None:
     row-major value block per level, then the boundary datum as a final
     0/1 block.
     """
-    spec = u.grid.base
-    geo = [str(spec.dim), repr(float(u.params.s)), repr(float(spec.h))]
-    geo += [repr(float(o)) for o in spec.origin]
-    geo += [str(n) for n in spec.cells]
-    lines = ["FRACEXT v1", " ".join(geo)]
-    lines.append(
-        "levels " + " ".join(repr(float(z)) for z in u.grid.z_levels)
-    )
-    for j in range(u.grid.level_count):
-        lines.append(f"level {j}")
-        for row in u.values[j].reshape(spec.cells[0], -1):
-            lines.append(" ".join(f"{x:.17g}" for x in row))
-    lines.append("datum")
-    for row in u.datum.reshape(spec.cells[0], -1):
-        lines.append(" ".join("1" if x else "0" for x in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [
+        "FRACEXT v1",
+        geometry_line(u.grid.base, u.params.s),
+        "levels " + " ".join(repr(float(z)) for z in u.grid.z_levels),
+    ]
+    for j, level in enumerate(u.values):
+        lines += [f"level {j}", *format_block(level, g17)]
+    lines += ["datum", *format_block(u.datum.astype(int), str)]
+    write_lines(path, lines)
 
 
 def load_extension(path) -> ExtensionField:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != "FRACEXT v1":
-        raise FormatError("missing FRACEXT v1 header")
-    if len(raw) < 3:
-        raise FormatError("missing geometry or levels line")
-    geo = raw[1].split()
-    try:
-        dim = int(geo[0])
-        s = float(geo[1])
-        h = float(geo[2])
-        origin = tuple(float(x) for x in geo[3 : 3 + dim])
-        cells = tuple(int(x) for x in geo[3 + dim : 3 + 2 * dim])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"bad geometry line: {raw[1]!r}") from exc
-    if len(cells) != dim:
-        raise FormatError("geometry line is missing cell counts")
-    lvl = raw[2].split()
-    if not lvl or lvl[0] != "levels":
-        raise FormatError("missing levels line")
-    try:
-        z_levels = tuple(float(x) for x in lvl[1:])
-    except ValueError as exc:
-        raise FormatError("non-numeric z-level") from exc
-    spec = GridSpec(dim, cells, h, origin)
-    grid = HalfSpaceGrid(spec, z_levels)
-    rows_per_block = cells[0]
-    cols = 1 if dim == 1 else cells[1]
-    cursor = 3
-    blocks = []
-    for j in range(len(z_levels)):
-        if cursor >= len(raw) or raw[cursor].strip() != f"level {j}":
-            raise FormatError(f"missing block marker for level {j}")
-        cursor += 1
-        rows = raw[cursor : cursor + rows_per_block]
-        if len(rows) < rows_per_block:
-            raise FormatError(f"level {j} block is truncated")
-        try:
-            arr = np.array([[float(x) for x in r.split()] for r in rows])
-        except ValueError as exc:
-            raise FormatError(f"non-numeric row in level {j}") from exc
-        if arr.shape != (rows_per_block, cols):
-            raise FormatError(f"level {j} block has the wrong shape")
-        blocks.append(arr.reshape(cells))
-        cursor += rows_per_block
-    if cursor >= len(raw) or raw[cursor].strip() != "datum":
-        raise FormatError("missing datum block")
-    cursor += 1
-    rows = raw[cursor : cursor + rows_per_block]
-    if len(rows) < rows_per_block:
-        raise FormatError("datum block is truncated")
-    try:
-        datum = np.array(
-            [[int(x) for x in r.split()] for r in rows], dtype=np.int64
-        )
-    except ValueError as exc:
-        raise FormatError("non-numeric row in datum block") from exc
-    if datum.shape != (rows_per_block, cols):
-        raise FormatError("datum block has the wrong shape")
-    if not np.isin(datum, (0, 1)).all():
-        raise FormatError("datum block must be 0/1")
-    params = KernelParams(dim, s)
-    return ExtensionField(
-        grid, params, np.stack(blocks, axis=0), datum.reshape(cells) == 1
-    )
+    """Read a lift from the FRACEXT v1 text format."""
+    _, lines = read_lines(path, "FRACEXT v1")
+    with strict("FRACEXT"):
+        fields, (s,) = parse_geometry(lines[0], 1)
+        spec = GridSpec(*fields)
+        tag, *levels = lines[1].split()
+        if tag != "levels":
+            raise FormatError("missing levels line")
+        grid = HalfSpaceGrid(spec, tuple(float(z) for z in levels))
+        step = spec.cells[0] + 1
+        blocks = [lines[at : at + step] for at in range(2, len(lines), step)]
+        markers = [f"level {j}" for j in range(grid.level_count)] + ["datum"]
+        if [b[0].strip() for b in blocks] != markers:
+            raise FormatError("blocks are not 'level 0', 'level 1', ..., 'datum'")
+        values = [parse_block(b[1:], spec.cells, float) for b in blocks[:-1]]
+        datum = parse_block(blocks[-1][1:], spec.cells, bit)
+        return ExtensionField(grid, KernelParams(spec.dim, s), values, datum)

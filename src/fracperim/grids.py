@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import (
+    bit, format_block, geometry_line, parse_block, parse_geometry, read_lines,
+    strict, write_lines,
+)
 from .errors import (
     DomainTooSmallError,
     EmptySetError,
-    FormatError,
     GridMismatchError,
     OffLatticePlaneError,
 )
@@ -66,6 +69,8 @@ class GridSpec:
             raise ValueError("cell counts must be positive integers")
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise ValueError("cell size h must be positive and finite")
+        if not all(math.isfinite(x) for x in self.origin):
+            raise ValueError("origin must be finite")
         object.__setattr__(self, "cells", tuple(int(n) for n in self.cells))
         object.__setattr__(self, "origin", tuple(float(x) for x in self.origin))
 
@@ -451,52 +456,18 @@ def translate_cells(e: GridSet, offset_cells) -> GridSet:
     return GridSet(spec, e.occupancy)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def save_gridset(e: GridSet, path) -> None:
     """Write a set in the FRACGRID v1 text format."""
-    spec = e.spec
-    lines = ["FRACGRID v1"]
-    geo = [str(spec.dim), _format_float(spec.h)]
-    geo += [_format_float(x) for x in spec.origin]
-    geo += [str(n) for n in spec.cells]
-    lines.append(" ".join(geo))
-    if spec.dim == 1:
-        lines.append("".join("1" if v else "0" for v in e.occupancy))
-    else:
-        for row in e.occupancy:
-            lines.append("".join("1" if v else "0" for v in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = format_block(np.atleast_2d(e.occupancy).astype(int), str, sep="")
+    write_lines(path, ["FRACGRID v1", geometry_line(e.spec), *rows])
 
 
 def load_gridset(path) -> GridSet:
     """Read a set from the FRACGRID v1 text format."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].strip() != "FRACGRID v1":
-        raise FormatError("missing FRACGRID v1 header")
-    fields = lines[1].split()
-    dim = int(fields[0])
-    h = float(fields[1])
-    origin = tuple(float(x) for x in fields[2 : 2 + dim])
-    cells = tuple(int(x) for x in fields[2 + dim : 2 + 2 * dim])
-    spec = GridSpec(dim, cells, h, origin)
-    rows = [ln for ln in lines[2:] if ln.strip() != ""]
-    expected_rows = 1 if dim == 1 else cells[0]
-    if len(rows) != expected_rows:
-        raise FormatError(
-            f"expected {expected_rows} occupancy rows, found {len(rows)}"
-        )
-    width = cells[0] if dim == 1 else cells[1]
-    occ_rows = []
-    for ln in rows:
-        if len(ln) != width or set(ln) - {"0", "1"}:
-            raise FormatError(f"bad occupancy row: {ln!r}")
-        occ_rows.append([c == "1" for c in ln])
-    occ = np.array(occ_rows, dtype=bool)
-    if dim == 1:
-        occ = occ[0]
-    return GridSet(spec, occ)
+    _, lines = read_lines(path, "FRACGRID v1")
+    with strict("FRACGRID"):
+        fields, _ = parse_geometry(lines[0], 0)
+        spec = GridSpec(*fields)
+        shape = (1,) * (2 - spec.dim) + spec.cells  # a 1D set is one row
+        occ = parse_block(lines[1:], shape, bit, sep="")
+        return GridSet(spec, occ.reshape(spec.cells))

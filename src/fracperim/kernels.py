@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._textio import g17, parse_block, read_lines, strict, write_lines
 from .errors import FormatError, SameCellError
 from .quadrature import gauss_unit
 
@@ -242,8 +243,8 @@ class InteractionTable:
     version: str = "FRACTAB v1"
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError("h must be positive and finite")
         if self.cutoff_radius < 2:
             raise ValueError("cutoff_radius must be >= 2")
         if self.far_field_rule < 1:
@@ -341,6 +342,9 @@ def build_table(
     return table
 
 
+_HEADER = "FRACTAB v1 N={} s={} Rc={}"
+
+
 def save_table(table: InteractionTable, path) -> None:
     """Write the unit-lattice table as FRACTAB v1 text.
 
@@ -348,56 +352,27 @@ def save_table(table: InteractionTable, path) -> None:
     values are printed with 17 significant digits so they round-trip float64
     exactly.
     """
-    lines = [
-        f"FRACTAB v1 N={table.params.dim} s={table.params.s!r} "
-        f"Rc={table.cutoff_radius}"
-    ]
-    for off in window_offsets(table.params.dim, table.cutoff_radius):
-        coords = " ".join(str(c) for c in off)
-        lines.append(f"{coords} {table.entries[off]:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    params = table.params
+    lines = [_HEADER.format(params.dim, repr(float(params.s)), table.cutoff_radius)]
+    for off in window_offsets(params.dim, table.cutoff_radius):
+        lines.append(" ".join([*map(str, off), g17(table.entries[off])]))
+    write_lines(path, lines)
 
 
 def load_table(path, h: float = 1.0,
                far_field_rule: int = DEFAULT_FAR_RULE) -> InteractionTable:
     """Read a FRACTAB v1 file back into an InteractionTable at cell size h."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise FormatError("empty table file")
-    head = raw[0].split()
-    if head[:2] != ["FRACTAB", "v1"] or len(head) != 5:
-        raise FormatError(f"bad FRACTAB header: {raw[0]!r}")
-    fields = {}
-    for tok in head[2:]:
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    try:
-        dim = int(fields["N"])
-        s = float(fields["s"])
-        cutoff = int(fields["Rc"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad FRACTAB header fields: {raw[0]!r}") from exc
-    params = KernelParams(dim, s)
-    expected = window_offsets(dim, cutoff)
-    body = [ln for ln in raw[1:] if ln.strip()]
-    if len(body) != len(expected):
-        raise FormatError(
-            f"FRACTAB body has {len(body)} entries, expected {len(expected)}"
-        )
-    entries: dict[tuple, float] = {}
-    for ln, off in zip(body, expected):
-        parts = ln.split()
-        if len(parts) != dim + 1:
-            raise FormatError(f"bad FRACTAB line: {ln!r}")
-        coords = tuple(int(c) for c in parts[:dim])
-        if coords != off:
-            raise FormatError(
-                f"FRACTAB offsets out of order: saw {coords}, expected {off}"
-            )
-        value = float(parts[dim])
-        if not value > 0.0:
-            raise FormatError(f"nonpositive table value at offset {off}")
-        entries[off] = value
-    return InteractionTable(params, h, cutoff, entries, far_field_rule)
+    (dim, s, cutoff), lines = read_lines(path, _HEADER)
+    with strict("FRACTAB"):
+        params = KernelParams(int(dim), float(s))
+        cutoff = int(cutoff)
+        count = (2 * cutoff + 1) ** params.dim - 1
+        rows = parse_block(lines, (count, params.dim + 1), str)
+        expected = window_offsets(params.dim, cutoff)
+        if [tuple(int(c) for c in row[:-1]) for row in rows] != expected:
+            raise FormatError("FRACTAB offsets are not in lexicographic order")
+        values = [float(v) for v in rows[:, -1]]
+        if not all(0.0 < v < math.inf for v in values):
+            raise FormatError("FRACTAB values must be positive and finite")
+        entries = dict(zip(expected, values))
+        return InteractionTable(params, h, cutoff, entries, far_field_rule)

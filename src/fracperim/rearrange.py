@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, GridMismatchError, MissingHaloError
+from ._textio import (
+    format_block, g17, geometry_line, parse_block, parse_geometry, read_lines,
+    strict, write_lines,
+)
+from .errors import GridMismatchError, MissingHaloError
 from .grids import GridSpec
 
 __all__ = [
@@ -193,44 +197,14 @@ def polya_szego_report(g: GridFunction) -> RearrangeReport:
 
 def save_gridfunction(g: GridFunction, path) -> None:
     """FRACFUN v1 text: header, geometry line, then row-major values."""
-    spec = g.spec
-    geo = [str(spec.dim), repr(float(spec.h))]
-    geo += [repr(float(o)) for o in spec.origin]
-    geo += [str(n) for n in spec.cells]
-    rows = g.values.reshape(spec.cells[0], -1)
-    lines = ["FRACFUN v1", " ".join(geo)]
-    for r in rows:
-        lines.append(" ".join(f"{x:.17g}" for x in r))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = format_block(g.values, g17)
+    write_lines(path, ["FRACFUN v1", geometry_line(g.spec), *rows])
 
 
 def load_gridfunction(path) -> GridFunction:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != "FRACFUN v1":
-        raise FormatError("missing FRACFUN v1 header")
-    if len(raw) < 2:
-        raise FormatError("missing geometry line")
-    geo = raw[1].split()
-    try:
-        dim = int(geo[0])
-        h = float(geo[1])
-        origin = tuple(float(x) for x in geo[2 : 2 + dim])
-        cells = tuple(int(x) for x in geo[2 + dim : 2 + 2 * dim])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"bad geometry line: {raw[1]!r}") from exc
-    spec = GridSpec(dim, cells, h, origin)
-    body = [ln for ln in raw[2:] if ln.strip()]
-    if len(body) != cells[0]:
-        raise FormatError(
-            f"expected {cells[0]} value rows, found {len(body)}"
-        )
-    try:
-        vals = np.array([[float(x) for x in ln.split()] for ln in body])
-    except ValueError as exc:
-        raise FormatError("non-numeric value row") from exc
-    expected_cols = 1 if dim == 1 else cells[1]
-    if vals.shape[1] != expected_cols:
-        raise FormatError("value row length does not match the grid")
-    return GridFunction(spec, vals.reshape(cells))
+    """Read a grid function from the FRACFUN v1 text format."""
+    _, lines = read_lines(path, "FRACFUN v1")
+    with strict("FRACFUN"):
+        fields, _ = parse_geometry(lines[0], 0)
+        spec = GridSpec(*fields)
+        return GridFunction(spec, parse_block(lines[1:], spec.cells, float))

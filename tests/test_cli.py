@@ -176,6 +176,29 @@ def test_error_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        (["perim", "--shape", INTERVAL, "--s", "0.5", "--h", "nan"], "h"),
+        (["verify", "--seed", "-1"], "seed"),
+        (["extend", "--shape", INTERVAL, "--rho", "inf"], "rho"),
+    ],
+)
+def test_invalid_config_value_exits_2_naming_field(args, field, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be" in err
+
+
+def test_malformed_infile_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.fracfun"
+    bad.write_text("FRACFUN v1\n1 nan 0.0 2\n1\n2\n")
+    code, _, err = run(["rearrange", "--infile", str(bad)], capsys)
+    assert code == 2
+    assert "FRACFUN" in err
+
+
 @pytest.mark.slow
 def test_verify_subcommand_passes(tmp_path, capsys):
     out = tmp_path / "verify.csv"

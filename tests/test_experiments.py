@@ -81,6 +81,26 @@ def test_config_validation():
         fp.ExperimentConfig(family="hexagon").family_names()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("h_values", (math.nan,)),
+        ("h_values", (math.inf,)),
+        ("s_values", (math.nan,)),
+        ("tolerance", math.nan),
+        ("rho", math.inf),
+        ("top_factor", math.nan),
+        ("lateral_factor", math.inf),
+        ("z0", math.inf),
+        ("seed", -1),
+    ],
+)
+def test_config_rejects_nonfinite_values_and_negative_seed(field, value):
+    name = field.removesuffix("_values")
+    with pytest.raises(ValueError, match=rf"\b{name} must"):
+        fp.ExperimentConfig(**{field: value})
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("s = 0.5\nh = 0.125\nfamily = two-intervals\nparams = 0.5\nn = 1\n")

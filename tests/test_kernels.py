@@ -181,6 +181,31 @@ def test_mismatched_cache_triggers_rebuild(tmp_path):
     assert load_table(path).params.s == 0.25
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [("\n-3 ", "\nx "), ("Rc=3", "Rc=-2"), ("s=0.5", "s=1.5")],
+    ids=["offset", "Rc", "s"],
+)
+def test_corrupt_cache_is_rebuilt(tmp_path, old, new):
+    path = tmp_path / "k.fractab"
+    params = KernelParams(1, 0.5)
+    build_table(params, cutoff=3, cache_path=path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.warns(UserWarning, match="unreadable table cache"):
+        tab = build_table(params, cutoff=3, cache_path=path)
+    assert tab == build_table(params, cutoff=3)
+    assert load_table(path) == tab
+
+
+def test_cache_written_for_numpy_s_reads_back(tmp_path, recwarn):
+    path = tmp_path / "k.fractab"
+    params = KernelParams(1, np.float64(0.5))
+    tab = build_table(params, cutoff=3, cache_path=path)
+    assert path.read_text().startswith("FRACTAB v1 N=1 s=0.5 Rc=3\n")
+    assert build_table(params, cutoff=3, cache_path=path) == tab
+    assert not recwarn.list
+
+
 def test_far_rule_accuracy_outside_cutoff():
     p = KernelParams(2, 0.5)
     offsets = np.array([(17, 0), (17, 17), (24, 3), (40, 0)])
