@@ -273,7 +273,10 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
     for s in config.s_values:
         for h in config.h_values:
             table = build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
-            table.near_dense  # warm the cache before any thread sharing
+            # warm the caches before any thread sharing; the tail table
+            # then grows under its own lock
+            table.near_dense
+            table.tail_table
             tables[(s, h)] = table
     tasks = [
         (member, s, h)

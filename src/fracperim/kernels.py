@@ -187,7 +187,8 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
 
     Meant for offsets beyond the table cutoff.  dim 1 uses the exact closed
     form regardless of ``rule``; dim 2 applies the tent-weighted tensor rule
-    of the given order per quadrant.
+    of the given order per quadrant, symmetric bit for bit under sign flips
+    and axis swaps.
     """
     if rule < 1:
         raise ValueError("far-field rule order must be >= 1")
@@ -196,8 +197,10 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
         d = np.abs(offsets.reshape(-1)).astype(np.float64)
         p = 1.0 - params.s
         return (2.0 * d**p - (d - 1.0) ** p - (d + 1.0) ** p) / (params.s * p)
-    a = np.abs(offsets[:, 0]).astype(np.float64)
-    b = np.abs(offsets[:, 1]).astype(np.float64)
+    # sorted magnitudes, so that (a, b) and (b, a) give the same bits
+    mags = np.abs(offsets)
+    a = mags.max(axis=1).astype(np.float64)
+    b = mags.min(axis=1).astype(np.float64)
     x, w = gauss_unit(rule)
     tent = w * (1.0 - x)
     ww = tent[:, None] * tent[None, :]
@@ -273,6 +276,13 @@ class InteractionTable:
             dense[idx] = val
         dense.setflags(write=False)
         return dense
+
+    @cached_property
+    def tail_table(self):
+        """The 2D complement-tail table of ``perimeter``, grown on demand."""
+        from .perimeter import TailTable
+
+        return TailTable(self.params.s)
 
     def with_h(self, h: float) -> "InteractionTable":
         return InteractionTable(

@@ -9,8 +9,13 @@ grown by a margin, into two exactly-accounted parts:
            integer count read off one FFT cross-correlation, rounded and
            checked against its rounding residual;
   tail:    the complement beyond Q, reduced per cell to closed form: the
-           exact antiderivative in one dimension, and in two an angular
-           identity whose edge arcs are incomplete Beta functions.
+           exact antiderivative in one dimension; in two, an angular
+           identity whose edge arcs are incomplete Beta functions, averaged
+           over each cell by an order-4 Gauss rule.  The nodes are
+           symmetric, so a cell's tail is eight entries Phi_s(p, q) of one
+           table indexed by integer offsets from the box edges; the table
+           is kept with the InteractionTable and grows to the largest box
+           seen.
 
 The Gagliardo seminorm runs through the same kernel and correlation, with
 R the autocorrelation of the grid function.  All sums run on the unit
@@ -22,6 +27,7 @@ values; the physical scale enters once through h^(dim-s).
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy import fft, special
@@ -41,6 +47,7 @@ __all__ = [
 DEFAULT_MARGIN = 4
 
 _TAIL_OUTER_ORDER = 4
+_FILL_BLOCK = 1 << 16
 _SELF_WINDOW = 8
 
 
@@ -84,43 +91,110 @@ def _beta_const(s: float) -> float:
     return 0.5 * special.beta(0.5, 0.5 * (s + 1.0))
 
 
-def _edge_arc(t1, t2, dist, s: float, bconst: float):
-    """Integral of R(theta)^(-s) over the arc that exits through one edge.
+def _phi(p: np.ndarray, q: np.ndarray, s: float) -> np.ndarray:
+    """Cell-averaged edge term Phi_s(p, q) of the 2D tail, elementwise.
 
-    dist is the perpendicular distance to the edge, t1/t2 the lateral
-    distances to its two corners; the arc integral of cos^s reduces to the
-    regularized incomplete Beta function, so this is exact.
+    The kernel integrated over the rays from a point that leave the box
+    through one edge at distance d, on one side of the foot of the
+    perpendicular out to a corner at lateral distance t, is
+    f(d, t) = d^-s * B_s * I(t^2 / (t^2 + d^2)): the arc integral of cos^s
+    is a regularized incomplete Beta function, so f is exact.  Then
+    Phi(p, q) = sum_ab w_a w_b f(p + t_a, q + t_b) over the order-4 Gauss
+    nodes of (0, 1), for integer offsets p, q of a cell from the edge and
+    from the corner.  p and q are arrays (broadcast together); every step
+    is elementwise in a fixed order, so an entry has the same bits
+    whatever the shapes it is computed in.
     """
-    a, b = 0.5, 0.5 * (s + 1.0)
-    f1 = special.betainc(a, b, t1 * t1 / (t1 * t1 + dist * dist))
-    f2 = special.betainc(a, b, t2 * t2 / (t2 * t2 + dist * dist))
-    return dist ** (-s) * bconst * (f1 + f2)
-
-
-def _complement_density_2d(u, v, nx: float, ny: float, s: float):
-    """Pointwise integral of the kernel over the complement of [0,nx]x[0,ny]."""
-    bconst = _beta_const(s)
-    a_r = nx - u
-    a_l = u
-    b_t = ny - v
-    b_b = v
-    g = _edge_arc(b_t, b_b, a_r, s, bconst)
-    g += _edge_arc(b_t, b_b, a_l, s, bconst)
-    g += _edge_arc(a_r, a_l, b_t, s, bconst)
-    g += _edge_arc(a_r, a_l, b_b, s, bconst)
-    return g / s
-
-
-def _tail_2d_units(cells: np.ndarray, nx: int, ny: int, s: float) -> np.ndarray:
-    """Tail of unit cells (given by lower corners) against [0,nx]x[0,ny]."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     t, w = gauss_unit(_TAIL_OUTER_ORDER)
-    ww = (w[:, None] * w[None, :]).reshape(-1)
-    du = np.repeat(t, len(t))
-    dv = np.tile(t, len(t))
-    u = cells[:, 0:1] + du[None, :]
-    v = cells[:, 1:2] + dv[None, :]
-    g = _complement_density_2d(u, v, float(nx), float(ny), s)
-    return g @ ww
+    a, b = 0.5, 0.5 * (s + 1.0)
+    total = np.zeros(np.broadcast_shapes(p.shape, q.shape))
+    for ta, wa in zip(t, w):
+        d = p + ta
+        d2 = d * d
+        arc = np.zeros_like(total)
+        for tb, wb in zip(t, w):
+            lat = q + tb
+            lat2 = lat * lat
+            arc += wb * special.betainc(a, b, lat2 / (lat2 + d2))
+        total += (wa * d ** (-s)) * arc
+    return _beta_const(s) * total
+
+
+class TailTable:
+    """Phi_s(p, q) for 0 <= p, q < n, grown on demand and shared by threads.
+
+    Growing fills only the new entries, in row blocks of at most
+    _FILL_BLOCK entries.  Since _phi is elementwise, a table grown in steps
+    equals one filled at once bit for bit, so results never depend on
+    which sets were measured first.
+    """
+
+    def __init__(self, s: float):
+        self.s = s
+        self._lock = threading.Lock()
+        self._values = np.zeros((0, 0))
+
+    @property
+    def extent(self) -> int:
+        return self._values.shape[0]
+
+    def upto(self, n: int) -> np.ndarray:
+        """The table grown to at least n x n (read-only)."""
+        with self._lock:
+            old = self._values
+            m = old.shape[0]
+            if m < n:
+                new = np.empty((n, n))
+                new[:m, :m] = old
+                self._fill(new, range(m), range(m, n))
+                self._fill(new, range(m, n), range(n))
+                new.setflags(write=False)
+                self._values = new
+            return self._values
+
+    def _fill(self, out: np.ndarray, rows: range, cols: range) -> None:
+        q = np.arange(cols.start, cols.stop, dtype=np.float64)[None, :]
+        step = max(1, _FILL_BLOCK // len(cols))
+        for r0 in range(rows.start, rows.stop, step):
+            r1 = min(r0 + step, rows.stop)
+            p = np.arange(r0, r1, dtype=np.float64)[:, None]
+            out[r0:r1, cols.start:cols.stop] = _phi(p, q, self.s)
+
+
+def _edge_pairs(cells: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The eight (p, q) at which each cell of an nx x ny box reads Phi.
+
+    With R, L, T, B the cell's integer offsets from the four edges, the
+    Gauss nodes' symmetry under t -> 1 - t turns each of the eight edge
+    arcs of the tail into one Phi: (R,T) (R,B) (L,T) (L,B) (T,R) (T,L)
+    (B,R) (B,L).  Returns two (8, ncells) integer arrays.
+    """
+    left, bottom = cells[:, 0], cells[:, 1]
+    right, top = shape[0] - 1 - left, shape[1] - 1 - bottom
+    p = np.stack([right, right, left, left, top, top, bottom, bottom])
+    q = np.stack([top, bottom, top, bottom, right, left, right, left])
+    return p, q
+
+
+def _tail_2d(cells: np.ndarray, shape, s: float,
+             table: TailTable | None = None) -> float:
+    """Unit tail of cells (lower corners) against the box [0,nx]x[0,ny].
+
+    The exactly rounded sum of eight Phi per cell, over s.  They are
+    gathered from ``table``, grown first if need be, unless growing would
+    evaluate more new entries than the cells need (a sparse set in a wide
+    box) or no table is given: then they are evaluated directly.  Both
+    ways give the same bits.
+    """
+    p, q = _edge_pairs(cells, shape)
+    n = max(shape)
+    if table is not None and n * n - table.extent**2 <= p.size:
+        vals = table.upto(n)[p, q]
+    else:
+        vals = _phi(p, q, s)
+    return math.fsum(vals.ravel().tolist()) / s
 
 
 def tail_integral(cell, box, params: KernelParams, h: float) -> float:
@@ -151,9 +225,8 @@ def tail_integral(cell, box, params: KernelParams, h: float) -> float:
         val = _tail_1d_units(np.array([c - lo], float), float(hi - lo), params.s)
         return float(val[0]) * scale
     (lx, hx), (ly, hy) = box
-    rel = np.array([[cell[0] - lx, cell[1] - ly]], dtype=np.float64)
-    val = _tail_2d_units(rel, hx - lx, hy - ly, params.s)
-    return float(val[0]) * scale
+    rel = np.array([[cell[0] - lx, cell[1] - ly]])
+    return _tail_2d(rel, (hx - lx, hy - ly), params.s) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +291,20 @@ def fractional_perimeter(
 
     The complement is split at the bounding box of E dilated by
     ``bounding_margin`` cells; inside, pair sums use the table and the far
-    rule, outside the exact per-cell tail.  The result is invariant under
+    rule, outside the per-cell tail.  The result is invariant under
     translations, reflections and axis swaps of E (bit for bit) and scales
     as h^(dim-s) exactly.  The in-box part costs one FFT correlation over
     twice the box, with ``threads`` FFT workers, and one kernel evaluation
-    per offset beyond the table cutoff; the tail costs one closed form per
-    occupied cell.  The thread count never changes the result.
+    per offset beyond the table cutoff.  In 2D the tail costs eight table
+    gathers per occupied cell plus one Phi fill per new box extent, kept
+    with ``table`` and shared by every set measured with it; in 1D it is
+    one closed form per occupied cell.  Neither the thread count nor the
+    sets measured before changes the result.
+
+    Accuracy: in 2D the order-4 Gauss average of the tail over each cell
+    limits agreement with ``gagliardo_seminorm(1_E) / 2`` to about 1e-11
+    relative at the default ``bounding_margin=4``, and to about 1e-12 at a
+    margin of 8; the pair sums themselves agree to rounding.
     """
     _checked(e, table)
     if bounding_margin < 2:
@@ -245,12 +326,12 @@ def fractional_perimeter(
     r = rounded_counts(_correlate(occ, ~occ, threads))
     inbox = _pair_sum(_offset_kernel(shape_q, table), r)
 
-    cells = np.argwhere(occ).astype(np.float64)
+    cells = np.argwhere(occ)
     if params.dim == 1:
         tail_units = _tail_1d_units(cells[:, 0], float(shape_q[0]), params.s)
+        tail = math.fsum(tail_units.tolist())
     else:
-        tail_units = _tail_2d_units(cells, *shape_q, params.s)
-    tail = math.fsum(tail_units.tolist())
+        tail = _tail_2d(cells, shape_q, params.s, table.tail_table)
     return math.fsum([inbox, tail]) * table.scale_factor
 
 
@@ -272,8 +353,7 @@ def single_cell_perimeter(params: KernelParams) -> float:
             for dy in range(-k, k + 1)
             if (dx, dy) != (0, 0)
         )
-        rel = np.array([[k, k]], dtype=np.float64)
-        tail = float(_tail_2d_units(rel, 2 * k + 1, 2 * k + 1, params.s)[0])
+        tail = _tail_2d(np.array([[k, k]]), (2 * k + 1, 2 * k + 1), params.s)
         val = pair_sum + tail
     _SELF_PERIM_CACHE[key] = val
     return val

@@ -27,6 +27,9 @@ from fracperim.kernels import (
     far_kernel_unit,
 )
 from fracperim.perimeter import (
+    TailTable,
+    _edge_pairs,
+    _offset_kernel,
     fractional_perimeter,
     gagliardo_seminorm,
     single_cell_perimeter,
@@ -34,7 +37,7 @@ from fracperim.perimeter import (
 )
 from fracperim.quadrature import rounded_counts
 from fracperim.rearrange import GridFunction
-from oracles import brute_perimeter_2d
+from oracles import brute_perimeter_2d, order4_tail_2d
 
 
 def interval_perimeter(length, s):
@@ -225,6 +228,77 @@ def test_tail_scale_factor():
     t1 = tail_integral((0, 0), ((-3, 4), (-3, 4)), p2, 1.0)
     t2 = tail_integral((0, 0), ((-3, 4), (-3, 4)), p2, 2.0)
     assert t2 == 2.0 ** (2 - 0.6) * t1
+
+
+@pytest.mark.parametrize("s", [0.1, 0.45, 0.9])
+def test_gathered_tail_matches_order4_rule_per_cell(s):
+    table = build_table(KernelParams(2, s)).tail_table
+    rng = np.random.default_rng(int(100 * s))
+    for _ in range(6):
+        nx, ny = (int(n) for n in rng.integers(5, 48, 2))
+        # occupied cells sit at least 2 cells inside the box, as in a perimeter
+        cells = np.argwhere(rng.random((nx - 4, ny - 4)) < 0.5) + 2
+        p, q = _edge_pairs(cells, (nx, ny))
+        terms = table.upto(max(nx, ny))[p, q]
+        got = np.array([math.fsum(col) for col in terms.T.tolist()]) / s
+        want = order4_tail_2d(cells, nx, ny, s)
+        assert np.max(np.abs(got - want) / want) <= 2e-15
+
+
+def test_tail_table_growth_is_bit_independent(monkeypatch):
+    for s in (0.25, 0.5, 0.75):
+        stepped = TailTable(s)
+        for n in (3, 17, 40):
+            stepped.upto(n)
+        assert stepped.extent == 40
+        assert stepped.upto(12).shape == (40, 40)
+        with monkeypatch.context() as m:
+            m.setattr("fracperim.perimeter._FILL_BLOCK", 7)
+            reblocked = TailTable(s).upto(40)
+        assert np.array_equal(stepped.upto(40), reblocked)
+        assert np.array_equal(TailTable(s).upto(40), reblocked)
+
+
+def test_perimeter_independent_of_table_history():
+    params, h = KernelParams(2, 0.35), 1 / 8
+    small = rasterize(Ball((0.0, 0.0), 0.5), auto_spec(Ball((0.0, 0.0), 0.5), h))
+    large = rasterize(AxisBox((0.0, 0.0), (5.0, 2.0)),
+                      auto_spec(AxisBox((0.0, 0.0), (5.0, 2.0)), h))
+    # two cells far apart: too sparse to grow a table, so evaluated directly
+    spec = GridSpec(2, (40, 40), h, (0.0, 0.0))
+    sparse = GridSet.from_cells(spec, [(0, 0), (30, 5)])
+    fresh = [fractional_perimeter(e, build_table(params, h=h))
+             for e in (small, sparse)]
+    table = build_table(params, h=h)
+    fractional_perimeter(large, table)
+    assert table.tail_table.extent > 30 + 8
+    assert [fractional_perimeter(e, table) for e in (small, sparse)] == fresh
+
+
+def test_tail_integral_equals_table_gather():
+    rng = np.random.default_rng(5)
+    for s in (0.2, 0.6):
+        params = KernelParams(2, s)
+        table = TailTable(s)
+        for _ in range(20):
+            lx, ly = (int(v) for v in rng.integers(-20, 20, 2))
+            nx, ny = (int(v) for v in rng.integers(5, 40, 2))
+            cx = lx + int(rng.integers(2, nx - 2))
+            cy = ly + int(rng.integers(2, ny - 2))
+            box = ((lx, lx + nx), (ly, ly + ny))
+            p, q = _edge_pairs(np.array([[cx - lx, cy - ly]]), (nx, ny))
+            terms = table.upto(max(nx, ny))[p, q]
+            gathered = math.fsum(terms.ravel().tolist()) / s
+            assert tail_integral((cx, cy), box, params, 1.0) == gathered
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_offset_kernel_bit_symmetric_under_axis_swap(s):
+    table = build_table(KernelParams(2, s), h=1.0, cutoff=3)
+    wide = _offset_kernel((9, 23), table)
+    assert np.array_equal(_offset_kernel((23, 9), table), wide.T)
+    square = _offset_kernel((17, 17), table)
+    assert np.array_equal(square, square.T)
 
 
 @pytest.mark.slow
