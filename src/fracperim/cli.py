@@ -20,7 +20,7 @@ from .experiments import (
     config_from_mapping,
     exponent_study,
     k_limit_estimate,
-    load_config,
+    parse_config_text,
     sweep_csv,
     sweep_s,
     verify_suite,
@@ -44,7 +44,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, choices=(1, 2), help="ambient dimension")
     p.add_argument("--s", help="order in (0,1); comma list for sweeps")
     p.add_argument("--h", help="grid spacing; comma list for sweeps")
-    p.add_argument("--margin", type=int, help="halo width in cutoff radii")
+    p.add_argument("--margin", type=int, help="halo width in cells (>= 2)")
     p.add_argument("--cutoff", type=int, help="near-window radius in cells")
     p.add_argument("--threads", type=int, help="worker threads")
     p.add_argument("--seed", type=int, help="seed for randomized checks")
@@ -103,55 +103,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_FLAG_KEYS = (
+    "n", "s", "h", "family", "params", "margin", "cutoff", "threads", "seed",
+    "out", "z0", "rho", "top_factor", "lateral_factor",
+)
+
+
 def _merge_config(args) -> ExperimentConfig:
     """Config file first, explicit flags override, defaults fill the rest."""
     mapping: dict = {}
     if args.config:
-        base = load_config(args.config)
-    else:
-        base = ExperimentConfig()
-    if args.n is not None:
-        mapping["dim"] = str(args.n)
-    if args.s is not None:
-        mapping["s"] = args.s
-    if args.h is not None:
-        mapping["h"] = args.h
-    for key in ("margin", "cutoff", "threads", "seed"):
-        val = getattr(args, key)
-        if val is not None:
-            mapping[key] = str(val)
-    for key in ("z0", "rho", "top_factor", "lateral_factor"):
-        val = getattr(args, key, None)
-        if val is not None:
-            mapping[key] = str(val)
-    family = getattr(args, "family", None)
-    if family is not None:
-        mapping["family"] = family
-    params = getattr(args, "params", None)
-    if params is not None:
-        mapping["params"] = params
-    if args.out is not None:
-        mapping["out"] = args.out
-    overlay = config_from_mapping(mapping)
-    fields = {
-        name: getattr(base, name) for name in ExperimentConfig.__dataclass_fields__
-    }
-    for name in _mapped_names(mapping):
-        fields[name] = getattr(overlay, name)
-    return ExperimentConfig(**fields)
-
-
-_KEY_TO_FIELD = {
-    "dim": "dim", "s": "s_values", "h": "h_values", "family": "family",
-    "params": "params", "margin": "margin", "cutoff": "cutoff",
-    "threads": "threads", "seed": "seed", "tolerance": "tolerance",
-    "out": "out", "z0": "z0", "rho": "rho", "top_factor": "top_factor",
-    "lateral_factor": "lateral_factor",
-}
-
-
-def _mapped_names(mapping: dict) -> set:
-    return {_KEY_TO_FIELD[k] for k in mapping}
+        with open(args.config, "r", encoding="ascii") as fh:
+            mapping = parse_config_text(fh.read())
+    for key in _FLAG_KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            mapping["dim" if key == "n" else key] = value
+    return config_from_mapping(mapping)
 
 
 def _single(values, what: str) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import signal
 
 from ._textio import g17
-from .errors import EmptySetError, GridMismatchError, SymmetryDefectError
+from .errors import EmptySetError, SymmetryDefectError
 from .grids import GridSet, GridSpec, bisect_halves, pad_domain, unit_ball_volume
 from .kernels import InteractionTable
 from .perimeter import DEFAULT_MARGIN, fractional_perimeter, single_cell_perimeter
@@ -243,12 +243,15 @@ class DeficitReport:
         return ",".join(parts)
 
 
-def _require_match(e: GridSet, table: InteractionTable) -> None:
-    if table.params.dim != e.spec.dim or table.h != e.spec.h:
-        raise GridMismatchError(
-            f"table (dim={table.params.dim}, h={table.h}) does not match "
-            f"grid (dim={e.spec.dim}, h={e.spec.h})"
-        )
+def _deficit_parts(
+    e: GridSet, table: InteractionTable, margin: int, threads: int
+) -> tuple[float, float, float, float]:
+    """Perimeter, ball perimeter, relative deficit and error budget of ``e``."""
+    ps = fractional_perimeter(e, table, margin, threads)
+    ball = reference_ball(e)
+    ps_ball = fractional_perimeter(ball, table, margin, threads)
+    budget = _relative_budget(e, ball, table, ps_ball)
+    return ps, ps_ball, (ps - ps_ball) / ps_ball, budget
 
 
 def s_deficit(
@@ -266,13 +269,8 @@ def s_deficit(
     error budget is expressed in deficit units: the deficit of any
     rasterized region is trusted down to ``-error_budget``.
     """
-    _require_match(e, table)
-    ps = fractional_perimeter(e, table, margin, threads)
-    ball = reference_ball(e)
-    ps_ball = fractional_perimeter(ball, table, margin, threads)
-    deficit = (ps - ps_ball) / ps_ball
+    ps, ps_ball, deficit, budget = _deficit_parts(e, table, margin, threads)
     asym, center = fraenkel_asymmetry(e)
-    budget = _relative_budget(e, ball, table, ps_ball)
     flags = []
     if deficit > 1.0:
         flags.append("deficit-above-one")
@@ -417,16 +415,6 @@ def _normalized(e: GridSet, margin: int) -> GridSet:
     return GridSet(spec, t.occupancy)
 
 
-def _deficit_parts(
-    e: GridSet, table: InteractionTable, margin: int, threads: int
-) -> tuple[float, float, float]:
-    ps = fractional_perimeter(e, table, margin, threads)
-    ball = reference_ball(e)
-    ps_ball = fractional_perimeter(ball, table, margin, threads)
-    budget = _relative_budget(e, ball, table, ps_ball)
-    return ps, (ps - ps_ball) / ps_ball, budget
-
-
 def n_symmetrize(
     e: GridSet,
     table: InteractionTable,
@@ -448,11 +436,11 @@ def n_symmetrize(
     the current perimeter, a structural reflection inequality on grids with
     the split plane on a lattice line.
     """
-    _require_match(e, table)
+    table.check_grid(e.spec)
     if e.is_empty:
         raise EmptySetError("cannot symmetrize an empty set")
     cur = _normalized(e, margin)
-    ps_cur, ds_cur, budget_cur = _deficit_parts(cur, table, margin, threads)
+    ps_cur, _, ds_cur, budget_cur = _deficit_parts(cur, table, margin, threads)
     initial_deficit = ds_cur
     steps = []
     violated = False
@@ -465,7 +453,7 @@ def n_symmetrize(
         gate = 2.0 * ds_cur + (budget_cur if tol is None else tol)
         stats = []
         for label, cand in halves:
-            ps_c, ds_c, budget_c = _deficit_parts(cand, table, margin, threads)
+            ps_c, _, ds_c, budget_c = _deficit_parts(cand, table, margin, threads)
             asym_c, _ = fraenkel_asymmetry(cand)
             stats.append(
                 {

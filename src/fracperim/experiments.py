@@ -36,7 +36,7 @@ from .extension import (
 from .families import FAMILY_NAMES, generate_family
 from .grids import GridSet, GridSpec, bisect_halves, unit_ball_volume
 from .kernels import InteractionTable, KernelParams, build_table
-from .perimeter import fractional_perimeter
+from .perimeter import MIN_MARGIN, fractional_perimeter
 from .rearrange import (
     GridFunction,
     dirichlet_energy,
@@ -81,7 +81,6 @@ class ExperimentConfig:
     cutoff: int = 16
     threads: int = 1
     seed: int = 0
-    tolerance: float = 1e-9
     out: str | None = None
     z0: float | None = None
     rho: float = 1.15
@@ -98,16 +97,14 @@ class ExperimentConfig:
             raise ValueError("every s must lie strictly inside (0, 1)")
         if not self.h_values or any(not 0.0 < h < math.inf for h in self.h_values):
             raise ValueError(f"every h must be positive and finite: {self.h_values}")
-        for name in ("tolerance", "rho", "top_factor", "lateral_factor", "z0"):
+        for name in ("rho", "top_factor", "lateral_factor", "z0"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.margin < 1:
-            raise ValueError("margin must be >= 1")
+        if self.margin < MIN_MARGIN:
+            raise ValueError(f"margin must be >= {MIN_MARGIN}, got {self.margin}")
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
         if self.threads < 1:
@@ -129,7 +126,7 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {
     "n", "dim", "s", "h", "family", "params", "margin", "cutoff",
-    "threads", "seed", "tolerance", "out", "z0", "rho", "top_factor",
+    "threads", "seed", "out", "z0", "rho", "top_factor",
     "lateral_factor",
 }
 
@@ -172,7 +169,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     for key in ("margin", "cutoff", "threads", "seed"):
         if key in m:
             kw[key] = int(m[key])
-    for key in ("tolerance", "rho", "top_factor", "lateral_factor"):
+    for key in ("rho", "top_factor", "lateral_factor"):
         if key in m:
             kw[key] = float(m[key])
     if "z0" in m:

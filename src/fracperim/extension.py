@@ -259,19 +259,6 @@ class ExtensionField:
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")
 
-    def level_function(self, j: int) -> GridFunction:
-        """The level slice u(., z_j) as a grid function."""
-        return GridFunction(self.grid.base, self.values[j])
-
-    def datum_set(self) -> GridSet:
-        return GridSet(self.grid.base, self.datum.copy())
-
-    def edge_maximum(self) -> float:
-        """Largest value on the lateral rim or the top level."""
-        rim = _rim_mask(self.grid.base.cells)
-        lateral = float(self.values[:, rim].max()) if rim.any() else 0.0
-        return max(lateral, float(self.values[-1].max()))
-
 
 def _rim_mask(cells: tuple[int, ...]) -> np.ndarray:
     mask = np.zeros(cells, dtype=bool)

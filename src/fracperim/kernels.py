@@ -4,16 +4,18 @@ All internal values live on the unit lattice (h = 1); physical scale enters
 once through the exact prefactor h^(dim-s), so rescaling the grid rescales
 every quantity bit-reproducibly.
 
-Quadrature strategy per lattice offset d:
+Quadrature strategy per lattice offset d, one rule for each case:
   - dim 1: closed-form antiderivative, every offset.
   - dim 2, touching cells (|d|_inf = 1): dyadic subdivision toward the shared
     corner plus a two-term geometric extrapolation of the remaining annuli,
     exact because the integrand splits into homogeneous pieces there.
   - dim 2, |d|_inf >= 2: the pair integral equals a tent-weighted integral
     over [-1,1]^2 around d; tensor Gauss-Legendre per quadrant.
-Offsets beyond the table cutoff reuse the same tent rule at a configurable
-(low) order; at the default cutoff 16 an order-3 rule is already at 1e-9
-relative error while a single midpoint evaluation would sit near 2e-3.
+``far_kernel_unit`` holds the closed form and the tent rule.  At order 20
+it gives the table window and every single pair integral; offsets beyond
+the table cutoff reuse it at a configurable (low) order; at the default
+cutoff 16 an order-3 rule is already at 1e-9 relative error while a single
+midpoint evaluation would sit near 2e-3.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from ._textio import g17, parse_block, read_lines, strict, write_lines
-from .errors import FormatError, SameCellError
+from .errors import FormatError, GridMismatchError, SameCellError
 from .quadrature import gauss_unit
 
 __all__ = [
@@ -46,6 +48,7 @@ DEFAULT_FAR_RULE = 3
 _SMOOTH_ORDER = 20
 _CORNER_LEVELS = 14
 _CORNER_ORDER = 16
+_FAR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,6 @@ class KernelParams:
             raise ValueError("dim must be 1 or 2")
         if not 0.0 < self.s < 1.0:
             raise ValueError("s must lie strictly inside (0, 1)")
-
-
-def _pair_1d_unit(d: int, s: float) -> float:
-    """Exact unit-lattice integral over cells (0,1) x (d, d+1), d >= 1."""
-    p = 1.0 - s
-    return (2.0 * d**p - (d - 1.0) ** p - (d + 1.0) ** p) / (s * p)
 
 
 def _box_gl(f, x0, x1, y0, y1, n):
@@ -105,10 +102,11 @@ def _corner_dyadic(f, s: float, levels: int = _CORNER_LEVELS,
     return math.fsum(vals) + tail
 
 
-def _pair_2d_touching(a: int, b: int, s: float) -> float:
+def _pair_2d_touching(b: int, s: float) -> float:
+    """Offset (1, b): the edge neighbour for b = 0, the corner one for b = 1."""
     alpha = 2.0 + s
 
-    if (a, b) == (1, 0):
+    if b == 0:
         def f(w1, w2):
             return (w1 * w1 + w2 * w2) ** (-0.5 * alpha) * (
                 1.0 - np.abs(w1 - 1.0)
@@ -120,7 +118,7 @@ def _pair_2d_touching(a: int, b: int, s: float) -> float:
         )
         return sing + smooth
 
-    if (a, b) == (1, 1):
+    if b == 1:
         def f(w1, w2):
             return (w1 * w1 + w2 * w2) ** (-0.5 * alpha) * (
                 1.0 - np.abs(w1 - 1.0)
@@ -137,32 +135,28 @@ def _pair_2d_touching(a: int, b: int, s: float) -> float:
     raise AssertionError("touching offsets are (1,0) and (1,1) only")
 
 
-def _pair_2d_separated(a: int, b: int, s: float,
-                       order: int = _SMOOTH_ORDER) -> float:
-    """Tent-weighted rule for |d|_inf >= 2 (integrand smooth on the window)."""
-    x, w = gauss_unit(order)
-    tent = w * (1.0 - x)
-    ww = tent[:, None] * tent[None, :]
-    total = 0.0
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            xs = a + s1 * x
-            ys = b + s2 * x
-            r2 = xs[:, None] ** 2 + ys[None, :] ** 2
-            total += float(np.sum(ww * r2 ** (-0.5 * (2.0 + s))))
-    return total
-
-
 def _pair_unit(offset: tuple, params: KernelParams) -> float:
-    if params.dim == 1:
-        (d,) = offset
-        return _pair_1d_unit(abs(int(d)), params.s)
-    a, b = (abs(int(c)) for c in offset)
-    if b > a:
-        a, b = b, a
-    if a == 1:
-        return _pair_2d_touching(a, b, params.s)
-    return _pair_2d_separated(a, b, params.s)
+    mags = sorted(abs(c) for c in offset)
+    if params.dim == 2 and mags[-1] == 1:
+        return _pair_2d_touching(mags[0], params.s)
+    return float(far_kernel_unit([offset], params, _SMOOTH_ORDER)[0])
+
+
+def _window_values(params: KernelParams, cutoff: int) -> dict[tuple, float]:
+    """Unit pair integrals for every offset of ``window_offsets``.
+
+    One ``far_kernel_unit`` call covers the window; in 2D the two touching
+    classes are then integrated once each and mirrored.  Every value is
+    bit-equal to ``cell_pair_integral`` at h = 1.
+    """
+    offsets = window_offsets(params.dim, cutoff)
+    values = far_kernel_unit(offsets, params, _SMOOTH_ORDER).tolist()
+    entries = dict(zip(offsets, values))
+    if params.dim == 2:
+        touching = {b: _pair_2d_touching(b, params.s) for b in (0, 1)}
+        for dx, dy in window_offsets(2, 1):
+            entries[(dx, dy)] = touching[min(abs(dx), abs(dy))]
+    return entries
 
 
 def cell_pair_integral(offset, params: KernelParams, h: float) -> float:
@@ -185,10 +179,11 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
                     rule: int) -> np.ndarray:
     """Unit-lattice pair integrals for many offsets at once.
 
-    Meant for offsets beyond the table cutoff.  dim 1 uses the exact closed
-    form regardless of ``rule``; dim 2 applies the tent-weighted tensor rule
-    of the given order per quadrant, symmetric bit for bit under sign flips
-    and axis swaps.
+    dim 1 uses the exact closed form regardless of ``rule``; dim 2 applies
+    the tent-weighted tensor rule of the given order per quadrant, which
+    needs |offset|_inf >= 2, where the integrand is smooth.  Each value
+    depends on its own offset alone, so it has the same bits in any batch,
+    and is symmetric bit for bit under sign flips and axis swaps.
     """
     if rule < 1:
         raise ValueError("far-field rule order must be >= 1")
@@ -205,14 +200,17 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
     tent = w * (1.0 - x)
     ww = tent[:, None] * tent[None, :]
     out = np.zeros(len(offsets))
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            xs = a[:, None] + s1 * x[None, :]
-            ys = b[:, None] + s2 * x[None, :]
-            r2 = xs[:, :, None] ** 2 + ys[:, None, :] ** 2
-            out += np.einsum(
-                "ij,mij->m", ww, r2 ** (-0.5 * (2.0 + params.s))
-            )
+    step = max(1, _FAR_BLOCK // ww.size)  # bounds the temporaries
+    for lo in range(0, len(offsets), step):
+        blk = slice(lo, lo + step)
+        for s1 in (1.0, -1.0):
+            for s2 in (1.0, -1.0):
+                xs = a[blk, None] + s1 * x[None, :]
+                ys = b[blk, None] + s2 * x[None, :]
+                r2 = xs[:, :, None] ** 2 + ys[:, None, :] ** 2
+                out[blk] += np.einsum(
+                    "ij,mij->m", ww, r2 ** (-0.5 * (2.0 + params.s))
+                )
     return out
 
 
@@ -233,8 +231,8 @@ class InteractionTable:
     """Precomputed near-window pair integrals plus the far-field rule.
 
     ``entries`` maps every nonzero offset with |offset|_inf <= cutoff_radius
-    to its unit-lattice value; sign flips and (dim 2) coordinate swaps are
-    mirrored from one canonical representative, so symmetry holds bit for
+    to its unit-lattice value; the rules see only sorted magnitudes, so
+    symmetry under sign flips and (dim 2) coordinate swaps holds bit for
     bit.  ``h`` only enters lookups through the h^(dim-s) prefactor.
     """
 
@@ -261,9 +259,13 @@ class InteractionTable:
         key = tuple(int(c) for c in np.atleast_1d(offset))
         return self.entries[key]
 
-    def entry(self, offset) -> float:
-        """J(offset) at the table's physical cell size."""
-        return self.unit_entry(offset) * self.scale_factor
+    def check_grid(self, spec) -> None:
+        """Raise GridMismatchError unless ``spec`` has this table's dim and h."""
+        if self.params.dim != spec.dim or self.h != spec.h:
+            raise GridMismatchError(
+                f"table (dim={self.params.dim}, h={self.h}) does not match "
+                f"grid (dim={spec.dim}, h={spec.h})"
+            )
 
     @cached_property
     def near_dense(self) -> np.ndarray:
@@ -291,11 +293,6 @@ class InteractionTable:
         )
 
 
-def _canonical(offset: tuple, dim: int) -> tuple:
-    mags = tuple(sorted((abs(c) for c in offset), reverse=True))
-    return mags if dim == 2 else mags
-
-
 def build_table(
     params: KernelParams,
     h: float = 1.0,
@@ -305,8 +302,8 @@ def build_table(
 ) -> InteractionTable:
     """Compute (or load from a compatible cache) the near-window table.
 
-    Each symmetry class is integrated once and mirrored.  A cache miss or a
-    failed write is never fatal; the in-memory table is always returned.
+    Values come from ``_window_values``.  A cache miss or a failed write is
+    never fatal; the in-memory table is always returned.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
@@ -327,22 +324,7 @@ def build_table(
         if cached is not None:
             warnings.warn("table cache is for other parameters; rebuilding")
 
-    canon_values: dict[tuple, float] = {}
-    if params.dim == 1:
-        for d in range(1, cutoff + 1):
-            canon_values[(d,)] = _pair_1d_unit(d, params.s)
-    else:
-        for a in range(1, cutoff + 1):
-            for b in range(0, a + 1):
-                if a == 1:
-                    canon_values[(a, b)] = _pair_2d_touching(a, b, params.s)
-                else:
-                    canon_values[(a, b)] = _pair_2d_separated(a, b, params.s)
-
-    entries: dict[tuple, float] = {}
-    for off in window_offsets(params.dim, cutoff):
-        entries[off] = canon_values[_canonical(off, params.dim)]
-
+    entries = _window_values(params, cutoff)
     table = InteractionTable(params, h, cutoff, entries, far_field_rule)
     if cache_path is not None:
         try:

@@ -19,22 +19,26 @@ grown by a margin, into two exactly-accounted parts:
 
 The Gagliardo seminorm runs through the same kernel and correlation, with
 R the autocorrelation of the grid function.  All sums run on the unit
-lattice in a canonical frame (lexicographically smallest among reflections
-and axis swaps of the occupancy), so congruent sets produce bit-identical
-values; the physical scale enters once through h^(dim-s).
+lattice and the physical scale enters once through h^(dim-s).  Congruent
+sets give bit-identical values without fixing a frame: both parts are
+exactly rounded ``math.fsum`` over multisets, and a reflection or axis
+swap only permutes those multisets, since K is bit-symmetric, R is an
+exact integer count and a cell's eight Phi(p, q) are permuted among
+themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
 import numpy as np
 from scipy import fft, special
 
-from .errors import EmptySetError, GridMismatchError, MarginError
+from .errors import EmptySetError, MarginError
 from .grids import GridSet
-from .kernels import InteractionTable, KernelParams, _pair_unit, far_kernel_unit
+from .kernels import InteractionTable, KernelParams, _window_values, far_kernel_unit
 from .quadrature import gauss_unit, rounded_counts
 
 __all__ = [
@@ -45,33 +49,11 @@ __all__ = [
 ]
 
 DEFAULT_MARGIN = 4
+MIN_MARGIN = 2
 
 _TAIL_OUTER_ORDER = 4
 _FILL_BLOCK = 1 << 16
 _SELF_WINDOW = 8
-
-
-def _canonical_occupancy(occ: np.ndarray, dim: int) -> np.ndarray:
-    """Lexicographically smallest among all axis reflections (and swaps in 2D).
-
-    Fixes the summation frame so congruent inputs sum in the same order and
-    return bit-identical perimeters.
-    """
-    if dim == 1:
-        cands = [occ, occ[::-1]]
-    else:
-        cands = []
-        for base in (occ, occ.T):
-            cands += [base, base[::-1, :], base[:, ::-1], base[::-1, ::-1]]
-    best = None
-    best_key = None
-    for c in cands:
-        arr = np.ascontiguousarray(c).astype(np.uint8)
-        key = (arr.shape, arr.tobytes())
-        if best_key is None or key < best_key:
-            best_key = key
-            best = arr
-    return best.astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +196,10 @@ def tail_integral(cell, box, params: KernelParams, h: float) -> float:
     if h <= 0:
         raise ValueError("h must be positive")
     for k, (lo, hi) in enumerate(box):
-        if cell[k] - lo < 2 or (hi - 1) - cell[k] < 2:
+        if min(cell[k] - lo, (hi - 1) - cell[k]) < MIN_MARGIN:
             raise MarginError(
-                f"cell {cell} is within 2 cells of the box boundary on axis {k}"
+                f"cell {cell} is within {MIN_MARGIN} cells of the box "
+                f"boundary on axis {k}"
             )
     scale = h ** (params.dim - params.s)
     if params.dim == 1:
@@ -268,19 +251,6 @@ def _pair_sum(k: np.ndarray, r: np.ndarray) -> float:
     return math.fsum((k * r).ravel().tolist())
 
 
-def _checked(e: GridSet, table: InteractionTable) -> None:
-    if e.is_empty:
-        raise EmptySetError("fractional perimeter of the empty set")
-    if table.params.dim != e.spec.dim:
-        raise GridMismatchError(
-            f"table is {table.params.dim}d but the set is {e.spec.dim}d"
-        )
-    if table.h != e.spec.h:
-        raise GridMismatchError(
-            f"table cell size {table.h} does not match grid cell size {e.spec.h}"
-        )
-
-
 def fractional_perimeter(
     e: GridSet,
     table: InteractionTable,
@@ -306,57 +276,41 @@ def fractional_perimeter(
     relative at the default ``bounding_margin=4``, and to about 1e-12 at a
     margin of 8; the pair sums themselves agree to rounding.
     """
-    _checked(e, table)
-    if bounding_margin < 2:
+    if e.is_empty:
+        raise EmptySetError("fractional perimeter of the empty set")
+    table.check_grid(e.spec)
+    if bounding_margin < MIN_MARGIN:
         raise MarginError(
-            "bounding_margin must be >= 2; the tail reduction is singular "
-            "next to the box boundary"
+            f"bounding_margin must be >= {MIN_MARGIN}; the tail reduction is "
+            "singular next to the box boundary"
         )
     if threads < 1:
         raise ValueError("threads must be >= 1")
     params = table.params
-    occ_t = e.trimmed().occupancy
-    occ_c = _canonical_occupancy(occ_t, params.dim)
-    m = bounding_margin
-    shape_q = tuple(n + 2 * m for n in occ_c.shape)
-    occ = np.zeros(shape_q, dtype=bool)
-    occ[tuple(slice(m, m + n) for n in occ_c.shape)] = occ_c
+    occ = np.pad(e.trimmed().occupancy, bounding_margin)
 
     # R(d) = #{c in E : c + d in Q \ E}, an exact count once rounded
     r = rounded_counts(_correlate(occ, ~occ, threads))
-    inbox = _pair_sum(_offset_kernel(shape_q, table), r)
+    inbox = _pair_sum(_offset_kernel(occ.shape, table), r)
 
     cells = np.argwhere(occ)
     if params.dim == 1:
-        tail_units = _tail_1d_units(cells[:, 0], float(shape_q[0]), params.s)
+        tail_units = _tail_1d_units(cells[:, 0], float(occ.shape[0]), params.s)
         tail = math.fsum(tail_units.tolist())
     else:
-        tail = _tail_2d(cells, shape_q, params.s, table.tail_table)
+        tail = _tail_2d(cells, occ.shape, params.s, table.tail_table)
     return math.fsum([inbox, tail]) * table.scale_factor
 
 
-_SELF_PERIM_CACHE: dict[tuple, float] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def single_cell_perimeter(params: KernelParams) -> float:
     """Unit-lattice interaction of one cell with its whole complement."""
-    key = (params.dim, params.s)
-    if key in _SELF_PERIM_CACHE:
-        return _SELF_PERIM_CACHE[key]
     if params.dim == 1:
-        val = 2.0 / (params.s * (1.0 - params.s))
-    else:
-        k = _SELF_WINDOW
-        pair_sum = math.fsum(
-            _pair_unit((dx, dy), params)
-            for dx in range(-k, k + 1)
-            for dy in range(-k, k + 1)
-            if (dx, dy) != (0, 0)
-        )
-        tail = _tail_2d(np.array([[k, k]]), (2 * k + 1, 2 * k + 1), params.s)
-        val = pair_sum + tail
-    _SELF_PERIM_CACHE[key] = val
-    return val
+        return 2.0 / (params.s * (1.0 - params.s))
+    k = _SELF_WINDOW
+    pair_sum = math.fsum(_window_values(params, k).values())
+    tail = _tail_2d(np.array([[k, k]]), (2 * k + 1, 2 * k + 1), params.s)
+    return pair_sum + tail
 
 
 def gagliardo_seminorm(g, table: InteractionTable) -> float:
@@ -370,16 +324,8 @@ def gagliardo_seminorm(g, table: InteractionTable) -> float:
     grid is exact in this form.  For an indicator this equals twice the
     fractional perimeter of the underlying set.
     """
+    table.check_grid(g.spec)
     values = np.asarray(g.values, dtype=np.float64)
-    spec = g.spec
-    if table.params.dim != spec.dim:
-        raise GridMismatchError(
-            f"table is {table.params.dim}d but the function is {spec.dim}d"
-        )
-    if table.h != spec.h:
-        raise GridMismatchError(
-            f"table cell size {table.h} does not match grid cell size {spec.h}"
-        )
     support = np.nonzero(values)
     if len(support[0]) == 0:
         return 0.0

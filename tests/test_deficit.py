@@ -8,6 +8,7 @@ import pytest
 from fracperim import (
     Ball,
     EmptySetError,
+    GridMismatchError,
     GridSet,
     GridSpec,
     Interval,
@@ -180,6 +181,17 @@ class TestFraenkelAsymmetry:
             e = GridSet(GridSpec(2, (25, 25), 0.3, (0.0, 0.0)), occ)
             a, _ = fraenkel_asymmetry(e)
             assert 0.0 <= a <= 2.0
+
+
+def test_foreign_table_raises_grid_mismatch():
+    shape = Ellipse((0.0, 0.0), 1.25, 0.8)
+    e = rasterize(shape, auto_spec(shape, 1 / 8))
+    tab = build_table(KernelParams(2, 0.5), h=1 / 8, cutoff=4)
+    for foreign in (tab.with_h(1 / 16), build_table(KernelParams(1, 0.5), h=1 / 8)):
+        with pytest.raises(GridMismatchError):
+            s_deficit(e, foreign)
+        with pytest.raises(GridMismatchError):
+            n_symmetrize(e, foreign)
 
 
 class TestSDeficit:

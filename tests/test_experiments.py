@@ -30,7 +30,6 @@ def test_parse_config_text_round_trip():
     cutoff = 12
     threads = 3
     seed = 7
-    tolerance = 1e-8
     out = run.csv
     z0 = 0.01
     rho = 1.2
@@ -47,7 +46,6 @@ def test_parse_config_text_round_trip():
     assert cfg.cutoff == 12
     assert cfg.threads == 3
     assert cfg.seed == 7
-    assert cfg.tolerance == 1e-8
     assert cfg.out == "run.csv"
     assert cfg.z0 == 0.01
     assert cfg.rho == 1.2
@@ -70,8 +68,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         fp.ExperimentConfig(dim=3)
     with pytest.raises(ValueError):
-        fp.ExperimentConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
         fp.ExperimentConfig(threads=0)
     with pytest.raises(ValueError):
         fp.ExperimentConfig(rho=1.0)
@@ -87,7 +83,6 @@ def test_config_validation():
         ("h_values", (math.nan,)),
         ("h_values", (math.inf,)),
         ("s_values", (math.nan,)),
-        ("tolerance", math.nan),
         ("rho", math.inf),
         ("top_factor", math.nan),
         ("lateral_factor", math.inf),
@@ -99,6 +94,13 @@ def test_config_rejects_nonfinite_values_and_negative_seed(field, value):
     name = field.removesuffix("_values")
     with pytest.raises(ValueError, match=rf"\b{name} must"):
         fp.ExperimentConfig(**{field: value})
+
+
+def test_config_margin_uses_the_perimeter_bound():
+    # a margin the perimeter would reject is refused when the config is built
+    with pytest.raises(ValueError, match="margin must"):
+        fp.ExperimentConfig(margin=1)
+    assert fp.ExperimentConfig(margin=2).margin == 2
 
 
 def test_load_config(tmp_path):

@@ -130,6 +130,15 @@ def test_table_symmetry_classes():
     assert len(tab.entries) == (2 * 4 + 1) ** 2 - 1
 
 
+@pytest.mark.parametrize("dim,s", [(1, 0.3), (2, 0.05), (2, 0.5), (2, 0.95)])
+def test_table_entries_are_the_single_pair_rule(dim, s):
+    # one rule: every window entry is exactly what cell_pair_integral gives
+    params = KernelParams(dim, s)
+    tab = build_table(params)
+    for off, val in tab.entries.items():
+        assert val == cell_pair_integral(off, params, 1.0), off
+
+
 def test_table_matches_1d_closed_form():
     tab = build_table(KernelParams(1, 0.5), cutoff=16)
     for d in range(1, 17):

@@ -123,6 +123,26 @@ def test_congruence_bit_exact():
     assert fractional_perimeter(translate_cells(e, (3, -2)), tab) == base
 
 
+def test_congruence_bit_exact_on_a_large_non_square_set():
+    # a 40 x 90 box outgrows the cutoff window, so the far rule fills part
+    # of K, and the set is dense enough that the tail gathers from the Phi
+    # table instead of evaluating per cell
+    rng = np.random.default_rng(11)
+    occ = rng.random((40, 90)) < 0.6
+    tab = build_table(KernelParams(2, 0.35), h=0.125)
+
+    def perim(a):
+        spec = GridSpec(2, a.shape, 0.125, (0.0, 0.0))
+        return fractional_perimeter(GridSet(spec, a.copy()), tab)
+
+    base = perim(occ)
+    assert tab.tail_table.extent >= 90 + 2 * 4
+    for variant in (occ, occ.T):
+        for flipped in (variant, variant[::-1], variant[:, ::-1],
+                        variant[::-1, ::-1]):
+            assert perim(flipped) == base
+
+
 def test_margin_consistency_and_guard():
     e, tab = raster_interval(2.0, 2.0**-6, 0.5)
     p4 = fractional_perimeter(e, tab, bounding_margin=4)
@@ -163,6 +183,10 @@ def test_error_guards():
     tab2d = build_table(KernelParams(2, 0.5), h=0.5, cutoff=2)
     with pytest.raises(GridMismatchError):
         fractional_perimeter(e, tab2d)
+    g = GridFunction(spec, e.occupancy.astype(float))
+    for foreign in (tab.with_h(0.25), tab2d):
+        with pytest.raises(GridMismatchError):
+            gagliardo_seminorm(g, foreign)
 
 
 def test_positivity_on_random_sets():
