@@ -56,6 +56,7 @@ from .extension import (
     geometric_levels,
     horizontal_rearrange,
     lambda_constant,
+    lift_energy,
     load_extension,
     poisson_extend,
     poisson_kernel_mass,

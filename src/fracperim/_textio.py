@@ -38,15 +38,26 @@ def strict(what: str):
         raise FormatError(f"bad {what} file: {exc}") from exc
 
 
+def read_ascii(path) -> str:
+    """The text of a file; a non-ASCII byte is a FormatError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(
+            f"{path}: line {line}: non-ASCII byte 0x{data[exc.start]:02x}"
+        ) from exc
+
+
 def read_lines(path, header: str) -> tuple[tuple[str, ...], list[str]]:
     """The header's fields and the nonblank lines after it.
 
     The first line must match ``header`` exactly, each ``{}`` standing for
     one whitespace-free field.
     """
-    with strict(path):
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+    lines = read_ascii(path).splitlines()
     pattern = r"(\S+)".join(re.escape(part) for part in header.split("{}"))
     match = re.fullmatch(pattern, lines[0]) if lines else None
     if match is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._textio import g17
+from ._textio import g17, read_ascii
 from .deficit import DEFICIT_CSV_HEADER, fraenkel_asymmetry, s_deficit
 from .errors import FracperimError
 from .experiments import (
@@ -25,7 +25,13 @@ from .experiments import (
     sweep_s,
     verify_suite,
 )
-from .extension import extension_domain, extension_energy, poisson_extend, save_extension
+from .extension import (
+    extension_domain,
+    extension_energy,
+    lift_energy,
+    poisson_extend,
+    save_extension,
+)
 from .kernels import KernelParams, build_table
 from .perimeter import fractional_perimeter
 from .rearrange import (
@@ -113,8 +119,7 @@ def _merge_config(args) -> ExperimentConfig:
     """Config file first, explicit flags override, defaults fill the rest."""
     mapping: dict = {}
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
-            mapping = parse_config_text(fh.read())
+        mapping = parse_config_text(read_ascii(args.config))
     for key in _FLAG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -216,10 +221,13 @@ def _cmd_extend(args, cfg: ExperimentConfig) -> int:
         top_factor=cfg.top_factor,
         lateral_factor=cfg.lateral_factor,
     )
-    u = poisson_extend(embedded, grid, KernelParams(shape.dim, s), threads=cfg.threads)
+    params = KernelParams(shape.dim, s)
     if cfg.out:
+        u = poisson_extend(embedded, grid, params, threads=cfg.threads)
         save_extension(u, cfg.out)
-    energy = extension_energy(u)
+        energy = extension_energy(u)
+    else:
+        energy = lift_energy(embedded, grid, params, threads=cfg.threads)
     rows = [
         "set,N,s,h,levels,z0,z_top,energy,x_part,z_part,truncation_estimate",
         ",".join(

@@ -12,14 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from ._textio import g17
 from .errors import EmptySetError, SymmetryDefectError
 from .grids import GridSet, GridSpec, bisect_halves, pad_domain, unit_ball_volume
 from .kernels import InteractionTable
 from .perimeter import DEFAULT_MARGIN, fractional_perimeter, single_cell_perimeter
-from .quadrature import rounded_counts
+from .quadrature import convolve_window, rounded_counts
 from .rearrange import GridFunction, symmetric_rearrangement
 
 __all__ = [
@@ -121,8 +120,8 @@ def _lattice_scan(e: GridSet, r: float) -> tuple[int, np.ndarray]:
     else:
         d2 = off[:, None] ** 2 + off[None, :] ** 2
         stencil = (d2 < r * r).astype(np.float64)
-    conv = signal.fftconvolve(e.occupancy.astype(np.float64), stencil, mode="full")
-    counts = rounded_counts(conv)
+    full = [n + 2 * m for n in spec.cells]
+    counts = rounded_counts(convolve_window(e.occupancy, stencil, [0] * spec.dim, full))
     flat = int(np.argmax(counts))  # first maximum in C order: deterministic
     idx = np.unravel_index(flat, counts.shape)
     center = np.array(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._textio import g17
+from ._textio import g17, read_ascii
 from .deficit import (
     centered_sandwich_check,
     n_symmetrize,
@@ -180,8 +180,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return config_from_mapping(parse_config_text(fh.read()))
+    return config_from_mapping(parse_config_text(read_ascii(path)))
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,23 @@ and the weight z^(1-s) integrated exactly over each z-slab.  The energy
 of the lift of an indicator is proportional to the set's fractional
 perimeter; the proportionality constant gamma is calibrated once against
 a shape with a trusted perimeter value and then reused.
+
+Cost: the levels come from one generator, each level one windowed FFT
+convolution of the occupancy (transformed once per lift) with that
+level's kernel table, whose 2D quadrant is evaluated and mirrored.
+poisson_extend stacks the levels (8 bytes per cell per level);
+lift_energy consumes them one at a time, so its memory does not grow
+with the level count.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal, special
+from scipy import integrate, special
 
 from ._textio import (
     bit, format_block, g17, geometry_line, parse_block, parse_geometry, read_lines,
@@ -41,6 +47,7 @@ from .errors import (
 from .grids import GridSet, GridSpec
 from .kernels import InteractionTable, KernelParams, build_table
 from .perimeter import fractional_perimeter
+from .quadrature import FFTOperand, convolve_window
 from .rearrange import GridFunction, symmetric_rearrangement
 from .shapes import auto_spec, format_shape, rasterize
 
@@ -57,6 +64,7 @@ __all__ = [
     "geometric_levels",
     "horizontal_rearrange",
     "lambda_constant",
+    "lift_energy",
     "load_extension",
     "poisson_extend",
     "poisson_kernel_mass",
@@ -240,11 +248,7 @@ class ExtensionField:
             raise GridMismatchError(
                 f"value stack shape {vals.shape} does not match {expected}"
             )
-        if not np.isfinite(vals).all():
-            raise ValueError("field values must be finite")
-        if vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
-            raise ValueError("indicator lifts must stay within [0, 1]")
-        vals = np.clip(vals, 0.0, 1.0)
+        vals = _unit_clip(vals)
         vals.setflags(write=False)
         datum_arr = np.asarray(datum, dtype=bool)
         if datum_arr.shape != grid.base.cells:
@@ -295,44 +299,93 @@ def _poisson_table_2d(
 ) -> np.ndarray:
     """Cell integrals of the lifting kernel for offsets [-m1..m1]x[-m2..m2].
 
-    A two-node tensor Gauss rule handles every cell in one separable
-    pass; cells whose distance to the kernel peak is small compared to
-    the cell width are redone with subdivided panels.
+    The kernel is even in each axis, so only the quadrant [0..m1]x[0..m2]
+    is evaluated and then mirrored.  A two-node tensor Gauss rule handles
+    every cell in one separable pass; cells whose distance to the kernel
+    peak is small compared to the cell width are redone with subdivided
+    panels, in one batched pass per panel count.
     """
 
     def kernel(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        return z**s * (w1 * w1 + w2 * w2 + z * z) ** (-0.5 * (2 + s))
+        # z^s (w1^2 + w2^2 + z^2)^(-(2+s)/2), in place in one array
+        out = w1 * w1 + w2 * w2
+        out += z * z
+        np.power(out, -0.5 * (2 + s), out=out)
+        out *= z**s
+        return out
 
-    dx = np.arange(-m1, m1 + 1, dtype=np.float64)
-    dy = np.arange(-m2, m2 + 1, dtype=np.float64)
+    dx = np.arange(m1 + 1, dtype=np.float64)
+    dy = np.arange(m2 + 1, dtype=np.float64)
     # Separable two-node pass: nodes at offset +- 1/(2*sqrt(3)) per axis.
     nx = np.concatenate([dx - 0.5 * _INV_SQRT3, dx + 0.5 * _INV_SQRT3]) * h
     ny = np.concatenate([dy - 0.5 * _INV_SQRT3, dy + 0.5 * _INV_SQRT3]) * h
-    vals = kernel(nx[:, None], ny[None, :])
-    nxc, nyc = dx.size, dy.size
-    table = (
-        vals.reshape(2, nxc, 2, nyc).mean(axis=(0, 2)) * (h * h)
-    )
-    # Redo peaked cells with subdivided panels, two Gauss nodes each.
-    r2 = (dx[:, None] * h) ** 2 + (dy[None, :] * h) ** 2 + z * z
-    panels = np.ceil(_PANEL_SCALE * h / np.sqrt(r2)).astype(np.int64)
-    for idx, idy in zip(*np.nonzero(panels > 1)):
-        k = min(_PANEL_CAP, int(panels[idx, idy]))
+    vals = kernel(nx[:, None], ny[None, :]).reshape(2, dx.size, 2, dy.size)
+    quad = vals.mean(axis=(0, 2)) * (h * h)
+    del vals  # the largest array of the pass; the mirrored table comes next
+    # Redo peaked cells with k subdivided panels, two Gauss nodes each.
+    # panels > 1 only where the peak is nearer than _PANEL_SCALE cells
+    near = int(_PANEL_SCALE)
+    r2 = (dx[:near, None] * h) ** 2 + (dy[None, :near] * h) ** 2 + z * z
+    panels = np.minimum(_PANEL_CAP, np.ceil(_PANEL_SCALE * h / np.sqrt(r2)))
+    for k in np.unique(panels[panels > 1]).astype(np.int64):
+        idx, idy = np.nonzero(panels == k)
         centers = (np.arange(k) + 0.5) / k - 0.5
         nodes = np.concatenate(
             [centers - 0.5 * _INV_SQRT3 / k, centers + 0.5 * _INV_SQRT3 / k]
         )
-        w1 = (dx[idx] + nodes)[:, None] * h
-        w2 = (dy[idy] + nodes)[None, :] * h
-        table[idx, idy] = float(kernel(w1, w2).mean()) * (h * h)
+        w1 = (dx[idx, None] + nodes)[:, :, None] * h
+        w2 = (dy[idy, None] + nodes)[:, None, :] * h
+        quad[idx, idy] = kernel(w1, w2).mean(axis=(1, 2)) * (h * h)
+    # offset -d takes the value of +d; row m1 and column m2 hold offset 0
+    table = np.empty((2 * m1 + 1, 2 * m2 + 1))
+    table[m1:, m2:] = quad
+    table[m1:, :m2] = quad[:, :0:-1]
+    table[:m1] = table[: m1 : -1]
     return table
 
 
-def _level_slice(u_full: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
-    # Central part of the full convolution; the kernel spans 2n-1 offsets
-    # per axis, so the slice starts at n-1.
-    sl = tuple(slice(n - 1, 2 * n - 1) for n in cells)
-    return u_full[sl]
+def _unit_clip(vals: np.ndarray) -> np.ndarray:
+    """Lift values checked to lie in [0, 1] up to roundoff, then clamped."""
+    if not np.isfinite(vals).all():
+        raise ValueError("field values must be finite")
+    if vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
+        raise ValueError("indicator lifts must stay within [0, 1]")
+    return np.clip(vals, 0.0, 1.0)
+
+
+def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
+    """Yield (z, u(., z)) for every level of the grid, lowest first.
+
+    Each level is the central window of one convolution of the occupancy
+    with the level's kernel table; the occupancy is transformed once.
+    """
+    if e.spec != grid.base:
+        raise GridMismatchError("set does not live on the grid's base spec")
+    if params.dim != grid.base.dim:
+        raise GridMismatchError("kernel dimension differs from the grid")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    s = params.s
+    h = grid.base.h
+    cells = grid.base.cells
+    if e.is_empty:
+        for z in grid.z_levels:
+            yield z, np.zeros(cells)
+        return
+    lam = lambda_constant(params)
+    occ = FFTOperand(e.occupancy)
+    # the kernel spans offsets 1-n..n-1, so the grid's outputs start at n-1
+    start = [n - 1 for n in cells]
+    stop = [2 * n - 1 for n in cells]
+
+    def table(z: float) -> np.ndarray:
+        if params.dim == 1:
+            return _poisson_table_1d(s, h, z, cells[0] - 1)
+        return _poisson_table_2d(s, h, z, cells[0] - 1, cells[1] - 1)
+
+    for z in grid.z_levels:
+        window = convolve_window(occ, table(z), start, stop, workers=threads)
+        yield z, _unit_clip(lam * window)
 
 
 def poisson_extend(
@@ -349,35 +402,18 @@ def poisson_extend(
     or near-exact kernel cell integrals, so values are convex
     combinations of {0, 1} and stay strictly below 1.  The empty set
     lifts to the zero field.
+
+    Cost per level on an n1 x n2 base: the kernel table's quadrant of
+    n1 x n2 cells, four Gauss nodes each (2n - 1 closed forms in 1D),
+    one real FFT of the mirrored table at next_fast_len(2n - 1) per axis
+    and one inverse pruned to the base grid's window, with ``threads``
+    FFT workers; the occupancy is transformed once per lift.  The thread count does not
+    change a single bit of the result.  The stack takes 8 bytes per cell
+    per level; lift_energy streams the levels instead.
     """
-    if e.spec != grid.base:
-        raise GridMismatchError("set does not live on the grid's base spec")
-    if params.dim != grid.base.dim:
-        raise GridMismatchError("kernel dimension differs from the grid")
-    s = params.s
-    h = grid.base.h
-    cells = grid.base.cells
-    if e.is_empty:
-        values = np.zeros((grid.level_count,) + cells)
-        return ExtensionField(grid, params, values, e.occupancy)
-    lam = lambda_constant(params)
-    occ = e.occupancy.astype(np.float64)
-
-    def one_level(z: float) -> np.ndarray:
-        if params.dim == 1:
-            table = _poisson_table_1d(s, h, z, cells[0] - 1)
-        else:
-            table = _poisson_table_2d(s, h, z, cells[0] - 1, cells[1] - 1)
-        full = signal.fftconvolve(occ, table, mode="full")
-        # fft roundoff can leave values a hair outside [0, mass]
-        return np.clip(lam * _level_slice(full, cells), 0.0, 1.0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slices = list(pool.map(one_level, grid.z_levels))
-    else:
-        slices = [one_level(z) for z in grid.z_levels]
-    values = np.stack(slices, axis=0)
+    values = np.empty((grid.level_count,) + grid.base.cells)
+    for j, (_, level) in enumerate(_lift_levels(e, grid, params, threads)):
+        values[j] = level
     return ExtensionField(grid, params, values, e.occupancy)
 
 
@@ -410,45 +446,63 @@ def extension_energy(
     ignored outside the computed box is returned, and a warning is
     issued when it is not small against the total.
     """
-    grid = u.grid
-    s = u.params.s
+    return _energy(
+        u.grid, u.params.s, u.datum, zip(u.grid.z_levels, u.values), warn_threshold
+    )
+
+
+def lift_energy(
+    e: GridSet,
+    grid: HalfSpaceGrid,
+    params: KernelParams,
+    *,
+    threads: int = 1,
+    warn_threshold: float = 0.01,
+) -> ExtensionEnergy:
+    """extension_energy(poisson_extend(e, grid, params)), bit for bit.
+
+    The levels are lifted and consumed one at a time, so memory holds a
+    few level slices instead of the whole stack.
+    """
+    levels = _lift_levels(e, grid, params, threads)
+    return _energy(grid, params.s, e.occupancy, levels, warn_threshold)
+
+
+def _energy(
+    grid: HalfSpaceGrid, s: float, datum, levels, warn_threshold: float
+) -> ExtensionEnergy:
+    """extension_energy over the (z, u(., z)) pairs of the grid's levels."""
     h = grid.base.h
     n = grid.base.dim
     zs = grid.z_levels
-    levels = len(zs)
     cell = h**n
     rim = _rim_mask(grid.base.cells)
-
+    # lateral slabs meet at the midpoints between consecutive levels
     mids = [0.5 * (a + b) for a, b in zip(zs, zs[1:])]
-    lo_edges = [0.0] + mids
-    hi_edges = mids + [zs[-1]]
+    slabs = zip([0.0] + mids, mids + [zs[-1]])
 
     x_part = 0.0
     z_part = 0.0
     rim_energy = 0.0
-    for j in range(levels):
-        w = _slab_weight(lo_edges[j], hi_edges[j], s)
+    prev = np.asarray(datum, dtype=np.float64)
+    prev_z = 0.0
+    for (lo, hi), (z, level) in zip(slabs, levels):
+        w = _slab_weight(lo, hi, s)
         density = np.zeros(grid.base.cells, dtype=np.float64)
         for axis in range(n):
-            d = np.diff(u.values[j], axis=axis) / h
-            pad = [(0, 0)] * n
-            pad[axis] = (0, 1)
-            density += np.pad(d * d, pad)
+            d = np.diff(level, axis=axis) / h
+            # the forward difference sits on the lower cell of each pair
+            density[(slice(None),) * axis + (slice(0, -1),)] += d * d
         x_part += w * cell * float(density.sum())
         rim_energy += w * cell * float(density[rim].sum())
 
-    datum = u.datum.astype(np.float64)
-    prev = datum
-    prev_z = 0.0
-    for j in range(levels):
-        dz = zs[j] - prev_z
-        w = _slab_weight(prev_z, zs[j], s)
-        q = (u.values[j] - prev) / dz
+        w = _slab_weight(prev_z, z, s)
+        q = (level - prev) / (z - prev_z)
         q2 = q * q
         z_part += w * cell * float(q2.sum())
         rim_energy += w * cell * float(q2[rim].sum())
-        prev = u.values[j]
-        prev_z = zs[j]
+        prev = level
+        prev_z = z
 
     # Decay model for the ignored exterior: laterally u ~ r^-(N+s) so the
     # outermost ring underestimates the exterior by about r/(h*(N+2s));
@@ -456,8 +510,7 @@ def extension_energy(
     half_extent = 0.5 * max(c * h for c in grid.base.cells)
     lateral_est = rim_energy * half_extent / (h * (n + 2.0 * s))
     z_top = zs[-1]
-    top_vals = u.values[-1]
-    top_mass = cell * float((top_vals * top_vals).sum())
+    top_mass = cell * float((prev * prev).sum())  # prev is the top level
     top_est = 2.0 * n * n * top_mass * z_top ** (-s) / (2.0 * n + s)
     est = lateral_est + top_est
 
@@ -467,7 +520,7 @@ def extension_energy(
             "field had not decayed at the domain edge: estimated "
             f"neglected energy {est:.3e} vs total {total:.3e}",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return ExtensionEnergy(total, x_part, z_part, est)
 
@@ -501,10 +554,6 @@ class ConstantsRegistry:
     def __init__(self) -> None:
         self._gamma: dict[tuple[int, float], GammaRecord] = {}
         self._limits: dict[int, tuple[float, str]] = {}
-
-    @staticmethod
-    def lambda_value(params: KernelParams) -> float:
-        return lambda_constant(params)
 
     def record_gamma(
         self,
@@ -615,13 +664,12 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     the new datum is the centered ball with the original cell count.
     """
     grid = u.grid
-    slices = [
-        symmetric_rearrangement(GridFunction(grid.base, u.values[j])).values
-        for j in range(grid.level_count)
-    ]
+    values = np.empty_like(u.values)
+    for j, level in enumerate(u.values):
+        values[j] = symmetric_rearrangement(GridFunction(grid.base, level)).values
     datum_fn = GridFunction(grid.base, u.datum.astype(np.float64))
     new_datum = symmetric_rearrangement(datum_fn).values > 0.5
-    return ExtensionField(grid, u.params, np.stack(slices, axis=0), new_datum)
+    return ExtensionField(grid, u.params, values, new_datum)
 
 
 def trace_check(u: ExtensionField, target: GridSet | None = None) -> np.ndarray:

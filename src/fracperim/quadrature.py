@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy import fft
 
 from .errors import FracperimError
 
@@ -39,3 +40,59 @@ def rounded_counts(raw: np.ndarray) -> np.ndarray:
             f"{COUNT_RESIDUAL_BOUND:g}; the counts are not exact"
         )
     return counts.astype(np.int64)
+
+
+class FFTOperand:
+    """A convolution operand that keeps its real FFT for reuse.
+
+    The transform is taken at the first padded size asked for and kept
+    while later calls ask for the same size, so a fixed operand
+    convolved with many others is transformed once.
+    """
+
+    __slots__ = ("array", "_size", "_spectrum")
+
+    def __init__(self, array) -> None:
+        self.array = np.asarray(array, dtype=np.float64)
+        self._size: tuple[int, ...] | None = None
+        self._spectrum: np.ndarray | None = None
+
+    def spectrum(self, size: tuple[int, ...], workers: int) -> np.ndarray:
+        if size != self._size:
+            self._spectrum = fft.rfftn(self.array, size, workers=workers)
+            self._size = size
+        return self._spectrum
+
+
+def convolve_window(a, b, start, stop, *, workers: int = 1) -> np.ndarray:
+    """Outputs ``start[k] <= i < stop[k]`` of the full linear convolution a * b.
+
+    ``a`` may be an FFTOperand, whose transform is reused; ``b`` is
+    transformed afresh.  Per axis the FFT length is the smallest fast
+    length L at which no output of the window is aliased,
+    ``L >= max(stop, na + nb - 1 - start)``: a circular output i collects
+    the linear outputs i + jL, and only j = 0 lies inside the support for
+    every i of the window.  The inverse transform is pruned to the
+    window axis by axis.
+    """
+    fa = a if isinstance(a, FFTOperand) else FFTOperand(a)
+    b = np.asarray(b, dtype=np.float64)
+    if not fa.array.ndim == b.ndim == len(start) == len(stop):
+        raise ValueError("operands and window must have the same rank")
+    full = [na + nb - 1 for na, nb in zip(fa.array.shape, b.shape)]
+    if any(not 0 <= lo < hi <= n for lo, hi, n in zip(start, stop, full)):
+        raise ValueError(f"window {start}..{stop} is outside the convolution {full}")
+    size = tuple(
+        fft.next_fast_len(max(hi, n - lo), real=True)
+        for lo, hi, n in zip(start, stop, full)
+    )
+    # in place, so at most two padded spectra are alive besides a's
+    spec = fft.rfftn(b, size, workers=workers)
+    spec *= fa.spectrum(size, workers)
+    # Invert one axis at a time, keeping only the window's part of each
+    # axis once it is inverted, so later axes transform fewer lines.
+    for axis in range(b.ndim - 1):
+        spec = fft.ifft(spec, axis=axis, workers=workers, overwrite_x=True)
+        spec = spec[(slice(None),) * axis + (slice(start[axis], stop[axis]),)]
+    raw = fft.irfft(spec, size[-1], axis=-1, workers=workers)
+    return raw[..., start[-1] : stop[-1]].copy()

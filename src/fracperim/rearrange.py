@@ -12,6 +12,7 @@ track through refinement pairs rather than assume.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,13 @@ def distribution_function(g: GridFunction, t: float) -> float:
     return float(np.count_nonzero(g.values > t)) * g.spec.h**g.spec.dim
 
 
+@functools.lru_cache(maxsize=8)
 def _fill_order(spec: GridSpec) -> np.ndarray:
     """Flat cell indices sorted by squared distance from the center cell,
-    ties by index; integer arithmetic only, so the order is exact."""
+    ties by index; integer arithmetic only, so the order is exact.
+
+    Cached per spec (a lift rearranges every level on one spec) and
+    returned read-only, since every caller shares the array."""
     center = spec.center_cell()
     if spec.dim == 1:
         idx = np.arange(spec.cells[0])
@@ -118,7 +123,9 @@ def _fill_order(spec: GridSpec) -> np.ndarray:
         d2 = (ix - center[0]) ** 2 + (iy - center[1]) ** 2
         d2 = d2.reshape(-1)
         flat = np.arange(d2.size)
-    return flat[np.lexsort((flat, d2.reshape(-1)))]
+    order = flat[np.lexsort((flat, d2.reshape(-1)))]
+    order.setflags(write=False)
+    return order
 
 
 def symmetric_rearrangement(g: GridFunction) -> GridFunction:

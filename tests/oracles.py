@@ -8,7 +8,7 @@ hand, so agreement with the engine is evidence rather than tautology.
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, signal, special
 
 
 def _midpoint_pair(d, s, sub):
@@ -173,3 +173,40 @@ def order4_tail_2d(cells, nx, ny, s):
         + arc(nx - u, u, ny - v) + arc(nx - u, u, v)
     ) / s
     return g @ (w[:, None] * w[None, :]).reshape(-1)
+
+
+def poisson_table_2d_full(s, h, z, m1, m2):
+    """Lifting-kernel cell integrals over offsets [-m1..m1]x[-m2..m2], cell by cell.
+
+    The package's two-node rule and panel counts, but every offset is
+    evaluated on its own: no mirrored quadrant, no batching over cells.
+    """
+    inv = 1.0 / math.sqrt(3.0)
+
+    def kernel(w1, w2):
+        return z**s * (w1 * w1 + w2 * w2 + z * z) ** (-0.5 * (2 + s))
+
+    dx = np.arange(-m1, m1 + 1, dtype=np.float64)
+    dy = np.arange(-m2, m2 + 1, dtype=np.float64)
+    nx = np.concatenate([dx - 0.5 * inv, dx + 0.5 * inv]) * h
+    ny = np.concatenate([dy - 0.5 * inv, dy + 0.5 * inv]) * h
+    vals = kernel(nx[:, None], ny[None, :])
+    table = vals.reshape(2, dx.size, 2, dy.size).mean(axis=(0, 2)) * (h * h)
+    r2 = (dx[:, None] * h) ** 2 + (dy[None, :] * h) ** 2 + z * z
+    panels = np.ceil(8.0 * h / np.sqrt(r2)).astype(np.int64)
+    for idx, idy in zip(*np.nonzero(panels > 1)):
+        k = min(64, int(panels[idx, idy]))
+        centers = (np.arange(k) + 0.5) / k - 0.5
+        nodes = np.concatenate([centers - 0.5 * inv / k, centers + 0.5 * inv / k])
+        w1 = (dx[idx] + nodes)[:, None] * h
+        w2 = (dy[idy] + nodes)[None, :] * h
+        table[idx, idy] = float(kernel(w1, w2).mean()) * (h * h)
+    return table
+
+
+def lift_level_fftconvolve(occupancy, table, lam):
+    """One lift level the direct way: the full linear convolution of the
+    occupancy with the whole kernel table, then its central window."""
+    full = signal.fftconvolve(occupancy.astype(np.float64), table, mode="full")
+    window = tuple(slice(n - 1, 2 * n - 1) for n in occupancy.shape)
+    return np.clip(lam * full[window], 0.0, 1.0)

@@ -191,6 +191,15 @@ def test_invalid_config_value_exits_2_naming_field(args, field, capsys):
     assert f"{field} must be" in err
 
 
+def test_non_ascii_config_exits_2_naming_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_bytes(b"family = two-intervals\nparams = 0.5 # \xe9\n")
+    code, out, err = run(["sweep-s", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "sweep.cfg: line 2: non-ASCII byte 0xe9" in err
+
+
 def test_malformed_infile_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.fracfun"
     bad.write_text("FRACFUN v1\n1 nan 0.0 2\n1\n2\n")

@@ -111,6 +111,13 @@ def test_load_config(tmp_path):
     assert cfg.family == "two-intervals"
 
 
+def test_load_config_names_line_of_non_ascii_byte(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes("s = 0.5\n# caf\u00e9 comment\nh = 0.125\n".encode("utf-8"))
+    with pytest.raises(fp.FormatError, match=r"cfg\.txt: line 2: non-ASCII byte 0xc3"):
+        fp.load_config(path)
+
+
 # ------------------------------------------------------------------- sweep
 
 

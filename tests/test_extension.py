@@ -17,7 +17,11 @@ from fracperim.extension import (
     _poisson_table_2d,
     _slab_weight,
 )
-from oracles import interval_union_perimeter
+from oracles import (
+    interval_union_perimeter,
+    lift_level_fftconvolve,
+    poisson_table_2d_full,
+)
 
 
 def lift_shape(shape, dim, h, s=0.5, **domain_kw):
@@ -113,6 +117,19 @@ def test_table_mass_stays_below_one():
         assert 1.0 - total < tail_bound
 
 
+def test_quadrant_table_matches_full_table():
+    # z from far below a cell (64 panels at the peak) to many cells up;
+    # m1 != m2 and m = 0 cover the mirror's edges
+    h, s = 1 / 16, 0.5
+    for z in (h / 4096, h / 4, h / 3, 2.5 * h, 40 * h):
+        for m1, m2 in ((9, 9), (12, 7), (0, 5), (0, 0)):
+            got = _poisson_table_2d(s, h, z, m1, m2)
+            want = poisson_table_2d_full(s, h, z, m1, m2)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+            assert np.array_equal(got, got[::-1]) and np.array_equal(got, got[:, ::-1])
+
+
 # ------------------------------------------------------------- grid objects
 
 
@@ -191,14 +208,59 @@ def test_lift_symmetry_matches_set_symmetry():
         assert np.max(np.abs(row - row[::-1])) < 1e-12
 
 
+SMALL_LIFTS = [
+    (fp.Interval(0.0, 1.0), 1, 1 / 8),
+    (fp.UnionShape((fp.Interval(0.0, 0.8), fp.Interval(1.5, 2.7))), 1, 1 / 16),
+    (fp.Ball((0.0, 0.0), 0.5), 2, 1 / 8),
+    (fp.Ellipse((0.1, 0.0), 0.6, 0.3), 2, 1 / 8),
+]
+
+
 def test_lift_threads_do_not_change_bytes():
+    for shape, dim, h in SMALL_LIFTS:
+        params = fp.KernelParams(dim, 0.5)
+        e = fp.rasterize(shape, fp.auto_spec(shape, h))
+        grid, embedded = fp.extension_domain(e)
+        u1 = fp.poisson_extend(embedded, grid, params, threads=1)
+        u2 = fp.poisson_extend(embedded, grid, params, threads=3)
+        assert np.array_equal(u1.values, u2.values)
+
+
+@pytest.mark.parametrize("shape,dim,h", SMALL_LIFTS)
+def test_lift_matches_full_fftconvolve(shape, dim, h):
+    s = 0.5
+    params = fp.KernelParams(dim, s)
+    e = fp.rasterize(shape, fp.auto_spec(shape, h))
+    grid, embedded = fp.extension_domain(e)
+    u = fp.poisson_extend(embedded, grid, params)
+    lam = fp.lambda_constant(params)
+    m = [n - 1 for n in grid.base.cells]
+    for j, z in enumerate(grid.z_levels):
+        if dim == 1:
+            table = _poisson_table_1d(s, h, z, m[0])
+        else:
+            table = poisson_table_2d_full(s, h, z, m[0], m[1])
+        want = lift_level_fftconvolve(embedded.occupancy, table, lam)
+        assert np.max(np.abs(u.values[j] - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape,dim,h", SMALL_LIFTS)
+def test_streamed_energy_matches_stacked_energy_bit_for_bit(shape, dim, h):
+    params = fp.KernelParams(dim, 0.5)
+    e = fp.rasterize(shape, fp.auto_spec(shape, h))
+    grid, embedded = fp.extension_domain(e)
+    stacked = fp.extension_energy(fp.poisson_extend(embedded, grid, params))
+    streamed = fp.lift_energy(embedded, grid, params, threads=2)
+    assert streamed == stacked
+
+
+def test_lift_rejects_thread_count_below_one():
     params = fp.KernelParams(1, 0.5)
     shape = fp.Interval(0.0, 1.0)
     e = fp.rasterize(shape, fp.auto_spec(shape, 1 / 8))
     grid, embedded = fp.extension_domain(e)
-    u1 = fp.poisson_extend(embedded, grid, params, threads=1)
-    u2 = fp.poisson_extend(embedded, grid, params, threads=3)
-    assert np.array_equal(u1.values, u2.values)
+    with pytest.raises(ValueError, match="threads"):
+        fp.poisson_extend(embedded, grid, params, threads=0)
 
 
 def test_empty_set_lifts_to_zero_field():
@@ -400,6 +462,16 @@ def test_horizontal_rearrange_idempotent():
     twice = fp.horizontal_rearrange(once)
     assert np.array_equal(once.values, twice.values)
     assert np.array_equal(once.datum, twice.datum)
+
+
+@pytest.mark.parametrize("shape,dim,h", SMALL_LIFTS)
+def test_horizontal_rearrange_is_levelwise_rearrangement(shape, dim, h):
+    u, _ = lift_shape(shape, dim, h)
+    star = fp.horizontal_rearrange(u)
+    for j in range(u.grid.level_count):
+        level = fp.GridFunction(u.grid.base, u.values[j])
+        want = fp.symmetric_rearrangement(level).values
+        assert np.array_equal(star.values[j], want)
 
 
 def test_rearranged_lift_does_not_gain_energy():
