@@ -712,8 +712,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         for key in ((1,), (-1,)):
             entries[key] = entries[key] * 1.01
         tampered = InteractionTable(
-            table.params, table.h, table.cutoff_radius, entries,
-            table.far_field_rule,
+            table.params, table.h, table.cutoff_radius, entries
         )
         want = _interval_closed_form(1.0, s)
         rel = abs(fractional_perimeter(e, tampered, threads=1) - want) / want

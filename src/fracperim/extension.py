@@ -20,9 +20,10 @@ a shape with a trusted perimeter value and then reused.
 Cost: the levels come from one generator, each level one windowed FFT
 convolution of the occupancy (transformed once per lift) with that
 level's kernel table, whose 2D quadrant is evaluated and mirrored.
-poisson_extend stacks the levels (8 bytes per cell per level);
-lift_energy consumes them one at a time, so its memory does not grow
-with the level count.
+poisson_extend hands them to the ExtensionField, which checks each
+level once and clamps it into the field's one stack (8 bytes per cell
+per level); lift_energy consumes them one at a time, so its memory does
+not grow with the level count.
 """
 
 from __future__ import annotations
@@ -226,9 +227,13 @@ class ExtensionField:
     """Lift values on a half-space grid together with their boundary datum.
 
     `values[j]` holds u(., z_j) over the base grid; `datum` is the
-    indicator the lift converges to as z drops to 0.  Values of lifts of
-    indicators stay within [0, 1]; the constructor enforces that window
-    up to roundoff and then clamps.
+    indicator the lift converges to as z drops to 0.  The constructor
+    takes `values` as any iterable of per-level arrays (a 3D array is
+    iterated along its first axis), allocates the one level stack of the
+    field and fills it level by level: each level is checked for shape,
+    finiteness and the [0, 1] window of indicator lifts up to roundoff,
+    then clamped into its slot.  So a producer that yields its levels
+    one at a time never holds a second stack.
     """
 
     __slots__ = ("grid", "params", "values", "datum")
@@ -242,22 +247,30 @@ class ExtensionField:
     ) -> None:
         if params.dim != grid.base.dim:
             raise GridMismatchError("kernel dimension differs from the grid")
-        vals = np.asarray(values, dtype=np.float64)
-        expected = (grid.level_count,) + grid.base.cells
-        if vals.shape != expected:
-            raise GridMismatchError(
-                f"value stack shape {vals.shape} does not match {expected}"
-            )
-        vals = _unit_clip(vals)
-        vals.setflags(write=False)
+        cells = grid.base.cells
         datum_arr = np.asarray(datum, dtype=bool)
-        if datum_arr.shape != grid.base.cells:
+        if datum_arr.shape != cells:
             raise GridMismatchError("datum shape does not match the base grid")
         datum_arr = datum_arr.copy()
         datum_arr.setflags(write=False)
+        stack = np.empty((grid.level_count,) + cells)
+        count = 0
+        for level in values:
+            if count == len(stack):
+                raise GridMismatchError(f"more than {len(stack)} levels given")
+            level = np.asarray(level, dtype=np.float64)
+            if level.shape != cells:
+                raise GridMismatchError(
+                    f"level {count} shape {level.shape} does not match {cells}"
+                )
+            _unit_clip(level, out=stack[count])
+            count += 1
+        if count != len(stack):
+            raise GridMismatchError(f"{count} levels given for {len(stack)} z-levels")
+        stack.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", stack)
         object.__setattr__(self, "datum", datum_arr)
 
     def __setattr__(self, name, value):
@@ -344,13 +357,13 @@ def _poisson_table_2d(
     return table
 
 
-def _unit_clip(vals: np.ndarray) -> np.ndarray:
+def _unit_clip(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Lift values checked to lie in [0, 1] up to roundoff, then clamped."""
     if not np.isfinite(vals).all():
         raise ValueError("field values must be finite")
     if vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
         raise ValueError("indicator lifts must stay within [0, 1]")
-    return np.clip(vals, 0.0, 1.0)
+    return np.clip(vals, 0.0, 1.0, out=out)
 
 
 def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
@@ -358,6 +371,8 @@ def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads:
 
     Each level is the central window of one convolution of the occupancy
     with the level's kernel table; the occupancy is transformed once.
+    The levels are neither checked nor clamped: each consumer does that
+    once per level (ExtensionField, or _unit_clip in lift_energy).
     """
     if e.spec != grid.base:
         raise GridMismatchError("set does not live on the grid's base spec")
@@ -385,7 +400,8 @@ def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads:
 
     for z in grid.z_levels:
         window = convolve_window(occ, table(z), start, stop, workers=threads)
-        yield z, _unit_clip(lam * window)
+        window *= lam
+        yield z, window
 
 
 def poisson_extend(
@@ -408,13 +424,15 @@ def poisson_extend(
     one real FFT of the mirrored table at next_fast_len(2n - 1) per axis
     and one inverse pruned to the base grid's window, with ``threads``
     FFT workers; the occupancy is transformed once per lift.  The thread count does not
-    change a single bit of the result.  The stack takes 8 bytes per cell
-    per level; lift_energy streams the levels instead.
+    change a single bit of the result.
+
+    Memory: the levels go straight into the ExtensionField, which checks
+    each one once and clamps it into the field's one stack (8 bytes per
+    cell per level), so besides that stack only one level's FFT work is
+    alive.  lift_energy streams the levels and holds no stack at all.
     """
-    values = np.empty((grid.level_count,) + grid.base.cells)
-    for j, (_, level) in enumerate(_lift_levels(e, grid, params, threads)):
-        values[j] = level
-    return ExtensionField(grid, params, values, e.occupancy)
+    levels = (level for _, level in _lift_levels(e, grid, params, threads))
+    return ExtensionField(grid, params, levels, e.occupancy)
 
 
 @dataclass(frozen=True)
@@ -464,7 +482,9 @@ def lift_energy(
     The levels are lifted and consumed one at a time, so memory holds a
     few level slices instead of the whole stack.
     """
-    levels = _lift_levels(e, grid, params, threads)
+    levels = (
+        (z, _unit_clip(level)) for z, level in _lift_levels(e, grid, params, threads)
+    )
     return _energy(grid, params.s, e.occupancy, levels, warn_threshold)
 
 
@@ -629,8 +649,7 @@ def calibrate_gamma(
             top_factor=top_factor,
             lateral_factor=lateral_factor,
         )
-        lift = poisson_extend(embedded, grid, params, threads=threads)
-        energy = extension_energy(lift)
+        energy = lift_energy(embedded, grid, params, threads=threads)
         return perim, energy.total
 
     ref_perim, ref_energy = measure(reference)
@@ -662,14 +681,18 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     Each u(., z_j) is replaced by its symmetric decreasing rearrangement
     on the base grid; the boundary datum is rearranged the same way, so
     the new datum is the centered ball with the original cell count.
+    The rearranged levels go one at a time into the new field's one
+    stack, which checks each once, so the peak is the two fields' stacks
+    plus a few level slices.
     """
     grid = u.grid
-    values = np.empty_like(u.values)
-    for j, level in enumerate(u.values):
-        values[j] = symmetric_rearrangement(GridFunction(grid.base, level)).values
     datum_fn = GridFunction(grid.base, u.datum.astype(np.float64))
     new_datum = symmetric_rearrangement(datum_fn).values > 0.5
-    return ExtensionField(grid, u.params, values, new_datum)
+    levels = (
+        symmetric_rearrangement(GridFunction(grid.base, level)).values
+        for level in u.values
+    )
+    return ExtensionField(grid, u.params, levels, new_datum)
 
 
 def trace_check(u: ExtensionField, target: GridSet | None = None) -> np.ndarray:

@@ -13,8 +13,8 @@ Quadrature strategy per lattice offset d, one rule for each case:
     over [-1,1]^2 around d; tensor Gauss-Legendre per quadrant.
 ``far_kernel_unit`` holds the closed form and the tent rule.  At order 20
 it gives the table window and every single pair integral; offsets beyond
-the table cutoff reuse it at a configurable (low) order; at the default
-cutoff 16 an order-3 rule is already at 1e-9 relative error while a single
+the table cutoff reuse it at the low order FAR_RULE = 3; at the default
+cutoff 16 that rule is already at 1e-9 relative error while a single
 midpoint evaluation would sit near 2e-3.
 """
 
@@ -43,7 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_CUTOFF = 16
-DEFAULT_FAR_RULE = 3
+# Gauss order of the tent rule for pair offsets beyond the table cutoff
+FAR_RULE = 3
 
 _SMOOTH_ORDER = 20
 _CORNER_LEVELS = 14
@@ -228,8 +229,9 @@ def window_offsets(dim: int, cutoff: int) -> list[tuple]:
 
 @dataclass(frozen=True)
 class InteractionTable:
-    """Precomputed near-window pair integrals plus the far-field rule.
+    """Precomputed near-window pair integrals.
 
+    Offsets beyond the window use ``far_kernel_unit`` at order FAR_RULE.
     ``entries`` maps every nonzero offset with |offset|_inf <= cutoff_radius
     to its unit-lattice value; the rules see only sorted magnitudes, so
     symmetry under sign flips and (dim 2) coordinate swaps holds bit for
@@ -240,16 +242,12 @@ class InteractionTable:
     h: float
     cutoff_radius: int
     entries: dict
-    far_field_rule: int = DEFAULT_FAR_RULE
-    version: str = "FRACTAB v1"
 
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
         if self.cutoff_radius < 2:
             raise ValueError("cutoff_radius must be >= 2")
-        if self.far_field_rule < 1:
-            raise ValueError("far_field_rule must be >= 1")
 
     @property
     def scale_factor(self) -> float:
@@ -287,17 +285,13 @@ class InteractionTable:
         return TailTable(self.params.s)
 
     def with_h(self, h: float) -> "InteractionTable":
-        return InteractionTable(
-            self.params, h, self.cutoff_radius, self.entries,
-            self.far_field_rule, self.version,
-        )
+        return InteractionTable(self.params, h, self.cutoff_radius, self.entries)
 
 
 def build_table(
     params: KernelParams,
     h: float = 1.0,
     cutoff: int = DEFAULT_CUTOFF,
-    far_field_rule: int = DEFAULT_FAR_RULE,
     cache_path=None,
 ) -> InteractionTable:
     """Compute (or load from a compatible cache) the near-window table.
@@ -309,7 +303,7 @@ def build_table(
         raise ValueError("cutoff must be >= 2")
     if cache_path is not None:
         try:
-            cached = load_table(cache_path, h=h, far_field_rule=far_field_rule)
+            cached = load_table(cache_path, h=h)
         except FileNotFoundError:
             cached = None
         except (FormatError, OSError) as exc:
@@ -325,7 +319,7 @@ def build_table(
             warnings.warn("table cache is for other parameters; rebuilding")
 
     entries = _window_values(params, cutoff)
-    table = InteractionTable(params, h, cutoff, entries, far_field_rule)
+    table = InteractionTable(params, h, cutoff, entries)
     if cache_path is not None:
         try:
             save_table(table, cache_path)
@@ -351,8 +345,7 @@ def save_table(table: InteractionTable, path) -> None:
     write_lines(path, lines)
 
 
-def load_table(path, h: float = 1.0,
-               far_field_rule: int = DEFAULT_FAR_RULE) -> InteractionTable:
+def load_table(path, h: float = 1.0) -> InteractionTable:
     """Read a FRACTAB v1 file back into an InteractionTable at cell size h."""
     (dim, s, cutoff), lines = read_lines(path, _HEADER)
     with strict("FRACTAB"):
@@ -367,4 +360,4 @@ def load_table(path, h: float = 1.0,
         if not all(0.0 < v < math.inf for v in values):
             raise FormatError("FRACTAB values must be positive and finite")
         entries = dict(zip(expected, values))
-        return InteractionTable(params, h, cutoff, entries, far_field_rule)
+        return InteractionTable(params, h, cutoff, entries)

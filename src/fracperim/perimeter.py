@@ -34,12 +34,14 @@ import math
 import threading
 
 import numpy as np
-from scipy import fft, special
+from scipy import special
 
 from .errors import EmptySetError, MarginError
 from .grids import GridSet
-from .kernels import InteractionTable, KernelParams, _window_values, far_kernel_unit
-from .quadrature import gauss_unit, rounded_counts
+from .kernels import (
+    FAR_RULE, InteractionTable, KernelParams, _window_values, far_kernel_unit,
+)
+from .quadrature import convolve_window, gauss_unit, rounded_counts
 
 __all__ = [
     "fractional_perimeter",
@@ -228,7 +230,7 @@ def _offset_kernel(shape: tuple, table: InteractionTable) -> np.ndarray:
     far = np.maximum.reduce(grids) > rc
     quad = np.zeros(shape)
     offs = np.stack([g[far] for g in grids], axis=1)
-    quad[far] = far_kernel_unit(offs, table.params, table.far_field_rule)
+    quad[far] = far_kernel_unit(offs, table.params, FAR_RULE)
     k = quad[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in shape))]
     w = [min(rc, n - 1) for n in shape]
     k[tuple(slice(n - 1 - wk, n + wk) for n, wk in zip(shape, w))] = (
@@ -238,12 +240,12 @@ def _offset_kernel(shape: tuple, table: InteractionTable) -> np.ndarray:
 
 
 def _correlate(a: np.ndarray, b: np.ndarray, workers: int) -> np.ndarray:
-    """c[d + n - 1] = sum_x a[x] * b[x + d] for every offset d of the box."""
-    size = [fft.next_fast_len(2 * n - 1, real=True) for n in a.shape]
-    fa = fft.rfftn(a, size, workers=workers)
-    fb = fa if b is a else fft.rfftn(b, size, workers=workers)
-    raw = fft.irfftn(np.conj(fa) * fb, size, workers=workers)
-    return raw[np.ix_(*(np.arange(1 - n, n) % m for n, m in zip(a.shape, size)))]
+    """c[d + n - 1] = sum_x a[x] * b[x + d] for every offset d of the box.
+
+    That is the whole linear convolution of the flipped ``a`` with ``b``.
+    """
+    full = [2 * n - 1 for n in a.shape]
+    return convolve_window(np.flip(a), b, [0] * a.ndim, full, workers=workers)
 
 
 def _pair_sum(k: np.ndarray, r: np.ndarray) -> float:

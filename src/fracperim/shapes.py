@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+def _finite(*values) -> None:
+    """Raise ValueError unless every shape parameter is a finite number."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"shape parameters must be finite, got {values}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Open interval (a, b) on the line."""
@@ -40,6 +46,7 @@ class Interval:
     b: float
 
     def __post_init__(self):
+        _finite(self.a, self.b)
         if not self.b > self.a:
             raise ValueError("interval needs b > a")
 
@@ -75,6 +82,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        _finite(*self.center, self.r)
         if self.r <= 0:
             raise ValueError("ball radius must be positive")
         if len(self.center) not in (1, 2):
@@ -118,6 +126,7 @@ class Ellipse:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        _finite(*self.center, self.a, self.b)
         if self.a <= 0 or self.b <= 0:
             raise ValueError("ellipse semi-axes must be positive")
 
@@ -159,6 +168,7 @@ class AxisBox:
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(c) for c in self.lo))
         object.__setattr__(self, "hi", tuple(float(c) for c in self.hi))
+        _finite(*self.lo, *self.hi)
         if len(self.lo) != len(self.hi) or len(self.lo) not in (1, 2):
             raise ValueError("box corners must share dimension 1 or 2")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
@@ -208,6 +218,7 @@ class FourierDisk:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        _finite(*self.center, self.r0, self.eps, self.k)
         if self.r0 <= 0:
             raise ValueError("base radius must be positive")
         if abs(self.eps) >= 1.0:
@@ -267,6 +278,7 @@ class Dumbbell:
     neck: float
 
     def __post_init__(self):
+        _finite(self.rho, self.halfspan, self.neck)
         if self.rho <= 0 or self.neck <= 0:
             raise ValueError("rho and neck width must be positive")
         if self.neck >= 2.0 * self.rho:

@@ -191,6 +191,22 @@ def test_invalid_config_value_exits_2_naming_field(args, field, capsys):
     assert f"{field} must be" in err
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "kind=ball r=inf cx=0 cy=0",
+        "kind=ball r=nan cx=0 cy=0",
+        "kind=ball r=1 cx=inf cy=0",
+        "kind=interval a=0 b=inf",
+    ],
+)
+def test_non_finite_shape_parameter_exits_2(shape, capsys):
+    code, out, err = run(["asym", "--shape", shape, "--h", "0.25"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "shape parameters must be finite" in err
+
+
 def test_non_ascii_config_exits_2_naming_file_and_line(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_bytes(b"family = two-intervals\nparams = 0.5 # \xe9\n")

@@ -6,6 +6,7 @@ closed form 2 L^(1-s) / (s (1-s)).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,82 @@ def test_field_validation_and_immutability():
     bad[1, 1] = np.nan
     with pytest.raises(ValueError):
         fp.ExtensionField(grid, fp.KernelParams(1, 0.5), bad, datum)
+
+
+def test_field_from_level_generator_equals_field_from_stack():
+    base = fp.GridSpec(2, (5, 3), 0.25, (0.0, 0.0))
+    grid = fp.HalfSpaceGrid(base, (0.0625, 0.125, 0.25))
+    params = fp.KernelParams(2, 0.5)
+    datum = np.zeros((5, 3), dtype=bool)
+    datum[2, 1] = True
+    rng = np.random.default_rng(3)
+    stack = rng.random((3, 5, 3))
+    stack[0, 0, 0] = -5e-10  # roundoff outside [0, 1] is clamped
+    stack[2, 4, 2] = 1.0 + 5e-10
+    from_stack = fp.ExtensionField(grid, params, stack, datum)
+    from_levels = fp.ExtensionField(grid, params, (lv for lv in stack), datum)
+    from_list = fp.ExtensionField(grid, params, list(stack), datum)
+    want = np.clip(stack, 0.0, 1.0)
+    for u in (from_stack, from_levels, from_list):
+        assert np.array_equal(u.values, want)
+        assert not u.values.flags.writeable
+        assert np.array_equal(u.datum, datum)
+    assert from_levels.values.min() == 0.0 and from_levels.values.max() == 1.0
+
+
+def test_field_rejects_wrong_level_counts_and_shapes():
+    base = fp.GridSpec(1, (4,), 0.25, (0.0,))
+    grid = fp.HalfSpaceGrid(base, (0.0625, 0.125, 0.25))
+    params = fp.KernelParams(1, 0.5)
+    datum = np.zeros(4, dtype=bool)
+    level = np.full(4, 0.5)
+    for levels in ([level] * 2, [level] * 4, iter([level] * 4), [level] * 3 + [[]]):
+        with pytest.raises(fp.GridMismatchError, match="level"):
+            fp.ExtensionField(grid, params, levels, datum)
+    for shape in ((5,), (1, 4), ()):
+        levels = [level, np.full(shape, 0.5), level]
+        with pytest.raises(fp.GridMismatchError, match="shape"):
+            fp.ExtensionField(grid, params, levels, datum)
+
+
+@pytest.mark.parametrize("wrap", [list, iter])
+@pytest.mark.parametrize("bad", [-2e-9, 1.0 + 2e-9, np.inf, np.nan])
+def test_field_rejects_out_of_range_level(bad, wrap):
+    base = fp.GridSpec(1, (4,), 0.25, (0.0,))
+    grid = fp.HalfSpaceGrid(base, (0.0625, 0.125, 0.25))
+    level = np.full(4, 0.5)
+    spoiled = level.copy()
+    spoiled[2] = bad
+    levels = wrap([level, level, spoiled])
+    with pytest.raises(ValueError, match="finite|within"):
+        fp.ExtensionField(
+            grid, fp.KernelParams(1, 0.5), levels, np.zeros(4, dtype=bool)
+        )
+
+
+def test_lift_and_rearrangement_hold_one_stack_per_field():
+    # Two-balls(0.9) at h = 1/8: 50 levels of 245 x 231 cells, 21.6 MiB a
+    # stack.  A lift keeps one stack plus one level's FFT work; the
+    # rearrangement adds the new field's stack plus a few level slices.
+    shape = fp.generate_family("two-balls", (0.9,), h=1 / 8)[0].shape
+    e = fp.rasterize(shape, fp.auto_spec(shape, 1 / 8))
+    grid, embedded = fp.extension_domain(e)
+    params = fp.KernelParams(2, 0.5)
+    stack = 8 * grid.level_count * math.prod(grid.base.cells)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        u = fp.poisson_extend(embedded, grid, params)
+        lift_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        star = fp.horizontal_rearrange(u)
+        rearrange_extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert u.values.nbytes == star.values.nbytes == stack
+    assert lift_peak <= 1.6 * stack
+    assert rearrange_extra <= 1.5 * stack
 
 
 # ------------------------------------------------------------------ energy

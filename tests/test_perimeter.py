@@ -21,6 +21,7 @@ from fracperim import (
     translate_cells,
 )
 from fracperim.kernels import (
+    FAR_RULE,
     KernelParams,
     build_table,
     cell_pair_integral,
@@ -424,7 +425,7 @@ def _double_sum_seminorm(values, tab):
             if max(abs(x) for x in d) <= tab.cutoff_radius:
                 j = tab.unit_entry(d)
             else:
-                j = far_kernel_unit(np.array([d]), params, tab.far_field_rule)[0]
+                j = far_kernel_unit(np.array([d]), params, FAR_RULE)[0]
             cross.append(values[c] * values[c2] * j)
     diag = single_cell_perimeter(params) * math.fsum((values**2).ravel())
     return 2.0 * (diag - math.fsum(cross)) * tab.scale_factor
