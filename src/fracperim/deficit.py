@@ -242,12 +242,18 @@ class DeficitReport:
         return ",".join(parts)
 
 
+def _reaches_rim(e: GridSet) -> bool:
+    """Whether ``e`` occupies a cell on the outer rim of its grid."""
+    occ = e.occupancy
+    return any(np.take(occ, [0, -1], axis=k).any() for k in range(occ.ndim))
+
+
 def _deficit_parts(
-    e: GridSet, table: InteractionTable, margin: int, threads: int
+    e: GridSet, ball: GridSet, table: InteractionTable, margin: int,
+    threads: int,
 ) -> tuple[float, float, float, float]:
     """Perimeter, ball perimeter, relative deficit and error budget of ``e``."""
     ps = fractional_perimeter(e, table, margin, threads)
-    ball = reference_ball(e)
     ps_ball = fractional_perimeter(ball, table, margin, threads)
     budget = _relative_budget(e, ball, table, ps_ball)
     return ps, ps_ball, (ps - ps_ball) / ps_ball, budget
@@ -267,12 +273,20 @@ def s_deficit(
     same kernel table, so quadrature bias cancels in the deficit.  The
     error budget is expressed in deficit units: the deficit of any
     rasterized region is trusted down to ``-error_budget``.
+
+    The ball fills the grid of ``e`` centre-out, so on a grid with little
+    room around the set it can run into the rim and be cut off there; its
+    perimeter is then too high and the deficit too low.  Such a report
+    carries the flag ``ball-clipped``.
     """
-    ps, ps_ball, deficit, budget = _deficit_parts(e, table, margin, threads)
+    ball = reference_ball(e)
+    ps, ps_ball, deficit, budget = _deficit_parts(e, ball, table, margin, threads)
     asym, center = fraenkel_asymmetry(e)
     flags = []
     if deficit > 1.0:
         flags.append("deficit-above-one")
+    if _reaches_rim(ball):
+        flags.append("ball-clipped")
     return DeficitReport(
         set_id=set_id,
         dim=e.spec.dim,
@@ -439,7 +453,8 @@ def n_symmetrize(
     if e.is_empty:
         raise EmptySetError("cannot symmetrize an empty set")
     cur = _normalized(e, margin)
-    ps_cur, _, ds_cur, budget_cur = _deficit_parts(cur, table, margin, threads)
+    ps_cur, _, ds_cur, budget_cur = _deficit_parts(
+        cur, reference_ball(cur), table, margin, threads)
     initial_deficit = ds_cur
     steps = []
     violated = False
@@ -452,7 +467,8 @@ def n_symmetrize(
         gate = 2.0 * ds_cur + (budget_cur if tol is None else tol)
         stats = []
         for label, cand in halves:
-            ps_c, _, ds_c, budget_c = _deficit_parts(cand, table, margin, threads)
+            ps_c, _, ds_c, budget_c = _deficit_parts(
+                cand, reference_ball(cand), table, margin, threads)
             asym_c, _ = fraenkel_asymmetry(cand)
             stats.append(
                 {

@@ -269,10 +269,9 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
     for s in config.s_values:
         for h in config.h_values:
             table = build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
-            # warm the caches before any thread sharing; the tail table
-            # then grows under its own lock
+            # warm the near window before any thread sharing; the tail
+            # and far memos grow under their own locks
             table.near_dense
-            table.tail_table
             tables[(s, h)] = table
     tasks = [
         (member, s, h)

@@ -21,6 +21,7 @@ midpoint evaluation would sit near 2e-3.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +41,8 @@ __all__ = [
     "load_table",
     "far_kernel_unit",
     "window_offsets",
+    "GridMemo",
+    "FarTable",
 ]
 
 DEFAULT_CUTOFF = 16
@@ -227,11 +230,102 @@ def window_offsets(dim: int, cutoff: int) -> list[tuple]:
     ]
 
 
+class GridMemo:
+    """Values at non-negative integer points (row, col), each computed once.
+
+    A dense array grown on demand, NaN where no value is known yet.
+    ``gather`` evaluates only the points requested that no earlier request
+    asked for, in blocks of at most ``fill_block`` points per call of
+    ``_evaluate``, and then reads every requested point from the array.
+    Growth, evaluation and reads run under one lock, so threads may share
+    a memo.  ``_evaluate`` must give each point the same bits whatever
+    batch it comes in, and never NaN; then no value depends on the order
+    of requests.
+    """
+
+    # new entries are evaluated in blocks of at most this many
+    fill_block = 1 << 16
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._values = np.zeros((0, 0))
+        self.evaluations = 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._values.shape
+
+    def gather(self, rows, cols, extent) -> np.ndarray:
+        """Values at (rows[k], cols[k]), grown first to at least ``extent``.
+
+        ``extent`` is a (rows, cols) size that covers every point requested.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        with self._lock:
+            self._grow(extent)
+            new = np.zeros(self.shape, dtype=bool)
+            new[rows, cols] = True
+            new &= np.isnan(self._values)
+            flat = np.flatnonzero(new)
+            for k in range(0, flat.size, self.fill_block):
+                blk = flat[k:k + self.fill_block]
+                self._values.flat[blk] = self._evaluate(
+                    *np.unravel_index(blk, self.shape))
+            self.evaluations += flat.size
+            return self._values[rows, cols]
+
+    def _grow(self, extent) -> None:
+        old = self.shape
+        shape = tuple(max(n, int(e)) for n, e in zip(old, extent))
+        if shape != old:
+            values = np.full(shape, np.nan)
+            values[:old[0], :old[1]] = self._values
+            self._values = values
+
+    def _evaluate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+class FarTable(GridMemo):
+    """``far_kernel_unit`` at order FAR_RULE by sorted offset magnitude.
+
+    The entry at (b, a) is the value of every offset whose magnitudes
+    sorted are a >= b (in 1D, b = 0 and a = |d|): the rule sees only sorted
+    magnitudes, so these offsets share its bits.  Boxes measured with one
+    InteractionTable share the entries, and each is evaluated once; a box
+    of nx x ny cells reserves min(nx, ny) x max(nx, ny) of them.
+    """
+
+    def __init__(self, params: KernelParams, cutoff: int):
+        super().__init__()
+        self.params = params
+        self.cutoff = cutoff
+
+    def quadrant(self, shape) -> np.ndarray:
+        """The far rule at every offset d >= 0 of a box of this shape.
+
+        Offsets with |d|_inf <= cutoff, the table's window, are left 0.
+        """
+        box = (1,) * (2 - len(shape)) + tuple(shape)  # a line is one row
+        mags = np.meshgrid(*(np.arange(n) for n in box), indexing="ij")
+        hi, lo = np.maximum(*mags), np.minimum(*mags)
+        far = hi > self.cutoff
+        quad = np.zeros(box)
+        quad[far] = self.gather(lo[far], hi[far], (min(box), max(box)))
+        return quad.reshape(shape)
+
+    def _evaluate(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        offsets = np.stack([hi, lo], axis=1)[:, :self.params.dim]
+        return far_kernel_unit(offsets, self.params, FAR_RULE)
+
+
 @dataclass(frozen=True)
 class InteractionTable:
     """Precomputed near-window pair integrals.
 
-    Offsets beyond the window use ``far_kernel_unit`` at order FAR_RULE.
+    Offsets beyond the window use ``far_kernel_unit`` at order FAR_RULE,
+    kept in ``far_table``; ``tail_table`` keeps the 2D complement tail.
     ``entries`` maps every nonzero offset with |offset|_inf <= cutoff_radius
     to its unit-lattice value; the rules see only sorted magnitudes, so
     symmetry under sign flips and (dim 2) coordinate swaps holds bit for
@@ -248,6 +342,10 @@ class InteractionTable:
             raise ValueError("h must be positive and finite")
         if self.cutoff_radius < 2:
             raise ValueError("cutoff_radius must be >= 2")
+        from .perimeter import TailTable
+
+        object.__setattr__(self, "_tail", TailTable(self.params.s))
+        object.__setattr__(self, "_far", FarTable(self.params, self.cutoff_radius))
 
     @property
     def scale_factor(self) -> float:
@@ -277,12 +375,19 @@ class InteractionTable:
         dense.setflags(write=False)
         return dense
 
-    @cached_property
+    @property
     def tail_table(self):
-        """The 2D complement-tail table of ``perimeter``, grown on demand."""
-        from .perimeter import TailTable
+        """Phi_s(p, q) of the 2D complement tail (``perimeter.TailTable``).
 
-        return TailTable(self.params.s)
+        Each entry is evaluated once per table, when a perimeter first reads
+        it, and shared by every set measured with the table.
+        """
+        return self._tail
+
+    @property
+    def far_table(self) -> FarTable:
+        """The far rule beyond the cutoff, each value evaluated once per table."""
+        return self._far
 
     def with_h(self, h: float) -> "InteractionTable":
         return InteractionTable(self.params, h, self.cutoff_radius, self.entries)

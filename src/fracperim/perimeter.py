@@ -12,10 +12,14 @@ grown by a margin, into two exactly-accounted parts:
            exact antiderivative in one dimension; in two, an angular
            identity whose edge arcs are incomplete Beta functions, averaged
            over each cell by an order-4 Gauss rule.  The nodes are
-           symmetric, so a cell's tail is eight entries Phi_s(p, q) of one
-           table indexed by integer offsets from the box edges; the table
-           is kept with the InteractionTable and grows to the largest box
-           seen.
+           symmetric, so a cell's tail is eight values Phi_s(p, q) at
+           integer offsets from the box edges.
+
+The two costly per-value kernels, Phi and the far rule, are memos kept
+with the InteractionTable (``tail_table`` and ``far_table``): each value
+is evaluated once per table, the first time a perimeter reads it, and
+every later set measured with the table (a deficit's reference ball, the
+members of a sweep) reads it back.
 
 The Gagliardo seminorm runs through the same kernel and correlation, with
 R the autocorrelation of the grid function.  All sums run on the unit
@@ -30,17 +34,15 @@ themselves.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import threading
 
 import numpy as np
 from scipy import special
 
 from .errors import EmptySetError, MarginError
 from .grids import GridSet
-from .kernels import (
-    FAR_RULE, InteractionTable, KernelParams, _window_values, far_kernel_unit,
-)
+from .kernels import GridMemo, InteractionTable, KernelParams, _window_values
 from .quadrature import convolve_window, gauss_unit, rounded_counts
 
 __all__ = [
@@ -56,6 +58,14 @@ MIN_MARGIN = 2
 _TAIL_OUTER_ORDER = 4
 _FILL_BLOCK = 1 << 16
 _SELF_WINDOW = 8
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """Exactly rounded sum of an array, converted to floats a block at a time."""
+    flat = values.ravel()
+    blocks = (flat[k:k + _FILL_BLOCK].tolist()
+              for k in range(0, flat.size, _FILL_BLOCK))
+    return math.fsum(itertools.chain.from_iterable(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -106,45 +116,45 @@ def _phi(p: np.ndarray, q: np.ndarray, s: float) -> np.ndarray:
     return _beta_const(s) * total
 
 
-class TailTable:
-    """Phi_s(p, q) for 0 <= p, q < n, grown on demand and shared by threads.
+class TailTable(GridMemo):
+    """Phi_s(p, q) at the pairs perimeters read, each evaluated once.
 
-    Growing fills only the new entries, in row blocks of at most
-    _FILL_BLOCK entries.  Since _phi is elementwise, a table grown in steps
-    equals one filled at once bit for bit, so results never depend on
-    which sets were measured first.
+    An entry is evaluated when a perimeter first reads it, in blocks of at
+    most _FILL_BLOCK entries, and kept for every later set; pairs no set
+    reads are never evaluated.  Entries are stored by sorted pair, at row
+    2 min(p, q) + (p < q) and column max(p, q), so a box of nx x ny cells
+    reserves 2 min(nx, ny) x max(nx, ny) slots, not a max(nx, ny) square.
+    Since _phi is elementwise, no value depends on which sets were
+    measured first.
     """
 
     def __init__(self, s: float):
+        super().__init__()
         self.s = s
-        self._lock = threading.Lock()
-        self._values = np.zeros((0, 0))
 
     @property
     def extent(self) -> int:
-        return self._values.shape[0]
+        """The longest box side the table has been grown to."""
+        return self.shape[1]
 
-    def upto(self, n: int) -> np.ndarray:
-        """The table grown to at least n x n (read-only)."""
-        with self._lock:
-            old = self._values
-            m = old.shape[0]
-            if m < n:
-                new = np.empty((n, n))
-                new[:m, :m] = old
-                self._fill(new, range(m), range(m, n))
-                self._fill(new, range(m, n), range(n))
-                new.setflags(write=False)
-                self._values = new
-            return self._values
+    @property
+    def fill_block(self) -> int:
+        return _FILL_BLOCK
 
-    def _fill(self, out: np.ndarray, rows: range, cols: range) -> None:
-        q = np.arange(cols.start, cols.stop, dtype=np.float64)[None, :]
-        step = max(1, _FILL_BLOCK // len(cols))
-        for r0 in range(rows.start, rows.stop, step):
-            r1 = min(r0 + step, rows.stop)
-            p = np.arange(r0, r1, dtype=np.float64)[:, None]
-            out[r0:r1, cols.start:cols.stop] = _phi(p, q, self.s)
+    def edge_terms(self, cells: np.ndarray, shape) -> np.ndarray:
+        """The (8, ncells) Phi that ``cells`` of an nx x ny box read."""
+        p, q = _edge_pairs(cells, shape)
+        # in place where it can be: these arrays are 8 per occupied cell
+        rows = np.minimum(p, q)
+        rows *= 2
+        rows += p < q
+        cols = np.maximum(p, q, out=p)
+        return self.gather(rows, cols, (2 * min(shape), max(shape)))
+
+    def _evaluate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        lo, swapped = np.divmod(rows, 2)
+        return _phi(np.where(swapped, lo, cols), np.where(swapped, cols, lo),
+                    self.s)
 
 
 def _edge_pairs(cells: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -162,23 +172,14 @@ def _edge_pairs(cells: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _tail_2d(cells: np.ndarray, shape, s: float,
-             table: TailTable | None = None) -> float:
+def _tail_2d(cells: np.ndarray, shape, table: TailTable) -> float:
     """Unit tail of cells (lower corners) against the box [0,nx]x[0,ny].
 
-    The exactly rounded sum of eight Phi per cell, over s.  They are
-    gathered from ``table``, grown first if need be, unless growing would
-    evaluate more new entries than the cells need (a sparse set in a wide
-    box) or no table is given: then they are evaluated directly.  Both
-    ways give the same bits.
+    The exactly rounded sum of eight Phi per cell, read through ``table``,
+    over s.
     """
-    p, q = _edge_pairs(cells, shape)
-    n = max(shape)
-    if table is not None and n * n - table.extent**2 <= p.size:
-        vals = table.upto(n)[p, q]
-    else:
-        vals = _phi(p, q, s)
-    return math.fsum(vals.ravel().tolist()) / s
+    vals = table.edge_terms(cells, shape)
+    return _exact_sum(vals) / table.s
 
 
 def tail_integral(cell, box, params: KernelParams, h: float) -> float:
@@ -211,7 +212,7 @@ def tail_integral(cell, box, params: KernelParams, h: float) -> float:
         return float(val[0]) * scale
     (lx, hx), (ly, hy) = box
     rel = np.array([[cell[0] - lx, cell[1] - ly]])
-    return _tail_2d(rel, (hx - lx, hy - ly), params.s) * scale
+    return _tail_2d(rel, (hx - lx, hy - ly), TailTable(params.s)) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +223,12 @@ def _offset_kernel(shape: tuple, table: InteractionTable) -> np.ndarray:
     """Unit pair values K[d + n - 1] for every offset d of a box of this shape.
 
     The table fills the near window (clipped to the box) and the far rule
-    the rest; K is 0 at d = 0.  Far values are computed once per offset
-    magnitude and mirrored, so K(d) = K(-d) bit for bit.
+    the rest; K is 0 at d = 0.  Far values are read from the table's
+    ``far_table`` by sorted offset magnitude and mirrored, so K(d) = K(-d)
+    and K is symmetric under axis swaps bit for bit.
     """
     rc = table.cutoff_radius
-    grids = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
-    far = np.maximum.reduce(grids) > rc
-    quad = np.zeros(shape)
-    offs = np.stack([g[far] for g in grids], axis=1)
-    quad[far] = far_kernel_unit(offs, table.params, FAR_RULE)
+    quad = table.far_table.quadrant(shape)
     k = quad[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in shape))]
     w = [min(rc, n - 1) for n in shape]
     k[tuple(slice(n - 1 - wk, n + wk) for n, wk in zip(shape, w))] = (
@@ -250,7 +248,7 @@ def _correlate(a: np.ndarray, b: np.ndarray, workers: int) -> np.ndarray:
 
 def _pair_sum(k: np.ndarray, r: np.ndarray) -> float:
     """Exactly rounded sum of K(d) * R(d) over every offset of the box."""
-    return math.fsum((k * r).ravel().tolist())
+    return _exact_sum(k * r)
 
 
 def fractional_perimeter(
@@ -266,12 +264,12 @@ def fractional_perimeter(
     rule, outside the per-cell tail.  The result is invariant under
     translations, reflections and axis swaps of E (bit for bit) and scales
     as h^(dim-s) exactly.  The in-box part costs one FFT correlation over
-    twice the box, with ``threads`` FFT workers, and one kernel evaluation
-    per offset beyond the table cutoff.  In 2D the tail costs eight table
-    gathers per occupied cell plus one Phi fill per new box extent, kept
-    with ``table`` and shared by every set measured with it; in 1D it is
-    one closed form per occupied cell.  Neither the thread count nor the
-    sets measured before changes the result.
+    twice the box, with ``threads`` FFT workers, and one far-rule read per
+    offset beyond the table cutoff.  In 2D the tail costs eight Phi reads
+    per occupied cell; in 1D it is one closed form per occupied cell.  Far
+    and Phi values are evaluated once per ``table``, where first read, and
+    shared by every set measured with it.  Neither the thread count nor
+    the sets measured before changes the result.
 
     Accuracy: in 2D the order-4 Gauss average of the tail over each cell
     limits agreement with ``gagliardo_seminorm(1_E) / 2`` to about 1e-11
@@ -298,9 +296,9 @@ def fractional_perimeter(
     cells = np.argwhere(occ)
     if params.dim == 1:
         tail_units = _tail_1d_units(cells[:, 0], float(occ.shape[0]), params.s)
-        tail = math.fsum(tail_units.tolist())
+        tail = _exact_sum(tail_units)
     else:
-        tail = _tail_2d(cells, occ.shape, params.s, table.tail_table)
+        tail = _tail_2d(cells, occ.shape, table.tail_table)
     return math.fsum([inbox, tail]) * table.scale_factor
 
 
@@ -311,7 +309,8 @@ def single_cell_perimeter(params: KernelParams) -> float:
         return 2.0 / (params.s * (1.0 - params.s))
     k = _SELF_WINDOW
     pair_sum = math.fsum(_window_values(params, k).values())
-    tail = _tail_2d(np.array([[k, k]]), (2 * k + 1, 2 * k + 1), params.s)
+    tail = _tail_2d(np.array([[k, k]]), (2 * k + 1, 2 * k + 1),
+                    TailTable(params.s))
     return pair_sum + tail
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracperim import (
+    AxisBox,
     Ball,
     EmptySetError,
     GridMismatchError,
@@ -216,6 +217,23 @@ class TestSDeficit:
         assert rep.deficit == 0.0
         assert rep.asymmetry <= boundary_cell_count(e) * h * h / e.measure
         assert rep.error_budget > 0.0
+
+    def test_flags_a_reference_ball_cut_off_at_the_grid_rim(self):
+        # 477 cells in a strip 3 cells high: auto_spec leaves 21 rows, and
+        # the count-matched ball (about 25 cells across) runs past them
+        h = 1 / 8
+        strip = AxisBox((0.0, 0.0), (20.0, 0.5))
+        e = rasterize(strip, auto_spec(strip, h))
+        table = build_table(KernelParams(2, 0.5), h=h)
+        ball = reference_ball(e)
+        assert ball.cell_count == e.cell_count
+        rows = ball.occupancy.any(axis=0)
+        assert rows[0] and rows[-1]
+        assert "ball-clipped" in s_deficit(e, table).flags
+        # a round set leaves its ball room
+        disk = Ball((0.0, 0.0), 1.0)
+        e = rasterize(disk, auto_spec(disk, h))
+        assert "ball-clipped" not in s_deficit(e, table).flags
 
     def test_deficit_positive_for_eccentric_ellipse(self):
         h = 1 / 24

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from fracperim.kernels import (
 )
 from fracperim.perimeter import (
     TailTable,
-    _edge_pairs,
     _offset_kernel,
     fractional_perimeter,
     gagliardo_seminorm,
@@ -263,25 +263,33 @@ def test_gathered_tail_matches_order4_rule_per_cell(s):
         nx, ny = (int(n) for n in rng.integers(5, 48, 2))
         # occupied cells sit at least 2 cells inside the box, as in a perimeter
         cells = np.argwhere(rng.random((nx - 4, ny - 4)) < 0.5) + 2
-        p, q = _edge_pairs(cells, (nx, ny))
-        terms = table.upto(max(nx, ny))[p, q]
+        terms = table.edge_terms(cells, (nx, ny))
         got = np.array([math.fsum(col) for col in terms.T.tolist()]) / s
         want = order4_tail_2d(cells, nx, ny, s)
         assert np.max(np.abs(got - want) / want) <= 2e-15
 
 
+def _every_cell(n):
+    # every cell of an n x n box reads every Phi(p, q) with p, q < n
+    return np.argwhere(np.ones((n, n), dtype=bool))
+
+
 def test_tail_table_growth_is_bit_independent(monkeypatch):
+    full = _every_cell(40)
     for s in (0.25, 0.5, 0.75):
         stepped = TailTable(s)
         for n in (3, 17, 40):
-            stepped.upto(n)
+            stepped.edge_terms(_every_cell(n), (n, n))
         assert stepped.extent == 40
-        assert stepped.upto(12).shape == (40, 40)
+        evaluated = stepped.evaluations
+        stepped.edge_terms(_every_cell(12), (12, 12))
+        assert stepped.extent == 40
+        assert stepped.evaluations == evaluated
         with monkeypatch.context() as m:
             m.setattr("fracperim.perimeter._FILL_BLOCK", 7)
-            reblocked = TailTable(s).upto(40)
-        assert np.array_equal(stepped.upto(40), reblocked)
-        assert np.array_equal(TailTable(s).upto(40), reblocked)
+            reblocked = TailTable(s).edge_terms(full, (40, 40))
+        assert np.array_equal(stepped.edge_terms(full, (40, 40)), reblocked)
+        assert np.array_equal(TailTable(s).edge_terms(full, (40, 40)), reblocked)
 
 
 def test_perimeter_independent_of_table_history():
@@ -311,8 +319,7 @@ def test_tail_integral_equals_table_gather():
             cx = lx + int(rng.integers(2, nx - 2))
             cy = ly + int(rng.integers(2, ny - 2))
             box = ((lx, lx + nx), (ly, ly + ny))
-            p, q = _edge_pairs(np.array([[cx - lx, cy - ly]]), (nx, ny))
-            terms = table.upto(max(nx, ny))[p, q]
+            terms = table.edge_terms(np.array([[cx - lx, cy - ly]]), (nx, ny))
             gathered = math.fsum(terms.ravel().tolist()) / s
             assert tail_integral((cx, cy), box, params, 1.0) == gathered
 
@@ -324,6 +331,68 @@ def test_offset_kernel_bit_symmetric_under_axis_swap(s):
     assert np.array_equal(_offset_kernel((23, 9), table), wide.T)
     square = _offset_kernel((17, 17), table)
     assert np.array_equal(square, square.T)
+
+
+def test_sparse_set_evaluates_only_the_phi_it_reads():
+    # two cells far apart in a 40 x 40 box read 8 Phi each
+    spec = GridSpec(2, (40, 40), 1 / 8, (0.0, 0.0))
+    sparse = GridSet.from_cells(spec, [(0, 0), (30, 5)])
+    table = build_table(KernelParams(2, 0.35), h=1 / 8)
+    fractional_perimeter(sparse, table)
+    assert 0 < table.tail_table.evaluations <= 16
+
+
+def test_a_long_thin_box_reserves_no_square():
+    # the memos may hold no more slots than the box's offset kernel
+    spec = GridSpec(2, (3001, 4), 1 / 8, (0.0, 0.0))
+    e = GridSet.from_cells(spec, [(0, 0), (3000, 3)])
+    table = build_table(KernelParams(2, 0.5), h=1 / 8)
+    fractional_perimeter(e, table)
+    nx, ny = 3001 + 8, 4 + 8
+    kernel_slots = (2 * nx - 1) * (2 * ny - 1)
+    for memo in (table.tail_table, table.far_table):
+        assert memo.shape[1] == nx
+        assert memo.shape[0] * memo.shape[1] <= kernel_slots
+    assert table.tail_table.evaluations <= 16
+
+
+def test_far_table_grown_by_two_boxes_matches_a_fresh_one():
+    params, rc = KernelParams(2, 0.4), 3
+    grown = build_table(params, cutoff=rc)
+    first = _offset_kernel((9, 40), grown)
+    second = _offset_kernel((23, 9), grown)
+    fresh = build_table(params, cutoff=rc)
+    assert np.array_equal(second, _offset_kernel((23, 9), fresh))
+    assert np.array_equal(first, _offset_kernel((9, 40), grown))
+    # one evaluation per sorted magnitude b <= a beyond the cutoff: the
+    # (23, 9) box needs none the (9, 40) box did not
+    want = sum(1 for a in range(rc + 1, 40) for b in range(min(a + 1, 9)))
+    assert grown.far_table.evaluations == want
+
+
+def test_threads_sharing_one_table_get_the_serial_values():
+    params, h = KernelParams(2, 0.45), 1 / 8
+    shapes = [Ball((0.0, 0.0), 1.0), AxisBox((0.0, 0.0), (4.0, 0.75)),
+              AxisBox((0.0, 0.0), (0.5, 3.0)), Ball((0.0, 0.0), 0.4)]
+    sets = [rasterize(sh, auto_spec(sh, h)) for sh in shapes]
+    serial = [fractional_perimeter(e, build_table(params, h=h)) for e in sets]
+    shared = build_table(params, h=h)
+    start = threading.Barrier(2)
+    got = {}
+
+    def run(order):
+        start.wait()
+        for i in order:
+            got[(order[0], i)] = fractional_perimeter(sets[i], shared)
+
+    workers = [threading.Thread(target=run, args=(order,))
+               for order in ([0, 1, 2, 3], [3, 2, 1, 0])]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert len(got) == 8
+    assert all(v == serial[i] for (_, i), v in got.items())
 
 
 @pytest.mark.slow
