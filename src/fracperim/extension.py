@@ -18,12 +18,15 @@ perimeter; the proportionality constant gamma is calibrated once against
 a shape with a trusted perimeter value and then reused.
 
 Cost: the levels come from one generator, each level one windowed FFT
-convolution of the occupancy (transformed once per lift) with that
-level's kernel table, whose 2D quadrant is evaluated and mirrored.
-poisson_extend hands them to the ExtensionField, which checks each
-level once and clamps it into the field's one stack (8 bytes per cell
-per level); lift_energy consumes them one at a time, so its memory does
-not grow with the level count.
+convolution of the set's bounding box (transformed once per lift) with
+that level's kernel table over the offsets by which the box reaches the
+grid; in 2D the table's quadrant is evaluated and mirrored.  Since
+extension_domain pads the set by several diagonals, the box is a small
+part of the grid and the FFT is about n + k per axis (k box cells), not
+2n.  poisson_extend hands the levels to the ExtensionField, which checks
+each level once and clamps it into the field's one stack (8 bytes per
+cell per level); lift_energy consumes them one at a time, so its memory
+does not grow with the level count.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .grids import GridSet, GridSpec
 from .kernels import InteractionTable, KernelParams, build_table
 from .perimeter import fractional_perimeter
 from .quadrature import FFTOperand, convolve_window
-from .rearrange import GridFunction, symmetric_rearrangement
+from .rearrange import _rearranged
 from .shapes import auto_spec, format_shape, rasterize
 
 __all__ = [
@@ -264,6 +267,7 @@ class ExtensionField:
                     f"level {count} shape {level.shape} does not match {cells}"
                 )
             _unit_clip(level, out=stack[count])
+            del level  # so it is gone while the producer makes the next one
             count += 1
         if count != len(stack):
             raise GridMismatchError(f"{count} levels given for {len(stack)} z-levels")
@@ -277,16 +281,25 @@ class ExtensionField:
         raise AttributeError("ExtensionField is immutable")
 
 
-def _rim_mask(cells: tuple[int, ...]) -> np.ndarray:
-    mask = np.zeros(cells, dtype=bool)
-    for axis in range(len(cells)):
-        sl_lo = [slice(None)] * len(cells)
-        sl_hi = [slice(None)] * len(cells)
-        sl_lo[axis] = 0
-        sl_hi[axis] = cells[axis] - 1
-        mask[tuple(sl_lo)] = True
-        mask[tuple(sl_hi)] = True
-    return mask
+def _rim_sum(a: np.ndarray, diff_axis: int | None = None) -> float:
+    """Sum of `a` over its cells on the base grid's rim.
+
+    `a` covers the whole grid, or with `diff_axis` the lower cells of the
+    forward differences along that axis, whose last grid row it lacks.
+    Each axis adds its two edge slices, taken inside the earlier axes'
+    edges, so every rim cell counts once.
+    """
+    if a.size == 0:
+        return 0.0
+    total = 0.0
+    inner = [slice(None)] * a.ndim
+    for axis, n in enumerate(a.shape):
+        edges = [0] if axis == diff_axis or n == 1 else [0, n - 1]
+        for i in edges:
+            inner[axis] = i
+            total += float(a[tuple(inner)].sum())
+        inner[axis] = slice(1, None) if axis == diff_axis else slice(1, -1)
+    return total
 
 
 def _beta_profile(w: np.ndarray, z: float, s: float) -> np.ndarray:
@@ -300,23 +313,26 @@ def _beta_profile(w: np.ndarray, z: float, s: float) -> np.ndarray:
     return np.copysign(vals, w)
 
 
-def _poisson_table_1d(s: float, h: float, z: float, m: int) -> np.ndarray:
-    """Exact cell integrals of the lifting kernel for offsets -m..m."""
-    edges = (np.arange(-m, m + 2) - 0.5) * h
+def _poisson_table_1d(
+    s: float, h: float, z: float, below: int, above: int
+) -> np.ndarray:
+    """Exact cell integrals of the lifting kernel for offsets -below..above."""
+    edges = (np.arange(-below, above + 2) - 0.5) * h
     prof = _beta_profile(edges, z, s)
     return prof[1:] - prof[:-1]
 
 
 def _poisson_table_2d(
-    s: float, h: float, z: float, m1: int, m2: int
+    s: float, h: float, z: float, below: tuple[int, int], above: tuple[int, int]
 ) -> np.ndarray:
-    """Cell integrals of the lifting kernel for offsets [-m1..m1]x[-m2..m2].
+    """Cell integrals of the lifting kernel for offsets -below..above per axis.
 
-    The kernel is even in each axis, so only the quadrant [0..m1]x[0..m2]
-    is evaluated and then mirrored.  A two-node tensor Gauss rule handles
-    every cell in one separable pass; cells whose distance to the kernel
-    peak is small compared to the cell width are redone with subdivided
-    panels, in one batched pass per panel count.
+    The kernel is even in each axis, so only the quadrant from 0 to
+    max(below, above) per axis is evaluated and then mirrored into the
+    requested, possibly lopsided, offset range.  A two-node tensor Gauss
+    rule handles every cell in one separable pass; cells whose distance
+    to the kernel peak is small compared to the cell width are redone
+    with subdivided panels, in one batched pass per panel count.
     """
 
     def kernel(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -327,8 +343,9 @@ def _poisson_table_2d(
         out *= z**s
         return out
 
-    dx = np.arange(m1 + 1, dtype=np.float64)
-    dy = np.arange(m2 + 1, dtype=np.float64)
+    (b1, b2), (a1, a2) = below, above
+    dx = np.arange(max(b1, a1) + 1, dtype=np.float64)
+    dy = np.arange(max(b2, a2) + 1, dtype=np.float64)
     # Separable two-node pass: nodes at offset +- 1/(2*sqrt(3)) per axis.
     nx = np.concatenate([dx - 0.5 * _INV_SQRT3, dx + 0.5 * _INV_SQRT3]) * h
     ny = np.concatenate([dy - 0.5 * _INV_SQRT3, dy + 0.5 * _INV_SQRT3]) * h
@@ -349,19 +366,25 @@ def _poisson_table_2d(
         w1 = (dx[idx, None] + nodes)[:, :, None] * h
         w2 = (dy[idy, None] + nodes)[:, None, :] * h
         quad[idx, idy] = kernel(w1, w2).mean(axis=(1, 2)) * (h * h)
-    # offset -d takes the value of +d; row m1 and column m2 hold offset 0
-    table = np.empty((2 * m1 + 1, 2 * m2 + 1))
-    table[m1:, m2:] = quad
-    table[m1:, :m2] = quad[:, :0:-1]
-    table[:m1] = table[: m1 : -1]
+    # offset -d takes the value of +d; row b1 and column b2 hold offset 0
+    rows = (slice(b1, None), slice(0, a1 + 1)), (slice(0, b1), slice(b1, 0, -1))
+    cols = (slice(b2, None), slice(0, a2 + 1)), (slice(0, b2), slice(b2, 0, -1))
+    table = np.empty((b1 + a1 + 1, b2 + a2 + 1))
+    for row_to, row_from in rows:
+        for col_to, col_from in cols:
+            table[row_to, col_to] = quad[row_from, col_from]
     return table
 
 
 def _unit_clip(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Lift values checked to lie in [0, 1] up to roundoff, then clamped."""
-    if not np.isfinite(vals).all():
-        raise ValueError("field values must be finite")
-    if vals.min() < -1e-9 or vals.max() > 1.0 + 1e-9:
+    """Lift values checked to lie in [0, 1] up to roundoff, then clamped.
+
+    NaN and infinities fail the min/max window too, so finiteness is
+    only looked at to name the failure.
+    """
+    if not (vals.min() >= -1e-9 and vals.max() <= 1.0 + 1e-9):
+        if not np.isfinite(vals).all():
+            raise ValueError("field values must be finite")
         raise ValueError("indicator lifts must stay within [0, 1]")
     return np.clip(vals, 0.0, 1.0, out=out)
 
@@ -369,8 +392,9 @@ def _unit_clip(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
     """Yield (z, u(., z)) for every level of the grid, lowest first.
 
-    Each level is the central window of one convolution of the occupancy
-    with the level's kernel table; the occupancy is transformed once.
+    Each level is a window of one convolution of the occupancy, trimmed
+    to its bounding box, with the level's kernel table over the offsets
+    that reach the grid from the box; the occupancy is transformed once.
     The levels are neither checked nor clamped: each consumer does that
     once per level (ExtensionField, or _unit_clip in lift_energy).
     """
@@ -388,15 +412,19 @@ def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads:
             yield z, np.zeros(cells)
         return
     lam = lambda_constant(params)
-    occ = FFTOperand(e.occupancy)
-    # the kernel spans offsets 1-n..n-1, so the grid's outputs start at n-1
-    start = [n - 1 for n in cells]
-    stop = [2 * n - 1 for n in cells]
+    box = e.bounding_cells()
+    occ = FFTOperand(e.occupancy[tuple(slice(lo, hi + 1) for lo, hi in box)])
+    # Cells lo..hi reach grid cells 0..n-1 through offsets -hi..n-1-lo.
+    # The table starts at offset -hi, so grid cell i is output i + hi - lo.
+    below = tuple(hi for _, hi in box)
+    above = tuple(n - 1 - lo for n, (lo, _) in zip(cells, box))
+    start = [hi - lo for lo, hi in box]
+    stop = [hi - lo + n for n, (lo, hi) in zip(cells, box)]
 
     def table(z: float) -> np.ndarray:
         if params.dim == 1:
-            return _poisson_table_1d(s, h, z, cells[0] - 1)
-        return _poisson_table_2d(s, h, z, cells[0] - 1, cells[1] - 1)
+            return _poisson_table_1d(s, h, z, below[0], above[0])
+        return _poisson_table_2d(s, h, z, below, above)
 
     for z in grid.z_levels:
         window = convolve_window(occ, table(z), start, stop, workers=threads)
@@ -419,12 +447,15 @@ def poisson_extend(
     combinations of {0, 1} and stay strictly below 1.  The empty set
     lifts to the zero field.
 
-    Cost per level on an n1 x n2 base: the kernel table's quadrant of
-    n1 x n2 cells, four Gauss nodes each (2n - 1 closed forms in 1D),
-    one real FFT of the mirrored table at next_fast_len(2n - 1) per axis
-    and one inverse pruned to the base grid's window, with ``threads``
-    FFT workers; the occupancy is transformed once per lift.  The thread count does not
-    change a single bit of the result.
+    Cost per level on a base of n cells per axis whose set has the
+    bounding box lo..hi (k = hi - lo + 1 cells) per axis: the kernel
+    table's quadrant up to offset max(hi, n - 1 - lo) per axis, four
+    Gauss nodes per cell (n + k - 1 closed forms in 1D), mirrored into
+    the offsets -hi..n-1-lo; one real FFT of that table at
+    next_fast_len(n + k - 1) per axis and one inverse pruned to the base
+    grid's window, with ``threads`` FFT workers.  The box's occupancy is
+    transformed once per lift.  The thread count does not change a
+    single bit of the result.
 
     Memory: the levels go straight into the ExtensionField, which checks
     each one once and clamps it into the field's one stack (8 bytes per
@@ -483,7 +514,8 @@ def lift_energy(
     few level slices instead of the whole stack.
     """
     levels = (
-        (z, _unit_clip(level)) for z, level in _lift_levels(e, grid, params, threads)
+        (z, _unit_clip(level, out=level))
+        for z, level in _lift_levels(e, grid, params, threads)
     )
     return _energy(grid, params.s, e.occupancy, levels, warn_threshold)
 
@@ -496,7 +528,6 @@ def _energy(
     n = grid.base.dim
     zs = grid.z_levels
     cell = h**n
-    rim = _rim_mask(grid.base.cells)
     # lateral slabs meet at the midpoints between consecutive levels
     mids = [0.5 * (a + b) for a, b in zip(zs, zs[1:])]
     slabs = zip([0.0] + mids, mids + [zs[-1]])
@@ -508,19 +539,23 @@ def _energy(
     prev_z = 0.0
     for (lo, hi), (z, level) in zip(slabs, levels):
         w = _slab_weight(lo, hi, s)
-        density = np.zeros(grid.base.cells, dtype=np.float64)
+        x_sum = x_rim = 0.0
         for axis in range(n):
-            d = np.diff(level, axis=axis) / h
             # the forward difference sits on the lower cell of each pair
-            density[(slice(None),) * axis + (slice(0, -1),)] += d * d
-        x_part += w * cell * float(density.sum())
-        rim_energy += w * cell * float(density[rim].sum())
+            d = np.diff(level, axis=axis)
+            d /= h
+            d *= d
+            x_sum += float(d.sum())
+            x_rim += _rim_sum(d, axis)
+        x_part += w * cell * x_sum
+        rim_energy += w * cell * x_rim
 
         w = _slab_weight(prev_z, z, s)
-        q = (level - prev) / (z - prev_z)
-        q2 = q * q
-        z_part += w * cell * float(q2.sum())
-        rim_energy += w * cell * float(q2[rim].sum())
+        q = level - prev
+        q /= z - prev_z
+        q *= q
+        z_part += w * cell * float(q.sum())
+        rim_energy += w * cell * _rim_sum(q)
         prev = level
         prev_z = z
 
@@ -685,14 +720,11 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     stack, which checks each once, so the peak is the two fields' stacks
     plus a few level slices.
     """
-    grid = u.grid
-    datum_fn = GridFunction(grid.base, u.datum.astype(np.float64))
-    new_datum = symmetric_rearrangement(datum_fn).values > 0.5
-    levels = (
-        symmetric_rearrangement(GridFunction(grid.base, level)).values
-        for level in u.values
-    )
-    return ExtensionField(grid, u.params, levels, new_datum)
+    base = u.grid.base
+    # a field's levels and datum are checked already, so no GridFunction
+    new_datum = _rearranged(base, u.datum.astype(np.float64)) > 0.5
+    levels = (_rearranged(base, level) for level in u.values)
+    return ExtensionField(u.grid, u.params, levels, new_datum)
 
 
 def trace_check(u: ExtensionField, target: GridSet | None = None) -> np.ndarray:

@@ -112,18 +112,13 @@ def _fill_order(spec: GridSpec) -> np.ndarray:
     Cached per spec (a lift rearranges every level on one spec) and
     returned read-only, since every caller shares the array."""
     center = spec.center_cell()
-    if spec.dim == 1:
-        idx = np.arange(spec.cells[0])
-        d2 = (idx - center[0]) ** 2
-        flat = idx
-    else:
-        ix, iy = np.meshgrid(
-            np.arange(spec.cells[0]), np.arange(spec.cells[1]), indexing="ij"
-        )
-        d2 = (ix - center[0]) ** 2 + (iy - center[1]) ** 2
-        d2 = d2.reshape(-1)
-        flat = np.arange(d2.size)
-    order = flat[np.lexsort((flat, d2.reshape(-1)))]
+    d2 = 0
+    for axis, (n, c) in enumerate(zip(spec.cells, center)):
+        shape = [1] * spec.dim
+        shape[axis] = n
+        d2 = d2 + ((np.arange(n) - c) ** 2).reshape(shape)
+    # a stable sort breaks ties by flat index; one full-size temporary
+    order = np.argsort(d2.reshape(-1), kind="stable")
     order.setflags(write=False)
     return order
 
@@ -135,11 +130,22 @@ def symmetric_rearrangement(g: GridFunction) -> GridFunction:
     order; for an indicator this produces the discrete centered ball of the
     same cell count.
     """
-    order = _fill_order(g.spec)
-    flat = g.values.reshape(-1)
-    out = np.empty_like(flat)
-    out[order] = -np.sort(-flat)
-    return GridFunction(g.spec, out.reshape(g.spec.cells))
+    return GridFunction(g.spec, _rearranged(g.spec, g.values))
+
+
+def _rearranged(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The values sorted down and scattered in fill order, unchecked.
+
+    The core of symmetric_rearrangement for callers whose values are
+    already known to be finite, nonnegative and shaped like the grid.
+    """
+    # descending: sort the negation in place, then negate it back
+    ordered = np.negative(values.reshape(-1))
+    ordered.sort()
+    np.negative(ordered, out=ordered)
+    out = np.empty_like(ordered)
+    out[_fill_order(spec)] = ordered
+    return out.reshape(spec.cells)
 
 
 def dirichlet_energy(g: GridFunction) -> float:

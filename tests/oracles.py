@@ -210,3 +210,44 @@ def lift_level_fftconvolve(occupancy, table, lam):
     full = signal.fftconvolve(occupancy.astype(np.float64), table, mode="full")
     window = tuple(slice(n - 1, 2 * n - 1) for n in occupancy.shape)
     return np.clip(lam * full[window], 0.0, 1.0)
+
+
+def lift_energy_dense(grid, s, datum, levels):
+    """x_part, z_part and truncation_estimate of a lift's energy, the dense
+    way: each level's lateral density on a full-grid array, rim sums
+    through a boolean mask of the grid's rim cells."""
+    h = grid.base.h
+    n = grid.base.dim
+    cells = grid.base.cells
+    cell = h**n
+    zs = grid.z_levels
+    p = 2.0 - s
+
+    def slab(a, b):
+        return (b**p - a**p) / p
+
+    rim = np.zeros(cells, dtype=bool)
+    for axis in range(n):
+        rim[(slice(None),) * axis + (0,)] = True
+        rim[(slice(None),) * axis + (cells[axis] - 1,)] = True
+    mids = [0.5 * (a + b) for a, b in zip(zs, zs[1:])]
+    bounds = zip([0.0] + mids, mids + [zs[-1]])
+    x_part = z_part = rim_energy = 0.0
+    prev = np.asarray(datum, dtype=np.float64)
+    prev_z = 0.0
+    for (lo, hi), z, level in zip(bounds, zs, levels):
+        density = np.zeros(cells)
+        for axis in range(n):
+            d = np.diff(level, axis=axis) / h
+            density[(slice(None),) * axis + (slice(0, -1),)] += d * d
+        x_part += slab(lo, hi) * cell * float(density.sum())
+        rim_energy += slab(lo, hi) * cell * float(density[rim].sum())
+        q2 = ((level - prev) / (z - prev_z)) ** 2
+        z_part += slab(prev_z, z) * cell * float(q2.sum())
+        rim_energy += slab(prev_z, z) * cell * float(q2[rim].sum())
+        prev, prev_z = level, z
+    half_extent = 0.5 * max(c * h for c in cells)
+    lateral = rim_energy * half_extent / (h * (n + 2.0 * s))
+    top_mass = cell * float((prev * prev).sum())
+    top = 2.0 * n * n * top_mass * zs[-1] ** (-s) / (2.0 * n + s)
+    return x_part, z_part, lateral + top
