@@ -52,7 +52,7 @@ from .grids import GridSet, GridSpec
 from .kernels import InteractionTable, KernelParams, build_table
 from .perimeter import fractional_perimeter
 from .quadrature import FFTOperand, convolve_window
-from .rearrange import _rearranged
+from .rearrange import GridFunction, _rearranged, symmetric_rearrangement
 from .shapes import auto_spec, format_shape, rasterize
 
 __all__ = [
@@ -267,7 +267,7 @@ class ExtensionField:
                     f"level {count} shape {level.shape} does not match {cells}"
                 )
             _unit_clip(level, out=stack[count])
-            del level  # so it is gone while the producer makes the next one
+            del level  # the producer drops its reference too, so it is freed
             count += 1
         if count != len(stack):
             raise GridMismatchError(f"{count} levels given for {len(stack)} z-levels")
@@ -430,6 +430,7 @@ def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads:
         window = convolve_window(occ, table(z), start, stop, workers=threads)
         window *= lam
         yield z, window
+        del window  # the consumer may drop the level before the next FFT
 
 
 def poisson_extend(
@@ -721,8 +722,9 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     plus a few level slices.
     """
     base = u.grid.base
-    # a field's levels and datum are checked already, so no GridFunction
-    new_datum = _rearranged(base, u.datum.astype(np.float64)) > 0.5
+    datum_fn = GridFunction(base, u.datum.astype(np.float64))
+    new_datum = symmetric_rearrangement(datum_fn).values > 0.5
+    # the levels are checked already, so they skip the GridFunction copies
     levels = (_rearranged(base, level) for level in u.values)
     return ExtensionField(u.grid, u.params, levels, new_datum)
 

@@ -447,7 +447,7 @@ def test_lift_and_rearrangement_hold_one_stack_per_field():
     # Two-balls(0.9) at h = 1/8: 50 levels of 245 x 231 cells, 21.6 MiB a
     # stack.  A lift keeps one stack plus one level's FFT work over the
     # set's bounding box (1.13 stacks); the rearrangement adds the new
-    # field's stack plus a few level slices (1.07 stacks).
+    # field's stack plus a few level slices (1.09 stacks).
     shape = fp.generate_family("two-balls", (0.9,), h=1 / 8)[0].shape
     e = fp.rasterize(shape, fp.auto_spec(shape, 1 / 8))
     grid, embedded = fp.extension_domain(e)
