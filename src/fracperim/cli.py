@@ -124,7 +124,10 @@ def _merge_config(args) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             mapping["dim" if key == "n" else key] = value
-    return config_from_mapping(mapping)
+    cfg = config_from_mapping(mapping)
+    if "dim" in mapping or "n" in mapping:
+        args.n = cfg.dim  # the merged dimension, checked against a shape
+    return cfg
 
 
 def _single(values, what: str) -> float:
@@ -144,7 +147,9 @@ def _emit(text: str, out: str | None) -> None:
 def _shape_setup(args, cfg: ExperimentConfig):
     shape = parse_shape(args.shape)
     if args.n is not None and args.n != shape.dim:
-        raise ValueError(f"--n {args.n} contradicts a {shape.dim}-dimensional shape")
+        raise ValueError(
+            f"dimension n = {args.n} contradicts a {shape.dim}-dimensional shape"
+        )
     h = _single(cfg.h_values, "h")
     e = rasterize(shape, auto_spec(shape, h))
     return shape, e, h

@@ -105,7 +105,7 @@ def _overlap_count(pts: np.ndarray, x: np.ndarray, r: float) -> int:
 
 
 def _lattice_scan(e: GridSet, r: float) -> tuple[int, np.ndarray]:
-    """Best overlap count over every lattice-aligned window center.
+    """Best overlap count over every lattice-aligned window center (2D).
 
     The count of occupied cell centers inside the open window of radius
     ``r`` is a correlation of the occupancy with a symmetric ball stencil,
@@ -115,18 +115,13 @@ def _lattice_scan(e: GridSet, r: float) -> tuple[int, np.ndarray]:
     h = spec.h
     m = int(math.ceil(r / h)) + 1
     off = np.arange(-m, m + 1, dtype=np.float64) * h
-    if spec.dim == 1:
-        stencil = (off * off < r * r).astype(np.float64)
-    else:
-        d2 = off[:, None] ** 2 + off[None, :] ** 2
-        stencil = (d2 < r * r).astype(np.float64)
+    d2 = off[:, None] ** 2 + off[None, :] ** 2
+    stencil = (d2 < r * r).astype(np.float64)
     full = [n + 2 * m for n in spec.cells]
-    counts = rounded_counts(convolve_window(e.occupancy, stencil, [0] * spec.dim, full))
+    counts = rounded_counts(convolve_window(e.occupancy, stencil, [0, 0], full))
     flat = int(np.argmax(counts))  # first maximum in C order: deterministic
     idx = np.unravel_index(flat, counts.shape)
-    center = np.array(
-        [spec.origin[k] + (idx[k] - m + 0.5) * h for k in range(spec.dim)]
-    )
+    center = np.array([spec.origin[k] + (idx[k] - m + 0.5) * h for k in (0, 1)])
     return int(counts[idx]), center
 
 
@@ -180,10 +175,10 @@ def fraenkel_asymmetry(e: GridSet) -> tuple[float, tuple[float, ...]]:
 
     Returns ``2 (|E| - max_x |E ∩ W_r(x)|) / |E|`` where ``W_r(x)`` is the
     open round window of the equivalent radius, with the overlap counted on
-    cell centers, plus the best center found.  A full lattice scan over the
-    dilated bounding box comes first, then a compass pattern search refines
-    the center below h/8.  On the line an exact sliding-window sweep is
-    also taken, so the result there matches exhaustive search.
+    cell centers, plus the best center found.  In the plane a full lattice
+    scan over the dilated bounding box comes first, then a compass pattern
+    search refines the center below h/8.  On the line an exact
+    sliding-window sweep alone gives the result of exhaustive search.
 
     The value is translation invariant: shifting the set by whole cells
     shifts the best center and leaves the value bit-identical.
@@ -194,12 +189,11 @@ def fraenkel_asymmetry(e: GridSet) -> tuple[float, tuple[float, ...]]:
     pts = _occupied_centers(e)
     k = pts.shape[0]
 
-    _, x0 = _lattice_scan(e, r)
-    best, x = _pattern_search(pts, x0, r, e.spec.h)
     if e.spec.dim == 1:
-        count, xs = _sliding_window_1d(pts, r)
-        if count >= best:
-            best, x = count, xs
+        best, x = _sliding_window_1d(pts, r)
+    else:
+        _, x0 = _lattice_scan(e, r)
+        best, x = _pattern_search(pts, x0, r, e.spec.h)
     value = 2.0 * (k - best) / k
     return value, tuple(float(v) for v in x)
 
@@ -303,32 +297,21 @@ def s_deficit(
     )
 
 
-def _mirror_in_bbox(occ: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
-    """Occupancy reflected across the bounding-slab midplane: i -> lo+hi-i."""
-    out = np.zeros_like(occ)
-    src = [slice(None)] * occ.ndim
-    src[axis] = slice(lo, hi + 1)
-    dst = list(src)
-    out[tuple(dst)] = np.flip(occ[tuple(src)], axis=axis)
-    return out
-
-
 def symmetry_defect_cells(e: GridSet) -> np.ndarray:
     """Cells that break reflection symmetry across the set's own midplanes.
 
     Each axis is tested against the midplane of the occupied bounding box,
     which lands on a cell-center line for odd extents and on a grid line
-    for even ones.
+    for even ones: flipping the trimmed occupancy along the axis mirrors it
+    there.
     """
     if e.is_empty:
         return np.zeros((0, e.spec.dim), dtype=np.int64)
-    occ = e.occupancy
-    bc = e.bounding_cells()
+    occ = e.trimmed().occupancy
     defect = np.zeros_like(occ)
     for axis in range(e.spec.dim):
-        lo, hi = bc[axis]
-        defect |= occ ^ _mirror_in_bbox(occ, axis, lo, hi)
-    return np.argwhere(defect)
+        defect |= occ ^ np.flip(occ, axis=axis)
+    return np.argwhere(defect) + [lo for lo, _ in e.bounding_cells()]
 
 
 def _bbox_midpoint(e: GridSet) -> np.ndarray:

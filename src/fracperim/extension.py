@@ -48,7 +48,7 @@ from .errors import (
     FormatError,
     GridMismatchError,
 )
-from .grids import GridSet, GridSpec
+from .grids import GridSet, GridSpec, pad_domain
 from .kernels import InteractionTable, KernelParams, build_table
 from .perimeter import fractional_perimeter
 from .quadrature import FFTOperand, convolve_window
@@ -206,24 +206,13 @@ def extension_domain(
     """
     if e.is_empty:
         raise EmptySetError("cannot build an extension domain for an empty set")
-    spec = e.spec
-    h = spec.h
+    h = e.spec.h
     if z0 is None:
         z0 = 0.25 * h
     diam = _bbox_diameter(e)
-    pad = max(2, math.ceil(lateral_factor * diam / h))
-    box = e.bounding_cells()
-    cells = tuple(hi - lo + 1 + 2 * pad for lo, hi in box)
-    origin = tuple(
-        spec.origin[k] + (box[k][0] - pad) * h for k in range(spec.dim)
-    )
-    base = GridSpec(spec.dim, cells, h, origin)
-    occ = np.zeros(cells, dtype=bool)
-    inner = tuple(slice(pad, pad + hi - lo + 1) for lo, hi in box)
-    trim = tuple(slice(lo, hi + 1) for lo, hi in box)
-    occ[inner] = e.occupancy[trim]
+    embedded = pad_domain(e, max(2, math.ceil(lateral_factor * diam / h)))
     levels = geometric_levels(z0, rho, top_factor * diam)
-    return HalfSpaceGrid(base, levels), GridSet(base, occ)
+    return HalfSpaceGrid(embedded.spec, levels), embedded
 
 
 class ExtensionField:

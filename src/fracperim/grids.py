@@ -107,6 +107,20 @@ class GridSpec:
             self.origin[k] + (cc[k] + 0.5) * self.h for k in range(self.dim)
         )
 
+    def window(self, lo, cells) -> "GridSpec":
+        """The grid of ``cells`` cells whose cell 0 is this grid's cell ``lo``.
+
+        ``lo`` may lie outside this grid.  Every re-embedding of a set goes
+        through here, so a cell keeps its absolute position whichever way
+        its grid was reached: the origin is ``origin + lo*h``, rounded once.
+        """
+        return GridSpec(
+            self.dim,
+            tuple(int(n) for n in cells),
+            self.h,
+            tuple(x + int(i) * self.h for x, i in zip(self.origin, lo)),
+        )
+
 
 class GridSet:
     """A finite union of grid cells, stored as a boolean occupancy array."""
@@ -135,7 +149,17 @@ class GridSet:
     def from_cells(cls, spec: GridSpec, cells) -> "GridSet":
         occ = np.zeros(spec.cells, dtype=bool)
         for c in cells:
-            occ[tuple(np.atleast_1d(c))] = True
+            index = tuple(np.atleast_1d(c).tolist())
+            if len(index) != spec.dim:
+                raise GridMismatchError(
+                    f"cell {index} has {len(index)} indices on a "
+                    f"{spec.dim}-dimensional grid"
+                )
+            if not all(0 <= i < n for i, n in zip(index, spec.cells)):
+                raise DomainTooSmallError(
+                    f"cell {index} lies outside the grid of cells {spec.cells}"
+                )
+            occ[index] = True
         return cls(spec, occ)
 
     @property
@@ -167,17 +191,8 @@ class GridSet:
     def trimmed(self) -> "GridSet":
         """Copy restricted to the occupied bounding box."""
         bc = self.bounding_cells()
-        sl = tuple(slice(lo, hi + 1) for lo, hi in bc)
-        spec = GridSpec(
-            self.spec.dim,
-            tuple(hi - lo + 1 for lo, hi in bc),
-            self.spec.h,
-            tuple(
-                self.spec.origin[k] + bc[k][0] * self.spec.h
-                for k in range(self.spec.dim)
-            ),
-        )
-        return GridSet(spec, self.occupancy[sl])
+        spec = self.spec.window([lo for lo, _ in bc], [hi - lo + 1 for lo, hi in bc])
+        return GridSet(spec, self.occupancy[tuple(slice(lo, hi + 1) for lo, hi in bc)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GridSet):
@@ -255,25 +270,20 @@ def _lattice_position(spec: GridSpec, axis: int, plane: float) -> int:
     return int(nearest)
 
 
-def _with_room(e: GridSet, lo_need: list[int], hi_need: list[int]) -> GridSet:
-    """Re-embed on an enlarged grid so indices [lo_need, hi_need] exist."""
-    spec = e.spec
-    pad_lo = [max(0, -lo) for lo in lo_need]
-    pad_hi = [max(0, hi - (spec.cells[k] - 1)) for k, hi in enumerate(hi_need)]
-    if not any(pad_lo) and not any(pad_hi):
-        return e
-    new_cells = tuple(
-        spec.cells[k] + pad_lo[k] + pad_hi[k] for k in range(spec.dim)
-    )
-    new_origin = tuple(
-        spec.origin[k] - pad_lo[k] * spec.h for k in range(spec.dim)
-    )
-    occ = np.zeros(new_cells, dtype=bool)
-    sl = tuple(
-        slice(pad_lo[k], pad_lo[k] + spec.cells[k]) for k in range(spec.dim)
-    )
-    occ[sl] = e.occupancy
-    return GridSet(GridSpec(spec.dim, new_cells, spec.h, new_origin), occ)
+def _fitted(spec: GridSpec, idx: np.ndarray) -> GridSet:
+    """Cells ``idx``, indexed on ``spec``, on ``spec`` grown just to hold them."""
+    lo = np.minimum(idx.min(axis=0, initial=0), 0)
+    hi = np.maximum(idx.max(axis=0, initial=-1) + 1, spec.cells)
+    occ = np.zeros(hi - lo, dtype=bool)
+    occ[tuple((idx - lo).T)] = True
+    return GridSet(spec.window(lo, hi - lo), occ)
+
+
+def _mirrored(idx: np.ndarray, axis: int, q: int) -> np.ndarray:
+    """Cell indices mirrored across the plane ``q`` half-cells from the origin."""
+    out = idx.copy()
+    out[:, axis] = q - 1 - idx[:, axis]
+    return out
 
 
 def reflect(e: GridSet, axis: int, plane: float) -> GridSet:
@@ -286,23 +296,9 @@ def reflect(e: GridSet, axis: int, plane: float) -> GridSet:
     if not 0 <= axis < e.spec.dim:
         raise ValueError(f"axis {axis} out of range for dim {e.spec.dim}")
     m = _lattice_position(e.spec, axis, plane)
-    # cell i maps to m - 1 - i in index space
     if e.is_empty:
         return e
-    idx = e.cells()
-    new_axis = m - 1 - idx[:, axis]
-    lo_need = [0] * e.spec.dim
-    hi_need = [n - 1 for n in e.spec.cells]
-    lo_need[axis] = min(lo_need[axis], int(new_axis.min()))
-    hi_need[axis] = max(hi_need[axis], int(new_axis.max()))
-    base = _with_room(e, lo_need, hi_need)
-    shift = round((e.spec.origin[axis] - base.spec.origin[axis]) / e.spec.h)
-    m_base = m + 2 * shift
-    occ = np.zeros(base.spec.cells, dtype=bool)
-    idx = base.cells()
-    idx[:, axis] = m_base - 1 - idx[:, axis]
-    occ[tuple(idx.T)] = True
-    return GridSet(base.spec, occ)
+    return _fitted(e.spec, _mirrored(e.cells(), axis, m))
 
 
 def steiner_symmetrize(e: GridSet, axis: int) -> GridSet:
@@ -382,42 +378,11 @@ def bisect_halves(e: GridSet, axis: int) -> tuple[float, GridSet, GridSet]:
         c = (best_q - 1) // 2
         sel_up = idx[:, axis] >= c
         sel_dn = idx[:, axis] <= c
-    occ_up = np.zeros(spec.cells, dtype=bool)
-    occ_dn = np.zeros(spec.cells, dtype=bool)
-    occ_up[tuple(idx[sel_up].T)] = True
-    occ_dn[tuple(idx[sel_dn].T)] = True
-    up = GridSet(spec, occ_up)
-    dn = GridSet(spec, occ_dn)
-    f_plus = _mirror_union(up, axis, plane)
-    f_minus = _mirror_union(dn, axis, plane)
-    return plane, f_plus, f_minus
-
-
-def _mirror_union(half: GridSet, axis: int, plane: float) -> GridSet:
-    if half.is_empty:
-        return half
-    mirrored = reflect(half, axis, plane)
-    base = _with_room(
-        half,
-        [
-            round((mirrored.spec.origin[k] - half.spec.origin[k]) / half.spec.h)
-            for k in range(half.spec.dim)
-        ],
-        [
-            round((mirrored.spec.origin[k] - half.spec.origin[k]) / half.spec.h)
-            + mirrored.spec.cells[k]
-            - 1
-            for k in range(half.spec.dim)
-        ],
+    f_plus, f_minus = (
+        _fitted(spec, np.concatenate([half, _mirrored(half, axis, best_q)]))
+        for half in (idx[sel_up], idx[sel_dn])
     )
-    occ = np.array(base.occupancy)
-    off = [
-        round((mirrored.spec.origin[k] - base.spec.origin[k]) / base.spec.h)
-        for k in range(base.spec.dim)
-    ]
-    idx = mirrored.cells() + np.array(off, dtype=np.int64)
-    occ[tuple(idx.T)] = True
-    return GridSet(base.spec, occ)
+    return plane, f_plus, f_minus
 
 
 def pad_domain(e: GridSet, pad: int) -> GridSet:
@@ -430,16 +395,11 @@ def pad_domain(e: GridSet, pad: int) -> GridSet:
         raise EmptySetError("cannot pad the domain of an empty set")
     if pad < 0:
         raise ValueError("pad must be nonnegative")
-    t = e.trimmed()
-    spec = GridSpec(
-        t.spec.dim,
-        tuple(n + 2 * pad for n in t.spec.cells),
-        t.spec.h,
-        tuple(x - pad * t.spec.h for x in t.spec.origin),
+    bc = e.bounding_cells()
+    spec = e.spec.window(
+        [lo - pad for lo, _ in bc], [hi - lo + 1 + 2 * pad for lo, hi in bc]
     )
-    occ = np.zeros(spec.cells, dtype=bool)
-    occ[tuple(slice(pad, pad + n) for n in t.spec.cells)] = t.occupancy
-    return GridSet(spec, occ)
+    return GridSet(spec, np.pad(e.trimmed().occupancy, pad))
 
 
 def translate_cells(e: GridSet, offset_cells) -> GridSet:
@@ -447,13 +407,7 @@ def translate_cells(e: GridSet, offset_cells) -> GridSet:
     off = tuple(int(v) for v in np.atleast_1d(offset_cells))
     if len(off) != e.spec.dim:
         raise ValueError("offset length must equal dim")
-    spec = GridSpec(
-        e.spec.dim,
-        e.spec.cells,
-        e.spec.h,
-        tuple(e.spec.origin[k] + off[k] * e.spec.h for k in range(e.spec.dim)),
-    )
-    return GridSet(spec, e.occupancy)
+    return GridSet(e.spec.window(off, e.spec.cells), e.occupancy)
 
 
 def save_gridset(e: GridSet, path) -> None:

@@ -41,8 +41,8 @@ import numpy as np
 from scipy import special
 
 from .errors import EmptySetError, MarginError
-from .grids import GridSet
-from .kernels import GridMemo, InteractionTable, KernelParams, _window_values
+from .grids import GridSet, GridSpec
+from .kernels import GridMemo, InteractionTable, KernelParams, build_table
 from .quadrature import convolve_window, gauss_unit, rounded_counts
 
 __all__ = [
@@ -308,10 +308,8 @@ def single_cell_perimeter(params: KernelParams) -> float:
     if params.dim == 1:
         return 2.0 / (params.s * (1.0 - params.s))
     k = _SELF_WINDOW
-    pair_sum = math.fsum(_window_values(params, k).values())
-    tail = _tail_2d(np.array([[k, k]]), (2 * k + 1, 2 * k + 1),
-                    TailTable(params.s))
-    return pair_sum + tail
+    cell = GridSet(GridSpec(2, (1, 1), 1.0, (0.0, 0.0)), np.ones((1, 1)))
+    return fractional_perimeter(cell, build_table(params, cutoff=k), k)
 
 
 def gagliardo_seminorm(g, table: InteractionTable) -> float:

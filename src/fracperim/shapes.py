@@ -9,7 +9,7 @@ cells whose centers fall strictly inside the region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -68,10 +68,6 @@ class Interval:
         x = pts[:, 0]
         return (x > self.a) & (x < self.b)
 
-    def translated(self, vec) -> "Interval":
-        (dx,) = vec
-        return Interval(self.a + dx, self.b + dx)
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -110,11 +106,6 @@ class Ball:
             d2 += (pts[:, k] - c) ** 2
         return d2 < self.r**2
 
-    def translated(self, vec) -> "Ball":
-        return replace(
-            self, center=tuple(c + v for c, v in zip(self.center, vec))
-        )
-
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -151,11 +142,6 @@ class Ellipse:
         return ((pts[:, 0] - cx) / self.a) ** 2 + (
             (pts[:, 1] - cy) / self.b
         ) ** 2 < 1.0
-
-    def translated(self, vec) -> "Ellipse":
-        return replace(
-            self, center=(self.center[0] + vec[0], self.center[1] + vec[1])
-        )
 
 
 @dataclass(frozen=True)
@@ -199,12 +185,6 @@ class AxisBox:
         for k in range(self.dim):
             ok &= (pts[:, k] > self.lo[k]) & (pts[:, k] < self.hi[k])
         return ok
-
-    def translated(self, vec) -> "AxisBox":
-        return AxisBox(
-            tuple(l + v for l, v in zip(self.lo, vec)),
-            tuple(h + v for h, v in zip(self.hi, vec)),
-        )
 
 
 @dataclass(frozen=True)
@@ -257,11 +237,6 @@ class FourierDisk:
         rho = np.hypot(dx, dy)
         theta = np.arctan2(dy, dx)
         return rho < self.r0 * (1.0 + self.eps * np.cos(self.k * theta))
-
-    def translated(self, vec) -> "FourierDisk":
-        return replace(
-            self, center=(self.center[0] + vec[0], self.center[1] + vec[1])
-        )
 
 
 @dataclass(frozen=True)
@@ -331,9 +306,6 @@ class Dumbbell:
     def scaled(self, t: float) -> "Dumbbell":
         return Dumbbell(self.rho * t, self.halfspan * t, self.neck * t)
 
-    def translated(self, vec):
-        raise ValueError("dumbbell is anchored at the origin")
-
 
 @dataclass(frozen=True)
 class UnionShape:
@@ -376,9 +348,6 @@ class UnionShape:
         for m in self.members:
             ok |= m.contains(pts)
         return ok
-
-    def translated(self, vec) -> "UnionShape":
-        return UnionShape(tuple(m.translated(vec) for m in self.members))
 
 
 def _certify_disjoint(members) -> None:

@@ -2,13 +2,17 @@
 
 Nothing here shares quadrature code with the package: pair values come from
 plain midpoint rules, scipy adaptive quadrature, or closed forms derived by
-hand, so agreement with the engine is evidence rather than tautology.
+hand, so agreement with the engine is evidence rather than tautology.  The
+mirror oracle likewise maps cell centers by their coordinates, not by the
+package's cell-index arithmetic.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate, signal, special
+
+from fracperim import GridSet, GridSpec
 
 
 def _midpoint_pair(d, s, sub):
@@ -251,3 +255,39 @@ def lift_energy_dense(grid, s, datum, levels):
     top_mass = cell * float((prev * prev).sum())
     top = 2.0 * n * n * top_mass * zs[-1] ** (-s) / (2.0 * n + s)
     return x_part, z_part, lateral + top
+
+
+def mirror_oracle(e, axis, plane, half=None):
+    """Cells of ``e`` mirrored across ``plane`` by their center coordinates.
+
+    Each center x maps to ``2*plane - x`` along ``axis``; no index
+    arithmetic of the package is used.  With ``half=None`` the region is
+    the image alone (a reflection); with ``"upper"`` or ``"lower"`` it is
+    the cells at or above (at or below) the plane united with their image
+    (one half of a bisection; cells centered on the plane belong to both).
+    Returns the region as a set on a grid fitted to its centers, and the
+    span along ``axis`` of the input grid united with the image cells.
+    """
+    h = e.spec.h
+    origin = np.asarray(e.spec.origin, dtype=np.float64)
+    centers = origin + (np.argwhere(e.occupancy) + 0.5) * h
+    x = centers[:, axis]
+    if half == "upper":
+        centers = centers[x > plane - 0.25 * h]
+    elif half == "lower":
+        centers = centers[x < plane + 0.25 * h]
+    image = centers.copy()
+    image[:, axis] = 2.0 * plane - image[:, axis]
+    points = image if half is None else np.concatenate([centers, image])
+    corner = points.min(axis=0) - 0.5 * h
+    idx = np.rint((points - corner) / h - 0.5).astype(np.int64)
+    spec = GridSpec(e.spec.dim, tuple(idx.max(axis=0) + 1), h, tuple(corner))
+    occ = np.zeros(spec.cells, dtype=bool)
+    occ[tuple(idx.T)] = True
+    lo = origin[axis]
+    hi = lo + e.spec.cells[axis] * h
+    span = (
+        min(lo, image[:, axis].min() - 0.5 * h),
+        max(hi, image[:, axis].max() + 0.5 * h),
+    )
+    return GridSet(spec, occ), span

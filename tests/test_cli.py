@@ -176,6 +176,32 @@ def test_error_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_dimension_contradicting_shape_exits_2(source, tmp_path, capsys):
+    args = ["perim", "--shape", "kind=ball r=1.0 cx=0.0 cy=0.0", "--s", "0.5",
+            "--h", "0.25"]
+    if source == "config":
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("n = 1\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--n", "1"]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "contradicts a 2-dimensional shape" in err
+
+
+def test_config_dimension_matching_shape_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("dim = 2\n")
+    code, out, _ = run(
+        ["asym", "--shape", ELLIPSE, "--h", "0.25", "--config", str(cfg)], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "set,N,h,A,cx,cy"
+
+
 @pytest.mark.parametrize(
     "args,field",
     [

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from fracperim import (
+    DomainTooSmallError,
     EmptySetError,
     GridMismatchError,
     GridSet,
     GridSpec,
     OffLatticePlaneError,
     bisect_halves,
+    extension_domain,
     load_gridset,
+    pad_domain,
     reflect,
     same_region,
     save_gridset,
@@ -19,6 +22,8 @@ from fracperim import (
     translate_cells,
     unit_ball_volume,
 )
+from oracles import mirror_oracle
+
 
 def interval_set(cells, n=8, h=0.5, origin=0.0):
     spec = GridSpec(1, (n,), h, (origin,))
@@ -55,6 +60,18 @@ def test_occupancy_is_frozen():
     e = GridSet.from_cells(spec, [(1,)])
     with pytest.raises(ValueError):
         e.occupancy[0] = True
+
+
+def test_from_cells_rejects_cells_off_the_grid():
+    line = GridSpec(1, (4,), 1.0, (0.0,))
+    with pytest.raises(DomainTooSmallError, match=r"\(-1,\)"):
+        GridSet.from_cells(line, [(-1,)])  # would wrap to the last cell
+    with pytest.raises(DomainTooSmallError, match=r"\(4,\)"):
+        GridSet.from_cells(line, [(4,)])
+    square = GridSpec(2, (3, 3), 1.0, (0.0, 0.0))
+    with pytest.raises(GridMismatchError, match=r"\(1,\)"):
+        GridSet.from_cells(square, [(1,)])  # would fill a whole row
+    assert GridSet.from_cells(square, [(2, 0)]).cells().tolist() == [[2, 0]]
 
 
 def test_shape_mismatch_raises():
@@ -176,3 +193,75 @@ def test_empty_set_guards():
     assert e.is_empty
     with pytest.raises(EmptySetError):
         e.bounding_cells()
+
+
+def _random_sets(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(1, 3))
+        cells = tuple(int(n) for n in rng.integers(1, 10, size=dim))
+        h = float(rng.choice([1.0, 0.5, 0.1, 1 / 3]))
+        origin = tuple(float(x) for x in rng.uniform(-5.0, 5.0, size=dim))
+        occ = rng.random(cells) < rng.uniform(0.2, 0.8)
+        if occ.any():
+            yield GridSet(GridSpec(dim, cells, h, origin), occ)
+
+
+def _check_grown(result, e, axis, span):
+    # the input grid, grown along ``axis`` just enough to hold the image
+    lo, hi = result.spec.extent()[axis]
+    assert lo == pytest.approx(span[0], abs=1e-9 * e.spec.h)
+    assert hi == pytest.approx(span[1], abs=1e-9 * e.spec.h)
+    for k in range(e.spec.dim):
+        if k != axis:
+            assert result.spec.cells[k] == e.spec.cells[k]
+            assert result.spec.origin[k] == e.spec.origin[k]
+
+
+def test_reflect_and_bisect_match_coordinate_mirror_oracle():
+    for e in _random_sets(2024, 60):
+        for axis in range(e.spec.dim):
+            n = e.spec.cells[axis]
+            for q in range(-2, 2 * n + 3):  # every half-lattice plane near the grid
+                plane = e.spec.origin[axis] + 0.5 * q * e.spec.h
+                region, span = mirror_oracle(e, axis, plane)
+                r = reflect(e, axis, plane)
+                assert same_region(r, region)
+                _check_grown(r, e, axis, span)
+            plane, f_plus, f_minus = bisect_halves(e, axis)
+            for half, f in (("upper", f_plus), ("lower", f_minus)):
+                region, span = mirror_oracle(e, axis, plane, half)
+                assert same_region(f, region)
+                _check_grown(f, e, axis, span)
+
+
+def test_bisect_far_from_the_origin():
+    # a doubled plane index turned into a float plane and rounded back
+    # fails out here: 1.4e8 / 0.003 cells is not a half-integer to 1e-6
+    h = 0.003
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        occ = rng.random((9, 11)) < 0.5
+        if not occ.any():
+            continue
+        far = GridSet(GridSpec(2, (9, 11), h, (1.4e8, -1.4e8)), occ)
+        near = GridSet(GridSpec(2, (9, 11), h, (0.0, 0.0)), occ)
+        for axis in (0, 1):
+            _, *far_halves = bisect_halves(far, axis)
+            _, *near_halves = bisect_halves(near, axis)
+            for a, b in zip(far_halves, near_halves):
+                assert np.array_equal(a.trimmed().occupancy, b.trimmed().occupancy)
+
+
+def test_every_re_embedding_keeps_cells_in_place():
+    # one origin rule: a cell offset k from the grid lands at origin + k*h
+    spec = GridSpec(2, (9, 7), 0.1, (0.3, -1.7))
+    e = GridSet.from_cells(spec, [(2, 3), (5, 4), (6, 3)])
+    assert e.trimmed().spec == spec.window((2, 3), (5, 2))
+    assert pad_domain(e, 3).spec == spec.window((-1, 0), (11, 8))
+    assert translate_cells(e, (4, -2)).spec == spec.window((4, -2), spec.cells)
+    grid, embedded = extension_domain(e)
+    pad = (grid.base.cells[0] - 5) // 2  # the bounding box spans 5 x 2 cells
+    assert grid.base == embedded.spec == pad_domain(e, pad).spec
+    for f in (e.trimmed(), pad_domain(e, 3), embedded):
+        assert same_region(f, e)

@@ -297,7 +297,8 @@ def test_perimeter_independent_of_table_history():
     small = rasterize(Ball((0.0, 0.0), 0.5), auto_spec(Ball((0.0, 0.0), 0.5), h))
     large = rasterize(AxisBox((0.0, 0.0), (5.0, 2.0)),
                       auto_spec(AxisBox((0.0, 0.0), (5.0, 2.0)), h))
-    # two cells far apart: too sparse to grow a table, so evaluated directly
+    # two cells far apart: their tails read Phi entries of the table's memo
+    # that the large set, measured first, has already filled
     spec = GridSpec(2, (40, 40), h, (0.0, 0.0))
     sparse = GridSet.from_cells(spec, [(0, 0), (30, 5)])
     fresh = [fractional_perimeter(e, build_table(params, h=h))
