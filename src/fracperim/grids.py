@@ -10,6 +10,7 @@ the full grid, axis 0 first.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,11 +259,23 @@ def set_algebra(a: GridSet, b: GridSet | None, op: str) -> GridSet:
 
 
 def _lattice_position(spec: GridSpec, axis: int, plane: float) -> int:
-    """Plane coordinate as an integer count of half-cells from the origin."""
-    t = (plane - spec.origin[axis]) / spec.h
+    """Plane coordinate as an integer count of half-cells from the origin.
+
+    A plane far from zero carries the rounding of its own coordinate and
+    of the origin's, so the half-integer test allows 1e-6 half-cells plus
+    four roundings of (|plane| + |origin|) / h.
+    """
+    origin = spec.origin[axis]
+    t = (plane - origin) / spec.h
     doubled = 2.0 * t
     nearest = round(doubled)
-    if abs(doubled - nearest) > 1e-6:
+    slack = 4.0 * sys.float_info.epsilon * (abs(plane) + abs(origin)) / spec.h
+    if slack >= 0.25:
+        raise OffLatticePlaneError(
+            f"plane {plane} cannot name a lattice line along axis {axis}: "
+            f"its rounding spans {slack} half-cells"
+        )
+    if abs(doubled - nearest) > 1e-6 + slack:
         raise OffLatticePlaneError(
             f"plane {plane} is off-lattice along axis {axis}: "
             f"{t} cells from the origin is not a half-integer"

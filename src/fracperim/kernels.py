@@ -351,10 +351,6 @@ class InteractionTable:
     def scale_factor(self) -> float:
         return self.h ** (self.params.dim - self.params.s)
 
-    def unit_entry(self, offset) -> float:
-        key = tuple(int(c) for c in np.atleast_1d(offset))
-        return self.entries[key]
-
     def check_grid(self, spec) -> None:
         """Raise GridMismatchError unless ``spec`` has this table's dim and h."""
         if self.params.dim != spec.dim or self.h != spec.h:

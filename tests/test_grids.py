@@ -253,6 +253,32 @@ def test_bisect_far_from_the_origin():
                 assert np.array_equal(a.trimmed().occupancy, b.trimmed().occupancy)
 
 
+def test_reflect_across_bisect_plane_far_from_the_origin():
+    # 1.4e8 carries about 3e-8 of rounding, some 1e-5 of a cell at h = 0.003:
+    # the plane bisect_halves returns must still name its lattice line
+    h = 0.003
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        occ = rng.random((9, 11)) < 0.5
+        if not occ.any():
+            continue
+        far = GridSet(GridSpec(2, (9, 11), h, (1.4e8, -1.4e8)), occ)
+        near = GridSet(GridSpec(2, (9, 11), h, (0.0, 0.0)), occ)
+        for axis in (0, 1):
+            far_plane, *_ = bisect_halves(far, axis)
+            near_plane, *_ = bisect_halves(near, axis)
+            a = reflect(far, axis, far_plane).trimmed().occupancy
+            b = reflect(near, axis, near_plane).trimmed().occupancy
+            assert np.array_equal(a, b)
+
+
+def test_reflect_refuses_a_plane_its_rounding_cannot_place():
+    # at 1e15 with h = 1e-3 a coordinate's rounding spans many half-cells
+    e = GridSet.from_cells(GridSpec(1, (4,), 1e-3, (1e15,)), [(1,)])
+    with pytest.raises(OffLatticePlaneError, match="cannot name"):
+        reflect(e, 0, 1e15)
+
+
 def test_every_re_embedding_keeps_cells_in_place():
     # one origin rule: a cell offset k from the grid lands at origin + k*h
     spec = GridSpec(2, (9, 7), 0.1, (0.3, -1.7))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from fracperim import (
     AxisBox,
@@ -30,7 +31,9 @@ from fracperim.kernels import (
 )
 from fracperim.perimeter import (
     TailTable,
+    _EdgeArc,
     _offset_kernel,
+    _phi,
     fractional_perimeter,
     gagliardo_seminorm,
     single_cell_perimeter,
@@ -269,6 +272,74 @@ def test_gathered_tail_matches_order4_rule_per_cell(s):
         assert np.max(np.abs(got - want) / want) <= 2e-15
 
 
+_ARC_POINTS = np.r_[np.linspace(0.0, 0.5, 401)[1:], 1e-300, 1e-30, 1e-12, 1e-6]
+
+
+def _rel(got, want):
+    return np.max(np.abs(got / want - 1.0))
+
+
+def test_edge_arc_closed_forms():
+    # b = (s + 1)/2 = 1/2, 1, 3/2: B_s I_x(1/2, b) is asin(sqrt x), sqrt x
+    # and (asin(sqrt x) + sqrt(x(1 - x)))/2, with B_s = pi/2, 1 and pi/4
+    x = _ARC_POINTS
+    root, asin = np.sqrt(x), np.arcsin(np.sqrt(x))
+    flat, line, square = _EdgeArc(0.0), _EdgeArc(1.0), _EdgeArc(2.0)
+    assert flat.full == pytest.approx(math.pi / 2, rel=5e-16)
+    assert line.full == pytest.approx(1.0, rel=5e-16)
+    assert square.full == pytest.approx(math.pi / 4, rel=5e-16)
+    assert _rel(flat.lower(x), asin) <= 5e-16
+    assert _rel(line.lower(x), root) <= 5e-16
+    assert _rel(square.lower(x), 0.5 * (asin + np.sqrt(x * (1 - x)))) <= 5e-16
+    # x -> 1 through y = 1 - x: the complement keeps its digits
+    y = x
+    assert _rel(flat.complement(y), np.arcsin(np.sqrt(y))) <= 5e-16
+    assert _rel(line.complement(y), y / (1.0 + np.sqrt(1.0 - y))) <= 5e-16
+    near_one = 0.5 * (np.arccos(np.sqrt(y)) + np.sqrt(y * (1.0 - y)))
+    assert _rel(square.full - square.complement(y), near_one) <= 5e-16
+    # the call picks the branch from lat2 <= d2 and forms y from d2 itself;
+    # at s = 0 the arc is the angle atan2(lat, d)
+    lat2 = np.array([1.0, 3.0, 1e-40, 1.0, 1.0, 2.0])
+    d2 = np.array([3.0, 1.0, 1.0, 1e-10, 1e-30, 2.0])
+    want = np.arctan2(np.sqrt(lat2), np.sqrt(d2))
+    assert _rel(flat(lat2, d2), want) <= 5e-16
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.45, 0.75, 0.95])
+def test_edge_arc_matches_betainc(s):
+    b = 0.5 * (s + 1.0)
+    arc = _EdgeArc(s)
+    x = _ARC_POINTS
+    assert _rel(arc.full, 0.5 * special.beta(0.5, b)) <= 5e-16
+    assert _rel(arc.lower(x) / arc.full, special.betainc(0.5, b, x)) <= 2e-15
+    assert _rel(arc.complement(x) / arc.full, special.betainc(b, 0.5, x)) <= 2e-15
+
+
+def test_phi_bits_do_not_depend_on_array_shape():
+    arc = _EdgeArc(0.35)
+    p = np.arange(60.0)[:, None]
+    q = np.arange(45.0)[None, :]
+    grid = _phi(p, q, arc)
+    flat = np.broadcast_to(p, grid.shape).ravel(), np.broadcast_to(q, grid.shape).ravel()
+    assert np.array_equal(_phi(*flat, arc), grid.ravel())
+    for step in (7, 1):
+        pieces = [_phi(flat[0][k:k + step], flat[1][k:k + step], arc)
+                  for k in range(0, grid.size, step)]
+        assert np.array_equal(np.concatenate(pieces), grid.ravel())
+
+
+def test_phi_fill_calls_no_betainc(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("betainc called")
+
+    e = rasterize(Ball((0.0, 0.0), 0.5), auto_spec(Ball((0.0, 0.0), 0.5), 1 / 16))
+    want = fractional_perimeter(e, build_table(KernelParams(2, 0.4), h=1 / 16))
+    monkeypatch.setattr(special, "betainc", refuse)
+    table = build_table(KernelParams(2, 0.4), h=1 / 16)
+    assert fractional_perimeter(e, table) == want
+    assert table.tail_table.evaluations > 0
+
+
 def _every_cell(n):
     # every cell of an n x n box reads every Phi(p, q) with p, q < n
     return np.argwhere(np.ones((n, n), dtype=bool))
@@ -493,7 +564,7 @@ def _double_sum_seminorm(values, tab):
             if max(abs(x) for x in d) == 0:
                 continue
             if max(abs(x) for x in d) <= tab.cutoff_radius:
-                j = tab.unit_entry(d)
+                j = tab.entries[d]
             else:
                 j = far_kernel_unit(np.array([d]), params, FAR_RULE)[0]
             cross.append(values[c] * values[c2] * j)
