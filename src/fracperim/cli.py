@@ -4,7 +4,8 @@ Eight subcommands: per-shape measurements (perim, asym, deficit),
 function and field transforms (rearrange, extend), and batch studies
 (sweep-s, exponent-study, verify).  Analysis output is CSV with a header
 row; a --config file supplies defaults and explicit flags override it.
-Exit code 0 means every assertion the command makes passed.
+Exit code 0 means every assertion the command makes passed, 1 that one
+failed, and 2 that the input was bad or the work did not fit in memory.
 """
 
 from __future__ import annotations
@@ -309,6 +310,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, cfg)
     except (FracperimError, ValueError, OSError) as exc:
         sys.stderr.write(f"fracperim: error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"fracperim: error: out of memory: {exc}\n")
         return 2
 
 

@@ -324,9 +324,7 @@ def _bbox_midpoint(e: GridSet) -> np.ndarray:
     )
 
 
-def centered_sandwich_check(
-    e: GridSet, *, tol: float | None = None
-) -> tuple[float, float]:
+def centered_sandwich_check(e: GridSet) -> tuple[float, float]:
     """Asymmetry against the centered symmetric difference ratio.
 
     For a set symmetric across its own midplanes, the symmetric difference
@@ -337,9 +335,9 @@ def centered_sandwich_check(
     Both sides count overlap with the same continuum window on cell
     centers, and the window measure equals the set measure by the choice
     of radius, so the lower bound is structural: the ratio evaluates the
-    asymmetry objective at one particular center.  The default tolerance
-    charges one boundary layer of cells, the lattice analogue of an
-    arbitrarily small perturbation.
+    asymmetry objective at one particular center.  ``tol`` is the measure
+    of one boundary layer of cells relative to the set's, the lattice
+    analogue of an arbitrarily small perturbation.
     """
     if e.is_empty:
         raise EmptySetError("sandwich check needs a nonempty set")
@@ -352,8 +350,7 @@ def centered_sandwich_check(
             f"(allowed {allowed}); first defects: {shown}",
             defect_cells=shown,
         )
-    if tol is None:
-        tol = boundary_cell_count(e) * e.spec.h**e.spec.dim / e.measure
+    tol = boundary_cell_count(e) * e.spec.h**e.spec.dim / e.measure
     asym, _ = fraenkel_asymmetry(e)
     r = equivalent_radius(e)
     pts = _occupied_centers(e)
@@ -417,16 +414,16 @@ def n_symmetrize(
     *,
     margin: int = DEFAULT_MARGIN,
     threads: int = 1,
-    tol: float | None = None,
 ) -> tuple[GridSet, SymmetrizeAudit]:
     """Reflect the set axis by axis into a nearly symmetric competitor.
 
     Along each axis the set is split by the near-median grid line and both
     reflected half-sums are measured.  Among the candidates whose deficit
-    stays below twice the current deficit plus a tolerance, the one with
-    the larger asymmetry wins (ties to the upper half).  If neither
-    qualifies the better one is kept and the audit is flagged; that signals
-    the discretization is too coarse for the halving bound.
+    stays below twice the current deficit plus the current error budget
+    (``s_deficit``'s ``error_budget``), the one with the larger asymmetry
+    wins (ties to the upper half).  If neither qualifies the better one is
+    kept and the audit is flagged; that signals the discretization is too
+    coarse for the halving bound.
 
     Each step also checks that the mean candidate perimeter does not exceed
     the current perimeter, a structural reflection inequality on grids with
@@ -447,7 +444,7 @@ def n_symmetrize(
             ("+", _normalized(f_plus, margin)),
             ("-", _normalized(f_minus, margin)),
         ]
-        gate = 2.0 * ds_cur + (budget_cur if tol is None else tol)
+        gate = 2.0 * ds_cur + budget_cur
         stats = []
         for label, cand in halves:
             ps_c, _, ds_c, budget_c = _deficit_parts(

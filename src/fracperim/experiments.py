@@ -430,6 +430,10 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
+# what each verify check returns: (passed, measured, bound)
+_Outcome = tuple[bool, float, float]
+
+
 def _interval_closed_form(length: float, s: float) -> float:
     return 2.0 * length ** (1.0 - s) / (s * (1.0 - s))
 
@@ -468,32 +472,32 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
 
     def add(name: str, fn) -> None:
         try:
-            checks.append(fn())
+            checks.append(VerifyCheck(name, *fn()))
         except Exception as exc:  # collected, not raised
             checks.append(
                 VerifyCheck(name, False, math.nan, math.nan, repr(exc))
             )
 
     # --- perimeter engine against closed forms
-    def chk_interval() -> VerifyCheck:
+    def chk_interval() -> _Outcome:
         h, s = 2.0**-8, 0.5
         e = _aligned_interval_set(h, ((0.0, 1.0),))
         table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
         got = fractional_perimeter(e, table, threads=1)
         want = _interval_closed_form(1.0, s)
         rel = abs(got - want) / want
-        return VerifyCheck("interval-closed-form", rel <= 1e-4, rel, 1e-4)
+        return rel <= 1e-4, rel, 1e-4
 
-    def chk_union() -> VerifyCheck:
+    def chk_union() -> _Outcome:
         h, s = 2.0**-7, 0.5
         e = _aligned_interval_set(h, ((0.0, 1.0), (2.0, 3.0)))
         table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
         got = fractional_perimeter(e, table, threads=1)
         want = 24.0 + 8.0 * math.sqrt(3.0) - 16.0 * math.sqrt(2.0)
         rel = abs(got - want) / want
-        return VerifyCheck("two-interval-closed-form", rel <= 1e-6, rel, 1e-6)
+        return rel <= 1e-6, rel, 1e-6
 
-    def _scaling_check(name: str, e: GridSet, lam: int, dim: int) -> VerifyCheck:
+    def _scaling_check(e: GridSet, lam: int, dim: int) -> _Outcome:
         s = 0.5
         h = e.spec.h
         t1 = build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
@@ -507,17 +511,17 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         ulp = math.ulp(max(abs(lhs), abs(rhs)))
         measured = abs(lhs - rhs) / ulp
         bound = float(8 * e.cell_count)
-        return VerifyCheck(name, measured <= bound, measured, bound)
+        return measured <= bound, measured, bound
 
-    def chk_scaling_1d() -> VerifyCheck:
+    def chk_scaling_1d() -> _Outcome:
         e = _aligned_interval_set(1 / 16, ((0.0, 0.75),))
-        return _scaling_check("scaling-1d", e, 2, 1)
+        return _scaling_check(e, 2, 1)
 
-    def chk_scaling_2d() -> VerifyCheck:
+    def chk_scaling_2d() -> _Outcome:
         e = rasterize(Ball((0.0, 0.0), 0.5), auto_spec(Ball((0.0, 0.0), 0.5), 1 / 8))
-        return _scaling_check("scaling-2d", e, 4, 2)
+        return _scaling_check(e, 4, 2)
 
-    def chk_subadditive() -> VerifyCheck:
+    def chk_subadditive() -> _Outcome:
         h, s = 1 / 16, 0.5
         table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
         e1 = _aligned_interval_set(h, ((0.0, 1.0),))
@@ -528,35 +532,33 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
             + fractional_perimeter(e2, table, threads=1)
             - fractional_perimeter(union, table, threads=1)
         )
-        return VerifyCheck("union-subadditive", gap > 0.0, gap, 0.0)
+        return gap > 0.0, gap, 0.0
 
     # --- deficit / asymmetry
-    def chk_ball_deficit() -> VerifyCheck:
+    def chk_ball_deficit() -> _Outcome:
         h, s = 1 / 16, 0.5
         shape = Ball((0.0, 0.0), 1.0)
         e = rasterize(shape, auto_spec(shape, h))
         centered = reference_ball(e)
         table = build_table(KernelParams(2, s), h=h, cutoff=config.cutoff)
         report = s_deficit(centered, table, margin=config.margin)
-        return VerifyCheck(
-            "centered-ball-zero-deficit", report.deficit == 0.0, report.deficit, 0.0
-        )
+        return report.deficit == 0.0, report.deficit, 0.0
 
-    def chk_asym_range() -> VerifyCheck:
+    def chk_asym_range() -> _Outcome:
         e = _blob_2d(config.seed, 1 / 16)
         a, _ = fraenkel_asymmetry(e)
         ok = 0.0 <= a <= 2.0
-        return VerifyCheck("asymmetry-range", ok, a, 2.0)
+        return ok, a, 2.0
 
-    def chk_asym_far_union() -> VerifyCheck:
+    def chk_asym_far_union() -> _Outcome:
         rho = 1.0 / math.sqrt(2.0)
         shape = UnionShape((Ball((-4.0, 0.0), rho), Ball((4.0, 0.0), rho)))
         e = rasterize(shape, auto_spec(shape, 1 / 16))
         a, _ = fraenkel_asymmetry(e)
         err = abs(a - 1.0)
-        return VerifyCheck("asymmetry-far-union", err <= 0.02, err, 0.02)
+        return err <= 0.02, err, 0.02
 
-    def chk_reflection() -> VerifyCheck:
+    def chk_reflection() -> _Outcome:
         h, s = 1 / 16, 0.5
         e = _blob_2d(config.seed + 1, h)
         table = build_table(KernelParams(2, s), h=h, cutoff=config.cutoff)
@@ -569,9 +571,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
                 + fractional_perimeter(minus, table, threads=1)
             )
             worst = max(worst, (avg - p_e) / p_e)
-        return VerifyCheck("reflection-inequality", worst <= 1e-9, worst, 1e-9)
+        return worst <= 1e-9, worst, 1e-9
 
-    def chk_sandwich() -> VerifyCheck:
+    def chk_sandwich() -> _Outcome:
         h = 1 / 16
         spec = GridSpec(2, (48, 48), h, (0.0, 0.0))
         occ = np.zeros((48, 48), dtype=bool)
@@ -580,9 +582,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         e = GridSet(spec, occ)
         asym, ratio = centered_sandwich_check(e)
         ok = asym <= ratio + 1e-12
-        return VerifyCheck("sandwich-cross", ok, ratio - asym, 0.0)
+        return ok, ratio - asym, 0.0
 
-    def chk_symmetrize() -> VerifyCheck:
+    def chk_symmetrize() -> _Outcome:
         h, s = 1 / 16, 0.5
         shape = Ellipse((0.37, -0.21), 1.25, 0.8)
         e = rasterize(shape, auto_spec(shape, h))
@@ -591,12 +593,10 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         sym, audit = n_symmetrize(e, table, margin=config.margin)
         bound = 4.0 * before.deficit + 2.0 * before.error_budget
         ok = (not audit.bound_violated) and audit.final_deficit <= bound
-        return VerifyCheck(
-            "symmetrize-deficit-bound", ok, audit.final_deficit, bound
-        )
+        return ok, audit.final_deficit, bound
 
     # --- rearrangement
-    def chk_polya() -> VerifyCheck:
+    def chk_polya() -> _Outcome:
         # compact paraboloid bumps keep the support clear of the grid rim,
         # for both the function and its rearrangement
         spec = GridSpec(2, (33, 33), 1 / 16, (0.0, 0.0))
@@ -615,32 +615,30 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
             np.sort(g.values.ravel()), np.sort(sharp.values.ravel())
         )
         ok = report.gap >= 0.0 and equal
-        return VerifyCheck("polya-szego", ok, report.gap, 0.0)
+        return ok, report.gap, 0.0
 
-    def chk_dirichlet_oracle() -> VerifyCheck:
+    def chk_dirichlet_oracle() -> _Outcome:
         spec = GridSpec(1, (5,), 1.0, (0.0,))
         g = GridFunction(spec, np.array([0.0, 1.0, 2.0, 1.0, 0.0]))
         got = dirichlet_energy(g)
-        return VerifyCheck(
-            "dirichlet-tent-oracle", got == 4.0, got, 4.0
-        )
+        return got == 4.0, got, 4.0
 
-    def chk_rearrange_example() -> VerifyCheck:
+    def chk_rearrange_example() -> _Outcome:
         spec = GridSpec(1, (4,), 1.0, (0.0,))
         g = GridFunction(spec, np.array([0.0, 5.0, 0.0, 1.0]))
         sharp = symmetric_rearrangement(g)
         want = np.array([0.0, 1.0, 5.0, 0.0])
         ok = np.array_equal(sharp.values, want)
-        return VerifyCheck("rearrange-worked-example", ok, float(ok), 1.0)
+        return ok, float(ok), 1.0
 
     # --- extension
-    def chk_lambda() -> VerifyCheck:
+    def chk_lambda() -> _Outcome:
         got = lambda_constant(KernelParams(2, 0.5))
         want = 0.5 / (2.0 * math.pi)
         err = abs(got - want)
-        return VerifyCheck("lambda-closed-form", err <= 1e-12, err, 1e-12)
+        return err <= 1e-12, err, 1e-12
 
-    def chk_kernel_mass() -> VerifyCheck:
+    def chk_kernel_mass() -> _Outcome:
         rng = np.random.default_rng(config.seed + 3)
         worst = 0.0
         for dim in (1, 2):
@@ -650,9 +648,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
                 x_arg = float(x[0]) if dim == 1 else tuple(x)
                 mass = poisson_kernel_mass(KernelParams(dim, 0.5), x_arg, z)
                 worst = max(worst, abs(mass - 1.0))
-        return VerifyCheck("kernel-normalization", worst <= 1e-6, worst, 1e-6)
+        return worst <= 1e-6, worst, 1e-6
 
-    def chk_extension_identity() -> VerifyCheck:
+    def chk_extension_identity() -> _Outcome:
         gamma = calibrate_gamma(
             Interval(0.0, 2.0),
             Interval(0.0, 1.0),
@@ -660,9 +658,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
             1 / 32,
             rtol=0.02,
         )
-        return VerifyCheck("extension-identity", gamma > 0.0, gamma, 0.0)
+        return gamma > 0.0, gamma, 0.0
 
-    def chk_rearranged_energy() -> VerifyCheck:
+    def chk_rearranged_energy() -> _Outcome:
         shape = UnionShape((Interval(0.0, 0.8), Interval(1.5, 2.7)))
         e = rasterize(shape, auto_spec(shape, 1 / 32))
         grid, emb = extension_domain(e, z0=config.z0, rho=config.rho)
@@ -672,19 +670,19 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         after = extension_energy(star)
         worst = max(after.x_part - before.x_part, after.z_part - before.z_part)
         bound = 1e-12 * before.total
-        return VerifyCheck("rearranged-energy", worst <= bound, worst, bound)
+        return worst <= bound, worst, bound
 
-    def chk_trace_monotone() -> VerifyCheck:
+    def chk_trace_monotone() -> _Outcome:
         shape = Interval(0.0, 1.0)
         e = rasterize(shape, auto_spec(shape, 1 / 16))
         grid, emb = extension_domain(e, z0=config.z0, rho=config.rho)
         u = poisson_extend(emb, grid, KernelParams(1, 0.5))
         dist = trace_check(u)
         rise = float(np.diff(dist).min())
-        return VerifyCheck("trace-monotone", rise > 0.0, rise, 0.0)
+        return rise > 0.0, rise, 0.0
 
     # --- families and plumbing
-    def chk_family_norm() -> VerifyCheck:
+    def chk_family_norm() -> _Outcome:
         worst = 0.0
         grids = {
             "ellipse-ecc": (0.0, 0.3),
@@ -698,9 +696,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
             for member in generate_family(name, params):
                 target = unit_ball_volume(member.dim)
                 worst = max(worst, abs(member.shape.volume - target))
-        return VerifyCheck("family-normalization", worst <= 1e-8, worst, 1e-8)
+        return worst <= 1e-8, worst, 1e-8
 
-    def chk_tamper() -> VerifyCheck:
+    def chk_tamper() -> _Outcome:
         # fault injection: a 1% dent in one table entry and its mirror must
         # push the closed-form reproduction outside the oracle tolerance
         h, s = 2.0**-8, 0.5
@@ -715,9 +713,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         )
         want = _interval_closed_form(1.0, s)
         rel = abs(fractional_perimeter(e, tampered, threads=1) - want) / want
-        return VerifyCheck("tamper-detected", rel > oracle_tol, rel, oracle_tol)
+        return rel > oracle_tol, rel, oracle_tol
 
-    def chk_empty_errors() -> VerifyCheck:
+    def chk_empty_errors() -> _Outcome:
         spec = GridSpec(1, (16,), 1 / 8, (0.0,))
         empty = GridSet.empty(spec)
         table = build_table(KernelParams(1, 0.5), h=1 / 8, cutoff=config.cutoff)
@@ -733,11 +731,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
                 probe()
             except EmptySetError:
                 hits += 1
-        return VerifyCheck(
-            "empty-set-errors", hits == len(probes), float(hits), float(len(probes))
-        )
+        return hits == len(probes), float(hits), float(len(probes))
 
-    def chk_csv_determinism() -> VerifyCheck:
+    def chk_csv_determinism() -> _Outcome:
         tiny = replace(
             config,
             dim=2,
@@ -750,7 +746,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         first = sweep_csv(sweep_s(tiny))
         second = sweep_csv(sweep_s(replace(tiny, threads=2)))
         same = first == second
-        return VerifyCheck("csv-determinism", same, float(same), 1.0)
+        return same, float(same), 1.0
 
     for name, fn in (
         ("interval-closed-form", chk_interval),

@@ -83,6 +83,8 @@ _INV_SQRT3 = 1.0 / math.sqrt(3.0)
 # about 2e-5 relative error (checked against adaptive quadrature).
 _PANEL_SCALE = 8.0
 _PANEL_CAP = 64
+# share of the total energy past which the truncation estimate warns
+_TRUNCATION_SHARE = 0.01
 
 
 class TruncationWarning(RuntimeWarning):
@@ -472,9 +474,7 @@ def _slab_weight(a: float, b: float, s: float) -> float:
     return (b**p - a**p) / p
 
 
-def extension_energy(
-    u: ExtensionField, *, warn_threshold: float = 0.01
-) -> ExtensionEnergy:
+def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     """Assemble int z^(1-s) |grad u|^2 from the level stack.
 
     Lateral gradients are forward differences at each level, weighted by
@@ -482,12 +482,10 @@ def extension_energy(
     at midpoints between consecutive levels).  Vertical gradients are
     difference quotients between consecutive levels, the boundary datum
     acting as the level at z = 0.  A decay-model estimate of the energy
-    ignored outside the computed box is returned, and a warning is
-    issued when it is not small against the total.
+    ignored outside the computed box is returned, and a TruncationWarning
+    is issued when it exceeds _TRUNCATION_SHARE of the total.
     """
-    return _energy(
-        u.grid, u.params.s, u.datum, zip(u.grid.z_levels, u.values), warn_threshold
-    )
+    return _energy(u.grid, u.params.s, u.datum, zip(u.grid.z_levels, u.values))
 
 
 def lift_energy(
@@ -496,7 +494,6 @@ def lift_energy(
     params: KernelParams,
     *,
     threads: int = 1,
-    warn_threshold: float = 0.01,
 ) -> ExtensionEnergy:
     """extension_energy(poisson_extend(e, grid, params)), bit for bit.
 
@@ -507,12 +504,10 @@ def lift_energy(
         (z, _unit_clip(level, out=level))
         for z, level in _lift_levels(e, grid, params, threads)
     )
-    return _energy(grid, params.s, e.occupancy, levels, warn_threshold)
+    return _energy(grid, params.s, e.occupancy, levels)
 
 
-def _energy(
-    grid: HalfSpaceGrid, s: float, datum, levels, warn_threshold: float
-) -> ExtensionEnergy:
+def _energy(grid: HalfSpaceGrid, s: float, datum, levels) -> ExtensionEnergy:
     """extension_energy over the (z, u(., z)) pairs of the grid's levels."""
     h = grid.base.h
     n = grid.base.dim
@@ -560,7 +555,7 @@ def _energy(
     est = lateral_est + top_est
 
     total = x_part + z_part
-    if total > 0.0 and est > warn_threshold * total:
+    if total > 0.0 and est > _TRUNCATION_SHARE * total:
         warnings.warn(
             "field had not decayed at the domain edge: estimated "
             f"neglected energy {est:.3e} vs total {total:.3e}",
@@ -587,18 +582,14 @@ class GammaRecord:
 
 
 class ConstantsRegistry:
-    """Analytic, calibrated, and measured constants keyed by (dim, s).
+    """Calibrated energy-to-perimeter constants keyed by (dim, s).
 
-    The kernel normalization is analytic and computed on demand; the
-    energy-to-perimeter constant is only available after a calibration
-    recorded the reference shape and its cross-validation residual; the
-    small-s/large-s limit slopes are measured values with a provenance
-    string.
+    A constant is only available after a calibration recorded it with its
+    reference shape and cross-validation residual.
     """
 
     def __init__(self) -> None:
         self._gamma: dict[tuple[int, float], GammaRecord] = {}
-        self._limits: dict[int, tuple[float, str]] = {}
 
     def record_gamma(
         self,
@@ -613,9 +604,6 @@ class ConstantsRegistry:
         self._gamma[(params.dim, params.s)] = rec
         return rec
 
-    def gamma_value(self, params: KernelParams) -> float:
-        return self.gamma_record(params).value
-
     def gamma_record(self, params: KernelParams) -> GammaRecord:
         key = (params.dim, params.s)
         if key not in self._gamma:
@@ -623,18 +611,6 @@ class ConstantsRegistry:
                 f"no calibrated constant for dim={params.dim}, s={params.s}"
             )
         return self._gamma[key]
-
-    def record_limit_constant(
-        self, dim: int, value: float, *, source: str
-    ) -> None:
-        if not value > 0.0:
-            raise ValueError("limit constant must be positive")
-        self._limits[dim] = (float(value), source)
-
-    def limit_constant(self, dim: int) -> tuple[float, str]:
-        if dim not in self._limits:
-            raise KeyError(f"no measured limit constant for dim={dim}")
-        return self._limits[dim]
 
 
 def calibrate_gamma(
@@ -646,10 +622,6 @@ def calibrate_gamma(
     table: InteractionTable | None = None,
     registry: ConstantsRegistry | None = None,
     rtol: float = 0.02,
-    z0: float | None = None,
-    rho: float = 1.15,
-    top_factor: float = 8.0,
-    lateral_factor: float = 4.0,
     threads: int = 1,
 ) -> float:
     """Calibrate the energy-to-perimeter constant on a reference shape.
@@ -657,7 +629,8 @@ def calibrate_gamma(
     gamma = 2 * perimeter(reference) / energy(lift of reference); the
     constant is accepted only if (gamma / 2) * energy predicts the
     perimeter of an independent validation shape within `rtol`,
-    otherwise a CalibrationError carries both residuals.
+    otherwise a CalibrationError carries both residuals.  Both shapes
+    are lifted on extension_domain's default geometry.
     """
     if table is None:
         table = build_table(params, h=h)
@@ -667,13 +640,7 @@ def calibrate_gamma(
         if e.is_empty:
             raise EmptySetError("calibration shape rasterized to nothing")
         perim = fractional_perimeter(e, table, threads=threads)
-        grid, embedded = extension_domain(
-            e,
-            z0=z0,
-            rho=rho,
-            top_factor=top_factor,
-            lateral_factor=lateral_factor,
-        )
+        grid, embedded = extension_domain(e)
         energy = lift_energy(embedded, grid, params, threads=threads)
         return perim, energy.total
 
@@ -718,8 +685,8 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     return ExtensionField(u.grid, u.params, levels, new_datum)
 
 
-def trace_check(u: ExtensionField, target: GridSet | None = None) -> np.ndarray:
-    """L2 distance from each level slice to a boundary indicator.
+def trace_check(u: ExtensionField) -> np.ndarray:
+    """L2 distance from each level slice to the boundary datum.
 
     Returns one distance per level, in level order.  For a lift built by
     poisson_extend the distances decrease toward 0 as z drops to the
@@ -728,12 +695,7 @@ def trace_check(u: ExtensionField, target: GridSet | None = None) -> np.ndarray:
     """
     if u.grid.level_count < 4:
         raise ValueError("trace comparison needs at least four levels")
-    if target is None:
-        ind = u.datum.astype(np.float64)
-    else:
-        if target.spec != u.grid.base:
-            raise GridMismatchError("target does not live on the base grid")
-        ind = target.occupancy.astype(np.float64)
+    ind = u.datum.astype(np.float64)
     cell = u.grid.base.h ** u.grid.base.dim
     out = np.empty(u.grid.level_count, dtype=np.float64)
     for j in range(u.grid.level_count):

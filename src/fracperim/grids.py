@@ -101,13 +101,6 @@ class GridSpec:
         """
         return tuple(n // 2 for n in self.cells)
 
-    def center_point(self) -> tuple[float, ...]:
-        """Center coordinate of the anchor cell."""
-        cc = self.center_cell()
-        return tuple(
-            self.origin[k] + (cc[k] + 0.5) * self.h for k in range(self.dim)
-        )
-
     def window(self, lo, cells) -> "GridSpec":
         """The grid of ``cells`` cells whose cell 0 is this grid's cell ``lo``.
 

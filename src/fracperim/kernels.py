@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -393,40 +392,11 @@ def build_table(
     params: KernelParams,
     h: float = 1.0,
     cutoff: int = DEFAULT_CUTOFF,
-    cache_path=None,
 ) -> InteractionTable:
-    """Compute (or load from a compatible cache) the near-window table.
-
-    Values come from ``_window_values``.  A cache miss or a failed write is
-    never fatal; the in-memory table is always returned.
-    """
+    """Compute the near-window table; values come from ``_window_values``."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    if cache_path is not None:
-        try:
-            cached = load_table(cache_path, h=h)
-        except FileNotFoundError:
-            cached = None
-        except (FormatError, OSError) as exc:
-            warnings.warn(f"ignoring unreadable table cache: {exc}")
-            cached = None
-        if (
-            cached is not None
-            and cached.params == params
-            and cached.cutoff_radius == cutoff
-        ):
-            return cached
-        if cached is not None:
-            warnings.warn("table cache is for other parameters; rebuilding")
-
-    entries = _window_values(params, cutoff)
-    table = InteractionTable(params, h, cutoff, entries)
-    if cache_path is not None:
-        try:
-            save_table(table, cache_path)
-        except OSError as exc:
-            warnings.warn(f"could not write table cache: {exc}")
-    return table
+    return InteractionTable(params, h, cutoff, _window_values(params, cutoff))
 
 
 _HEADER = "FRACTAB v1 N={} s={} Rc={}"

@@ -80,10 +80,6 @@ class GridFunction:
     def support_measure(self) -> float:
         return self.support_count * self.spec.h**self.spec.dim
 
-    @property
-    def l1_norm(self) -> float:
-        return float(self.values.sum()) * self.spec.h**self.spec.dim
-
 
 @dataclass(frozen=True)
 class RearrangeReport:

@@ -250,6 +250,19 @@ def test_malformed_infile_exits_2(tmp_path, capsys):
     assert "FRACFUN" in err
 
 
+def test_allocation_failure_exits_2(monkeypatch, capsys):
+    def refuse(shape, spec):
+        raise MemoryError("Unable to allocate 4.66 TiB for an array")
+
+    monkeypatch.setattr("fracperim.cli.rasterize", refuse)
+    code, out, err = run(
+        ["asym", "--shape", "kind=ball r=1e5 cx=0 cy=0", "--h", "0.25"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "out of memory: Unable to allocate 4.66 TiB" in err
+
+
 @pytest.mark.slow
 def test_verify_subcommand_passes(tmp_path, capsys):
     out = tmp_path / "verify.csv"

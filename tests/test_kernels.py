@@ -148,9 +148,9 @@ def test_table_matches_1d_closed_form():
 
 def test_cache_round_trip_bit_identical(tmp_path):
     path = tmp_path / "k.fractab"
-    tab = build_table(KernelParams(2, 0.35), cutoff=5, cache_path=path)
-    again = build_table(KernelParams(2, 0.35), cutoff=5, cache_path=path)
-    assert again.entries == tab.entries
+    tab = build_table(KernelParams(2, 0.35), cutoff=5)
+    save_table(tab, path)
+    assert load_table(path) == tab
     loaded = load_table(path, h=0.125)
     assert loaded.entries == tab.entries
     assert loaded.h == 0.125
@@ -171,48 +171,27 @@ def test_save_is_lexicographic_17_digits(tmp_path):
 
 def test_load_rejects_corruption(tmp_path):
     path = tmp_path / "k.fractab"
-    tab = build_table(KernelParams(1, 0.5), cutoff=3)
+    save_table(build_table(KernelParams(1, 0.5), cutoff=3), path)
+    text = path.read_text()
+    value = text.splitlines()[2].split()[1]
+    for old, new in [
+        (f" {value}\n", " -1.0\n"),
+        ("\n-3 ", "\nx "),
+        ("Rc=3", "Rc=-2"),
+        ("s=0.5", "s=1.5"),
+    ]:
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(FormatError):
+            load_table(path)
+
+
+def test_cache_written_for_numpy_s_reads_back(tmp_path):
+    path = tmp_path / "k.fractab"
+    tab = build_table(KernelParams(1, np.float64(0.5)), cutoff=3)
     save_table(tab, path)
-    body = path.read_text().splitlines()
-    body[2] = body[2].split()[0] + " -1.0"
-    path.write_text("\n".join(body) + "\n")
-    with pytest.raises(FormatError):
-        load_table(path)
-
-
-def test_mismatched_cache_triggers_rebuild(tmp_path):
-    path = tmp_path / "k.fractab"
-    build_table(KernelParams(1, 0.5), cutoff=4, cache_path=path)
-    with pytest.warns(UserWarning):
-        tab = build_table(KernelParams(1, 0.25), cutoff=4, cache_path=path)
-    assert tab.params.s == 0.25
-    # cache now holds the rebuilt parameters
-    assert load_table(path).params.s == 0.25
-
-
-@pytest.mark.parametrize(
-    "old,new",
-    [("\n-3 ", "\nx "), ("Rc=3", "Rc=-2"), ("s=0.5", "s=1.5")],
-    ids=["offset", "Rc", "s"],
-)
-def test_corrupt_cache_is_rebuilt(tmp_path, old, new):
-    path = tmp_path / "k.fractab"
-    params = KernelParams(1, 0.5)
-    build_table(params, cutoff=3, cache_path=path)
-    path.write_text(path.read_text().replace(old, new, 1))
-    with pytest.warns(UserWarning, match="unreadable table cache"):
-        tab = build_table(params, cutoff=3, cache_path=path)
-    assert tab == build_table(params, cutoff=3)
-    assert load_table(path) == tab
-
-
-def test_cache_written_for_numpy_s_reads_back(tmp_path, recwarn):
-    path = tmp_path / "k.fractab"
-    params = KernelParams(1, np.float64(0.5))
-    tab = build_table(params, cutoff=3, cache_path=path)
     assert path.read_text().startswith("FRACTAB v1 N=1 s=0.5 Rc=3\n")
-    assert build_table(params, cutoff=3, cache_path=path) == tab
-    assert not recwarn.list
+    assert load_table(path) == tab
 
 
 def test_far_rule_accuracy_outside_cutoff():

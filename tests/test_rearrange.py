@@ -53,7 +53,6 @@ class TestGridFunction:
         g = _gf([0.0, 3.0, 2.0, 0.0, 1.0], h=0.5)
         assert g.support_count == 3
         assert g.support_measure == pytest.approx(3 * 0.5)
-        assert g.l1_norm == pytest.approx(6.0 * 0.5)
 
     def test_equality_and_hash(self):
         a = _gf([0.0, 1.0, 2.0])

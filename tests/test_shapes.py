@@ -99,7 +99,7 @@ def test_auto_spec_centers_shape():
     shape = Ball((0.3, -0.2), 0.7)
     spec = auto_spec(shape, 0.1, pad=5)
     assert all(n % 2 == 1 for n in spec.cells)
-    cx = spec.center_point()
+    cx = [spec.axis_centers(k)[c] for k, c in enumerate(spec.center_cell())]
     assert cx[0] == pytest.approx(0.3, abs=1e-12)
     assert cx[1] == pytest.approx(-0.2, abs=1e-12)
     e = rasterize(shape, spec)
