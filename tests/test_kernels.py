@@ -174,16 +174,29 @@ def test_load_rejects_corruption(tmp_path):
     save_table(build_table(KernelParams(1, 0.5), cutoff=3), path)
     text = path.read_text()
     value = text.splitlines()[2].split()[1]
-    for old, new in [
-        (f" {value}\n", " -1.0\n"),
-        ("\n-3 ", "\nx "),
-        ("Rc=3", "Rc=-2"),
-        ("s=0.5", "s=1.5"),
-    ]:
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
-        with pytest.raises(FormatError):
-            load_table(path)
+    assert f" {value}\n" in text
+    path.write_text(text.replace(f" {value}\n", " -1.0\n", 1))
+    with pytest.raises(FormatError):
+        load_table(path)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("\n-3 ", "\nx "), ("Rc=3", "Rc=-2"), ("s=0.5", "s=1.5")],
+    ids=["offset", "Rc", "s"],
+)
+def test_corrupt_cache_is_rebuilt(tmp_path, old, new):
+    path = tmp_path / "k.fractab"
+    params = KernelParams(1, 0.5)
+    tab = build_table(params, cutoff=3)
+    save_table(tab, path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(FormatError):
+        load_table(path)
+    save_table(build_table(params, cutoff=3), path)
+    assert load_table(path) == tab
 
 
 def test_cache_written_for_numpy_s_reads_back(tmp_path):
