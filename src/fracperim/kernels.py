@@ -148,18 +148,20 @@ def _pair_unit(offset: tuple, params: KernelParams) -> float:
 def _window_values(params: KernelParams, cutoff: int) -> dict[tuple, float]:
     """Unit pair integrals for every offset of ``window_offsets``.
 
-    One ``far_kernel_unit`` call covers the window; in 2D the two touching
-    classes are then integrated once each and mirrored.  Every value is
-    bit-equal to ``cell_pair_integral`` at h = 1.
+    The rules see only sorted magnitudes a >= b, so one ``far_kernel_unit``
+    call evaluates each class once and its offsets share the value; in 2D
+    the two touching classes (a = 1) are integrated once each instead.
+    Every value is bit-equal to ``cell_pair_integral`` at h = 1.
     """
     offsets = window_offsets(params.dim, cutoff)
-    values = far_kernel_unit(offsets, params, _SMOOTH_ORDER).tolist()
-    entries = dict(zip(offsets, values))
+    mags = -np.sort(-np.abs(np.array(offsets)), axis=1)
+    classes, inverse = np.unique(mags, axis=0, return_inverse=True)
+    values = far_kernel_unit(classes, params, _SMOOTH_ORDER)
     if params.dim == 2:
-        touching = {b: _pair_2d_touching(b, params.s) for b in (0, 1)}
-        for dx, dy in window_offsets(2, 1):
-            entries[(dx, dy)] = touching[min(abs(dx), abs(dy))]
-    return entries
+        for k, (a, b) in enumerate(classes):
+            if a == 1:
+                values[k] = _pair_2d_touching(int(b), params.s)
+    return dict(zip(offsets, values[inverse.reshape(-1)].tolist()))
 
 
 def cell_pair_integral(offset, params: KernelParams, h: float) -> float:

@@ -13,10 +13,13 @@ grown by a margin, into two exactly-accounted parts:
            identity whose edge arcs are incomplete Beta functions, averaged
            over each cell by an order-4 Gauss rule.  The nodes are
            symmetric, so a cell's tail is eight values Phi_s(p, q) at
-           integer offsets from the box edges.  The arcs are evaluated in
-           numpy (``_EdgeArc``): a series in x below x = 1/2 and one in the
-           complement y = 1 - x above, each a Chebyshev interpolant fitted
-           once per s and within 4.5e-16 relative of the true value.
+           integer offsets from the box edges, and the set's tail is
+           sum over slots (p, q) of multiplicity(p, q) * Phi_s(p, q), the
+           multiplicity counted from the occupancy and its flips.  The
+           arcs are evaluated in numpy (``_EdgeArc``): a series in x below
+           x = 1/2 and one in the complement y = 1 - x above, each a
+           Chebyshev interpolant fitted once per s and within 4.5e-16
+           relative of the true value.
 
 The two costly per-value kernels, Phi and the far rule, are memos kept
 with the InteractionTable (``tail_table`` and ``far_table``): each value
@@ -26,18 +29,19 @@ members of a sweep) reads it back.
 
 The Gagliardo seminorm runs through the same kernel and correlation, with
 R the autocorrelation of the grid function.  All sums run on the unit
-lattice and the physical scale enters once through h^(dim-s).  Congruent
-sets give bit-identical values without fixing a frame: both parts are
-exactly rounded ``math.fsum`` over multisets, and a reflection or axis
-swap only permutes those multisets, since K is bit-symmetric, R is an
-exact integer count and a cell's eight Phi(p, q) are permuted among
-themselves.
+lattice and the physical scale enters once through h^(dim-s).  Every sum
+is exactly rounded in numpy (``_exact_sum``: integer mantissas binned by
+exponent, one correctly rounded division), so it equals ``math.fsum`` of
+the same multiset bit for bit.  Congruent sets give bit-identical values
+without fixing a frame: a reflection or axis swap only permutes the
+multisets, since K is bit-symmetric, R is an exact integer count and a
+cell's eight Phi(p, q) are permuted among themselves, so the slot
+multiplicities do not change.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -62,15 +66,56 @@ _ARC_NODES = 20
 # at x <= 1/2 the k-th series term is below 2^-k: 80 leave less than 1e-24
 _SERIES_TERMS = 80
 _FILL_BLOCK = 1 << 16
+# _exact_sum splits a value's 53-bit integer mantissa at bit _SPLIT and
+# bins both halves at its frexp exponent + _EXP_SHIFT - 53, so that the
+# least exponent of a finite float, -1073, lands in bin 0
+_SPLIT = 26
+_EXP_SHIFT = 1126
 _SELF_WINDOW = 8
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Exactly rounded sum of an array, converted to floats a block at a time."""
-    flat = values.ravel()
-    blocks = (flat[k:k + _FILL_BLOCK].tolist()
-              for k in range(0, flat.size, _FILL_BLOCK))
-    return math.fsum(itertools.chain.from_iterable(blocks))
+def _exact_sum(values: np.ndarray, counts: np.ndarray | None = None) -> float:
+    """Correctly rounded sum of counts[i] * values[i] (counts default to 1).
+
+    Each value is m 2^e with m a 53-bit integer (``np.frexp``).  m is split
+    into a high half below 2^27 and a low half below 2^26, each exact in a
+    float64, and each half times its count is binned by e with
+    ``np.bincount``.  While a block's counts add up to at most 2^26, every
+    partial sum of a bin is an integer below 2^53, so the bins are exact
+    in any order.  They fold into one integer N with sum = N / 2^1126, and
+    that one division rounds correctly: the result is ``math.fsum`` of the
+    repeated values, bit for bit.  Blocks of _FILL_BLOCK entries keep each
+    temporary at 512 KB.  A non-finite value raises ValueError.
+    """
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    if counts is not None:
+        counts = np.asarray(counts).ravel()
+        if (counts.shape != flat.shape or counts.dtype.kind not in "iu"
+                or (counts.size and counts.min() < 0)):
+            raise ValueError("counts must be non-negative integers, one per value")
+    total = 0
+    for k in range(0, flat.size, _FILL_BLOCK):
+        block = flat[k:k + _FILL_BLOCK]
+        if not np.isfinite(block).all():
+            raise ValueError("exact sum of a non-finite value")
+        mant, exp = np.frexp(block)
+        exp += _EXP_SHIFT - 53
+        mant *= 2.0**53
+        high = np.trunc(mant * 2.0**-_SPLIT)
+        mant -= high * 2.0**_SPLIT
+        if counts is not None:
+            weights = counts[k:k + _FILL_BLOCK]
+            if int(weights.sum(dtype=np.int64)) > 2**_SPLIT:
+                raise ValueError("counts too large for an exact block sum")
+            high *= weights
+            mant *= weights
+        bins_high = np.bincount(exp, high)
+        bins_low = np.bincount(exp, mant)
+        for e in np.flatnonzero(bins_high):
+            total += int(bins_high[e]) << (int(e) + _SPLIT)
+        for e in np.flatnonzero(bins_low):
+            total += int(bins_low[e]) << int(e)
+    return total / (1 << _EXP_SHIFT)
 
 
 # ---------------------------------------------------------------------------
@@ -282,45 +327,49 @@ class TailTable(GridMemo):
     def fill_block(self) -> int:
         return _FILL_BLOCK
 
-    def edge_terms(self, cells: np.ndarray, shape) -> np.ndarray:
-        """The (8, ncells) Phi that ``cells`` of an nx x ny box read."""
-        p, q = _edge_pairs(cells, shape)
-        # in place where it can be: these arrays are 8 per occupied cell
-        rows = np.minimum(p, q)
-        rows *= 2
-        rows += p < q
-        cols = np.maximum(p, q, out=p)
-        return self.gather(rows, cols, (2 * min(shape), max(shape)))
-
     def _evaluate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         lo, swapped = np.divmod(rows, 2)
         return _phi(np.where(swapped, lo, cols), np.where(swapped, cols, lo),
                     self.arc)
 
 
-def _edge_pairs(cells: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
-    """The eight (p, q) at which each cell of an nx x ny box reads Phi.
+def _tail_slots(occ: np.ndarray):
+    """The Phi slots an occupancy's tail reads, and how often it reads each.
 
-    With R, L, T, B the cell's integer offsets from the four edges, the
-    Gauss nodes' symmetry under t -> 1 - t turns each of the eight edge
-    arcs of the tail into one Phi: (R,T) (R,B) (L,T) (L,B) (T,R) (T,L)
-    (B,R) (B,L).  Returns two (8, ncells) integer arrays.
+    With R, L, T, B a cell's integer offsets from the four edges of its
+    nx x ny box, the Gauss nodes' symmetry under t -> 1 - t turns each of
+    the eight edge arcs of its tail into one Phi: (R,T) (R,B) (L,T) (L,B)
+    (T,R) (T,L) (B,R) (B,L).  The first four read Phi(p, q) once per cell
+    of the occupancy and its three flips at (p, q) = (x, y), the last four
+    at (p, q) = (y, x), so Phi(p, q) and Phi(q, p) are read equally often.
+    Returns the nonzero slots of ``TailTable``'s layout as (rows, cols),
+    their counts and the layout's extent (2 min(nx, ny), max(nx, ny)).
     """
-    left, bottom = cells[:, 0], cells[:, 1]
-    right, top = shape[0] - 1 - left, shape[1] - 1 - bottom
-    p = np.stack([right, right, left, left, top, top, bottom, bottom])
-    q = np.stack([top, bottom, top, bottom, right, left, right, left])
-    return p, q
+    grid = occ.astype(np.uint8)
+    grid = grid + grid[::-1]
+    grid = grid + grid[:, ::-1]
+    if grid.shape[0] < grid.shape[1]:
+        grid = grid.T
+    lo = grid.shape[1]
+    # sym[q, p] = grid[p, q] + grid[q, p], the reads of Phi(p, q) and,
+    # equally, of Phi(q, p); q < lo covers every pair, as min(p, q) < lo
+    sym = grid.T.copy()
+    sym[:, :lo] += grid[:lo]
+    slots = np.zeros((2 * lo, grid.shape[0]), dtype=np.uint8)
+    slots[0::2] = np.triu(sym)
+    slots[1::2] = np.triu(sym, 1)
+    rows, cols = np.nonzero(slots)
+    return rows, cols, slots[rows, cols], slots.shape
 
 
-def _tail_2d(cells: np.ndarray, shape, table: TailTable) -> float:
-    """Unit tail of cells (lower corners) against the box [0,nx]x[0,ny].
+def _tail_2d(occ: np.ndarray, table: TailTable) -> float:
+    """Unit tail of an occupancy against the box [0,nx]x[0,ny] it fills.
 
-    The exactly rounded sum of eight Phi per cell, read through ``table``,
-    over s.
+    The exactly rounded sum of each Phi slot read, times its count, over s:
+    one ``table`` read per distinct slot, not eight per cell.
     """
-    vals = table.edge_terms(cells, shape)
-    return _exact_sum(vals) / table.s
+    rows, cols, counts, extent = _tail_slots(occ)
+    return _exact_sum(table.gather(rows, cols, extent), counts) / table.s
 
 
 def tail_integral(cell, box, params: KernelParams, h: float) -> float:
@@ -352,8 +401,9 @@ def tail_integral(cell, box, params: KernelParams, h: float) -> float:
         val = _tail_1d_units(np.array([c - lo], float), float(hi - lo), params.s)
         return float(val[0]) * scale
     (lx, hx), (ly, hy) = box
-    rel = np.array([[cell[0] - lx, cell[1] - ly]])
-    return _tail_2d(rel, (hx - lx, hy - ly), TailTable(params.s)) * scale
+    occ = np.zeros((hx - lx, hy - ly), dtype=bool)
+    occ[cell[0] - lx, cell[1] - ly] = True
+    return _tail_2d(occ, TailTable(params.s)) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +456,11 @@ def fractional_perimeter(
     translations, reflections and axis swaps of E (bit for bit) and scales
     as h^(dim-s) exactly.  The in-box part costs one FFT correlation over
     twice the box, with ``threads`` FFT workers, and one far-rule read per
-    offset beyond the table cutoff.  In 2D the tail costs eight Phi reads
-    per occupied cell, and each Phi not yet in the table costs 16 edge arcs
-    (about 1 us per Phi on a 2-vCPU VM); in 1D it is one closed form per
-    occupied cell.  Far and Phi values are evaluated once per ``table``,
+    offset beyond the table cutoff.  In 2D the tail costs one Phi read per
+    distinct slot (p, q) the cells read, counted from the occupancy and
+    its flips, and each Phi not yet in the table costs 16 edge arcs (about
+    1 us per Phi on a 2-vCPU VM); in 1D it is one closed form per occupied
+    cell.  Far and Phi values are evaluated once per ``table``,
     where first read, and shared by every set measured with it.  Neither
     the thread count nor the sets measured before changes the result.
 
@@ -435,12 +486,11 @@ def fractional_perimeter(
     r = rounded_counts(_correlate(occ, ~occ, threads))
     inbox = _pair_sum(_offset_kernel(occ.shape, table), r)
 
-    cells = np.argwhere(occ)
     if params.dim == 1:
-        tail_units = _tail_1d_units(cells[:, 0], float(occ.shape[0]), params.s)
+        tail_units = _tail_1d_units(np.flatnonzero(occ), float(occ.size), params.s)
         tail = _exact_sum(tail_units)
     else:
-        tail = _tail_2d(cells, occ.shape, table.tail_table)
+        tail = _tail_2d(occ, table.tail_table)
     return math.fsum([inbox, tail]) * table.scale_factor
 
 

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import special
 from fracperim import (
     AxisBox,
     Ball,
+    Ellipse,
     EmptySetError,
     FracperimError,
     GridMismatchError,
@@ -18,6 +20,7 @@ from fracperim import (
     GridSpec,
     Interval,
     MarginError,
+    UnionShape,
     auto_spec,
     rasterize,
     translate_cells,
@@ -32,8 +35,11 @@ from fracperim.kernels import (
 from fracperim.perimeter import (
     TailTable,
     _EdgeArc,
+    _exact_sum,
     _offset_kernel,
     _phi,
+    _tail_2d,
+    _tail_slots,
     fractional_perimeter,
     gagliardo_seminorm,
     single_cell_perimeter,
@@ -258,6 +264,12 @@ def test_tail_scale_factor():
     assert t2 == 2.0 ** (2 - 0.6) * t1
 
 
+def _one_cell(cell, shape):
+    occ = np.zeros(shape, dtype=bool)
+    occ[tuple(cell)] = True
+    return occ
+
+
 @pytest.mark.parametrize("s", [0.1, 0.45, 0.9])
 def test_gathered_tail_matches_order4_rule_per_cell(s):
     table = build_table(KernelParams(2, s)).tail_table
@@ -266,8 +278,8 @@ def test_gathered_tail_matches_order4_rule_per_cell(s):
         nx, ny = (int(n) for n in rng.integers(5, 48, 2))
         # occupied cells sit at least 2 cells inside the box, as in a perimeter
         cells = np.argwhere(rng.random((nx - 4, ny - 4)) < 0.5) + 2
-        terms = table.edge_terms(cells, (nx, ny))
-        got = np.array([math.fsum(col) for col in terms.T.tolist()]) / s
+        got = np.array([_tail_2d(_one_cell(cell, (nx, ny)), table)
+                        for cell in cells])
         want = order4_tail_2d(cells, nx, ny, s)
         assert np.max(np.abs(got - want) / want) <= 2e-15
 
@@ -340,27 +352,40 @@ def test_phi_fill_calls_no_betainc(monkeypatch):
     assert table.tail_table.evaluations > 0
 
 
-def _every_cell(n):
+def _box_slots(n):
     # every cell of an n x n box reads every Phi(p, q) with p, q < n
-    return np.argwhere(np.ones((n, n), dtype=bool))
+    rows, cols, _, extent = _tail_slots(np.ones((n, n), dtype=bool))
+    return rows, cols, extent
 
 
 def test_tail_table_growth_is_bit_independent(monkeypatch):
-    full = _every_cell(40)
+    full = _box_slots(40)
     for s in (0.25, 0.5, 0.75):
         stepped = TailTable(s)
         for n in (3, 17, 40):
-            stepped.edge_terms(_every_cell(n), (n, n))
+            stepped.gather(*_box_slots(n))
         assert stepped.extent == 40
         evaluated = stepped.evaluations
-        stepped.edge_terms(_every_cell(12), (12, 12))
+        stepped.gather(*_box_slots(12))
         assert stepped.extent == 40
         assert stepped.evaluations == evaluated
         with monkeypatch.context() as m:
             m.setattr("fracperim.perimeter._FILL_BLOCK", 7)
-            reblocked = TailTable(s).edge_terms(full, (40, 40))
-        assert np.array_equal(stepped.edge_terms(full, (40, 40)), reblocked)
-        assert np.array_equal(TailTable(s).edge_terms(full, (40, 40)), reblocked)
+            reblocked = TailTable(s).gather(*full)
+        assert np.array_equal(stepped.gather(*full), reblocked)
+        assert np.array_equal(TailTable(s).gather(*full), reblocked)
+
+
+def test_tail_slots_count_eight_reads_per_cell():
+    rng = np.random.default_rng(8)
+    for shape in ((7, 7), (5, 13), (13, 5), (1, 1), (3001, 4)):
+        occ = rng.random(shape) < 0.4
+        rows, cols, counts, extent = _tail_slots(occ)
+        assert extent == (2 * min(shape), max(shape))
+        assert counts.min() > 0 and int(counts.sum()) == 8 * occ.sum()
+        # Phi(p, q) at row 2 min(p, q) + (p < q), column max(p, q)
+        lo, swapped = np.divmod(rows, 2)
+        assert np.all(np.where(swapped, lo < cols, lo <= cols))
 
 
 def test_perimeter_independent_of_table_history():
@@ -391,8 +416,11 @@ def test_tail_integral_equals_table_gather():
             cx = lx + int(rng.integers(2, nx - 2))
             cy = ly + int(rng.integers(2, ny - 2))
             box = ((lx, lx + nx), (ly, ly + ny))
-            terms = table.edge_terms(np.array([[cx - lx, cy - ly]]), (nx, ny))
-            gathered = math.fsum(terms.ravel().tolist()) / s
+            rows, cols, counts, extent = _tail_slots(
+                _one_cell((cx - lx, cy - ly), (nx, ny)))
+            reads = np.repeat(table.gather(rows, cols, extent), counts)
+            assert reads.size == 8
+            gathered = math.fsum(reads.tolist()) / s
             assert tail_integral((cx, cy), box, params, 1.0) == gathered
 
 
@@ -620,3 +648,165 @@ def test_engine_properties_on_random_sets(occ, tx, ty):
     spec = GridSpec(2, occ.shape, 0.5, (0.0, 0.0))
     semi = gagliardo_seminorm(GridFunction(spec, occ.astype(float)), tab)
     assert semi / 2.0 == pytest.approx(perim(occ, bounding_margin=8), rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# _exact_sum: correctly rounded, so == math.fsum of the repeated values
+
+_WIDE_FLOATS = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False,
+                    min_value=-(2.0**1000), max_value=2.0**1000)
+_VALUES = st.one_of(_WIDE_FLOATS, _FINITE, st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1022 - 5e-324, 2.0**1000]))
+
+
+def _fsum_repeated(values, counts):
+    return math.fsum(v for v, c in zip(values, counts) for _ in range(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUES, max_size=60))
+def test_exact_sum_equals_fsum(values):
+    assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=30), st.lists(_VALUES, max_size=5),
+       st.randoms(use_true_random=False))
+def test_exact_sum_under_heavy_cancellation(big, small, rnd):
+    # each large value meets its negation: the sum is what small leaves
+    values = big + [-v for v in big] + small
+    rnd.shuffle(values)
+    got = _exact_sum(np.array(values))
+    assert got == math.fsum(values) == math.fsum(small)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_VALUES, st.integers(0, 9)), max_size=40))
+def test_exact_sum_with_counts_equals_fsum_of_the_repeated_list(pairs):
+    values = np.array([v for v, _ in pairs], dtype=np.float64)
+    counts = np.array([c for _, c in pairs], dtype=np.uint8)
+    want = _fsum_repeated(values.tolist(), counts.tolist())
+    assert _exact_sum(values, counts) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_VALUES, st.integers(0, 5)), max_size=30))
+def test_exact_sum_across_block_edges(pairs):
+    values = np.array([v for v, _ in pairs], dtype=np.float64)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("fracperim.perimeter._FILL_BLOCK", 7)
+        plain, counted = _exact_sum(values), _exact_sum(values, counts)
+    assert plain == math.fsum(values.tolist())
+    assert counted == _fsum_repeated(values.tolist(), counts.tolist())
+
+
+def test_exact_sum_of_nothing_is_zero():
+    assert _exact_sum(np.zeros(0)) == 0.0
+    assert _exact_sum(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)) == 0.0
+    assert _exact_sum(np.array([0.0, -0.0])) == 0.0
+    assert _exact_sum(np.array([2.5, 7.0]), np.array([0, 0])) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exact_sum_rejects_non_finite_values(bad):
+    values = np.array([1.0, bad, -3.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        _exact_sum(values)
+    with pytest.raises(ValueError, match="non-finite"):
+        _exact_sum(values, np.array([1, 0, 2]))
+
+
+def test_exact_sum_checks_its_counts():
+    values = np.ones(4)
+    for counts in (np.array([1, 2, -1, 0]), np.ones(4), np.ones(3, dtype=int)):
+        with pytest.raises(ValueError, match="counts"):
+            _exact_sum(values, counts)
+    # a block's counts above 2^26 could round the bins: refused, not rounded
+    with pytest.raises(ValueError, match="counts"):
+        _exact_sum(values, np.full(4, 2**25))
+
+
+# ---------------------------------------------------------------------------
+# bit pins: float.hex values computed with numpy 2.4.6 and scipy 1.17.1
+# while every sum still ran through math.fsum over Python floats
+
+_PIN_VERSIONS = ("2.4.6", "1.17.1")
+_PIN_H = 1 / 16
+_PINS = {
+    ("ball", 0.05): "0x1.9003a10ff8416p+8",
+    ("ellipse", 0.05): "0x1.61783379556acp+8",
+    ("random", 0.05): "0x1.8f27a34e4c2e6p+5",
+    ("two-cell", 0.05): "0x1.31a3bc4b3b153p+0",
+    ("union", 0.05): "0x1.106a1a0733a47p+6",
+    ("bump", 0.05): "0x1.ae78296a4f090p+6",
+    ("ball", 0.5): "0x1.f62694f9c052cp+5",
+    ("ellipse", 0.5): "0x1.d450aa2fd995fp+5",
+    ("random", 0.5): "0x1.5d4b94c184f92p+4",
+    ("two-cell", 0.5): "0x1.b363fa04be504p-1",
+    ("union", 0.5): "0x1.af033c4990b64p+3",
+    ("bump", 0.5): "0x1.19fddc6f00ba0p+4",
+    ("ball", 0.95): "0x1.3f0008494ebf2p+8",
+    ("ellipse", 0.95): "0x1.3ce4c81f92464p+8",
+    ("random", 0.95): "0x1.73d2e9ad73b48p+8",
+    ("two-cell", 0.95): "0x1.1ebd4edd1876ep+4",
+    ("union", 0.95): "0x1.49c7e5e3b675bp+6",
+    ("bump", 0.95): "0x1.49b1059de5864p+5",
+}
+
+
+def _pinned_inputs():
+    h = _PIN_H
+    ball, ellipse = Ball((0.0, 0.0), 1.0), Ellipse((0.1, -0.2), 1.25, 0.7)
+    occ = np.random.default_rng(2024).random((12, 12)) < 0.5
+    union = UnionShape((Interval(0.0, 1.0), Interval(1.5, 2.25)))
+    spec = GridSpec(2, (24, 24), h, (0.0, 0.0))
+    i, j = np.indices(spec.cells) - 11.5
+    bump = np.maximum(0.0, 1.0 - (i * i + j * j) / 100.0)
+    return {
+        "ball": rasterize(ball, auto_spec(ball, h)),
+        "ellipse": rasterize(ellipse, auto_spec(ellipse, h)),
+        "random": GridSet(GridSpec(2, (12, 12), h, (0.0, 0.0)), occ),
+        "two-cell": GridSet.from_cells(GridSpec(2, (3001, 4), h, (0.0, 0.0)),
+                                       [(0, 0), (3000, 3)]),
+        "union": rasterize(union, auto_spec(union, h)),
+        "bump": GridFunction(spec, bump),
+    }
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+def test_perimeters_keep_their_pinned_bits(s):
+    import scipy
+
+    tables = {dim: build_table(KernelParams(dim, s), h=_PIN_H) for dim in (1, 2)}
+    got = {}
+    for name, x in _pinned_inputs().items():
+        table = tables[x.spec.dim]
+        got[name] = (gagliardo_seminorm(x, table) if name == "bump"
+                     else fractional_perimeter(x, table))
+    want = {name: float.fromhex(_PINS[(name, s)]) for name in got}
+    if (np.__version__, scipy.__version__) == _PIN_VERSIONS:
+        assert {n: v.hex() for n, v in got.items()} == {
+            n: v.hex() for n, v in want.items()}
+    else:
+        print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
+              f"pinned {_PIN_VERSIONS}: comparing at 1e-13 relative")
+        for name, value in got.items():
+            assert value == pytest.approx(want[name], rel=1e-13), name
+
+
+def test_a_warm_long_thin_box_perimeter_stays_small():
+    # a max(nx, ny)^2 count square would take this 3009 x 12 box to ~70 MB
+    spec = GridSpec(2, (3001, 4), 1 / 8, (0.0, 0.0))
+    e = GridSet.from_cells(spec, [(0, 0), (3000, 3)])
+    table = build_table(KernelParams(2, 0.5), h=1 / 8)
+    want = fractional_perimeter(e, table)
+    tracemalloc.start()
+    try:
+        got = fractional_perimeter(e, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 8 * 2**20
