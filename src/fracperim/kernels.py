@@ -235,9 +235,10 @@ class GridMemo:
     """Values at non-negative integer points (row, col), each computed once.
 
     A dense array grown on demand, NaN where no value is known yet.
-    ``gather`` evaluates only the points requested that no earlier request
-    asked for, in blocks of at most ``fill_block`` points per call of
-    ``_evaluate``, and then reads every requested point from the array.
+    ``gather`` looks at the requested points only: it evaluates those that
+    no earlier request asked for, once each in sorted flat order, in
+    blocks of at most ``fill_block`` points per call of ``_evaluate``, and
+    then reads every requested point from the array.
     Growth, evaluation and reads run under one lock, so threads may share
     a memo.  ``_evaluate`` must give each point the same bits whatever
     batch it comes in, and never NaN; then no value depends on the order
@@ -265,16 +266,20 @@ class GridMemo:
         cols = np.asarray(cols, dtype=np.intp)
         with self._lock:
             self._grow(extent)
-            new = np.zeros(self.shape, dtype=bool)
-            new[rows, cols] = True
-            new &= np.isnan(self._values)
-            flat = np.flatnonzero(new)
-            for k in range(0, flat.size, self.fill_block):
-                blk = flat[k:k + self.fill_block]
-                self._values.flat[blk] = self._evaluate(
-                    *np.unravel_index(blk, self.shape))
-            self.evaluations += flat.size
-            return self._values[rows, cols]
+            values = self._values.reshape(-1)  # a view: _values is contiguous
+            flat = np.ravel_multi_index((rows, cols), self.shape)
+            # the missing points, sorted and once each: the same batches
+            # whatever the request's order or repeats (np.unique is ten
+            # times slower than this sort on a cold request)
+            new = np.sort(flat[np.isnan(values[flat])])
+            first = np.ones(new.size, dtype=bool)
+            first[1:] = new[1:] != new[:-1]
+            new = new[first]
+            for k in range(0, new.size, self.fill_block):
+                blk = new[k:k + self.fill_block]
+                values[blk] = self._evaluate(*np.unravel_index(blk, self.shape))
+            self.evaluations += new.size
+            return values[flat]
 
     def _grow(self, extent) -> None:
         old = self.shape

@@ -47,7 +47,10 @@ class FFTOperand:
 
     The transform is taken at the first padded size asked for and kept
     while later calls ask for the same size, so a fixed operand
-    convolved with many others is transformed once.
+    convolved with many others is transformed once.  Taking it is not
+    locked: an operand that threads share must have its spectrum taken
+    at the shared size (``window_size``) before any thread uses it, after
+    which every call only reads it.
     """
 
     __slots__ = ("array", "_size", "_spectrum")
@@ -64,28 +67,35 @@ class FFTOperand:
         return self._spectrum
 
 
+def window_size(a_shape, b_shape, start, stop) -> tuple[int, ...]:
+    """FFT lengths of convolve_window for operands of these shapes.
+
+    Per axis the smallest fast length L at which no output of the window
+    is aliased, ``L >= max(stop, na + nb - 1 - start)``: a circular output
+    i collects the linear outputs i + jL, and only j = 0 lies inside the
+    support for every i of the window.
+    """
+    if not len(a_shape) == len(b_shape) == len(start) == len(stop):
+        raise ValueError("operands and window must have the same rank")
+    full = [na + nb - 1 for na, nb in zip(a_shape, b_shape)]
+    if any(not 0 <= lo < hi <= n for lo, hi, n in zip(start, stop, full)):
+        raise ValueError(f"window {start}..{stop} is outside the convolution {full}")
+    return tuple(
+        fft.next_fast_len(max(hi, n - lo), real=True)
+        for lo, hi, n in zip(start, stop, full)
+    )
+
+
 def convolve_window(a, b, start, stop, *, workers: int = 1) -> np.ndarray:
     """Outputs ``start[k] <= i < stop[k]`` of the full linear convolution a * b.
 
     ``a`` may be an FFTOperand, whose transform is reused; ``b`` is
-    transformed afresh.  Per axis the FFT length is the smallest fast
-    length L at which no output of the window is aliased,
-    ``L >= max(stop, na + nb - 1 - start)``: a circular output i collects
-    the linear outputs i + jL, and only j = 0 lies inside the support for
-    every i of the window.  The inverse transform is pruned to the
-    window axis by axis.
+    transformed afresh.  The FFT lengths are ``window_size``'s, and the
+    inverse transform is pruned to the window axis by axis.
     """
     fa = a if isinstance(a, FFTOperand) else FFTOperand(a)
     b = np.asarray(b, dtype=np.float64)
-    if not fa.array.ndim == b.ndim == len(start) == len(stop):
-        raise ValueError("operands and window must have the same rank")
-    full = [na + nb - 1 for na, nb in zip(fa.array.shape, b.shape)]
-    if any(not 0 <= lo < hi <= n for lo, hi, n in zip(start, stop, full)):
-        raise ValueError(f"window {start}..{stop} is outside the convolution {full}")
-    size = tuple(
-        fft.next_fast_len(max(hi, n - lo), real=True)
-        for lo, hi, n in zip(start, stop, full)
-    )
+    size = window_size(fa.array.shape, b.shape, start, stop)
     # in place, so at most two padded spectra are alive besides a's
     spec = fft.rfftn(b, size, workers=workers)
     spec *= fa.spectrum(size, workers)

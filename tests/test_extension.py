@@ -6,7 +6,11 @@ closed form 2 L^(1-s) / (s (1-s)).
 """
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -242,8 +246,11 @@ def test_lift_threads_do_not_change_bytes():
         e = fp.rasterize(shape, fp.auto_spec(shape, h))
         grid, embedded = fp.extension_domain(e)
         u1 = fp.poisson_extend(embedded, grid, params, threads=1)
-        u2 = fp.poisson_extend(embedded, grid, params, threads=3)
-        assert np.array_equal(u1.values, u2.values)
+        energy = fp.lift_energy(embedded, grid, params, threads=1)
+        for threads in (2, 3, 4):
+            u = fp.poisson_extend(embedded, grid, params, threads=threads)
+            assert u.values.tobytes() == u1.values.tobytes()
+            assert fp.lift_energy(embedded, grid, params, threads=threads) == energy
 
 
 def assert_lift_matches_full_fftconvolve(e, grid, s):
@@ -441,6 +448,161 @@ def test_bad_level_names_its_failure(bad, message, monkeypatch):
     e = fp.rasterize(fp.Interval(0.25, 0.5), base)
     with pytest.raises(ValueError, match=message):
         fp.lift_energy(e, grid, params)
+
+
+class LevelFailure(RuntimeError):
+    pass
+
+
+def _six_level_lift():
+    cells, occupied = OFF_CENTRE_SETS["upper-right rim"]
+    h = 1 / 8
+    e = _hand_built_set(cells, h, occupied)
+    grid = fp.HalfSpaceGrid(e.spec, (h / 4, h / 2, h, 4 * h, 16 * h, 64 * h))
+    return e, grid, fp.KernelParams(2, 0.5)
+
+
+def _watched_table_builder(monkeypatch, *, fail_at=None, scale=1.0):
+    """Patch the 2D table builder to sleep briefly and record concurrency.
+
+    The returned dict holds the largest number of levels building their
+    table at once ("most"), the largest thread count seen ("threads") and
+    the threads that built a table ("idents").
+    """
+    build = fp.extension._poisson_table_2d
+    lock = threading.Lock()
+    seen = {"now": 0, "most": 0, "threads": 0, "calls": 0, "idents": set()}
+
+    def watched(s, h, z, below, above):
+        with lock:
+            seen["now"] += 1
+            seen["calls"] += 1
+            seen["most"] = max(seen["most"], seen["now"])
+            seen["threads"] = max(seen["threads"], threading.active_count())
+            seen["idents"].add(threading.get_ident())
+        try:
+            time.sleep(0.05)
+            if z == fail_at:
+                raise LevelFailure(f"level at z = {z}")
+            return scale * build(s, h, z, below, above)
+        finally:
+            with lock:
+                seen["now"] -= 1
+
+    monkeypatch.setattr(fp.extension, "_poisson_table_2d", watched)
+    return seen
+
+
+def test_two_level_workers_compute_two_levels_at_once(monkeypatch):
+    e, grid, params = _six_level_lift()
+    want = fp.poisson_extend(e, grid, params, threads=1)
+    seen = _watched_table_builder(monkeypatch)
+    got = fp.poisson_extend(e, grid, params, threads=2)
+    assert seen["calls"] == grid.level_count
+    assert seen["most"] == 2
+    assert got.values.tobytes() == want.values.tobytes()
+    # while the consumer holds the first level, the workers go on with
+    # the next two and stop there
+    seen["calls"] = 0
+    with closing(fp.extension._lift_levels(e, grid, params, 2)) as levels:
+        z, first = next(levels)
+        time.sleep(0.3)
+        assert seen["calls"] == 3
+        assert np.clip(first, 0.0, 1.0).tobytes() == want.values[0].tobytes()
+
+
+def test_failing_level_propagates_and_joins_the_workers(monkeypatch):
+    e, grid, params = _six_level_lift()
+    before = threading.active_count()
+    seen = _watched_table_builder(monkeypatch, fail_at=grid.z_levels[3])
+    # the workers are joined before the exception reaches the caller,
+    # even while the caller keeps it (and its traceback's frames)
+    for lift in (fp.poisson_extend, fp.lift_energy):
+        with pytest.raises(LevelFailure, match="level at z") as failure:
+            lift(e, grid, params, threads=2)
+        assert threading.active_count() == before
+        del failure
+    assert threading.get_ident() not in seen["idents"]
+    # a level that the consumer rejects stops the workers too
+    _watched_table_builder(monkeypatch, scale=3.0)
+    for lift in (fp.poisson_extend, fp.lift_energy):
+        with pytest.raises(ValueError, match="within") as failure:
+            lift(e, grid, params, threads=2)
+        assert threading.active_count() == before
+        del failure
+
+
+def test_more_threads_than_levels_start_one_worker_per_level(monkeypatch):
+    e, grid, params = _six_level_lift()
+    want = fp.poisson_extend(e, grid, params, threads=1)
+    before = threading.active_count()
+    seen = _watched_table_builder(monkeypatch)
+    got = fp.poisson_extend(e, grid, params, threads=64)
+    assert seen["calls"] == grid.level_count == 6
+    assert seen["threads"] - before <= 6
+    assert 1 <= len(seen["idents"]) <= 6
+    assert threading.get_ident() not in seen["idents"]
+    assert threading.active_count() == before
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_many_workers_share_one_box_spectrum(monkeypatch):
+    # More workers than cores, switching threads as often as the
+    # interpreter allows: the box is transformed once, before the workers
+    # share it, and each level transforms only its own table.
+    shape, dim, h = SMALL_LIFTS[3]
+    params = fp.KernelParams(dim, 0.5)
+    e = fp.rasterize(shape, fp.auto_spec(shape, h))
+    grid, embedded = fp.extension_domain(e)
+    want = fp.poisson_extend(embedded, grid, params, threads=1)
+    rfftn = fp.quadrature.fft.rfftn
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.002)  # widens the window in which a worker could race
+        return rfftn(*args, **kwargs)
+
+    monkeypatch.setattr(fp.quadrature.fft, "rfftn", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = fp.poisson_extend(embedded, grid, params, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == grid.level_count + 1
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def _traced_lift_and_rearrangement(threads):
+    # Two-balls(0.9) at h = 1/8: 50 levels of 245 x 231 cells, 21.6 MiB a
+    # stack.  Peaks of the lift and of the rearrangement's extra, in stacks.
+    shape = fp.generate_family("two-balls", (0.9,), h=1 / 8)[0].shape
+    e = fp.rasterize(shape, fp.auto_spec(shape, 1 / 8))
+    grid, embedded = fp.extension_domain(e)
+    params = fp.KernelParams(2, 0.5)
+    stack = 8 * grid.level_count * math.prod(grid.base.cells)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        u = fp.poisson_extend(embedded, grid, params, threads=threads)
+        lift_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        star = fp.horizontal_rearrange(u)
+        rearrange_extra = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert u.values.nbytes == star.values.nbytes == stack
+    return lift_peak / stack, rearrange_extra / stack
+
+
+def test_lift_on_two_workers_holds_one_stack_and_two_levels_of_work():
+    # One stack, the level the consumer clamps and two levels' FFT work at
+    # their peaks: about 1.25 stacks at worst, 1.20-1.22 measured.
+    lift_peak, rearrange_extra = _traced_lift_and_rearrangement(2)
+    assert lift_peak <= 1.30
+    assert rearrange_extra <= 1.15
 
 
 def test_lift_and_rearrangement_hold_one_stack_per_field():
