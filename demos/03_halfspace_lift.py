@@ -34,15 +34,13 @@ def main() -> None:
           f"z-part {es.z_part:.6f} (both drop)")
 
     table = build_table(params, h=h)
-    registry = fp.ConstantsRegistry()
-    gamma = fp.calibrate_gamma(
+    record = fp.calibrate_gamma(
         fp.Interval(0.0, 2.0), fp.Interval(0.0, 1.0), params, h,
-        table=table, registry=registry, threads=2,
+        table=table, threads=2,
     )
-    record = registry.gamma_record(params)
-    print(f"calibrated gamma = {gamma:.6f} "
+    print(f"calibrated gamma = {record.value:.6f} "
           f"(held-out residual {record.residual:.3%})")
-    pred = 0.5 * gamma * energy.total
+    pred = 0.5 * record.value * energy.total
     ps = fractional_perimeter(e, table, threads=2)
     print(f"prediction for the two-interval set: {pred:.5f} "
           f"vs direct {ps:.5f} ({abs(pred - ps) / ps:.3%} off)")

@@ -9,7 +9,6 @@ from .errors import (
     GridMismatchError,
     MarginError,
     MissingHaloError,
-    OffLatticePlaneError,
     SameCellError,
     SymmetryDefectError,
 )
@@ -44,7 +43,6 @@ from .experiments import (
     verify_suite,
 )
 from .extension import (
-    ConstantsRegistry,
     ExtensionEnergy,
     ExtensionField,
     GammaRecord,
@@ -74,11 +72,8 @@ from .grids import (
     bisect_halves,
     load_gridset,
     pad_domain,
-    reflect,
     same_region,
     save_gridset,
-    set_algebra,
-    steiner_symmetrize,
     translate_cells,
     unit_ball_volume,
 )
@@ -94,13 +89,11 @@ from .perimeter import (
     fractional_perimeter,
     gagliardo_seminorm,
     single_cell_perimeter,
-    tail_integral,
 )
 from .rearrange import (
     GridFunction,
     RearrangeReport,
     dirichlet_energy,
-    distribution_function,
     load_gridfunction,
     polya_szego_report,
     save_gridfunction,

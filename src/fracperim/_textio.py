@@ -23,8 +23,9 @@ def g17(x) -> str:
 
 
 def write_lines(path, lines) -> None:
+    """Write each line of an iterable as it arrives, newline-terminated."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 @contextmanager

@@ -17,6 +17,7 @@ from ._textio import g17, read_ascii
 from .deficit import DEFICIT_CSV_HEADER, fraenkel_asymmetry, s_deficit
 from .errors import FracperimError
 from .experiments import (
+    _SETTINGS,
     ExperimentConfig,
     config_from_mapping,
     exponent_study,
@@ -110,21 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_FLAG_KEYS = (
-    "n", "s", "h", "family", "params", "margin", "cutoff", "threads", "seed",
-    "out", "z0", "rho", "top_factor", "lateral_factor",
-)
-
-
 def _merge_config(args) -> ExperimentConfig:
     """Config file first, explicit flags override, defaults fill the rest."""
     mapping: dict = {}
     if args.config:
         mapping = parse_config_text(read_ascii(args.config))
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
+    for key in _SETTINGS:  # each setting's flag; --n gives dim
+        value = getattr(args, "n" if key == "dim" else key, None)
         if value is not None:
-            mapping["dim" if key == "n" else key] = value
+            mapping[key] = value
     cfg = config_from_mapping(mapping)
     if "dim" in mapping or "n" in mapping:
         args.n = cfg.dim  # the merged dimension, checked against a shape

@@ -34,6 +34,7 @@ __all__ = [
     "n_symmetrize",
     "reference_ball",
     "s_deficit",
+    "symmetry_defect_cells",
 ]
 
 # Fields: identifier, dimension, s, h, perimeter of the set, equivalent

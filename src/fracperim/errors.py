@@ -15,10 +15,6 @@ class GridMismatchError(FracperimError):
     """Two grid objects with incompatible geometry were combined."""
 
 
-class OffLatticePlaneError(FracperimError):
-    """A reflection plane does not sit on a half-lattice line."""
-
-
 class EmptySetError(FracperimError):
     """An operation that needs a nonempty set received an empty one."""
 

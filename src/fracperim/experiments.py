@@ -124,10 +124,27 @@ class ExperimentConfig:
         return names
 
 
-_CONFIG_KEYS = {
-    "n", "dim", "s", "h", "family", "params", "margin", "cutoff",
-    "threads", "seed", "out", "z0", "rho", "top_factor",
-    "lateral_factor",
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+# every setting a config file or a flag may give: key -> (ExperimentConfig
+# field, parser of its value); "n" is read as "dim" unless "dim" is given
+_SETTINGS = {
+    "dim": ("dim", int),
+    "s": ("s_values", _floats),
+    "h": ("h_values", _floats),
+    "family": ("family", str),
+    "params": ("params", _floats),
+    "margin": ("margin", int),
+    "cutoff": ("cutoff", int),
+    "threads": ("threads", int),
+    "seed": ("seed", int),
+    "rho": ("rho", float),
+    "top_factor": ("top_factor", float),
+    "lateral_factor": ("lateral_factor", float),
+    "z0": ("z0", float),
+    "out": ("out", lambda value: str(value) or None),
 }
 
 
@@ -141,41 +158,21 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise FormatError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key != "n" and key not in _SETTINGS:
             raise FormatError(f"line {lineno}: unknown config key {key!r}")
         mapping[key] = value
     return mapping
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    kw: dict = {}
     m = dict(mapping)
     if "n" in m and "dim" not in m:
         m["dim"] = m.pop("n")
-    if "dim" in m:
-        kw["dim"] = int(m["dim"])
-    if "s" in m:
-        kw["s_values"] = _floats(m["s"])
-    if "h" in m:
-        kw["h_values"] = _floats(m["h"])
-    if "family" in m:
-        kw["family"] = str(m["family"])
-    if "params" in m:
-        kw["params"] = _floats(m["params"])
-    for key in ("margin", "cutoff", "threads", "seed"):
-        if key in m:
-            kw[key] = int(m[key])
-    for key in ("rho", "top_factor", "lateral_factor"):
-        if key in m:
-            kw[key] = float(m[key])
-    if "z0" in m:
-        kw["z0"] = float(m["z0"])
-    if "out" in m:
-        kw["out"] = str(m["out"]) or None
+    kw = {
+        field: parse(m[key])
+        for key, (field, parse) in _SETTINGS.items()
+        if key in m
+    }
     return ExperimentConfig(**kw)
 
 
@@ -257,9 +254,19 @@ def _one_record(member, s, h, table, config) -> SweepRecord:
 
 
 def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
-    """Measure every (family member, s, h) combination in the config."""
+    """Measure every (family member, s, h) combination in the config.
+
+    The records are computed on a pool of ``config.threads`` workers and
+    come back in (family, param, s, h) order.
+    """
+    names = config.family_names()
+    for key, value in (("family", names), ("params", config.params)):
+        if not value:
+            raise ValueError(
+                f"the sweep has no members: the {key!r} setting lists none"
+            )
     members = []
-    for name in config.family_names():
+    for name in names:
         members.extend(generate_family(name, config.params, h=min(config.h_values)))
     dims = {m.dim for m in members}
     if len(dims) != 1:
@@ -284,11 +291,8 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
         member, s, h = task
         return _one_record(member, s, h, tables[(s, h)], config)
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(run, tasks))
-    else:
-        records = [run(task) for task in tasks]
+    with ThreadPoolExecutor(config.threads) as pool:
+        records = list(pool.map(run, tasks))
     return sorted(records, key=_record_sort_key)
 
 
@@ -657,7 +661,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
             KernelParams(1, 0.5),
             1 / 32,
             rtol=0.02,
-        )
+        ).value
         return gamma > 0.0, gamma, 0.0
 
     def chk_rearranged_energy() -> _Outcome:

@@ -65,7 +65,6 @@ from .rearrange import GridFunction, _rearranged, symmetric_rearrangement
 from .shapes import auto_spec, format_shape, rasterize
 
 __all__ = [
-    "ConstantsRegistry",
     "ExtensionEnergy",
     "ExtensionField",
     "GammaRecord",
@@ -620,38 +619,6 @@ class GammaRecord:
             raise ValueError("residual must be nonnegative")
 
 
-class ConstantsRegistry:
-    """Calibrated energy-to-perimeter constants keyed by (dim, s).
-
-    A constant is only available after a calibration recorded it with its
-    reference shape and cross-validation residual.
-    """
-
-    def __init__(self) -> None:
-        self._gamma: dict[tuple[int, float], GammaRecord] = {}
-
-    def record_gamma(
-        self,
-        params: KernelParams,
-        value: float,
-        *,
-        reference: str,
-        validation: str,
-        residual: float,
-    ) -> GammaRecord:
-        rec = GammaRecord(float(value), reference, validation, float(residual))
-        self._gamma[(params.dim, params.s)] = rec
-        return rec
-
-    def gamma_record(self, params: KernelParams) -> GammaRecord:
-        key = (params.dim, params.s)
-        if key not in self._gamma:
-            raise CalibrationError(
-                f"no calibrated constant for dim={params.dim}, s={params.s}"
-            )
-        return self._gamma[key]
-
-
 def calibrate_gamma(
     reference,
     validation,
@@ -659,10 +626,9 @@ def calibrate_gamma(
     h: float,
     *,
     table: InteractionTable | None = None,
-    registry: ConstantsRegistry | None = None,
     rtol: float = 0.02,
     threads: int = 1,
-) -> float:
+) -> GammaRecord:
     """Calibrate the energy-to-perimeter constant on a reference shape.
 
     gamma = 2 * perimeter(reference) / energy(lift of reference); the
@@ -671,7 +637,8 @@ def calibrate_gamma(
     otherwise a CalibrationError carries both residuals.  Both shapes
     are lifted on extension_domain's default geometry.  ``threads`` is
     the number of FFT workers of each perimeter and of level workers of
-    each lift.
+    each lift.  Returns gamma as a GammaRecord with both shapes' texts
+    and the validation residual.
     """
     if table is None:
         table = build_table(params, h=h)
@@ -697,15 +664,9 @@ def calibrate_gamma(
             f"validation residual {residual:.4f} exceeds {rtol:.4f} "
             f"(predicted {predicted:.6g}, measured {val_perim:.6g})"
         )
-    if registry is not None:
-        registry.record_gamma(
-            params,
-            gamma,
-            reference=format_shape(reference),
-            validation=format_shape(validation),
-            residual=residual,
-        )
-    return gamma
+    return GammaRecord(
+        gamma, format_shape(reference), format_shape(validation), residual
+    )
 
 
 def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
@@ -750,17 +711,20 @@ def save_extension(u: ExtensionField, path) -> None:
 
     Header, geometry line (dim, s, h, origin, cells), a levels line, one
     row-major value block per level, then the boundary datum as a final
-    0/1 block.
+    0/1 block.  The text is formatted and written one level at a time.
     """
-    lines = [
-        "FRACEXT v1",
-        geometry_line(u.grid.base, u.params.s),
-        "levels " + " ".join(repr(float(z)) for z in u.grid.z_levels),
-    ]
-    for j, level in enumerate(u.values):
-        lines += [f"level {j}", *format_block(level, g17)]
-    lines += ["datum", *format_block(u.datum.astype(int), str)]
-    write_lines(path, lines)
+
+    def lines():
+        yield "FRACEXT v1"
+        yield geometry_line(u.grid.base, u.params.s)
+        yield "levels " + " ".join(repr(float(z)) for z in u.grid.z_levels)
+        for j, level in enumerate(u.values):
+            yield f"level {j}"
+            yield from format_block(level, g17)
+        yield "datum"
+        yield from format_block(u.datum.astype(int), str)
+
+    write_lines(path, lines())
 
 
 def load_extension(path) -> ExtensionField:

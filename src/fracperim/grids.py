@@ -10,7 +10,6 @@ the full grid, axis 0 first.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,23 +18,16 @@ from ._textio import (
     bit, format_block, geometry_line, parse_block, parse_geometry, read_lines,
     strict, write_lines,
 )
-from .errors import (
-    DomainTooSmallError,
-    EmptySetError,
-    GridMismatchError,
-    OffLatticePlaneError,
-)
+from .errors import DomainTooSmallError, EmptySetError, GridMismatchError
 
 __all__ = [
     "GridSpec",
     "GridSet",
     "unit_ball_volume",
-    "set_algebra",
-    "reflect",
-    "steiner_symmetrize",
     "bisect_halves",
     "pad_domain",
     "same_region",
+    "translate_cells",
     "save_gridset",
     "load_gridset",
 ]
@@ -225,57 +217,6 @@ def same_region(a: GridSet, b: GridSet) -> bool:
     return bool(np.array_equal(ta.occupancy, tb.occupancy))
 
 
-def set_algebra(a: GridSet, b: GridSet | None, op: str) -> GridSet:
-    """Pointwise set operation on a shared grid.
-
-    ``op`` is one of ``union``, ``intersection``, ``difference``,
-    ``symmetric_difference``, or the unary ``complement`` (b ignored),
-    taken within the grid domain.
-    """
-    if op == "complement":
-        return GridSet(a.spec, ~a.occupancy)
-    if b is None:
-        raise ValueError(f"binary operation {op!r} needs two sets")
-    if a.spec != b.spec:
-        raise GridMismatchError("set algebra requires identical grid specs")
-    if op == "union":
-        occ = a.occupancy | b.occupancy
-    elif op == "intersection":
-        occ = a.occupancy & b.occupancy
-    elif op == "difference":
-        occ = a.occupancy & ~b.occupancy
-    elif op == "symmetric_difference":
-        occ = a.occupancy ^ b.occupancy
-    else:
-        raise ValueError(f"unknown set operation {op!r}")
-    return GridSet(a.spec, occ)
-
-
-def _lattice_position(spec: GridSpec, axis: int, plane: float) -> int:
-    """Plane coordinate as an integer count of half-cells from the origin.
-
-    A plane far from zero carries the rounding of its own coordinate and
-    of the origin's, so the half-integer test allows 1e-6 half-cells plus
-    four roundings of (|plane| + |origin|) / h.
-    """
-    origin = spec.origin[axis]
-    t = (plane - origin) / spec.h
-    doubled = 2.0 * t
-    nearest = round(doubled)
-    slack = 4.0 * sys.float_info.epsilon * (abs(plane) + abs(origin)) / spec.h
-    if slack >= 0.25:
-        raise OffLatticePlaneError(
-            f"plane {plane} cannot name a lattice line along axis {axis}: "
-            f"its rounding spans {slack} half-cells"
-        )
-    if abs(doubled - nearest) > 1e-6 + slack:
-        raise OffLatticePlaneError(
-            f"plane {plane} is off-lattice along axis {axis}: "
-            f"{t} cells from the origin is not a half-integer"
-        )
-    return int(nearest)
-
-
 def _fitted(spec: GridSpec, idx: np.ndarray) -> GridSet:
     """Cells ``idx``, indexed on ``spec``, on ``spec`` grown just to hold them."""
     lo = np.minimum(idx.min(axis=0, initial=0), 0)
@@ -290,49 +231,6 @@ def _mirrored(idx: np.ndarray, axis: int, q: int) -> np.ndarray:
     out = idx.copy()
     out[:, axis] = q - 1 - idx[:, axis]
     return out
-
-
-def reflect(e: GridSet, axis: int, plane: float) -> GridSet:
-    """Mirror a set across a plane orthogonal to ``axis``.
-
-    The plane must sit on a grid line or on a line of cell centers.  The
-    domain grows as needed so mirrored cells always fit; measure is exact
-    and reflecting twice returns the original region.
-    """
-    if not 0 <= axis < e.spec.dim:
-        raise ValueError(f"axis {axis} out of range for dim {e.spec.dim}")
-    m = _lattice_position(e.spec, axis, plane)
-    if e.is_empty:
-        return e
-    return _fitted(e.spec, _mirrored(e.cells(), axis, m))
-
-
-def steiner_symmetrize(e: GridSet, axis: int) -> GridSet:
-    """Slide each line of cells along ``axis`` into a centered block.
-
-    Cell counts per line are preserved exactly, so the measure is too.  When
-    a block cannot be centered exactly, the extra cell goes to the positive
-    side.  The result is idempotent.
-    """
-    if not 0 <= axis < e.spec.dim:
-        raise ValueError(f"axis {axis} out of range for dim {e.spec.dim}")
-    occ = e.occupancy
-    if e.spec.dim == 1:
-        n = e.spec.cells[0]
-        k = int(np.count_nonzero(occ))
-        out = np.zeros(n, dtype=bool)
-        start = (n - k + 1) // 2
-        out[start : start + k] = True
-        return GridSet(e.spec, out)
-    work = occ if axis == 0 else occ.T
-    n = work.shape[0]
-    counts = work.sum(axis=0)
-    starts = (n - counts + 1) // 2
-    rows = np.arange(n)[:, None]
-    out = (rows >= starts[None, :]) & (rows < (starts + counts)[None, :])
-    if axis != 0:
-        out = out.T
-    return GridSet(e.spec, out)
 
 
 def bisect_halves(e: GridSet, axis: int) -> tuple[float, GridSet, GridSet]:

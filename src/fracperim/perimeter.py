@@ -53,7 +53,6 @@ from .quadrature import convolve_window, gauss_unit, rounded_counts
 
 __all__ = [
     "fractional_perimeter",
-    "tail_integral",
     "gagliardo_seminorm",
     "single_cell_perimeter",
 ]
@@ -370,40 +369,6 @@ def _tail_2d(occ: np.ndarray, table: TailTable) -> float:
     """
     rows, cols, counts, extent = _tail_slots(occ)
     return _exact_sum(table.gather(rows, cols, extent), counts) / table.s
-
-
-def tail_integral(cell, box, params: KernelParams, h: float) -> float:
-    """Interaction of one cell with everything beyond the box, exactly.
-
-    ``cell`` is a lattice index; ``box`` gives per-axis index bounds
-    (lo, hi) with hi exclusive, so the box spans lattice lengths
-    [lo, hi] x h.  The cell must sit at least 2 cells inside the box:
-    closer in, the complement integral turns singular and belongs to the
-    tabulated pair terms instead.  Enlarging the box strictly decreases
-    the result.
-    """
-    cell = tuple(int(c) for c in np.atleast_1d(cell))
-    box = tuple((int(lo), int(hi)) for lo, hi in box)
-    if len(cell) != params.dim or len(box) != params.dim:
-        raise ValueError("cell/box dimension does not match params.dim")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    for k, (lo, hi) in enumerate(box):
-        if min(cell[k] - lo, (hi - 1) - cell[k]) < MIN_MARGIN:
-            raise MarginError(
-                f"cell {cell} is within {MIN_MARGIN} cells of the box "
-                f"boundary on axis {k}"
-            )
-    scale = h ** (params.dim - params.s)
-    if params.dim == 1:
-        (c,) = cell
-        (lo, hi) = box[0]
-        val = _tail_1d_units(np.array([c - lo], float), float(hi - lo), params.s)
-        return float(val[0]) * scale
-    (lx, hx), (ly, hy) = box
-    occ = np.zeros((hx - lx, hy - ly), dtype=bool)
-    occ[cell[0] - lx, cell[1] - ly] = True
-    return _tail_2d(occ, TailTable(params.s)) * scale
 
 
 # ---------------------------------------------------------------------------

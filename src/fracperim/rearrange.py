@@ -1,5 +1,5 @@
-"""Distribution functions, symmetric decreasing rearrangement, and the
-discrete energy bookkeeping around it.
+"""Grid functions, symmetric decreasing rearrangement, and the discrete
+energy bookkeeping around it.
 
 The rearrangement reassigns the sorted values of a grid function to cells
 in increasing distance from the domain's center cell (ties broken by cell
@@ -27,7 +27,6 @@ from .grids import GridSpec
 __all__ = [
     "GridFunction",
     "RearrangeReport",
-    "distribution_function",
     "symmetric_rearrangement",
     "dirichlet_energy",
     "symmetry_defect",
@@ -91,13 +90,6 @@ class RearrangeReport:
     energy_gsharp: float
     gap: float
     symmetry_defect: float
-
-
-def distribution_function(g: GridFunction, t: float) -> float:
-    """Measure of the superlevel set {g > t}; right-continuous, nonincreasing."""
-    if t <= 0:
-        raise ValueError("distribution function is defined for t > 0")
-    return float(np.count_nonzero(g.values > t)) * g.spec.h**g.spec.dim
 
 
 @functools.lru_cache(maxsize=8)

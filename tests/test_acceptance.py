@@ -255,13 +255,12 @@ def test_a06_lift_energy_predicts_perimeter():
     for dim, h, ref, val1, val2 in setups:
         params = KernelParams(dim, 0.5)
         table = build_table(params, h=h, cutoff=CUTOFF)
-        registry = fp.ConstantsRegistry()
         # raises CalibrationError if the first held-out residual exceeds 2%
-        gamma = fp.calibrate_gamma(
-            ref, val1, params, h, table=table, registry=registry, rtol=0.02, threads=2
+        record = fp.calibrate_gamma(
+            ref, val1, params, h, table=table, rtol=0.02, threads=2
         )
-        assert registry.gamma_record(params).residual <= 0.02
-        r2 = residual(val2, gamma, params, h, table)
+        assert record.residual <= 0.02
+        r2 = residual(val2, record.value, params, h, table)
         assert r2 <= 0.02, f"dim={dim}: second held-out residual {r2:.4%}"
 
     # kernel normalization at 20 random centers and heights

@@ -272,3 +272,18 @@ def test_verify_subcommand_passes(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "check,result,measured,bound,detail"
     assert all(",pass," in line for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "args,setting",
+    [
+        (["sweep-s", "--family", ","], "family"),
+        (["sweep-s", "--params", ""], "params"),
+        (["exponent-study", "--family", ""], "family"),
+    ],
+)
+def test_empty_sweep_exits_2_naming_the_empty_setting(args, setting, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"the sweep has no members: the {setting!r} setting lists none" in err

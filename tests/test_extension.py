@@ -727,20 +727,16 @@ def test_comfortable_domain_reports_small_truncation():
 
 def test_calibrate_gamma_against_interval_closed_form():
     params = fp.KernelParams(1, 0.5)
-    registry = fp.ConstantsRegistry()
-    with pytest.raises(fp.CalibrationError):
-        registry.gamma_record(params)
-    gamma = fp.calibrate_gamma(
+    rec = fp.calibrate_gamma(
         fp.Interval(0.0, 2.0),
         fp.Interval(0.0, 1.0),
         params,
         1 / 32,
-        registry=registry,
     )
+    gamma = rec.value
     assert gamma > 0.0
-    rec = registry.gamma_record(params)
-    assert rec.value == gamma
     assert "interval" in rec.reference
+    assert "interval" in rec.validation
     assert rec.residual < 0.02
 
     # predicted perimeter of an edge-aligned unit interval vs the closed
@@ -760,10 +756,10 @@ def test_gamma_independent_of_reference_length():
     params = fp.KernelParams(1, 0.5)
     g_short = fp.calibrate_gamma(
         fp.Interval(0.0, 1.0), fp.Interval(0.0, 2.0), params, 1 / 32
-    )
+    ).value
     g_long = fp.calibrate_gamma(
         fp.Interval(0.0, 4.0), fp.Interval(0.0, 2.0), params, 1 / 32
-    )
+    ).value
     assert g_short == pytest.approx(g_long, rel=0.02)
 
 

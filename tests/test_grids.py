@@ -9,20 +9,23 @@ from fracperim import (
     GridMismatchError,
     GridSet,
     GridSpec,
-    OffLatticePlaneError,
     bisect_halves,
     extension_domain,
     load_gridset,
     pad_domain,
-    reflect,
     same_region,
     save_gridset,
-    set_algebra,
-    steiner_symmetrize,
     translate_cells,
     unit_ball_volume,
 )
+from fracperim.grids import _fitted, _mirrored
 from oracles import mirror_oracle
+
+
+def mirror(e, axis, q):
+    # the mirror image bisect_halves builds, across the plane q half-cells
+    # from the origin, on the grid grown just to hold it
+    return _fitted(e.spec, _mirrored(e.cells(), axis, q))
 
 
 def interval_set(cells, n=8, h=0.5, origin=0.0):
@@ -80,24 +83,10 @@ def test_shape_mismatch_raises():
         GridSet(spec, np.zeros((5, 4), dtype=bool))
 
 
-def test_set_algebra():
-    spec = GridSpec(1, (6,), 1.0, (0.0,))
-    a = GridSet.from_cells(spec, [(0,), (1,), (2,)])
-    b = GridSet.from_cells(spec, [(2,), (3,)])
-    assert set_algebra(a, b, "union").cell_count == 4
-    assert set_algebra(a, b, "intersection").cell_count == 1
-    assert set_algebra(a, b, "difference").cell_count == 2
-    assert set_algebra(a, b, "symmetric_difference").cell_count == 3
-    assert set_algebra(a, None, "complement").cell_count == 3
-    with pytest.raises(GridMismatchError):
-        other = GridSet.empty(GridSpec(1, (7,), 1.0, (0.0,)))
-        set_algebra(a, other, "union")
-
-
 def test_reflect_within_domain():
     # cells {0,1} about the plane through lattice position 2 -> {2,3}
     e = interval_set([0, 1], n=4, h=1.0)
-    r = reflect(e, 0, 2.0)
+    r = mirror(e, 0, 4)
     assert sorted(c[0] for c in r.cells()) == [2, 3]
     assert r.cell_count == e.cell_count
     assert r.measure == e.measure
@@ -105,10 +94,12 @@ def test_reflect_within_domain():
 
 def test_reflect_expands_domain():
     e = interval_set([0, 1], n=4, h=1.0)
-    r = reflect(e, 0, 0.0)
+    r = mirror(e, 0, 0)
     # image cells are {-2,-1} in the old frame; the domain grew to hold them
     assert r.cell_count == 2
-    assert same_region(reflect(r, 0, 0.0), e)
+    assert r.spec.origin == (-2.0,)
+    # the plane sits 4 half-cells from the grown grid's origin
+    assert same_region(mirror(r, 0, 4), e)
 
 
 def test_reflect_is_involution_and_preserves_count():
@@ -116,34 +107,10 @@ def test_reflect_is_involution_and_preserves_count():
     rng = np.random.default_rng(7)
     occ = rng.random((6, 5)) < 0.4
     e = GridSet(spec, occ)
-    r2 = reflect(reflect(e, 1, 1.25), 1, 1.25)
-    assert same_region(r2, e)
-    assert reflect(e, 1, 1.25).cell_count == e.cell_count
-
-
-def test_reflect_off_lattice_plane():
-    e = interval_set([0, 1], n=4, h=1.0)
-    with pytest.raises(OffLatticePlaneError):
-        reflect(e, 0, 0.3)
-
-
-def test_steiner_recentering_example():
-    # occupancy 1,0,1,0 along the axis collapses to the centered block 0,1,1,0
-    spec = GridSpec(1, (4,), 1.0, (0.0,))
-    e = GridSet(spec, np.array([True, False, True, False]))
-    s = steiner_symmetrize(e, 0)
-    assert list(s.occupancy) == [False, True, True, False]
-
-
-def test_steiner_idempotent_and_equimeasurable():
-    spec = GridSpec(2, (8, 7), 1.0, (0.0, 0.0))
-    rng = np.random.default_rng(3)
-    occ = rng.random((8, 7)) < 0.5
-    e = GridSet(spec, occ)
-    for axis in (0, 1):
-        s1 = steiner_symmetrize(e, axis)
-        assert s1.cell_count == e.cell_count
-        assert same_region(steiner_symmetrize(s1, axis), s1)
+    # the plane y = 1.25 sits 5 half-cells from the origin
+    r = mirror(e, 1, 5)
+    assert r.cell_count == e.cell_count
+    assert same_region(mirror(r, 1, 5), e)
 
 
 def test_bisect_even_split():
@@ -225,7 +192,7 @@ def test_reflect_and_bisect_match_coordinate_mirror_oracle():
             for q in range(-2, 2 * n + 3):  # every half-lattice plane near the grid
                 plane = e.spec.origin[axis] + 0.5 * q * e.spec.h
                 region, span = mirror_oracle(e, axis, plane)
-                r = reflect(e, axis, plane)
+                r = mirror(e, axis, q)
                 assert same_region(r, region)
                 _check_grown(r, e, axis, span)
             plane, f_plus, f_minus = bisect_halves(e, axis)
@@ -256,6 +223,11 @@ def test_bisect_far_from_the_origin():
 def test_reflect_across_bisect_plane_far_from_the_origin():
     # 1.4e8 carries about 3e-8 of rounding, some 1e-5 of a cell at h = 0.003:
     # the plane bisect_halves returns must still name its lattice line
+    def half_cells(e, axis, plane):
+        t = (plane - e.spec.origin[axis]) / (0.5 * h)
+        assert abs(t - round(t)) < 1e-3
+        return round(t)
+
     h = 0.003
     rng = np.random.default_rng(10)
     for _ in range(50):
@@ -265,18 +237,11 @@ def test_reflect_across_bisect_plane_far_from_the_origin():
         far = GridSet(GridSpec(2, (9, 11), h, (1.4e8, -1.4e8)), occ)
         near = GridSet(GridSpec(2, (9, 11), h, (0.0, 0.0)), occ)
         for axis in (0, 1):
-            far_plane, *_ = bisect_halves(far, axis)
-            near_plane, *_ = bisect_halves(near, axis)
-            a = reflect(far, axis, far_plane).trimmed().occupancy
-            b = reflect(near, axis, near_plane).trimmed().occupancy
+            q = half_cells(far, axis, bisect_halves(far, axis)[0])
+            assert q == half_cells(near, axis, bisect_halves(near, axis)[0])
+            a = mirror(far, axis, q).trimmed().occupancy
+            b = mirror(near, axis, q).trimmed().occupancy
             assert np.array_equal(a, b)
-
-
-def test_reflect_refuses_a_plane_its_rounding_cannot_place():
-    # at 1e15 with h = 1e-3 a coordinate's rounding spans many half-cells
-    e = GridSet.from_cells(GridSpec(1, (4,), 1e-3, (1e15,)), [(1,)])
-    with pytest.raises(OffLatticePlaneError, match="cannot name"):
-        reflect(e, 0, 1e15)
 
 
 def test_every_re_embedding_keeps_cells_in_place():

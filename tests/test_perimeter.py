@@ -38,12 +38,12 @@ from fracperim.perimeter import (
     _exact_sum,
     _offset_kernel,
     _phi,
+    _tail_1d_units,
     _tail_2d,
     _tail_slots,
     fractional_perimeter,
     gagliardo_seminorm,
     single_cell_perimeter,
-    tail_integral,
 )
 from fracperim.quadrature import rounded_counts
 from fracperim.rearrange import GridFunction
@@ -229,13 +229,19 @@ def test_square_value_is_resolution_stable():
         assert v == pytest.approx(vals[0], rel=1e-9)
 
 
+def _one_cell(cell, shape):
+    occ = np.zeros(shape, dtype=bool)
+    occ[tuple(cell)] = True
+    return occ
+
+
 def test_tail_integral_contract():
+    # one cell's tail beyond a box on the unit lattice: a larger box leaves
+    # less, by exactly the pair terms of the ring between the two boxes
     p2 = KernelParams(2, 0.6)
-    cell = (0, 0)
-    small = ((-3, 4), (-3, 4))
-    big = ((-6, 7), (-6, 7))
-    t_small = tail_integral(cell, small, p2, 1.0)
-    t_big = tail_integral(cell, big, p2, 1.0)
+    table = TailTable(0.6)
+    t_small = _tail_2d(_one_cell((3, 3), (7, 7)), table)
+    t_big = _tail_2d(_one_cell((6, 6), (13, 13)), table)
     assert t_big < t_small
     ring = math.fsum(
         cell_pair_integral((x, y), p2, 1.0)
@@ -244,12 +250,11 @@ def test_tail_integral_contract():
         if not (-3 <= x < 4 and -3 <= y < 4)
     )
     assert t_small == pytest.approx(t_big + ring, rel=1e-8)
-    with pytest.raises(MarginError):
-        tail_integral((0, 0), ((-1, 2), (-3, 4)), p2, 1.0)
 
     p1 = KernelParams(1, 0.35)
-    t1 = tail_integral((0,), ((-2, 3),), p1, 0.5)
-    t1big = tail_integral((0,), ((-5, 6),), p1, 0.5)
+    scale = build_table(p1, h=0.5, cutoff=2).scale_factor
+    t1 = float(_tail_1d_units(np.array([2.0]), 5.0, p1.s)[0]) * scale
+    t1big = float(_tail_1d_units(np.array([5.0]), 11.0, p1.s)[0]) * scale
     ring1 = math.fsum(
         cell_pair_integral((d,), p1, 0.5)
         for d in list(range(-5, -2)) + list(range(3, 6))
@@ -258,16 +263,17 @@ def test_tail_integral_contract():
 
 
 def test_tail_scale_factor():
-    p2 = KernelParams(2, 0.6)
-    t1 = tail_integral((0, 0), ((-3, 4), (-3, 4)), p2, 1.0)
-    t2 = tail_integral((0, 0), ((-3, 4), (-3, 4)), p2, 2.0)
-    assert t2 == 2.0 ** (2 - 0.6) * t1
-
-
-def _one_cell(cell, shape):
-    occ = np.zeros(shape, dtype=bool)
-    occ[tuple(cell)] = True
-    return occ
+    # a perimeter scales its unit tail by its table's h^(dim - s) exactly
+    units = {
+        1: float(_tail_1d_units(np.array([3.0]), 7.0, 0.6)[0]),
+        2: _tail_2d(_one_cell((3, 3), (7, 7)), TailTable(0.6)),
+    }
+    for dim, unit in units.items():
+        t1, t2 = (
+            unit * build_table(KernelParams(dim, 0.6), h=h, cutoff=2).scale_factor
+            for h in (1.0, 2.0)
+        )
+        assert t2 == 2.0 ** (dim - 0.6) * t1
 
 
 @pytest.mark.parametrize("s", [0.1, 0.45, 0.9])
@@ -406,22 +412,20 @@ def test_perimeter_independent_of_table_history():
 
 
 def test_tail_integral_equals_table_gather():
+    # a one-cell tail on a fresh table equals the fsum of its eight Phi
+    # reads from a table shared by every box
     rng = np.random.default_rng(5)
     for s in (0.2, 0.6):
-        params = KernelParams(2, s)
         table = TailTable(s)
         for _ in range(20):
-            lx, ly = (int(v) for v in rng.integers(-20, 20, 2))
             nx, ny = (int(v) for v in rng.integers(5, 40, 2))
-            cx = lx + int(rng.integers(2, nx - 2))
-            cy = ly + int(rng.integers(2, ny - 2))
-            box = ((lx, lx + nx), (ly, ly + ny))
-            rows, cols, counts, extent = _tail_slots(
-                _one_cell((cx - lx, cy - ly), (nx, ny)))
+            cell = (int(rng.integers(2, nx - 2)), int(rng.integers(2, ny - 2)))
+            occ = _one_cell(cell, (nx, ny))
+            rows, cols, counts, extent = _tail_slots(occ)
             reads = np.repeat(table.gather(rows, cols, extent), counts)
             assert reads.size == 8
             gathered = math.fsum(reads.tolist()) / s
-            assert tail_integral((cx, cy), box, params, 1.0) == gathered
+            assert _tail_2d(occ, TailTable(s)) == gathered
 
 
 @pytest.mark.parametrize("s", [0.25, 0.75])

@@ -13,7 +13,6 @@ from fracperim import (
     GridSpec,
     MissingHaloError,
     dirichlet_energy,
-    distribution_function,
     load_gridfunction,
     polya_szego_report,
     save_gridfunction,
@@ -63,28 +62,6 @@ class TestGridFunction:
         assert a != c
 
 
-class TestDistributionFunction:
-    def test_step_heights(self):
-        # mu(t) = h^N * #{g > t}; values {3,2,2,1} on unit cells.
-        g = _gf([0.0, 3.0, 2.0, 2.0, 1.0, 0.0])
-        assert distribution_function(g, 0.5) == pytest.approx(4.0)
-        assert distribution_function(g, 1.5) == pytest.approx(3.0)
-        assert distribution_function(g, 2.5) == pytest.approx(1.0)
-        assert distribution_function(g, 3.5) == 0.0
-
-    def test_scales_with_cell_volume(self):
-        g = _gf([[0.0, 2.0], [2.0, 1.0]], h=0.25)
-        # 3 cells above t=0.5, each of area h^2
-        assert distribution_function(g, 0.5) == pytest.approx(3 * 0.25**2)
-
-    def test_rejects_nonpositive_threshold(self):
-        g = _gf([0.0, 1.0])
-        with pytest.raises(ValueError):
-            distribution_function(g, 0.0)
-        with pytest.raises(ValueError):
-            distribution_function(g, -1.0)
-
-
 class TestSymmetricRearrangement:
     def test_1d_worked_example(self):
         # center cell of 4 cells is index 2; largest value lands there,
@@ -99,8 +76,6 @@ class TestSymmetricRearrangement:
         g = _gf(vals, h=0.5)
         gs = symmetric_rearrangement(g)
         assert sorted(g.values.ravel()) == sorted(gs.values.ravel())
-        for t in (0.5, 1.5, 2.5, 4.5):
-            assert distribution_function(g, t) == distribution_function(gs, t)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
