@@ -257,13 +257,22 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
     """Measure every (family member, s, h) combination in the config.
 
     The records are computed on a pool of ``config.threads`` workers and
-    come back in (family, param, s, h) order.
+    come back in (family, param, s, h) order.  A setting that lists no
+    value, or one value twice, is refused: a copy would be measured again
+    and counted as one more point of a fit.
     """
     names = config.family_names()
-    for key, value in (("family", names), ("params", config.params)):
+    for key, value in (("family", names), ("params", config.params),
+                       ("s", config.s_values), ("h", config.h_values)):
         if not value:
             raise ValueError(
                 f"the sweep has no members: the {key!r} setting lists none"
+            )
+        repeated = [v for i, v in enumerate(value) if v in value[:i]]
+        if repeated:
+            raise ValueError(
+                f"the sweep repeats a member: the {key!r} setting lists "
+                f"{repeated[0]} more than once"
             )
     members = []
     for name in names:

@@ -31,7 +31,11 @@ the ExtensionField, which checks each level once and clamps it into the
 field's one stack (8 bytes per cell per level); lift_energy consumes
 them one at a time, so its memory does not grow with the level count.
 A level in flight holds its table and FFT work, about six times the
-level itself at its peak.
+level itself at its peak.  horizontal_rearrange stores no levels: it
+returns a view that rearranges the lift's levels one at a time as they
+are read, and every level consumer (extension_energy, trace_check,
+save_extension) reads a field through its one level iterator, so the
+energy of a rearranged lift holds a few level slices, not a stack.
 """
 
 from __future__ import annotations
@@ -228,17 +232,22 @@ def extension_domain(
 class ExtensionField:
     """Lift values on a half-space grid together with their boundary datum.
 
-    `values[j]` holds u(., z_j) over the base grid; `datum` is the
-    indicator the lift converges to as z drops to 0.  The constructor
-    takes `values` as any iterable of per-level arrays (a 3D array is
-    iterated along its first axis), allocates the one level stack of the
-    field and fills it level by level: each level is checked for shape,
-    finiteness and the [0, 1] window of indicator lifts up to roundoff,
-    then clamped into its slot.  So a producer that yields its levels
-    one at a time never holds a second stack.
+    `levels()` yields u(., z_j) level by level, lowest first; `values` is
+    the level stack, `values[j]` = u(., z_j) over the base grid; `datum`
+    is the indicator the lift converges to as z drops to 0.  The
+    constructor takes `values` as any iterable of per-level arrays (a 3D
+    array is iterated along its first axis), allocates the one level
+    stack of the field and fills it level by level: each level is checked
+    for shape, finiteness and the [0, 1] window of indicator lifts up to
+    roundoff, then clamped into its slot.  So a producer that yields its
+    levels one at a time never holds a second stack.
+
+    horizontal_rearrange returns a view instead: a field with no stack
+    whose levels are computed from another field's as they are read.  A
+    view builds its stack the first time `values` is read and keeps it.
     """
 
-    __slots__ = ("grid", "params", "values", "datum")
+    __slots__ = ("grid", "params", "datum", "_stack", "_levels")
 
     def __init__(
         self,
@@ -271,10 +280,43 @@ class ExtensionField:
         if count != len(stack):
             raise GridMismatchError(f"{count} levels given for {len(stack)} z-levels")
         stack.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "values", stack)
-        object.__setattr__(self, "datum", datum_arr)
+        self._init(grid, params, datum_arr, stack, None)
+
+    @classmethod
+    def _view(cls, grid: HalfSpaceGrid, params: KernelParams, levels, datum):
+        """A field whose levels come from calling `levels()`, unchecked.
+
+        `levels()` must yield grid.level_count checked, clamped float
+        arrays shaped like the base grid, and `datum` must be a bool array
+        of that shape that nothing else writes to.
+        """
+        field = object.__new__(cls)
+        datum.setflags(write=False)
+        field._init(grid, params, datum, None, levels)
+        return field
+
+    def _init(self, grid, params, datum, stack, levels) -> None:
+        for name, value in (("grid", grid), ("params", params), ("datum", datum),
+                            ("_stack", stack), ("_levels", levels)):
+            object.__setattr__(self, name, value)
+
+    def levels(self):
+        """Iterate over u(., z_j) level by level, lowest first, read-only."""
+        if self._stack is not None:
+            return iter(self._stack)
+        return self._levels()
+
+    @property
+    def values(self) -> np.ndarray:
+        """The read-only level stack; a view builds it on the first read."""
+        if self._stack is None:
+            stack = np.empty((self.grid.level_count,) + self.grid.base.cells)
+            for slot, level in zip(stack, self.levels(), strict=True):
+                slot[...] = level
+            stack.setflags(write=False)
+            object.__setattr__(self, "_stack", stack)
+            object.__setattr__(self, "_levels", None)  # frees the source
+        return self._stack
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")
@@ -489,7 +531,8 @@ def poisson_extend(
     flight, each with its table and FFT work (about six levels' worth of
     memory at its peak), plus the level being clamped: two-balls(0.9) at
     h = 1/8 (50 levels) peaks at about 1.13 stacks on one worker and 1.22
-    on two.  lift_energy streams the levels and holds no stack at all.
+    on two.  lift_energy streams the levels and holds no stack at all,
+    and horizontal_rearrange of the field adds no second stack.
     """
     with closing(_lift_levels(e, grid, params, threads)) as lifted:
         levels = (level for _, level in lifted)
@@ -513,7 +556,7 @@ def _slab_weight(a: float, b: float, s: float) -> float:
 
 
 def extension_energy(u: ExtensionField) -> ExtensionEnergy:
-    """Assemble int z^(1-s) |grad u|^2 from the level stack.
+    """Assemble int z^(1-s) |grad u|^2 from the field's levels, in level order.
 
     Lateral gradients are forward differences at each level, weighted by
     the exact z^(1-s) mass of the slab the level represents (slabs meet
@@ -523,7 +566,7 @@ def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     ignored outside the computed box is returned, and a TruncationWarning
     is issued when it exceeds _TRUNCATION_SHARE of the total.
     """
-    return _energy(u.grid, u.params.s, u.datum, zip(u.grid.z_levels, u.values))
+    return _energy(u.grid, u.params.s, u.datum, zip(u.grid.z_levels, u.levels()))
 
 
 def lift_energy(
@@ -560,12 +603,18 @@ def _energy(grid: HalfSpaceGrid, s: float, datum, levels) -> ExtensionEnergy:
     rim_energy = 0.0
     prev = np.asarray(datum, dtype=np.float64)
     prev_z = 0.0
+    # every level's differences and level - prev take turns in one buffer
+    scratch = np.empty(prev.size)
     for (lo, hi), (z, level) in zip(slabs, levels):
         w = _slab_weight(lo, hi, s)
         x_sum = x_rim = 0.0
         for axis in range(n):
             # the forward difference sits on the lower cell of each pair
-            d = np.diff(level, axis=axis)
+            lead = (slice(None),) * axis
+            upper = level[lead + (slice(1, None),)]
+            lower = level[lead + (slice(None, -1),)]
+            d = scratch[: upper.size].reshape(upper.shape)
+            np.subtract(upper, lower, out=d)
             d /= h
             d *= d
             x_sum += float(d.sum())
@@ -574,7 +623,7 @@ def _energy(grid: HalfSpaceGrid, s: float, datum, levels) -> ExtensionEnergy:
         rim_energy += w * cell * x_rim
 
         w = _slab_weight(prev_z, z, s)
-        q = level - prev
+        q = np.subtract(level, prev, out=scratch.reshape(level.shape))
         q /= z - prev_z
         q *= q
         z_part += w * cell * float(q.sum())
@@ -675,16 +724,26 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     Each u(., z_j) is replaced by its symmetric decreasing rearrangement
     on the base grid; the boundary datum is rearranged the same way, so
     the new datum is the centered ball with the original cell count.
-    The rearranged levels go one at a time into the new field's one
-    stack, which checks each once, so the peak is the two fields' stacks
-    plus a few level slices.
+
+    Only the datum is rearranged here.  The result is a view of `u` that
+    keeps `u` alive and holds no stack: each time its levels are read,
+    every level of `u` is rearranged, checked and clamped as it is
+    yielded.  So extension_energy of the result holds a few level slices
+    besides `u`, and reading its `values` builds and keeps its own stack.
     """
     base = u.grid.base
     datum_fn = GridFunction(base, u.datum.astype(np.float64))
     new_datum = symmetric_rearrangement(datum_fn).values > 0.5
-    # the levels are checked already, so they skip the GridFunction copies
-    levels = (_rearranged(base, level) for level in u.values)
-    return ExtensionField(u.grid, u.params, levels, new_datum)
+
+    def levels():
+        # the levels are checked already, so they skip the GridFunction copies
+        for level in u.levels():
+            level = _rearranged(base, level)
+            _unit_clip(level, out=level)
+            level.setflags(write=False)
+            yield level
+
+    return ExtensionField._view(u.grid, u.params, levels, new_datum)
 
 
 def trace_check(u: ExtensionField) -> np.ndarray:
@@ -700,8 +759,8 @@ def trace_check(u: ExtensionField) -> np.ndarray:
     ind = u.datum.astype(np.float64)
     cell = u.grid.base.h ** u.grid.base.dim
     out = np.empty(u.grid.level_count, dtype=np.float64)
-    for j in range(u.grid.level_count):
-        diff = u.values[j] - ind
+    for j, level in enumerate(u.levels()):
+        diff = level - ind
         out[j] = math.sqrt(cell * float((diff * diff).sum()))
     return out
 
@@ -718,7 +777,7 @@ def save_extension(u: ExtensionField, path) -> None:
         yield "FRACEXT v1"
         yield geometry_line(u.grid.base, u.params.s)
         yield "levels " + " ".join(repr(float(z)) for z in u.grid.z_levels)
-        for j, level in enumerate(u.values):
+        for j, level in enumerate(u.levels()):
             yield f"level {j}"
             yield from format_block(level, g17)
         yield "datum"

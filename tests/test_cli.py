@@ -287,3 +287,25 @@ def test_empty_sweep_exits_2_naming_the_empty_setting(args, setting, capsys):
     assert code == 2
     assert out == ""
     assert f"the sweep has no members: the {setting!r} setting lists none" in err
+
+
+@pytest.mark.parametrize(
+    "args,setting,value",
+    [
+        (["sweep-s", "--family", "ellipse-ecc,ellipse-ecc"], "family", "ellipse-ecc"),
+        (["exponent-study", "--n", "2", "--family", "fourier-disk",
+          "--params", "0.2,0.2,0.2,0.2", "--s", "0.5", "--h", "0.125"],
+         "params", "0.2"),
+        (["sweep-s", "--params", "0.1,0.4,0.1"], "params", "0.1"),
+        (["sweep-s", "--s", "0.5,0.25,0.5"], "s", "0.5"),
+        (["exponent-study", "--h", "0.125,0.125"], "h", "0.125"),
+    ],
+)
+def test_repeated_sweep_member_exits_2_naming_setting_and_value(
+    args, setting, value, capsys
+):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert (f"the sweep repeats a member: the {setting!r} setting lists "
+            f"{value} more than once") in err

@@ -576,7 +576,8 @@ def test_many_workers_share_one_box_spectrum(monkeypatch):
 
 def _traced_lift_and_rearrangement(threads):
     # Two-balls(0.9) at h = 1/8: 50 levels of 245 x 231 cells, 21.6 MiB a
-    # stack.  Peaks of the lift and of the rearrangement's extra, in stacks.
+    # stack.  Peaks of the lift, and of the rearrangement plus its energy
+    # over what the lift holds, in stacks.
     shape = fp.generate_family("two-balls", (0.9,), h=1 / 8)[0].shape
     e = fp.rasterize(shape, fp.auto_spec(shape, 1 / 8))
     grid, embedded = fp.extension_domain(e)
@@ -589,11 +590,11 @@ def _traced_lift_and_rearrangement(threads):
         lift_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         held, _ = tracemalloc.get_traced_memory()
-        star = fp.horizontal_rearrange(u)
+        fp.extension_energy(fp.horizontal_rearrange(u))
         rearrange_extra = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert u.values.nbytes == star.values.nbytes == stack
+    assert u.values.nbytes == stack
     return lift_peak / stack, rearrange_extra / stack
 
 
@@ -602,33 +603,16 @@ def test_lift_on_two_workers_holds_one_stack_and_two_levels_of_work():
     # their peaks: about 1.25 stacks at worst, 1.20-1.22 measured.
     lift_peak, rearrange_extra = _traced_lift_and_rearrangement(2)
     assert lift_peak <= 1.30
-    assert rearrange_extra <= 1.15
+    assert rearrange_extra <= 0.2
 
 
-def test_lift_and_rearrangement_hold_one_stack_per_field():
-    # Two-balls(0.9) at h = 1/8: 50 levels of 245 x 231 cells, 21.6 MiB a
-    # stack.  A lift keeps one stack plus one level's FFT work over the
-    # set's bounding box (1.13 stacks); the rearrangement adds the new
-    # field's stack plus a few level slices (1.09 stacks).
-    shape = fp.generate_family("two-balls", (0.9,), h=1 / 8)[0].shape
-    e = fp.rasterize(shape, fp.auto_spec(shape, 1 / 8))
-    grid, embedded = fp.extension_domain(e)
-    params = fp.KernelParams(2, 0.5)
-    stack = 8 * grid.level_count * math.prod(grid.base.cells)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        u = fp.poisson_extend(embedded, grid, params)
-        lift_peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        held, _ = tracemalloc.get_traced_memory()
-        star = fp.horizontal_rearrange(u)
-        rearrange_extra = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert u.values.nbytes == star.values.nbytes == stack
-    assert lift_peak <= 1.25 * stack
-    assert rearrange_extra <= 1.15 * stack
+def test_lift_holds_one_stack_and_rearranged_energy_holds_none():
+    # A lift keeps one stack plus one level's FFT work over the set's
+    # bounding box (1.13 stacks).  The rearrangement is a view of the lift,
+    # so its energy holds a few level slices at a time (0.12 stacks).
+    lift_peak, rearrange_extra = _traced_lift_and_rearrangement(1)
+    assert lift_peak <= 1.25
+    assert rearrange_extra <= 0.2
 
 
 # ------------------------------------------------------------------ energy
@@ -809,6 +793,70 @@ def test_horizontal_rearrange_is_levelwise_rearrangement(shape, dim, h):
         level = fp.GridFunction(u.grid.base, u.values[j])
         want = fp.symmetric_rearrangement(level).values
         assert np.array_equal(star.values[j], want)
+
+
+# float.hex of (total, x_part, z_part, truncation_estimate), pinned under
+# numpy 2.4.6 / scipy 1.17.1 from the lift's stored stack and from a stack
+# of its rearranged levels
+_ENERGY_PIN_VERSIONS = ("2.4.6", "1.17.1")
+_ENERGY_PINS = {
+    ("union", "lift"): ("0x1.64ae981abd272p+0", "0x1.32aa0c92c5e88p-2",
+                        "0x1.180414f60bad0p+0", "0x1.6340bfd8c586ep-9"),
+    ("union", "rearranged"): ("0x1.409286d523a92p+0", "0x1.4e3d7631c0bcfp-3",
+                              "0x1.16cad80eeb918p+0", "0x1.6b3fbf3e25d95p-9"),
+    ("two-balls", "lift"): ("0x1.5f62cf9f98c2fp+1", "0x1.1580b09ff8619p-1",
+                            "0x1.1a02a3779aaa9p+1", "0x1.a64a43944f888p-14"),
+    ("two-balls", "rearranged"): ("0x1.47f6481311bdcp+1", "0x1.74f01c8567bcdp-2",
+                                  "0x1.1958448264c62p+1", "0x1.a8e35a761a2dap-14"),
+}
+
+
+def _pinned_lifts():
+    union = fp.UnionShape((fp.Interval(0.0, 0.8), fp.Interval(1.5, 2.7)))
+    balls = fp.generate_family("two-balls", (0.9,), h=1 / 8)[0].shape
+    return {"union": lift_shape(union, 1, 1 / 16)[0],
+            "two-balls": lift_shape(balls, 2, 1 / 8)[0]}
+
+
+def test_energies_before_and_after_rearrangement_keep_their_pinned_bits():
+    import scipy
+
+    got = {}
+    for name, u in _pinned_lifts().items():
+        for tag, field in (("lift", u), ("rearranged", fp.horizontal_rearrange(u))):
+            en = fp.extension_energy(field)
+            got[(name, tag)] = (en.total, en.x_part, en.z_part, en.truncation_estimate)
+    if (np.__version__, scipy.__version__) == _ENERGY_PIN_VERSIONS:
+        assert {k: tuple(v.hex() for v in vals) for k, vals in got.items()} == {
+            k: tuple(pins) for k, pins in _ENERGY_PINS.items()}
+    else:
+        print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
+              f"pinned {_ENERGY_PIN_VERSIONS}: comparing at 1e-13 relative")
+        for key, vals in got.items():
+            want = [float.fromhex(p) for p in _ENERGY_PINS[key]]
+            assert vals == pytest.approx(want, rel=1e-13), key
+
+
+def test_rearranged_view_reads_like_a_stored_field(tmp_path):
+    for name, u in _pinned_lifts().items():
+        star = fp.horizontal_rearrange(u)
+        # the view's own level pass, before `values` builds its stack
+        energy, trace = fp.extension_energy(star), fp.trace_check(star)
+        fp.save_extension(star, tmp_path / "view.fracext")
+        stored = fp.ExtensionField(star.grid, star.params, star.values, star.datum)
+        assert not star.values.flags.writeable
+        assert star.values is star.values  # built once, then kept
+        assert star.values.tobytes() == stored.values.tobytes()
+        assert fp.horizontal_rearrange(u).values.tobytes() == stored.values.tobytes()
+        assert energy == fp.extension_energy(stored)
+        assert trace.tobytes() == fp.trace_check(stored).tobytes()
+        fp.save_extension(stored, tmp_path / "stored.fracext")
+        view_bytes = (tmp_path / "view.fracext").read_bytes()
+        assert view_bytes == (tmp_path / "stored.fracext").read_bytes(), name
+        # and the same once the view reads its kept stack
+        assert fp.trace_check(star).tobytes() == trace.tobytes()
+        fp.save_extension(star, tmp_path / "kept.fracext")
+        assert (tmp_path / "kept.fracext").read_bytes() == view_bytes
 
 
 def test_rearranged_lift_does_not_gain_energy():
