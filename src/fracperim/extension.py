@@ -17,25 +17,31 @@ of the lift of an indicator is proportional to the set's fractional
 perimeter; the proportionality constant gamma is calibrated once against
 a shape with a trusted perimeter value and then reused.
 
-Cost: the levels come from one generator, each level one windowed FFT
-convolution of the set's bounding box (transformed once per lift) with
-that level's kernel table over the offsets by which the box reaches the
-grid; in 2D the table's quadrant is evaluated and mirrored.  Since
-extension_domain pads the set by several diagonals, the box is a small
-part of the grid and the FFT is about n + k per axis (k box cells), not
-2n.  The levels are independent, so each is one task on a pool of
-``threads`` level workers (each FFT is single-threaded), with at most
-``threads`` levels in flight, and they come out in level order while the
-consumer works on the previous one.  poisson_extend hands the levels to
-the ExtensionField, which checks each level once and clamps it into the
-field's one stack (8 bytes per cell per level); lift_energy consumes
-them one at a time, so its memory does not grow with the level count.
-A level in flight holds its table and FFT work, about six times the
-level itself at its peak.  horizontal_rearrange stores no levels: it
-returns a view that rearranges the lift's levels one at a time as they
-are read, and every level consumer (extension_energy, trace_check,
-save_extension) reads a field through its one level iterator, so the
-energy of a rearranged lift holds a few level slices, not a stack.
+Cost: each level is one windowed FFT convolution of the set's bounding
+box (transformed once per lift) with that level's kernel table over the
+offsets by which the box reaches the grid; in 2D the table's quadrant is
+evaluated and mirrored.  Since extension_domain pads the set by several
+diagonals, the box is a small part of the grid and the FFT is about
+n + k per axis (k box cells), not 2n.
+
+Every per-level pass runs on one ordered pool, _ordered_map: one task
+per level on ``threads`` level workers, at most ``threads`` levels in
+flight, results taken in level order while the workers go on with the
+next levels.  poisson_extend's task lifts a level (each FFT on one
+thread) and hands it to the ExtensionField, which checks it once and
+clamps it into the field's one stack (8 bytes per cell per level).  A
+field keeps its lift's ``threads``, so extension_energy and trace_check
+of it run on as many workers: the energy's task sums one level's
+lateral and vertical differences in its worker's scratch buffer, and
+only the fold of those sums into the energy stays on the calling thread,
+in level order, so every energy has the same bits on any worker count.
+lift_energy lifts, checks and sums each level in one task and stores no
+stack.  A level in flight holds its table and FFT work, about six times
+the level itself at its peak.  horizontal_rearrange stores no levels: it
+returns a view whose level task rearranges, checks and clamps one level
+of the lift, inside the same task as the pass that reads it, so a view's
+energy runs on one pool and holds a few level slices per worker, not a
+stack.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
@@ -65,7 +71,7 @@ from .grids import GridSet, GridSpec, pad_domain
 from .kernels import InteractionTable, KernelParams, build_table
 from .perimeter import fractional_perimeter
 from .quadrature import FFTOperand, convolve_window, window_size
-from .rearrange import GridFunction, _rearranged, symmetric_rearrangement
+from .rearrange import GridFunction, _fill_order, symmetric_rearrangement
 from .shapes import auto_spec, format_shape, rasterize
 
 __all__ = [
@@ -243,11 +249,20 @@ class ExtensionField:
     levels one at a time never holds a second stack.
 
     horizontal_rearrange returns a view instead: a field with no stack
-    whose levels are computed from another field's as they are read.  A
-    view builds its stack the first time `values` is read and keeps it.
+    of its own, whose levels are computed from another field's stack as
+    they are read.  A view builds its stack the first time `values` is
+    read and keeps it.
+
+    A field keeps the level workers it was lifted with (poisson_extend's
+    ``threads``; 1 for a field built here or read by load_extension), and
+    a view keeps those of the field it views: every per-level pass over
+    the field (a view's levels, extension_energy, trace_check) runs on
+    that many workers, bit for bit as on one.
     """
 
-    __slots__ = ("grid", "params", "datum", "_stack", "_levels")
+    # _stack is the stored stack the levels come from, the field's own or
+    # the viewed field's; a view's levels are _produce(_stack[j], scratch)
+    __slots__ = ("grid", "params", "datum", "_stack", "_produce", "_threads")
 
     def __init__(
         self,
@@ -280,42 +295,56 @@ class ExtensionField:
         if count != len(stack):
             raise GridMismatchError(f"{count} levels given for {len(stack)} z-levels")
         stack.setflags(write=False)
-        self._init(grid, params, datum_arr, stack, None)
+        self._init(grid, params, datum_arr, stack, None, 1)
 
     @classmethod
-    def _view(cls, grid: HalfSpaceGrid, params: KernelParams, levels, datum):
-        """A field whose levels come from calling `levels()`, unchecked.
+    def _view(cls, u: ExtensionField, produce, datum):
+        """A field whose levels are produce(level, scratch) of u's levels.
 
-        `levels()` must yield grid.level_count checked, clamped float
-        arrays shaped like the base grid, and `datum` must be a bool array
-        of that shape that nothing else writes to.
+        `produce` must return a new checked, clamped, read-only float
+        array shaped like the base grid, and may use `scratch` (a float
+        buffer of the grid's size, or None) while it works; `datum` must
+        be a bool array of that shape that nothing else writes to.  A
+        view of a view reads the stack underneath and applies both
+        produce functions in one level task, so its passes run on one
+        pool.
         """
+        if u._produce is not None:
+            inner, outer = u._produce, produce
+
+            def produce(level, scratch=None):
+                return outer(inner(level, scratch), scratch)
+
         field = object.__new__(cls)
         datum.setflags(write=False)
-        field._init(grid, params, datum, None, levels)
+        field._init(u.grid, u.params, datum, u._stack, produce, u._threads)
         return field
 
-    def _init(self, grid, params, datum, stack, levels) -> None:
+    def _init(self, grid, params, datum, stack, produce, threads) -> None:
         for name, value in (("grid", grid), ("params", params), ("datum", datum),
-                            ("_stack", stack), ("_levels", levels)):
+                            ("_stack", stack), ("_produce", produce),
+                            ("_threads", threads)):
             object.__setattr__(self, name, value)
 
     def levels(self):
-        """Iterate over u(., z_j) level by level, lowest first, read-only."""
-        if self._stack is not None:
+        """Iterate over u(., z_j) level by level, lowest first, read-only.
+
+        A view's levels are made on the field's workers, in level order.
+        """
+        if self._produce is None:
             return iter(self._stack)
-        return self._levels()
+        return _ordered_map(self._produce, self._stack, self._threads)
 
     @property
     def values(self) -> np.ndarray:
         """The read-only level stack; a view builds it on the first read."""
-        if self._stack is None:
+        if self._produce is not None:
             stack = np.empty((self.grid.level_count,) + self.grid.base.cells)
             for slot, level in zip(stack, self.levels(), strict=True):
                 slot[...] = level
             stack.setflags(write=False)
-            object.__setattr__(self, "_stack", stack)
-            object.__setattr__(self, "_levels", None)  # frees the source
+            object.__setattr__(self, "_stack", stack)  # frees the viewed stack
+            object.__setattr__(self, "_produce", None)
         return self._stack
 
     def __setattr__(self, name, value):
@@ -430,22 +459,38 @@ def _unit_clip(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0, out=out)
 
 
-def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
-    """Yield (z, u(., z)) for every level of the grid, lowest first.
+def _ordered_map(fn, items, workers: int):
+    """Yield fn(item) for every item, in item order, from `workers` threads.
+
+    At most `workers` items are in flight: the next item is submitted
+    when a result is taken, so the caller works on one result while the
+    workers compute the following ones.  An exception in fn is raised
+    here with its type, in item order; closing the generator, or an
+    exception, cancels the items not started yet and joins the workers.
+    """
+    items = iter(items)
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="fracperim-level")
+    try:
+        pending = deque(pool.submit(fn, item) for item in islice(items, workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
+            del result  # the caller may drop it before the next one
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _level_lifter(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
+    """Check a lift's inputs and return the function z -> u(., z).
 
     Each level is a window of one convolution of the occupancy, trimmed
     to its bounding box, with the level's kernel table over the offsets
-    that reach the grid from the box; the occupancy is transformed once,
-    before the workers share it.  A level is one task (table, one
-    single-threaded FFT, the lam scale) on a pool of ``threads`` workers,
-    at most one per level.  At most that many levels are in flight: the
-    next level is submitted when one is taken, so the consumer works on
-    a level while the workers compute the following ones, and the levels
-    come out in level order.  The levels are neither checked nor clamped:
-    each consumer does that once per level (ExtensionField, or _unit_clip
-    in lift_energy).  An exception in a level is raised here with its
-    type; closing the generator, or an exception, cancels the levels not
-    started yet and joins the workers.
+    that reach the grid from the box; the occupancy is transformed here,
+    once, before the workers share it.  A level (table, one
+    single-threaded FFT, the lam scale) is neither checked nor clamped:
+    each consumer does that once per level (ExtensionField, or
+    _unit_clip in lift_energy's level task).
     """
     if e.spec != grid.base:
         raise GridMismatchError("set does not live on the grid's base spec")
@@ -457,9 +502,7 @@ def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads:
     h = grid.base.h
     cells = grid.base.cells
     if e.is_empty:
-        for z in grid.z_levels:
-            yield z, np.zeros(cells)
-        return
+        return lambda z: np.zeros(cells)
     lam = lambda_constant(params)
     box = e.bounding_cells()
     occ = FFTOperand(e.occupancy[tuple(slice(lo, hi + 1) for lo, hi in box)])
@@ -481,21 +524,17 @@ def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads:
         window *= lam
         return window
 
-    zs = iter(grid.z_levels)
-    workers = min(threads, grid.level_count)
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="fracperim-lift")
-    try:
-        pending = deque((z, pool.submit(level, z)) for z in islice(zs, workers))
-        while pending:
-            z, task = pending.popleft()
-            window = task.result()
-            del task  # the future holds the level too
-            for nxt in islice(zs, 1):
-                pending.append((nxt, pool.submit(level, nxt)))
-            yield z, window
-            del window  # the consumer may drop the level before the next one
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    return level
+
+
+def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
+    """Yield (z, u(., z)) for every level of the grid, lowest first.
+
+    A level is one task on ``threads`` level workers (_ordered_map), so
+    the consumer checks a level while the workers compute the next ones.
+    """
+    level = _level_lifter(e, grid, params, threads)
+    return _ordered_map(lambda z: (z, level(z)), grid.z_levels, threads)
 
 
 def poisson_extend(
@@ -522,8 +561,10 @@ def poisson_extend(
     grid's window, on one thread.  The box's occupancy is transformed
     once per lift.  ``threads`` is the number of level workers: each
     computes whole levels, and the constructor checks and clamps one
-    level while they compute the next ones.  The thread count does not
-    change a single bit of the result.
+    level while they compute the next ones.  The field keeps ``threads``,
+    so its extension_energy, trace_check and horizontal_rearrange view
+    run their per-level work on as many workers.  The thread count does
+    not change a single bit of the result, nor of those passes.
 
     Memory: the levels go straight into the ExtensionField, which checks
     each one once and clamps it into the field's one stack (8 bytes per
@@ -536,7 +577,9 @@ def poisson_extend(
     """
     with closing(_lift_levels(e, grid, params, threads)) as lifted:
         levels = (level for _, level in lifted)
-        return ExtensionField(grid, params, levels, e.occupancy)
+        u = ExtensionField(grid, params, levels, e.occupancy)
+    object.__setattr__(u, "_threads", threads)
+    return u
 
 
 @dataclass(frozen=True)
@@ -565,8 +608,14 @@ def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     acting as the level at z = 0.  A decay-model estimate of the energy
     ignored outside the computed box is returned, and a TruncationWarning
     is issued when it exceeds _TRUNCATION_SHARE of the total.
+
+    Each level's sums (and, for a view, the making of the level) run in
+    one task on the field's level workers, the ``threads`` it was lifted
+    with, each worker with one scratch buffer of a level's size; the sums
+    are folded into the energy here, in level order, so the result is
+    the same bit for bit on any number of workers.
     """
-    return _energy(u.grid, u.params.s, u.datum, zip(u.grid.z_levels, u.levels()))
+    return _energy(u.grid, u.params.s, u.datum, u._stack, u._produce, u._threads)
 
 
 def lift_energy(
@@ -578,18 +627,47 @@ def lift_energy(
 ) -> ExtensionEnergy:
     """extension_energy(poisson_extend(e, grid, params)), bit for bit.
 
-    The levels are lifted on ``threads`` level workers as in
-    poisson_extend and consumed one at a time in level order, so memory
-    holds a few level slices and the levels in flight instead of the
-    whole stack.
+    Each level is lifted, checked, clamped and summed in one task on
+    ``threads`` level workers, so memory holds a few level slices and the
+    levels in flight instead of the whole stack.
     """
-    with closing(_lift_levels(e, grid, params, threads)) as lifted:
-        levels = ((z, _unit_clip(level, out=level)) for z, level in lifted)
-        return _energy(grid, params.s, e.occupancy, levels)
+    level = _level_lifter(e, grid, params, threads)
+
+    def lifted(z: float, scratch: np.ndarray) -> np.ndarray:
+        window = level(z)
+        return _unit_clip(window, out=window)
+
+    return _energy(grid, params.s, e.occupancy, grid.z_levels, lifted, threads)
 
 
-def _energy(grid: HalfSpaceGrid, s: float, datum, levels) -> ExtensionEnergy:
-    """extension_energy over the (z, u(., z)) pairs of the grid's levels."""
+def _chained(sources, first):
+    """Yield (j, source_j, the slot of level j - 1, the slot of level j).
+
+    A slot is a future that level j's task fills with its level as soon
+    as the level is made, so that level j + 1's task can difference
+    against it; `first` fills the slot before level 0.  Tasks start in
+    level order, so a task waits only on a level that is being made.
+    """
+    ready = Future()
+    ready.set_result(first)
+    for j, source in enumerate(sources):
+        below, ready = ready, Future()
+        yield j, source, below, ready
+
+
+def _energy(
+    grid: HalfSpaceGrid, s: float, datum, sources, produce, workers: int
+) -> ExtensionEnergy:
+    """extension_energy over the levels produce(source, scratch), one per source.
+
+    With produce None the sources are the levels.  Each level is one
+    task on `workers` threads (_ordered_map): it makes the level, which
+    may use the worker's scratch buffer, and returns the level's lateral
+    and vertical sums and rims, and for the top level its squared sum.
+    Only the fold of those sums into the energy runs here, in level
+    order, with the same float operations as on one thread, so the
+    worker count does not change a bit.
+    """
     h = grid.base.h
     n = grid.base.dim
     zs = grid.z_levels
@@ -597,39 +675,56 @@ def _energy(grid: HalfSpaceGrid, s: float, datum, levels) -> ExtensionEnergy:
     # lateral slabs meet at the midpoints between consecutive levels
     mids = [0.5 * (a + b) for a, b in zip(zs, zs[1:])]
     slabs = zip([0.0] + mids, mids + [zs[-1]])
+    x_weights = [_slab_weight(lo, hi, s) for lo, hi in slabs]
+    below_z = (0.0,) + zs[:-1]
+    z_weights = [_slab_weight(lo, hi, s) for lo, hi in zip(below_z, zs)]
+    top = len(zs) - 1
+    # one buffer per worker, in which a level's making, its differences and
+    # level - prev take turns
+    spare = []
+
+    def sums(task):
+        j, source, below, ready = task
+        scratch = spare.pop() if spare else np.empty(math.prod(grid.base.cells))
+        try:
+            level = source if produce is None else produce(source, scratch)
+            ready.set_result(level)
+            x_sum = x_rim = 0.0
+            for axis in range(n):
+                # the forward difference sits on the lower cell of each pair
+                lead = (slice(None),) * axis
+                upper = level[lead + (slice(1, None),)]
+                lower = level[lead + (slice(None, -1),)]
+                d = scratch[: upper.size].reshape(upper.shape)
+                np.subtract(upper, lower, out=d)
+                d /= h
+                d *= d
+                x_sum += float(d.sum())
+                x_rim += _rim_sum(d, axis)
+            q = np.subtract(level, below.result(), out=scratch.reshape(level.shape))
+            q /= zs[j] - below_z[j]
+            q *= q
+            z_sum, z_rim = float(q.sum()), _rim_sum(q)
+            top_sum = float(np.multiply(level, level, out=q).sum()) if j == top else 0.0
+        except BaseException:
+            ready.cancel()  # a level never made stops the next task's wait
+            raise
+        finally:
+            spare.append(scratch)
+        return x_sum, x_rim, z_sum, z_rim, top_sum
 
     x_part = 0.0
     z_part = 0.0
     rim_energy = 0.0
-    prev = np.asarray(datum, dtype=np.float64)
-    prev_z = 0.0
-    # every level's differences and level - prev take turns in one buffer
-    scratch = np.empty(prev.size)
-    for (lo, hi), (z, level) in zip(slabs, levels):
-        w = _slab_weight(lo, hi, s)
-        x_sum = x_rim = 0.0
-        for axis in range(n):
-            # the forward difference sits on the lower cell of each pair
-            lead = (slice(None),) * axis
-            upper = level[lead + (slice(1, None),)]
-            lower = level[lead + (slice(None, -1),)]
-            d = scratch[: upper.size].reshape(upper.shape)
-            np.subtract(upper, lower, out=d)
-            d /= h
-            d *= d
-            x_sum += float(d.sum())
-            x_rim += _rim_sum(d, axis)
-        x_part += w * cell * x_sum
-        rim_energy += w * cell * x_rim
-
-        w = _slab_weight(prev_z, z, s)
-        q = np.subtract(level, prev, out=scratch.reshape(level.shape))
-        q /= z - prev_z
-        q *= q
-        z_part += w * cell * float(q.sum())
-        rim_energy += w * cell * _rim_sum(q)
-        prev = level
-        prev_z = z
+    tasks = _chained(sources, np.asarray(datum, dtype=np.float64))
+    with closing(_ordered_map(sums, tasks, workers)) as parts:
+        for j, (x_sum, x_rim, z_sum, z_rim, top_sum) in enumerate(parts):
+            w = x_weights[j]
+            x_part += w * cell * x_sum
+            rim_energy += w * cell * x_rim
+            w = z_weights[j]
+            z_part += w * cell * z_sum
+            rim_energy += w * cell * z_rim
 
     # Decay model for the ignored exterior: laterally u ~ r^-(N+s) so the
     # outermost ring underestimates the exterior by about r/(h*(N+2s));
@@ -637,7 +732,7 @@ def _energy(grid: HalfSpaceGrid, s: float, datum, levels) -> ExtensionEnergy:
     half_extent = 0.5 * max(c * h for c in grid.base.cells)
     lateral_est = rim_energy * half_extent / (h * (n + 2.0 * s))
     z_top = zs[-1]
-    top_mass = cell * float((prev * prev).sum())  # prev is the top level
+    top_mass = cell * top_sum  # the top level's squared sum
     top_est = 2.0 * n * n * top_mass * z_top ** (-s) / (2.0 * n + s)
     est = lateral_est + top_est
 
@@ -726,30 +821,41 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     the new datum is the centered ball with the original cell count.
 
     Only the datum is rearranged here.  The result is a view of `u` that
-    keeps `u` alive and holds no stack: each time its levels are read,
-    every level of `u` is rearranged, checked and clamped as it is
-    yielded.  So extension_energy of the result holds a few level slices
-    besides `u`, and reading its `values` builds and keeps its own stack.
+    keeps `u`'s stack alive and holds none of its own: each time its
+    levels are read, every level of `u` is rearranged, checked and
+    clamped in one task on `u`'s level workers (the ``threads`` of its
+    lift; no bit depends on them), and a pass over the view
+    (extension_energy, trace_check) runs its own per-level work in that
+    same task.  So extension_energy of the result holds a few level
+    slices per worker besides `u`, and reading its `values` builds and
+    keeps its own stack.
     """
     base = u.grid.base
     datum_fn = GridFunction(base, u.datum.astype(np.float64))
     new_datum = symmetric_rearrangement(datum_fn).values > 0.5
+    order = _fill_order(base)
 
-    def levels():
-        # the levels are checked already, so they skip the GridFunction copies
-        for level in u.levels():
-            level = _rearranged(base, level)
-            _unit_clip(level, out=level)
-            level.setflags(write=False)
-            yield level
+    def rearranged(level: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        # _rearranged, with its sort in the scratch buffer of the level
+        # task when there is one; the levels are checked already, so they
+        # skip the GridFunction copies
+        ordered = np.negative(level.reshape(-1), out=scratch)
+        ordered.sort()
+        np.negative(ordered, out=ordered)
+        out = np.empty(base.cells)
+        out.reshape(-1)[order] = ordered
+        _unit_clip(out, out=out)
+        out.setflags(write=False)
+        return out
 
-    return ExtensionField._view(u.grid, u.params, levels, new_datum)
+    return ExtensionField._view(u, rearranged, new_datum)
 
 
 def trace_check(u: ExtensionField) -> np.ndarray:
     """L2 distance from each level slice to the boundary datum.
 
-    Returns one distance per level, in level order.  For a lift built by
+    Returns one distance per level, in level order, each computed in its
+    level's task on the field's level workers.  For a lift built by
     poisson_extend the distances decrease toward 0 as z drops to the
     first level.  At least four levels are required for the sequence to
     say anything.
@@ -758,11 +864,15 @@ def trace_check(u: ExtensionField) -> np.ndarray:
         raise ValueError("trace comparison needs at least four levels")
     ind = u.datum.astype(np.float64)
     cell = u.grid.base.h ** u.grid.base.dim
-    out = np.empty(u.grid.level_count, dtype=np.float64)
-    for j, level in enumerate(u.levels()):
+    produce = u._produce
+
+    def distance(source: np.ndarray) -> float:
+        level = source if produce is None else produce(source)
         diff = level - ind
-        out[j] = math.sqrt(cell * float((diff * diff).sum()))
-    return out
+        return math.sqrt(cell * float((diff * diff).sum()))
+
+    dists = _ordered_map(distance, u._stack, u._threads)
+    return np.fromiter(dists, np.float64, u.grid.level_count)
 
 
 def save_extension(u: ExtensionField, path) -> None:

@@ -429,10 +429,15 @@ def fractional_perimeter(
     where first read, and shared by every set measured with it.  Neither
     the thread count nor the sets measured before changes the result.
 
-    Accuracy: in 2D the order-4 Gauss average of the tail over each cell
-    limits agreement with ``gagliardo_seminorm(1_E) / 2`` to about 1e-11
-    relative at the default ``bounding_margin=4``, and to about 1e-12 at a
-    margin of 8; the pair sums themselves agree to rounding.
+    Accuracy: in 2D, agreement with ``gagliardo_seminorm(1_E) / 2`` is
+    limited by one of two rules, depending on the set's size; the pair
+    sums themselves agree to rounding.  For small sets (up to 12 x 12
+    cells) it is the order-4 Gauss average of the tail over each cell:
+    up to 9e-12 relative at the default ``bounding_margin=4``, and about
+    1e-12 at a margin of 8.  For bench-sized sets it is the far rule's
+    order (``FAR_RULE = 3``): on the h = 1/128 ellipse (51,439 cells)
+    the gap is 1.5e-11 to 9.6e-11 for s = 0.25 to 0.75, while a margin of
+    16 moves ``Ps`` by at most 2.5e-12.
     """
     if e.is_empty:
         raise EmptySetError("fractional perimeter of the empty set")

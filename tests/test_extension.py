@@ -441,13 +441,17 @@ def test_bad_level_names_its_failure(bad, message, monkeypatch):
     with pytest.raises(ValueError, match=message):
         fp.ExtensionField(grid, params, levels, np.zeros(4, dtype=bool))
 
-    def fake_levels(e, grid, params, threads):
-        yield from zip(grid.z_levels, levels)
+    def fake_lifter(e, grid, params, threads):
+        by_z = dict(zip(grid.z_levels, levels))
+        return lambda z: by_z[z].copy()
 
-    monkeypatch.setattr(fp.extension, "_lift_levels", fake_levels)
+    # the lift's level function, which lift_energy's level tasks and
+    # poisson_extend's level workers both call
+    monkeypatch.setattr(fp.extension, "_level_lifter", fake_lifter)
     e = fp.rasterize(fp.Interval(0.25, 0.5), base)
-    with pytest.raises(ValueError, match=message):
-        fp.lift_energy(e, grid, params)
+    for lift in (fp.poisson_extend, fp.lift_energy):
+        with pytest.raises(ValueError, match=message):
+            lift(e, grid, params, threads=2)
 
 
 class LevelFailure(RuntimeError):
@@ -609,7 +613,8 @@ def test_lift_on_two_workers_holds_one_stack_and_two_levels_of_work():
 def test_lift_holds_one_stack_and_rearranged_energy_holds_none():
     # A lift keeps one stack plus one level's FFT work over the set's
     # bounding box (1.13 stacks).  The rearrangement is a view of the lift,
-    # so its energy holds a few level slices at a time (0.12 stacks).
+    # so its energy holds a few level slices at a time (0.11 stacks; 0.13
+    # on two workers).
     lift_peak, rearrange_extra = _traced_lift_and_rearrangement(1)
     assert lift_peak <= 1.25
     assert rearrange_extra <= 0.2
@@ -857,6 +862,103 @@ def test_rearranged_view_reads_like_a_stored_field(tmp_path):
         assert fp.trace_check(star).tobytes() == trace.tobytes()
         fp.save_extension(star, tmp_path / "kept.fracext")
         assert (tmp_path / "kept.fracext").read_bytes() == view_bytes
+
+
+def _energy_hex(en):
+    parts = (en.total, en.x_part, en.z_part, en.truncation_estimate)
+    return tuple(v.hex() for v in parts)
+
+
+def _level_pass_bits(u):
+    star = fp.horizontal_rearrange(u)
+    return {"energy": _energy_hex(fp.extension_energy(u)),
+            "rearranged energy": _energy_hex(fp.extension_energy(star)),
+            "trace": fp.trace_check(u).tobytes(),
+            "rearranged trace": fp.trace_check(star).tobytes()}
+
+
+def test_level_passes_keep_their_bits_at_any_worker_count(tmp_path):
+    # A field's energy, rearrangement and trace run on the workers it was
+    # lifted with, and lift_energy sums each level in the level's own task;
+    # one worker or four, every float and every byte is the same.
+    union = fp.UnionShape((fp.Interval(0.0, 0.8), fp.Interval(1.5, 2.7)))
+    balls = fp.generate_family("two-balls", (0.9,), h=1 / 8)[0].shape
+    for shape, dim, h in ((union, 1, 1 / 16), (balls, 2, 1 / 8)):
+        params = fp.KernelParams(dim, 0.5)
+        e = fp.rasterize(shape, fp.auto_spec(shape, h))
+        grid, embedded = fp.extension_domain(e)
+        got = {}
+        for threads in (1, 2, 4):
+            u = fp.poisson_extend(embedded, grid, params, threads=threads)
+            got[threads] = _level_pass_bits(u)
+            streamed = fp.lift_energy(embedded, grid, params, threads=threads)
+            assert _energy_hex(streamed) == got[threads]["energy"]
+            if threads == 2 and dim == 1:
+                # a field read back from FRACEXT runs its passes on one worker
+                fp.save_extension(u, tmp_path / "lift.fracext")
+                loaded = fp.load_extension(tmp_path / "lift.fracext")
+                assert _level_pass_bits(loaded) == got[threads]
+        assert got[2] == got[1]
+        assert got[4] == got[1]
+
+
+def _watched_rearrangement(monkeypatch, *, spoil=None):
+    """Patch the check of the rearranged levels to sleep briefly and record
+    its threads; patch after the lift, whose levels it checks too.
+
+    The level checked in call number `spoil` is raised by 1 first, so it
+    fails its [0, 1] check.
+    """
+    check = fp.extension._unit_clip
+    lock = threading.Lock()
+    seen = {"calls": 0, "idents": set()}
+
+    def watched(vals, out=None):
+        with lock:
+            seen["calls"] += 1
+            seen["idents"].add(threading.get_ident())
+            spoiled = seen["calls"] == spoil
+        time.sleep(0.05)
+        if spoiled:
+            vals += 1.0
+        return check(vals, out=out)
+
+    monkeypatch.setattr(fp.extension, "_unit_clip", watched)
+    return seen
+
+
+def test_rearranged_level_failing_its_check_in_a_worker_joins_the_workers(monkeypatch):
+    e, grid, params = _six_level_lift()
+    u = fp.poisson_extend(e, grid, params, threads=2)
+    star = fp.horizontal_rearrange(u)
+    before = threading.active_count()
+    for level_pass in (fp.extension_energy, fp.trace_check):
+        seen = _watched_rearrangement(monkeypatch, spoil=4)
+        with pytest.raises(ValueError, match="lifts must stay within") as failure:
+            level_pass(star)
+        assert threading.active_count() == before
+        del failure
+        assert threading.get_ident() not in seen["idents"]
+        assert 1 <= len(seen["idents"]) <= 2
+
+
+def test_closing_a_views_levels_early_cancels_the_rest(monkeypatch):
+    e, grid, params = _six_level_lift()
+    u = fp.poisson_extend(e, grid, params, threads=2)
+    want = fp.horizontal_rearrange(u).values
+    before = threading.active_count()
+    seen = _watched_rearrangement(monkeypatch)
+    levels = fp.horizontal_rearrange(u).levels()
+    first = next(levels)
+    time.sleep(0.3)
+    # the first level and the two the workers went on with, no more
+    assert seen["calls"] == 3
+    assert first.tobytes() == want[0].tobytes()
+    levels.close()
+    assert threading.active_count() == before
+    time.sleep(0.1)
+    assert seen["calls"] == 3
+    assert threading.get_ident() not in seen["idents"]
 
 
 def test_rearranged_lift_does_not_gain_energy():
