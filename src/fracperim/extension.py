@@ -35,13 +35,15 @@ of it run on as many workers: the energy's task sums one level's
 lateral and vertical differences in its worker's scratch buffer, and
 only the fold of those sums into the energy stays on the calling thread,
 in level order, so every energy has the same bits on any worker count.
-lift_energy lifts, checks and sums each level in one task and stores no
-stack.  A level in flight holds its table and FFT work, about six times
-the level itself at its peak.  horizontal_rearrange stores no levels: it
-returns a view whose level task rearranges, checks and clamps one level
-of the lift, inside the same task as the pass that reads it, so a view's
-energy runs on one pool and holds a few level slices per worker, not a
-stack.
+On one worker the energy's tasks run on the calling thread instead, as
+a pool would only hand them over.  lift_energy lifts, checks and sums
+each level in one task and stores no stack; on one worker, the worker
+lifts and the calling thread sums.  A level in flight holds its table
+and FFT work, about six times the level itself at its peak.
+horizontal_rearrange stores no levels: it returns a view whose level
+task rearranges, checks and clamps one level of the lift, inside the
+same task as the pass that reads it, so a view's energy runs on one
+pool and holds a few level slices per worker, not a stack.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import math
 import warnings
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import islice
 
@@ -71,7 +73,7 @@ from .grids import GridSet, GridSpec, pad_domain
 from .kernels import InteractionTable, KernelParams, build_table
 from .perimeter import fractional_perimeter
 from .quadrature import FFTOperand, convolve_window, window_size
-from .rearrange import GridFunction, _fill_order, symmetric_rearrangement
+from .rearrange import GridFunction, _rearranged, symmetric_rearrangement
 from .shapes import auto_spec, format_shape, rasterize
 
 __all__ = [
@@ -613,7 +615,8 @@ def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     one task on the field's level workers, the ``threads`` it was lifted
     with, each worker with one scratch buffer of a level's size; the sums
     are folded into the energy here, in level order, so the result is
-    the same bit for bit on any number of workers.
+    the same bit for bit on any number of workers.  On one worker the
+    tasks run on the calling thread.
     """
     return _energy(u.grid, u.params.s, u.datum, u._stack, u._produce, u._threads)
 
@@ -629,8 +632,13 @@ def lift_energy(
 
     Each level is lifted, checked, clamped and summed in one task on
     ``threads`` level workers, so memory holds a few level slices and the
-    levels in flight instead of the whole stack.
+    levels in flight instead of the whole stack.  On one worker, the
+    worker lifts the next level while the calling thread sums this one.
     """
+    if threads == 1:
+        with closing(_lift_levels(e, grid, params, 1)) as lifted:
+            levels = (_unit_clip(level, out=level) for _, level in lifted)
+            return _energy(grid, params.s, e.occupancy, levels, None, 1)
     level = _level_lifter(e, grid, params, threads)
 
     def lifted(z: float, scratch: np.ndarray) -> np.ndarray:
@@ -653,6 +661,7 @@ def _chained(sources, first):
     for j, source in enumerate(sources):
         below, ready = ready, Future()
         yield j, source, below, ready
+        del below  # not held while the next level is made
 
 
 def _energy(
@@ -666,7 +675,8 @@ def _energy(
     and vertical sums and rims, and for the top level its squared sum.
     Only the fold of those sums into the energy runs here, in level
     order, with the same float operations as on one thread, so the
-    worker count does not change a bit.
+    worker count does not change a bit.  With one worker the tasks run
+    here, one after the other.
     """
     h = grid.base.h
     n = grid.base.dim
@@ -685,8 +695,12 @@ def _energy(
 
     def sums(task):
         j, source, below, ready = task
-        scratch = spare.pop() if spare else np.empty(math.prod(grid.base.cells))
+        scratch = None
         try:
+            try:
+                scratch = spare.pop()
+            except IndexError:
+                scratch = np.empty(math.prod(grid.base.cells))
             level = source if produce is None else produce(source, scratch)
             ready.set_result(level)
             x_sum = x_rim = 0.0
@@ -710,14 +724,19 @@ def _energy(
             ready.cancel()  # a level never made stops the next task's wait
             raise
         finally:
-            spare.append(scratch)
+            if scratch is not None:
+                spare.append(scratch)
         return x_sum, x_rim, z_sum, z_rim, top_sum
 
     x_part = 0.0
     z_part = 0.0
     rim_energy = 0.0
     tasks = _chained(sources, np.asarray(datum, dtype=np.float64))
-    with closing(_ordered_map(sums, tasks, workers)) as parts:
+    if workers == 1:  # a pool would only hand the tasks over
+        level_sums = nullcontext(map(sums, tasks))
+    else:
+        level_sums = closing(_ordered_map(sums, tasks, workers))
+    with level_sums as parts:
         for j, (x_sum, x_rim, z_sum, z_rim, top_sum) in enumerate(parts):
             w = x_weights[j]
             x_part += w * cell * x_sum
@@ -833,17 +852,11 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     base = u.grid.base
     datum_fn = GridFunction(base, u.datum.astype(np.float64))
     new_datum = symmetric_rearrangement(datum_fn).values > 0.5
-    order = _fill_order(base)
 
     def rearranged(level: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-        # _rearranged, with its sort in the scratch buffer of the level
-        # task when there is one; the levels are checked already, so they
-        # skip the GridFunction copies
-        ordered = np.negative(level.reshape(-1), out=scratch)
-        ordered.sort()
-        np.negative(ordered, out=ordered)
-        out = np.empty(base.cells)
-        out.reshape(-1)[order] = ordered
+        # sorted in the level task's scratch buffer when there is one; the
+        # levels are checked already, so they skip the GridFunction copies
+        out = _rearranged(base, level, scratch)
         _unit_clip(out, out=out)
         out.setflags(write=False)
         return out

@@ -121,14 +121,17 @@ def symmetric_rearrangement(g: GridFunction) -> GridFunction:
     return GridFunction(g.spec, _rearranged(g.spec, g.values))
 
 
-def _rearranged(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+def _rearranged(
+    spec: GridSpec, values: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """The values sorted down and scattered in fill order, unchecked.
 
     The core of symmetric_rearrangement for callers whose values are
     already known to be finite, nonnegative and shaped like the grid.
+    The sort runs in `scratch` (flat, one value per cell) when given.
     """
     # descending: sort the negation in place, then negate it back
-    ordered = np.negative(values.reshape(-1))
+    ordered = np.negative(values.reshape(-1), out=scratch)
     ordered.sort()
     np.negative(ordered, out=ordered)
     out = np.empty_like(ordered)

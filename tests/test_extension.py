@@ -5,6 +5,7 @@ literal integrand; calibration quality is judged against the interval
 closed form 2 L^(1-s) / (s (1-s)).
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -521,17 +522,18 @@ def test_failing_level_propagates_and_joins_the_workers(monkeypatch):
     seen = _watched_table_builder(monkeypatch, fail_at=grid.z_levels[3])
     # the workers are joined before the exception reaches the caller,
     # even while the caller keeps it (and its traceback's frames)
-    for lift in (fp.poisson_extend, fp.lift_energy):
+    lifts = [(fp.poisson_extend, 2), (fp.lift_energy, 1), (fp.lift_energy, 2)]
+    for lift, threads in lifts:
         with pytest.raises(LevelFailure, match="level at z") as failure:
-            lift(e, grid, params, threads=2)
+            lift(e, grid, params, threads=threads)
         assert threading.active_count() == before
         del failure
     assert threading.get_ident() not in seen["idents"]
     # a level that the consumer rejects stops the workers too
     _watched_table_builder(monkeypatch, scale=3.0)
-    for lift in (fp.poisson_extend, fp.lift_energy):
+    for lift, threads in lifts:
         with pytest.raises(ValueError, match="within") as failure:
-            lift(e, grid, params, threads=2)
+            lift(e, grid, params, threads=threads)
         assert threading.active_count() == before
         del failure
 
@@ -940,6 +942,45 @@ def test_rearranged_level_failing_its_check_in_a_worker_joins_the_workers(monkey
         del failure
         assert threading.get_ident() not in seen["idents"]
         assert 1 <= len(seen["idents"]) <= 2
+
+
+def test_refused_scratch_buffer_fails_the_energy_and_joins_the_workers(monkeypatch):
+    # The first level's scratch buffer is refused only after the second
+    # level's task has its own, so that task goes on to wait for the first
+    # level; the failure must end that wait instead of hanging the join.
+    e, grid, params = _six_level_lift()
+    u = fp.poisson_extend(e, grid, params, threads=2)
+    second = threading.Event()
+    calls = itertools.count()
+
+    class RefusesFirstEmpty:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            if next(calls) == 0:
+                second.wait(10.0)
+                raise MemoryError("no scratch")
+            second.set()
+            return np.empty(*args, **kwargs)
+
+    monkeypatch.setattr(fp.extension, "np", RefusesFirstEmpty())
+    before = threading.active_count()
+    outcome = {}
+
+    def energy():
+        try:
+            fp.extension_energy(u)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=energy, daemon=True)
+    runner.start()
+    runner.join(60.0)
+    assert not runner.is_alive(), "the level workers hung"
+    assert second.is_set()
+    assert isinstance(outcome.get("error"), MemoryError)
+    assert threading.active_count() == before
 
 
 def test_closing_a_views_levels_early_cancels_the_rest(monkeypatch):
