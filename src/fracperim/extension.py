@@ -24,26 +24,25 @@ evaluated and mirrored.  Since extension_domain pads the set by several
 diagonals, the box is a small part of the grid and the FFT is about
 n + k per axis (k box cells), not 2n.
 
-Every per-level pass runs on one ordered pool, _ordered_map: one task
-per level on ``threads`` level workers, at most ``threads`` levels in
-flight, results taken in level order while the workers go on with the
-next levels.  poisson_extend's task lifts a level (each FFT on one
-thread) and hands it to the ExtensionField, which checks it once and
-clamps it into the field's one stack (8 bytes per cell per level).  A
-field keeps its lift's ``threads``, so extension_energy and trace_check
-of it run on as many workers: the energy's task sums one level's
-lateral and vertical differences in its worker's scratch buffer, and
-only the fold of those sums into the energy stays on the calling thread,
-in level order, so every energy has the same bits on any worker count.
-On one worker the energy's tasks run on the calling thread instead, as
-a pool would only hand them over.  lift_energy lifts, checks and sums
-each level in one task and stores no stack; on one worker, the worker
-lifts and the calling thread sums.  A level in flight holds its table
-and FFT work, about six times the level itself at its peak.
-horizontal_rearrange stores no levels: it returns a view whose level
-task rearranges, checks and clamps one level of the lift, inside the
-same task as the pass that reads it, so a view's energy runs on one
-pool and holds a few level slices per worker, not a stack.
+An ExtensionField is one of two kinds.  A stored field holds its level
+stack (8 bytes per cell per level).  A made field holds one source per
+level and a function that makes the level from its source, checked,
+clamped and read-only, on the field's ``threads`` level workers.  The
+lift is a made field whose sources are the z-levels (each level one
+table and one single-threaded FFT; a level in flight holds about six
+times the level itself at its peak); horizontal_rearrange is a made
+field over the sources of the field it rearranges, the rows of its stack
+when that field is stored.
+poisson_extend builds and keeps the lift's stack, and lift_energy sums
+the lift's levels as they are made, with no stack.
+
+Every pass over a field's levels (its energy, its trace) is one task per
+level on one generator, _level_pass, with one rule for the worker count:
+on one worker the worker makes the levels and the calling thread runs
+the tasks; on more, each level is made and its task run in one job on
+the workers, at most ``threads`` levels in flight.  The results come
+back in level order and are folded on the calling thread, so every
+energy and trace has the same bits on any worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import math
 import warnings
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing, nullcontext
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 
@@ -242,29 +241,31 @@ class ExtensionField:
 
     `levels()` yields u(., z_j) level by level, lowest first; `values` is
     the level stack, `values[j]` = u(., z_j) over the base grid; `datum`
-    is the indicator the lift converges to as z drops to 0.  The
-    constructor takes `values` as any iterable of per-level arrays (a 3D
-    array is iterated along its first axis), allocates the one level
-    stack of the field and fills it level by level: each level is checked
-    for shape, finiteness and the [0, 1] window of indicator lifts up to
-    roundoff, then clamped into its slot.  So a producer that yields its
-    levels one at a time never holds a second stack.
+    is the indicator the lift converges to as z drops to 0.
 
-    horizontal_rearrange returns a view instead: a field with no stack
-    of its own, whose levels are computed from another field's stack as
-    they are read.  A view builds its stack the first time `values` is
-    read and keeps it.
+    A field is stored or made.  A stored field holds its one read-only
+    level stack.  The constructor makes a stored field: it takes `values`
+    as any iterable of per-level arrays (a 3D array is iterated along its
+    first axis), allocates the stack and fills it level by level, each
+    level checked for shape, finiteness and the [0, 1] window of
+    indicator lifts up to roundoff, then clamped into its slot, so a
+    producer that yields its levels one at a time never holds a second
+    stack.  A made field (poisson_extend's lift, horizontal_rearrange)
+    holds one source per level and makes each level from its source,
+    checked, clamped and read-only, as the level is read.  It builds its
+    stack the first time `values` is read, keeps it and is stored from
+    then on.
 
-    A field keeps the level workers it was lifted with (poisson_extend's
-    ``threads``; 1 for a field built here or read by load_extension), and
-    a view keeps those of the field it views: every per-level pass over
-    the field (a view's levels, extension_energy, trace_check) runs on
+    A field keeps its level workers (poisson_extend's ``threads``, and
+    those of the field that horizontal_rearrange rearranges; 1 for a
+    field built here or read by load_extension): its levels are made,
+    and every pass over them (extension_energy, trace_check) runs, on
     that many workers, bit for bit as on one.
     """
 
-    # _stack is the stored stack the levels come from, the field's own or
-    # the viewed field's; a view's levels are _produce(_stack[j], scratch)
-    __slots__ = ("grid", "params", "datum", "_stack", "_produce", "_threads")
+    # a stored field's _sources is its stack and its _make is None; a made
+    # field's level j is _make(_sources[j], scratch)
+    __slots__ = ("grid", "params", "datum", "_sources", "_make", "_threads")
 
     def __init__(
         self,
@@ -276,11 +277,7 @@ class ExtensionField:
         if params.dim != grid.base.dim:
             raise GridMismatchError("kernel dimension differs from the grid")
         cells = grid.base.cells
-        datum_arr = np.asarray(datum, dtype=bool)
-        if datum_arr.shape != cells:
-            raise GridMismatchError("datum shape does not match the base grid")
-        datum_arr = datum_arr.copy()
-        datum_arr.setflags(write=False)
+        datum = _frozen_datum(grid, datum)
         stack = np.empty((grid.level_count,) + cells)
         count = 0
         for level in values:
@@ -297,60 +294,59 @@ class ExtensionField:
         if count != len(stack):
             raise GridMismatchError(f"{count} levels given for {len(stack)} z-levels")
         stack.setflags(write=False)
-        self._init(grid, params, datum_arr, stack, None, 1)
+        self._init(grid, params, datum, stack, None, 1)
 
     @classmethod
-    def _view(cls, u: ExtensionField, produce, datum):
-        """A field whose levels are produce(level, scratch) of u's levels.
+    def _made(cls, grid, params, datum, sources, make, threads):
+        """A made field whose level j is make(sources[j], scratch).
 
-        `produce` must return a new checked, clamped, read-only float
-        array shaped like the base grid, and may use `scratch` (a float
-        buffer of the grid's size, or None) while it works; `datum` must
-        be a bool array of that shape that nothing else writes to.  A
-        view of a view reads the stack underneath and applies both
-        produce functions in one level task, so its passes run on one
-        pool.
+        `make` must return a new checked, clamped, read-only float array
+        shaped like the base grid, and may use `scratch` (a float buffer
+        of one value per grid cell; None, the default, when there is
+        none) while it works.  The datum is copied.
         """
-        if u._produce is not None:
-            inner, outer = u._produce, produce
-
-            def produce(level, scratch=None):
-                return outer(inner(level, scratch), scratch)
-
         field = object.__new__(cls)
-        datum.setflags(write=False)
-        field._init(u.grid, u.params, datum, u._stack, produce, u._threads)
+        field._init(grid, params, _frozen_datum(grid, datum), sources, make, threads)
         return field
 
-    def _init(self, grid, params, datum, stack, produce, threads) -> None:
-        for name, value in (("grid", grid), ("params", params), ("datum", datum),
-                            ("_stack", stack), ("_produce", produce),
-                            ("_threads", threads)):
+    def _init(self, *values) -> None:
+        """Set the slots to `values`, in __slots__ order."""
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def levels(self):
         """Iterate over u(., z_j) level by level, lowest first, read-only.
 
-        A view's levels are made on the field's workers, in level order.
+        A made field's levels are made on its workers, in level order.
         """
-        if self._produce is None:
-            return iter(self._stack)
-        return _ordered_map(self._produce, self._stack, self._threads)
+        if self._make is None:
+            yield from self._sources
+        else:
+            yield from _ordered_map(self._make, self._sources, self._threads)
 
     @property
     def values(self) -> np.ndarray:
-        """The read-only level stack; a view builds it on the first read."""
-        if self._produce is not None:
+        """The read-only level stack; a made field builds it on the first read."""
+        if self._make is not None:
             stack = np.empty((self.grid.level_count,) + self.grid.base.cells)
             for slot, level in zip(stack, self.levels(), strict=True):
                 slot[...] = level
             stack.setflags(write=False)
-            object.__setattr__(self, "_stack", stack)  # frees the viewed stack
-            object.__setattr__(self, "_produce", None)
-        return self._stack
+            object.__setattr__(self, "_sources", stack)  # frees the old sources
+            object.__setattr__(self, "_make", None)
+        return self._sources
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtensionField is immutable")
+
+
+def _frozen_datum(grid: HalfSpaceGrid, datum) -> np.ndarray:
+    """A read-only bool copy of `datum`, which must be shaped like the base grid."""
+    datum = np.array(datum, dtype=bool)
+    if datum.shape != grid.base.cells:
+        raise GridMismatchError("datum shape does not match the base grid")
+    datum.setflags(write=False)
+    return datum
 
 
 def _rim_sum(a: np.ndarray, diff_axis: int | None = None) -> float:
@@ -448,17 +444,21 @@ def _poisson_table_2d(
     return table
 
 
-def _unit_clip(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Lift values checked to lie in [0, 1] up to roundoff, then clamped.
+def _unit_clip(vals: np.ndarray, out: np.ndarray) -> None:
+    """Check lift values to lie in [0, 1] up to roundoff, then clamp into `out`.
 
     NaN and infinities fail the min/max window too, so finiteness is
-    only looked at to name the failure.
+    only looked at to name the failure.  Clamping changes no bit of a
+    value already in [0, 1], so values clamped in place that need no
+    clamp are only checked, which keeps a level's making short.
     """
-    if not (vals.min() >= -1e-9 and vals.max() <= 1.0 + 1e-9):
+    lo, hi = vals.min(), vals.max()
+    if not (lo >= -1e-9 and hi <= 1.0 + 1e-9):
         if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         raise ValueError("indicator lifts must stay within [0, 1]")
-    return np.clip(vals, 0.0, 1.0, out=out)
+    if out is not vals or lo < 0.0 or hi > 1.0:
+        np.clip(vals, 0.0, 1.0, out=out)
 
 
 def _ordered_map(fn, items, workers: int):
@@ -483,16 +483,75 @@ def _ordered_map(fn, items, workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _level_lifter(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
-    """Check a lift's inputs and return the function z -> u(., z).
+def _level_pass(u: ExtensionField, task, first=None):
+    """Yield task(j, level, below, scratch) for every level j of u, in level order.
 
-    Each level is a window of one convolution of the occupancy, trimmed
-    to its bounding box, with the level's kernel table over the offsets
-    that reach the grid from the box; the occupancy is transformed here,
-    once, before the workers share it.  A level (table, one
-    single-threaded FFT, the lam scale) is neither checked nor clamped:
-    each consumer does that once per level (ExtensionField, or
-    _unit_clip in lift_energy's level task).
+    `below()` returns level j - 1, and `first` for level 0, so a task
+    can work on its own level before it needs the one below.  `scratch`
+    is a float buffer of one value per grid cell that is the task's own
+    while it runs; a made level may use one while it is made, too.  On
+    one worker the worker makes the levels (u.levels()) and the tasks
+    run here.  On more, each level is made and its task run in one job
+    on the workers, and below() waits on the slot that the job below
+    fills as soon as its level is made.  Either way the tasks compute the
+    same floats, so no bit depends on the worker count.  A failing job
+    empties its slot, which ends the wait above it; the failure is
+    raised here after the jobs not started are cancelled and the workers
+    joined.
+    """
+    spare = []  # scratch buffers not in use, at most one per thread at work
+
+    def scratched(fn, *args):
+        try:
+            scratch = spare.pop()
+        except IndexError:
+            scratch = np.empty(math.prod(u.grid.base.cells))
+        try:
+            return fn(*args, scratch)
+        finally:
+            spare.append(scratch)
+
+    if u._threads == 1:
+        below = first
+        with closing(u.levels()) as levels:
+            for j, level in enumerate(levels):
+                # the task runs before the yield, while below is level j - 1
+                yield scratched(task, j, level, lambda: below)
+                below = level
+        return
+    make = u._make
+
+    def job(slots):
+        j, source, below, ready = slots
+        try:
+            level = source if make is None else scratched(make, source)
+            ready.set_result(level)
+            return scratched(task, j, level, below.result)
+        except BaseException:
+            ready.cancel()  # a level never made stops the next job's wait
+            raise
+
+    def jobs():
+        ready = Future()
+        ready.set_result(first)
+        for j, source in enumerate(u._sources):
+            below, ready = ready, Future()
+            yield j, source, below, ready
+            del below  # not held while the next level is made
+
+    yield from _ordered_map(job, jobs(), u._threads)
+
+
+def _lift(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
+    """The lift of `e` as a made field over the z-levels, on ``threads`` workers.
+
+    The empty set lifts to the stored zero field.
+
+    Level z is a window of one convolution of the occupancy, trimmed to
+    its bounding box, with the level's kernel table over the offsets that
+    reach the grid from the box, scaled by lam, then checked and clamped
+    in place.  The occupancy is transformed here, once, before the
+    workers share it.
     """
     if e.spec != grid.base:
         raise GridMismatchError("set does not live on the grid's base spec")
@@ -504,7 +563,8 @@ def _level_lifter(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads
     h = grid.base.h
     cells = grid.base.cells
     if e.is_empty:
-        return lambda z: np.zeros(cells)
+        zeros = np.zeros((grid.level_count,) + cells)
+        return ExtensionField(grid, params, zeros, e.occupancy)
     lam = lambda_constant(params)
     box = e.bounding_cells()
     occ = FFTOperand(e.occupancy[tuple(slice(lo, hi + 1) for lo, hi in box)])
@@ -517,26 +577,18 @@ def _level_lifter(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads
     table_shape = tuple(b + a + 1 for b, a in zip(below, above))
     occ.spectrum(window_size(occ.array.shape, table_shape, start, stop), 1)
 
-    def level(z: float) -> np.ndarray:
+    def make(z: float, scratch=None) -> np.ndarray:
         if params.dim == 1:
             table = _poisson_table_1d(s, h, z, below[0], above[0])
         else:
             table = _poisson_table_2d(s, h, z, below, above)
         window = convolve_window(occ, table, start, stop)
         window *= lam
+        _unit_clip(window, out=window)
+        window.setflags(write=False)
         return window
 
-    return level
-
-
-def _lift_levels(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
-    """Yield (z, u(., z)) for every level of the grid, lowest first.
-
-    A level is one task on ``threads`` level workers (_ordered_map), so
-    the consumer checks a level while the workers compute the next ones.
-    """
-    level = _level_lifter(e, grid, params, threads)
-    return _ordered_map(lambda z: (z, level(z)), grid.z_levels, threads)
+    return ExtensionField._made(grid, params, e.occupancy, grid.z_levels, make, threads)
 
 
 def poisson_extend(
@@ -561,26 +613,25 @@ def poisson_extend(
     the offsets -hi..n-1-lo; one real FFT of that table at
     next_fast_len(n + k - 1) per axis and one inverse pruned to the base
     grid's window, on one thread.  The box's occupancy is transformed
-    once per lift.  ``threads`` is the number of level workers: each
-    computes whole levels, and the constructor checks and clamps one
-    level while they compute the next ones.  The field keeps ``threads``,
-    so its extension_energy, trace_check and horizontal_rearrange view
-    run their per-level work on as many workers.  The thread count does
-    not change a single bit of the result, nor of those passes.
+    once per lift.
 
-    Memory: the levels go straight into the ExtensionField, which checks
-    each one once and clamps it into the field's one stack (8 bytes per
-    cell per level).  Besides that stack, up to ``threads`` levels are in
-    flight, each with its table and FFT work (about six levels' worth of
-    memory at its peak), plus the level being clamped: two-balls(0.9) at
-    h = 1/8 (50 levels) peaks at about 1.13 stacks on one worker and 1.22
-    on two.  lift_energy streams the levels and holds no stack at all,
-    and horizontal_rearrange of the field adds no second stack.
+    The lift is a made field on ``threads`` level workers, each of which
+    makes, checks and clamps whole levels; its stack is built here and
+    kept, so the result is a stored field that keeps ``threads`` for its
+    passes (extension_energy, trace_check, horizontal_rearrange).  The
+    thread count does not change a single bit of the result, nor of
+    those passes.
+
+    Memory: besides the one stack (8 bytes per cell per level), up to
+    ``threads`` levels are in flight, each with its table and FFT work
+    (about six levels' worth of memory at its peak), plus the level
+    being copied into the stack: two-balls(0.9) at h = 1/8 (50 levels)
+    peaks at about 1.13 stacks on one worker and 1.20 on two.
+    lift_energy sums the levels as they are made and holds no stack at
+    all, and horizontal_rearrange of the field adds no second stack.
     """
-    with closing(_lift_levels(e, grid, params, threads)) as lifted:
-        levels = (level for _, level in lifted)
-        u = ExtensionField(grid, params, levels, e.occupancy)
-    object.__setattr__(u, "_threads", threads)
+    u = _lift(e, grid, params, threads)
+    u.values  # builds and keeps the stack
     return u
 
 
@@ -611,14 +662,13 @@ def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     ignored outside the computed box is returned, and a TruncationWarning
     is issued when it exceeds _TRUNCATION_SHARE of the total.
 
-    Each level's sums (and, for a view, the making of the level) run in
-    one task on the field's level workers, the ``threads`` it was lifted
-    with, each worker with one scratch buffer of a level's size; the sums
-    are folded into the energy here, in level order, so the result is
-    the same bit for bit on any number of workers.  On one worker the
-    tasks run on the calling thread.
+    Each level's differences and sums are one task of a level pass over
+    the field, on its level workers, in a scratch buffer; the sums are
+    folded into the energy here, in level order, so the result is the
+    same bit for bit on any number of workers.  A made field is summed
+    as its levels are made, with no stack.
     """
-    return _energy(u.grid, u.params.s, u.datum, u._stack, u._produce, u._threads)
+    return _energy(u)
 
 
 def lift_energy(
@@ -630,57 +680,19 @@ def lift_energy(
 ) -> ExtensionEnergy:
     """extension_energy(poisson_extend(e, grid, params)), bit for bit.
 
-    Each level is lifted, checked, clamped and summed in one task on
-    ``threads`` level workers, so memory holds a few level slices and the
-    levels in flight instead of the whole stack.  On one worker, the
-    worker lifts the next level while the calling thread sums this one.
+    It is the energy of the lift as a made field on ``threads`` level
+    workers, so each level is summed as it is made and memory holds the
+    levels in flight and a few level slices instead of the whole stack.
     """
-    if threads == 1:
-        with closing(_lift_levels(e, grid, params, 1)) as lifted:
-            levels = (_unit_clip(level, out=level) for _, level in lifted)
-            return _energy(grid, params.s, e.occupancy, levels, None, 1)
-    level = _level_lifter(e, grid, params, threads)
-
-    def lifted(z: float, scratch: np.ndarray) -> np.ndarray:
-        window = level(z)
-        return _unit_clip(window, out=window)
-
-    return _energy(grid, params.s, e.occupancy, grid.z_levels, lifted, threads)
+    return _energy(_lift(e, grid, params, threads))
 
 
-def _chained(sources, first):
-    """Yield (j, source_j, the slot of level j - 1, the slot of level j).
-
-    A slot is a future that level j's task fills with its level as soon
-    as the level is made, so that level j + 1's task can difference
-    against it; `first` fills the slot before level 0.  Tasks start in
-    level order, so a task waits only on a level that is being made.
-    """
-    ready = Future()
-    ready.set_result(first)
-    for j, source in enumerate(sources):
-        below, ready = ready, Future()
-        yield j, source, below, ready
-        del below  # not held while the next level is made
-
-
-def _energy(
-    grid: HalfSpaceGrid, s: float, datum, sources, produce, workers: int
-) -> ExtensionEnergy:
-    """extension_energy over the levels produce(source, scratch), one per source.
-
-    With produce None the sources are the levels.  Each level is one
-    task on `workers` threads (_ordered_map): it makes the level, which
-    may use the worker's scratch buffer, and returns the level's lateral
-    and vertical sums and rims, and for the top level its squared sum.
-    Only the fold of those sums into the energy runs here, in level
-    order, with the same float operations as on one thread, so the
-    worker count does not change a bit.  With one worker the tasks run
-    here, one after the other.
-    """
-    h = grid.base.h
-    n = grid.base.dim
-    zs = grid.z_levels
+def _energy(u: ExtensionField) -> ExtensionEnergy:
+    """extension_energy of u, warning at the caller of its public caller."""
+    h = u.grid.base.h
+    n = u.grid.base.dim
+    s = u.params.s
+    zs = u.grid.z_levels
     cell = h**n
     # lateral slabs meet at the midpoints between consecutive levels
     mids = [0.5 * (a + b) for a, b in zip(zs, zs[1:])]
@@ -689,54 +701,32 @@ def _energy(
     below_z = (0.0,) + zs[:-1]
     z_weights = [_slab_weight(lo, hi, s) for lo, hi in zip(below_z, zs)]
     top = len(zs) - 1
-    # one buffer per worker, in which a level's making, its differences and
-    # level - prev take turns
-    spare = []
 
-    def sums(task):
-        j, source, below, ready = task
-        scratch = None
-        try:
-            try:
-                scratch = spare.pop()
-            except IndexError:
-                scratch = np.empty(math.prod(grid.base.cells))
-            level = source if produce is None else produce(source, scratch)
-            ready.set_result(level)
-            x_sum = x_rim = 0.0
-            for axis in range(n):
-                # the forward difference sits on the lower cell of each pair
-                lead = (slice(None),) * axis
-                upper = level[lead + (slice(1, None),)]
-                lower = level[lead + (slice(None, -1),)]
-                d = scratch[: upper.size].reshape(upper.shape)
-                np.subtract(upper, lower, out=d)
-                d /= h
-                d *= d
-                x_sum += float(d.sum())
-                x_rim += _rim_sum(d, axis)
-            q = np.subtract(level, below.result(), out=scratch.reshape(level.shape))
-            q /= zs[j] - below_z[j]
-            q *= q
-            z_sum, z_rim = float(q.sum()), _rim_sum(q)
-            top_sum = float(np.multiply(level, level, out=q).sum()) if j == top else 0.0
-        except BaseException:
-            ready.cancel()  # a level never made stops the next task's wait
-            raise
-        finally:
-            if scratch is not None:
-                spare.append(scratch)
+    def sums(j, level, below, scratch):
+        # a level's differences and level - below take turns in scratch
+        x_sum = x_rim = 0.0
+        for axis in range(n):
+            # the forward difference sits on the lower cell of each pair
+            lead = (slice(None),) * axis
+            upper = level[lead + (slice(1, None),)]
+            lower = level[lead + (slice(None, -1),)]
+            d = scratch[: upper.size].reshape(upper.shape)
+            np.subtract(upper, lower, out=d)
+            d /= h
+            d *= d
+            x_sum += float(d.sum())
+            x_rim += _rim_sum(d, axis)
+        q = np.subtract(level, below(), out=scratch.reshape(level.shape))
+        q /= zs[j] - below_z[j]
+        q *= q
+        z_sum, z_rim = float(q.sum()), _rim_sum(q)
+        top_sum = float(np.multiply(level, level, out=q).sum()) if j == top else 0.0
         return x_sum, x_rim, z_sum, z_rim, top_sum
 
     x_part = 0.0
     z_part = 0.0
     rim_energy = 0.0
-    tasks = _chained(sources, np.asarray(datum, dtype=np.float64))
-    if workers == 1:  # a pool would only hand the tasks over
-        level_sums = nullcontext(map(sums, tasks))
-    else:
-        level_sums = closing(_ordered_map(sums, tasks, workers))
-    with level_sums as parts:
+    with closing(_level_pass(u, sums, u.datum.astype(np.float64))) as parts:
         for j, (x_sum, x_rim, z_sum, z_rim, top_sum) in enumerate(parts):
             w = x_weights[j]
             x_part += w * cell * x_sum
@@ -748,7 +738,7 @@ def _energy(
     # Decay model for the ignored exterior: laterally u ~ r^-(N+s) so the
     # outermost ring underestimates the exterior by about r/(h*(N+2s));
     # above the top level u ~ z^-N, integrated in closed form.
-    half_extent = 0.5 * max(c * h for c in grid.base.cells)
+    half_extent = 0.5 * max(c * h for c in u.grid.base.cells)
     lateral_est = rim_energy * half_extent / (h * (n + 2.0 * s))
     z_top = zs[-1]
     top_mass = cell * top_sum  # the top level's squared sum
@@ -839,36 +829,42 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     on the base grid; the boundary datum is rearranged the same way, so
     the new datum is the centered ball with the original cell count.
 
-    Only the datum is rearranged here.  The result is a view of `u` that
-    keeps `u`'s stack alive and holds none of its own: each time its
-    levels are read, every level of `u` is rearranged, checked and
-    clamped in one task on `u`'s level workers (the ``threads`` of its
-    lift; no bit depends on them), and a pass over the view
-    (extension_energy, trace_check) runs its own per-level work in that
-    same task.  So extension_energy of the result holds a few level
-    slices per worker besides `u`, and reading its `values` builds and
-    keeps its own stack.
+    Only the datum is rearranged here.  The result is a made field over
+    the same sources as `u` (the rows of its stack, which it keeps
+    alive), on `u`'s level workers: its level j is u's level j
+    rearranged, checked and clamped, made in the same job as the pass
+    that reads it (after u's own making, if `u` is made too).  So
+    extension_energy of the result holds a few level slices per worker
+    besides `u`, no bit depends on the workers, and reading its `values`
+    builds and keeps its own stack.
     """
     base = u.grid.base
     datum_fn = GridFunction(base, u.datum.astype(np.float64))
     new_datum = symmetric_rearrangement(datum_fn).values > 0.5
 
-    def rearranged(level: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-        # sorted in the level task's scratch buffer when there is one; the
-        # levels are checked already, so they skip the GridFunction copies
+    def make(level: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        # sorted in the scratch buffer when there is one; the levels are
+        # checked already, so they skip the GridFunction copies
         out = _rearranged(base, level, scratch)
         _unit_clip(out, out=out)
         out.setflags(write=False)
         return out
 
-    return ExtensionField._view(u, rearranged, new_datum)
+    if u._make is not None:
+        inner, outer = u._make, make
+
+        def make(source, scratch=None):
+            return outer(inner(source, scratch), scratch)
+
+    return ExtensionField._made(u.grid, u.params, new_datum, u._sources, make,
+                                u._threads)
 
 
 def trace_check(u: ExtensionField) -> np.ndarray:
     """L2 distance from each level slice to the boundary datum.
 
     Returns one distance per level, in level order, each computed in its
-    level's task on the field's level workers.  For a lift built by
+    level's task of a level pass over the field.  For a lift built by
     poisson_extend the distances decrease toward 0 as z drops to the
     first level.  At least four levels are required for the sequence to
     say anything.
@@ -877,15 +873,14 @@ def trace_check(u: ExtensionField) -> np.ndarray:
         raise ValueError("trace comparison needs at least four levels")
     ind = u.datum.astype(np.float64)
     cell = u.grid.base.h ** u.grid.base.dim
-    produce = u._produce
 
-    def distance(source: np.ndarray) -> float:
-        level = source if produce is None else produce(source)
-        diff = level - ind
-        return math.sqrt(cell * float((diff * diff).sum()))
+    def distance(j, level, below, scratch) -> float:
+        diff = np.subtract(level, ind, out=scratch.reshape(level.shape))
+        diff *= diff
+        return math.sqrt(cell * float(diff.sum()))
 
-    dists = _ordered_map(distance, u._stack, u._threads)
-    return np.fromiter(dists, np.float64, u.grid.level_count)
+    with closing(_level_pass(u, distance)) as dists:
+        return np.fromiter(dists, np.float64, u.grid.level_count)
 
 
 def save_extension(u: ExtensionField, path) -> None:

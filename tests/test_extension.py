@@ -442,13 +442,15 @@ def test_bad_level_names_its_failure(bad, message, monkeypatch):
     with pytest.raises(ValueError, match=message):
         fp.ExtensionField(grid, params, levels, np.zeros(4, dtype=bool))
 
-    def fake_lifter(e, grid, params, threads):
-        by_z = dict(zip(grid.z_levels, levels))
-        return lambda z: by_z[z].copy()
-
-    # the lift's level function, which lift_energy's level tasks and
-    # poisson_extend's level workers both call
-    monkeypatch.setattr(fp.extension, "_level_lifter", fake_lifter)
+    # the table and the FFT window of _lift's level making, which
+    # poisson_extend's and lift_energy's level workers both run: level z's
+    # window is the level before the lam scale
+    by_z = dict(zip(grid.z_levels, levels))
+    lam = fp.lambda_constant(params)
+    monkeypatch.setattr(fp.extension, "_poisson_table_1d",
+                        lambda s, h, z, below, above: z)
+    monkeypatch.setattr(fp.extension, "convolve_window",
+                        lambda occ, z, start, stop: by_z[z] / lam)
     e = fp.rasterize(fp.Interval(0.25, 0.5), base)
     for lift in (fp.poisson_extend, fp.lift_energy):
         with pytest.raises(ValueError, match=message):
@@ -509,11 +511,11 @@ def test_two_level_workers_compute_two_levels_at_once(monkeypatch):
     # while the consumer holds the first level, the workers go on with
     # the next two and stop there
     seen["calls"] = 0
-    with closing(fp.extension._lift_levels(e, grid, params, 2)) as levels:
-        z, first = next(levels)
+    with closing(fp.extension._lift(e, grid, params, 2).levels()) as levels:
+        first = next(levels)
         time.sleep(0.3)
         assert seen["calls"] == 3
-        assert np.clip(first, 0.0, 1.0).tobytes() == want.values[0].tobytes()
+        assert first.tobytes() == want.values[0].tobytes()
 
 
 def test_failing_level_propagates_and_joins_the_workers(monkeypatch):
@@ -550,6 +552,35 @@ def test_more_threads_than_levels_start_one_worker_per_level(monkeypatch):
     assert threading.get_ident() not in seen["idents"]
     assert threading.active_count() == before
     assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::fracperim.extension.TruncationWarning")
+def test_one_worker_makes_the_levels_while_the_calling_thread_sums(monkeypatch):
+    # On one level worker (extend's default) the worker lifts or rearranges
+    # each level and the calling thread sums it: lifting and summing on one
+    # thread is slower.
+    e, grid, params = _six_level_lift()
+    u = fp.poisson_extend(e, grid, params, threads=1)
+    made, summed = set(), set()
+
+    def recorded(fn, names):
+        def wrapped(*args, **kwargs):
+            names.add(threading.current_thread().name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, names in (("_poisson_table_2d", made), ("_rearranged", made),
+                        ("_rim_sum", summed)):
+        monkeypatch.setattr(fp.extension, name,
+                            recorded(getattr(fp.extension, name), names))
+    energies = (lambda: fp.lift_energy(e, grid, params, threads=1),
+                lambda: fp.extension_energy(fp.horizontal_rearrange(u)))
+    for energy in energies:
+        made.clear()
+        summed.clear()
+        energy()
+        assert len(made) == 1 and made.pop().startswith("fracperim-level")
+        assert summed == {threading.current_thread().name}
 
 
 def test_many_workers_share_one_box_spectrum(monkeypatch):
@@ -614,9 +645,10 @@ def test_lift_on_two_workers_holds_one_stack_and_two_levels_of_work():
 
 def test_lift_holds_one_stack_and_rearranged_energy_holds_none():
     # A lift keeps one stack plus one level's FFT work over the set's
-    # bounding box (1.13 stacks).  The rearrangement is a view of the lift,
-    # so its energy holds a few level slices at a time (0.11 stacks; 0.13
-    # on two workers).
+    # bounding box (1.13 stacks).  The rearrangement is a made field over
+    # the lift's stack, so its energy holds a few level slices at a time
+    # (0.14 stacks, the worker making the next level while this thread
+    # sums one; 0.13 on two workers).
     lift_peak, rearrange_extra = _traced_lift_and_rearrangement(1)
     assert lift_peak <= 1.25
     assert rearrange_extra <= 0.2
@@ -700,11 +732,16 @@ def test_energy_parts_match_dense_density_oracle():
 
 
 def test_truncation_warning_on_cramped_domain():
-    with pytest.warns(fp.TruncationWarning):
-        u, _ = lift_shape(
-            fp.Interval(0.0, 1.0), 1, 1 / 8, lateral_factor=0.4, top_factor=0.4
-        )
-        fp.extension_energy(u)
+    u, embedded = lift_shape(
+        fp.Interval(0.0, 1.0), 1, 1 / 8, lateral_factor=0.4, top_factor=0.4
+    )
+    energies = (lambda: fp.extension_energy(u),
+                lambda: fp.lift_energy(embedded, u.grid, u.params))
+    for energy in energies:
+        with pytest.warns(fp.TruncationWarning) as record:
+            energy()
+        # the warning names the line that asked for the energy
+        assert {w.filename for w in record} == {__file__}
 
 
 def test_comfortable_domain_reports_small_truncation():
@@ -845,25 +882,32 @@ def test_energies_before_and_after_rearrangement_keep_their_pinned_bits():
 
 
 def test_rearranged_view_reads_like_a_stored_field(tmp_path):
-    for name, u in _pinned_lifts().items():
+    lifts = _pinned_lifts()
+    for name, u in lifts.items():
         star = fp.horizontal_rearrange(u)
-        # the view's own level pass, before `values` builds its stack
+        # the view's own level passes, before `values` builds its stack
         energy, trace = fp.extension_energy(star), fp.trace_check(star)
-        fp.save_extension(star, tmp_path / "view.fracext")
         stored = fp.ExtensionField(star.grid, star.params, star.values, star.datum)
         assert not star.values.flags.writeable
         assert star.values is star.values  # built once, then kept
         assert star.values.tobytes() == stored.values.tobytes()
         assert fp.horizontal_rearrange(u).values.tobytes() == stored.values.tobytes()
-        assert energy == fp.extension_energy(stored)
+        assert energy == fp.extension_energy(stored), name
         assert trace.tobytes() == fp.trace_check(stored).tobytes()
-        fp.save_extension(stored, tmp_path / "stored.fracext")
-        view_bytes = (tmp_path / "view.fracext").read_bytes()
-        assert view_bytes == (tmp_path / "stored.fracext").read_bytes(), name
         # and the same once the view reads its kept stack
         assert fp.trace_check(star).tobytes() == trace.tobytes()
+    # FRACEXT text of the view's made levels, of a stored copy and of the
+    # view's kept stack, on the union and on a small 2D lift on two workers
+    small = fp.poisson_extend(*_six_level_lift(), threads=2)
+    for name, u in (("union", lifts["union"]), ("small", small)):
+        star = fp.horizontal_rearrange(u)
+        fp.save_extension(star, tmp_path / "view.fracext")
+        stored = fp.ExtensionField(star.grid, star.params, star.values, star.datum)
+        fp.save_extension(stored, tmp_path / "stored.fracext")
         fp.save_extension(star, tmp_path / "kept.fracext")
-        assert (tmp_path / "kept.fracext").read_bytes() == view_bytes
+        view_bytes = (tmp_path / "view.fracext").read_bytes()
+        assert view_bytes == (tmp_path / "stored.fracext").read_bytes(), name
+        assert view_bytes == (tmp_path / "kept.fracext").read_bytes(), name
 
 
 def _energy_hex(en):
@@ -946,41 +990,43 @@ def test_rearranged_level_failing_its_check_in_a_worker_joins_the_workers(monkey
 
 def test_refused_scratch_buffer_fails_the_energy_and_joins_the_workers(monkeypatch):
     # The first level's scratch buffer is refused only after the second
-    # level's task has its own, so that task goes on to wait for the first
+    # level's job has its own.  The rearranged field makes its levels in
+    # a scratch buffer, so its second job goes on to wait for the first
     # level; the failure must end that wait instead of hanging the join.
     e, grid, params = _six_level_lift()
     u = fp.poisson_extend(e, grid, params, threads=2)
-    second = threading.Event()
-    calls = itertools.count()
+    for field in (u, fp.horizontal_rearrange(u)):
+        second = threading.Event()
+        calls = itertools.count()
 
-    class RefusesFirstEmpty:
-        def __getattr__(self, name):
-            return getattr(np, name)
+        class RefusesFirstEmpty:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        def empty(self, *args, **kwargs):
-            if next(calls) == 0:
-                second.wait(10.0)
-                raise MemoryError("no scratch")
-            second.set()
-            return np.empty(*args, **kwargs)
+            def empty(self, *args, **kwargs):
+                if next(calls) == 0:
+                    second.wait(10.0)
+                    raise MemoryError("no scratch")
+                second.set()
+                return np.empty(*args, **kwargs)
 
-    monkeypatch.setattr(fp.extension, "np", RefusesFirstEmpty())
-    before = threading.active_count()
-    outcome = {}
+        monkeypatch.setattr(fp.extension, "np", RefusesFirstEmpty())
+        before = threading.active_count()
+        outcome = {}
 
-    def energy():
-        try:
-            fp.extension_energy(u)
-        except BaseException as exc:
-            outcome["error"] = exc
+        def energy():
+            try:
+                fp.extension_energy(field)
+            except BaseException as exc:
+                outcome["error"] = exc
 
-    runner = threading.Thread(target=energy, daemon=True)
-    runner.start()
-    runner.join(60.0)
-    assert not runner.is_alive(), "the level workers hung"
-    assert second.is_set()
-    assert isinstance(outcome.get("error"), MemoryError)
-    assert threading.active_count() == before
+        runner = threading.Thread(target=energy, daemon=True)
+        runner.start()
+        runner.join(60.0)
+        assert not runner.is_alive(), "the level workers hung"
+        assert second.is_set()
+        assert isinstance(outcome.get("error"), MemoryError)
+        assert threading.active_count() == before
 
 
 def test_closing_a_views_levels_early_cancels_the_rest(monkeypatch):

@@ -340,10 +340,23 @@ def test_phi_bits_do_not_depend_on_array_shape():
     grid = _phi(p, q, arc)
     flat = np.broadcast_to(p, grid.shape).ravel(), np.broadcast_to(q, grid.shape).ravel()
     assert np.array_equal(_phi(*flat, arc), grid.ravel())
-    for step in (7, 1):
-        pieces = [_phi(flat[0][k:k + step], flat[1][k:k + step], arc)
-                  for k in range(0, grid.size, step)]
-        assert np.array_equal(np.concatenate(pieces), grid.ravel())
+    pieces = [_phi(flat[0][k:k + 7], flat[1][k:k + 7], arc)
+              for k in range(0, grid.size, 7)]
+    assert np.array_equal(np.concatenate(pieces), grid.ravel())
+    # one entry per call on row 0, column 0 and the diagonal, whose edge
+    # arcs take both branches of _EdgeArc (lat2 <= d2 and above)
+    branches = set()
+
+    def watched(lat2, d2):
+        branches.update((lat2 <= d2).ravel().tolist())
+        return arc(lat2, d2)
+
+    watched.s = arc.s
+    rows, cols = np.divmod(np.arange(grid.size), grid.shape[1])
+    picked = np.flatnonzero((rows == 0) | (cols == 0) | (rows == cols))
+    pieces = [_phi(flat[0][k:k + 1], flat[1][k:k + 1], watched) for k in picked]
+    assert np.array_equal(np.concatenate(pieces), grid.ravel()[picked])
+    assert branches == {True, False}
 
 
 def test_phi_fill_calls_no_betainc(monkeypatch):
