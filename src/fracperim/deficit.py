@@ -3,7 +3,9 @@
 The deficit of a set compares its nonlocal perimeter against a reference
 ball rasterized on the very same grid with the very same cell count, so the
 systematic part of the quadrature error is shared by both terms and the
-difference isolates the shape effect.
+difference isolates the shape effect.  ``s_deficit`` is the one place that
+measures a set: symmetrization reflects a set axis by axis and reads every
+candidate's perimeter, deficit, budget and asymmetry off its report.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .grids import GridSet, GridSpec, bisect_halves, pad_domain, unit_ball_volum
 from .kernels import InteractionTable
 from .perimeter import DEFAULT_MARGIN, fractional_perimeter, single_cell_perimeter
 from .quadrature import convolve_window, rounded_counts
-from .rearrange import GridFunction, symmetric_rearrangement
+from .rearrange import _fill_order
 
 __all__ = [
     "DEFICIT_CSV_HEADER",
@@ -62,8 +64,9 @@ def reference_ball(e: GridSet) -> GridSet:
     """
     if e.is_empty:
         raise EmptySetError("reference ball of an empty set is undefined")
-    ind = GridFunction(e.spec, e.occupancy.astype(np.float64))
-    return GridSet(e.spec, symmetric_rearrangement(ind).values > 0.5)
+    occ = np.zeros(e.occupancy.size, dtype=bool)
+    occ[_fill_order(e.spec)[: e.cell_count]] = True
+    return GridSet(e.spec, occ.reshape(e.spec.cells))
 
 
 def boundary_cell_count(e: GridSet) -> int:
@@ -243,17 +246,6 @@ def _reaches_rim(e: GridSet) -> bool:
     return any(np.take(occ, [0, -1], axis=k).any() for k in range(occ.ndim))
 
 
-def _deficit_parts(
-    e: GridSet, ball: GridSet, table: InteractionTable, margin: int,
-    threads: int,
-) -> tuple[float, float, float, float]:
-    """Perimeter, ball perimeter, relative deficit and error budget of ``e``."""
-    ps = fractional_perimeter(e, table, margin, threads)
-    ps_ball = fractional_perimeter(ball, table, margin, threads)
-    budget = _relative_budget(e, ball, table, ps_ball)
-    return ps, ps_ball, (ps - ps_ball) / ps_ball, budget
-
-
 def s_deficit(
     e: GridSet,
     table: InteractionTable,
@@ -275,7 +267,9 @@ def s_deficit(
     carries the flag ``ball-clipped``.
     """
     ball = reference_ball(e)
-    ps, ps_ball, deficit, budget = _deficit_parts(e, ball, table, margin, threads)
+    ps = fractional_perimeter(e, table, margin, threads)
+    ps_ball = fractional_perimeter(ball, table, margin, threads)
+    deficit = (ps - ps_ball) / ps_ball
     asym, center = fraenkel_asymmetry(e)
     flags = []
     if deficit > 1.0:
@@ -293,7 +287,7 @@ def s_deficit(
         deficit=deficit,
         asymmetry=asym,
         center=center,
-        error_budget=budget,
+        error_budget=_relative_budget(e, ball, table, ps_ball),
         flags=tuple(flags),
     )
 
@@ -343,7 +337,8 @@ def centered_sandwich_check(e: GridSet) -> tuple[float, float]:
     if e.is_empty:
         raise EmptySetError("sandwich check needs a nonempty set")
     defects = symmetry_defect_cells(e)
-    allowed = max(boundary_cell_count(e), 2 * e.spec.dim)
+    boundary = boundary_cell_count(e)
+    allowed = max(boundary, 2 * e.spec.dim)
     if len(defects) > allowed:
         shown = [tuple(int(v) for v in row) for row in defects[:20]]
         raise SymmetryDefectError(
@@ -351,7 +346,7 @@ def centered_sandwich_check(e: GridSet) -> tuple[float, float]:
             f"(allowed {allowed}); first defects: {shown}",
             defect_cells=shown,
         )
-    tol = boundary_cell_count(e) * e.spec.h**e.spec.dim / e.measure
+    tol = boundary * e.spec.h**e.spec.dim / e.measure
     asym, _ = fraenkel_asymmetry(e)
     r = equivalent_radius(e)
     pts = _occupied_centers(e)
@@ -419,12 +414,14 @@ def n_symmetrize(
     """Reflect the set axis by axis into a nearly symmetric competitor.
 
     Along each axis the set is split by the near-median grid line and both
-    reflected half-sums are measured.  Among the candidates whose deficit
-    stays below twice the current deficit plus the current error budget
-    (``s_deficit``'s ``error_budget``), the one with the larger asymmetry
-    wins (ties to the upper half).  If neither qualifies the better one is
-    kept and the audit is flagged; that signals the discretization is too
-    coarse for the halving bound.
+    reflected half-sums are measured.  The start and every candidate are
+    moved to a fresh centered domain and measured by ``s_deficit``, and
+    the audit is read off those reports.  Among the candidates whose
+    deficit stays below twice the current deficit plus the current
+    ``error_budget``, the one with the larger asymmetry wins; if neither
+    qualifies the one with the smaller deficit is kept and the audit is
+    flagged, a sign that the discretization is too coarse for the halving
+    bound.  Ties go to the upper half ``+``.
 
     Each step also checks that the mean candidate perimeter does not exceed
     the current perimeter, a structural reflection inequality on grids with
@@ -433,72 +430,40 @@ def n_symmetrize(
     table.check_grid(e.spec)
     if e.is_empty:
         raise EmptySetError("cannot symmetrize an empty set")
-    cur = _normalized(e, margin)
-    ps_cur, _, ds_cur, budget_cur = _deficit_parts(
-        cur, reference_ball(cur), table, margin, threads)
-    initial_deficit = ds_cur
+
+    def measured(f: GridSet) -> tuple[GridSet, DeficitReport]:
+        f = _normalized(f, margin)
+        return f, s_deficit(f, table, margin=margin, threads=threads)
+
+    cur, rep = measured(e)
     steps = []
     violated = False
     for axis in range(e.spec.dim):
         plane, f_plus, f_minus = bisect_halves(cur, axis)
-        halves = [
-            ("+", _normalized(f_plus, margin)),
-            ("-", _normalized(f_minus, margin)),
-        ]
-        gate = 2.0 * ds_cur + budget_cur
-        stats = []
-        for label, cand in halves:
-            ps_c, _, ds_c, budget_c = _deficit_parts(
-                cand, reference_ball(cand), table, margin, threads)
-            asym_c, _ = fraenkel_asymmetry(cand)
-            stats.append(
-                {
-                    "label": label,
-                    "set": cand,
-                    "ps": ps_c,
-                    "ds": ds_c,
-                    "budget": budget_c,
-                    "asym": asym_c,
-                    "ok": ds_c <= gate,
-                }
-            )
-        slack = ps_cur - 0.5 * (stats[0]["ps"] + stats[1]["ps"])
-        if slack < -_REFLECTION_RTOL * ps_cur:
+        sets, reports = zip(measured(f_plus), measured(f_minus))
+        slack = rep.perimeter - 0.5 * (reports[0].perimeter + reports[1].perimeter)
+        if slack < -_REFLECTION_RTOL * rep.perimeter:
             raise SymmetryDefectError(
                 f"reflection inequality violated on axis {axis}: "
-                f"slack {slack:.3e} at perimeter {ps_cur:.6g}"
+                f"slack {slack:.3e} at perimeter {rep.perimeter:.6g}"
             )
-        eligible = [st for st in stats if st["ok"]]
-        if eligible:
-            chosen = max(eligible, key=lambda st: (st["asym"], st["label"] == "+"))
-        else:
-            violated = True
-            chosen = min(stats, key=lambda st: st["ds"])
-        steps.append(
-            SymmetrizeStep(
-                axis=axis,
-                plane=plane,
-                reflection_slack=slack,
-                deficit_before=ds_cur,
-                candidates=tuple(
-                    SymmetrizeCandidate(
-                        label=st["label"],
-                        perimeter=st["ps"],
-                        deficit=st["ds"],
-                        asymmetry=st["asym"],
-                        deficit_bound_ok=st["ok"],
-                        selected=st is chosen,
-                    )
-                    for st in stats
-                ),
-            )
+        gate = 2.0 * rep.deficit + rep.error_budget
+        ok = [r.deficit <= gate for r in reports]
+        violated |= not any(ok)
+        # a candidate under the gate first, then the larger asymmetry (with
+        # none under it, the smaller deficit), then "+", which is index 0
+        pick = max((0, 1), key=lambda i: (
+            ok[i], reports[i].asymmetry if ok[i] else -reports[i].deficit, -i))
+        candidates = tuple(
+            SymmetrizeCandidate(label, r.perimeter, r.deficit, r.asymmetry,
+                                ok[i], i == pick)
+            for i, (label, r) in enumerate(zip("+-", reports))
         )
-        cur = chosen["set"]
-        ps_cur, ds_cur, budget_cur = chosen["ps"], chosen["ds"], chosen["budget"]
-    audit = SymmetrizeAudit(
+        steps.append(SymmetrizeStep(axis, plane, slack, rep.deficit, candidates))
+        cur, rep = sets[pick], reports[pick]
+    return cur, SymmetrizeAudit(
         steps=tuple(steps),
-        initial_deficit=initial_deficit,
-        final_deficit=ds_cur,
+        initial_deficit=steps[0].deficit_before,
+        final_deficit=rep.deficit,
         bound_violated=violated,
     )
-    return cur, audit

@@ -130,6 +130,17 @@ def test_sweep_byte_identical_across_threads(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["perim", "deficit"])
+@pytest.mark.parametrize("shape, h", [(ELLIPSE, "0.03125"), (INTERVAL, "0.015625")])
+def test_stdout_byte_identical_across_threads(command, shape, h, capsys):
+    args = [command, "--shape", shape, "--s", "0.5", "--h", h]
+    code1, out1, _ = run(args + ["--threads", "1"], capsys)
+    code2, out2, _ = run(args + ["--threads", "2"], capsys)
+    assert code1 == code2 == 0
+    assert out1.count("\n") == 2
+    assert out1 == out2
+
+
 def test_exponent_study_exit_and_summary(capsys):
     code, out, _ = run(
         [

@@ -4,21 +4,27 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 
+import fracperim.deficit
 from fracperim import (
     AxisBox,
     Ball,
     EmptySetError,
+    GridFunction,
     GridMismatchError,
     GridSet,
     GridSpec,
     Interval,
     SymmetryDefectError,
     auto_spec,
+    generate_family,
     rasterize,
+    symmetric_rearrangement,
 )
 from fracperim.deficit import (
     DEFICIT_CSV_HEADER,
+    DeficitReport,
     boundary_cell_count,
     centered_sandwich_check,
     equivalent_radius,
@@ -101,6 +107,17 @@ class TestReferenceBall:
         idx = np.indices(spec.cells)
         d2 = sum((idx[k] - cc[k]) ** 2 for k in range(2))
         assert d2[ref.occupancy].max() <= d2[~ref.occupancy].min() + 1e-12
+
+    @pytest.mark.parametrize("cells", [(7,), (8,), (9, 7), (8, 6), (7, 10)])
+    def test_is_the_rearranged_indicator(self, cells):
+        rng = np.random.default_rng(len(cells) * 100 + cells[-1])
+        spec = GridSpec(len(cells), cells, 0.5, (0.0,) * len(cells))
+        occ = rng.random(cells) < 0.4
+        occ.flat[0] = True
+        e = GridSet(spec, occ)
+        ind = GridFunction(spec, occ.astype(np.float64))
+        want = symmetric_rearrangement(ind).values > 0.5
+        assert np.array_equal(reference_ball(e).occupancy, want)
 
 
 def test_boundary_cell_count_square():
@@ -383,6 +400,96 @@ class TestNSymmetrize:
             _, audit = n_symmetrize(e, table)
             for step in audit.steps:
                 assert step.reflection_slack >= -1e-8
+
+    @pytest.mark.parametrize("reports, pick, violated", [
+        # (deficit, asymmetry) of "+" and "-"; the gate is 2 * 0.1 + 0.05
+        (((0.2, 0.3), (0.2, 0.5)), "-", False),
+        (((0.2, 0.5), (0.1, 0.5)), "+", False),
+        (((0.3, 0.9), (0.25, 0.1)), "-", False),
+        (((0.9, 0.1), (0.8, 0.9)), "-", True),
+        (((0.8, 0.1), (0.8, 0.9)), "+", True),
+    ])
+    def test_pick_follows_the_gate_then_asymmetry_then_plus(
+        self, monkeypatch, reports, pick, violated
+    ):
+        def report(deficit, asymmetry):
+            return DeficitReport("set", 1, 0.5, 0.25, 1.0, 1.0, 1.0, deficit,
+                                 asymmetry, (0.0,), 0.05, ())
+
+        queue = [report(0.1, 0.2)] + [report(*r) for r in reports]
+        monkeypatch.setattr(fracperim.deficit, "s_deficit",
+                            lambda *args, **kwargs: queue.pop(0))
+        h = 0.25
+        e = _interval_union_set([(0, 1), (1.5, 2)], h, pad=2)
+        _, audit = n_symmetrize(e, build_table(KernelParams(1, 0.5), h=h))
+        (step,) = audit.steps
+        assert [c.label for c in step.candidates if c.selected] == [pick]
+        assert [c.deficit_bound_ok for c in step.candidates] == [
+            d <= 0.25 for d, _ in reports]
+        assert audit.bound_violated is violated
+        assert audit.final_deficit == dict(zip("+-", reports))[pick][0]
+
+
+# float.hex pinned under numpy 2.4.6 / scipy 1.17.1: (initial_deficit,
+# final_deficit), the picks, and per step (plane, reflection_slack,
+# deficit_before) and per candidate (perimeter, deficit, asymmetry)
+_AUDIT_PIN_VERSIONS = ("2.4.6", "1.17.1")
+_AUDIT_PINS = {
+    "offset-bump": (
+        ("0x1.27c7c668823d5p-3", "0x1.1cd1390835398p-2"),
+        "++",
+        (("-0x1.a000000000000p-2", "0x1.fd68134709200p-3", "0x1.27c7c668823d5p-3"),
+         ("0x0.0p+0", "0x0.0p+0", "0x1.1cd1390835398p-2")),
+        (("0x1.4554b8b3d94c4p+6", "0x1.1cd1390835398p-2", "0x1.c666666666666p-1"),
+         ("0x1.034702bed4034p+6", "0x1.42658a6c4acf2p-8", "0x1.5555555555555p-3"),
+         ("0x1.4554b8b3d94c4p+6", "0x1.1cd1390835398p-2", "0x1.c666666666666p-1"),
+         ("0x1.4554b8b3d94c4p+6", "0x1.1cd1390835398p-2", "0x1.c666666666666p-1")),
+    ),
+    "ellipse": (
+        ("0x1.bf589b2b46b4fp-6", "0x1.d1b9e3c6a131bp-6"),
+        "-+",
+        (("0x1.0000000000000p-6", "0x1.6a15af0000000p-23", "0x1.bf589b2b46b4fp-6"),
+         ("0x0.0p+0", "0x0.0p+0", "0x1.d1b9e3c6a131bp-6")),
+        (("0x1.4bd258fb882edp+5", "0x1.acf3b8e9dd9d7p-6", "0x1.796a5d7c4f4dbp-2"),
+         ("0x1.4cce4f92a565ap+5", "0x1.d1b9e3c6a131bp-6", "0x1.7b4d55b803782p-2"),
+         ("0x1.4cce4f92a565ap+5", "0x1.d1b9e3c6a131bp-6", "0x1.7b4d55b803782p-2"),
+         ("0x1.4cce4f92a565ap+5", "0x1.d1b9e3c6a131bp-6", "0x1.7b4d55b803782p-2")),
+    ),
+}
+
+
+def test_symmetrize_audits_keep_their_pinned_bits():
+    # demo 05's offset bump, and an ellipse whose raster is lopsided, so
+    # that its first step picks "-" by the larger asymmetry
+    bump = generate_family("offset-bump", (0.3,))[0].shape
+    ellipse = Ellipse((0.37, -0.21), 1.0, 0.55)
+    got = {}
+    for name, shape, h in (("offset-bump", bump, 1 / 16), ("ellipse", ellipse, 1 / 32)):
+        e = rasterize(shape, auto_spec(shape, h))
+        _, audit = n_symmetrize(e, build_table(KernelParams(2, 0.5), h=h))
+        cands = [c for st in audit.steps for c in st.candidates]
+        got[name] = (
+            (audit.initial_deficit, audit.final_deficit),
+            "".join(c.label for c in cands if c.selected),
+            tuple((st.plane, st.reflection_slack, st.deficit_before)
+                  for st in audit.steps),
+            tuple((c.perimeter, c.deficit, c.asymmetry) for c in cands),
+        )
+    if (np.__version__, scipy.__version__) == _AUDIT_PIN_VERSIONS:
+        hexed = {name: (tuple(v.hex() for v in ends), picks,
+                        tuple(tuple(v.hex() for v in row) for row in steps),
+                        tuple(tuple(v.hex() for v in row) for row in cands))
+                 for name, (ends, picks, steps, cands) in got.items()}
+        assert hexed == _AUDIT_PINS
+        return
+    print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
+          f"pinned {_AUDIT_PIN_VERSIONS}: comparing at 1e-12 relative")
+    for name, (ends, picks, steps, cands) in got.items():
+        want_ends, want_picks, want_steps, want_cands = _AUDIT_PINS[name]
+        assert picks == want_picks, name
+        assert ends == pytest.approx([float.fromhex(v) for v in want_ends], rel=1e-12)
+        for row, want in zip(steps + cands, want_steps + want_cands, strict=True):
+            assert row == pytest.approx([float.fromhex(v) for v in want], rel=1e-12)
 
 
 def test_interval_deficit_zero_for_single_interval():
