@@ -18,7 +18,7 @@ def main() -> None:
     print(f"{'t':>5} {'A':>9} {'Ds':>10} {'A/Ds^(s/4)':>11}")
     for member in fp.generate_family("ellipse-ecc", (0.2, 0.4, 0.8, 1.6)):
         e = rasterize(member.shape, auto_spec(member.shape, h))
-        rep = s_deficit(e, table, threads=2)
+        rep = s_deficit(e, table)
         ratio = rep.asymmetry / rep.deficit ** (0.25 * s)
         print(f"{member.param:5.2f} {rep.asymmetry:9.5f} {rep.deficit:10.6f} "
               f"{ratio:11.5f}")

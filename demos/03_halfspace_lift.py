@@ -41,7 +41,7 @@ def main() -> None:
     print(f"calibrated gamma = {record.value:.6f} "
           f"(held-out residual {record.residual:.3%})")
     pred = 0.5 * record.value * energy.total
-    ps = fractional_perimeter(e, table, threads=2)
+    ps = fractional_perimeter(e, table)
     print(f"prediction for the two-interval set: {pred:.5f} "
           f"vs direct {ps:.5f} ({abs(pred - ps) / ps:.3%} off)")
 

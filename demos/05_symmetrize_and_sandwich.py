@@ -18,10 +18,10 @@ def main() -> None:
     e = rasterize(member.shape, auto_spec(member.shape, h))
     table = build_table(KernelParams(2, 0.5), h=h)
 
-    before = s_deficit(e, table, threads=2)
+    before = s_deficit(e, table)
     print(f"offset bump: A={before.asymmetry:.5f}  Ds={before.deficit:.5f}")
 
-    f, audit = n_symmetrize(e, table, threads=2)
+    f, audit = n_symmetrize(e, table)
     for step in audit.steps:
         picks = ", ".join(
             f"{c.label}: Ds={c.deficit:.5f}{' *' if c.selected else ''}"

@@ -54,7 +54,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--h", help="grid spacing; comma list for sweeps")
     p.add_argument("--margin", type=int, help="halo width in cells (>= 2)")
     p.add_argument("--cutoff", type=int, help="near-window radius in cells")
-    p.add_argument("--threads", type=int, help="worker threads")
+    p.add_argument("--threads", type=int, help="sweep record pool; extend level workers")
     p.add_argument("--seed", type=int, help="seed for randomized checks")
     p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
@@ -155,7 +155,7 @@ def _cmd_perim(args, cfg: ExperimentConfig) -> int:
     shape, e, h = _shape_setup(args, cfg)
     s = _single(cfg.s_values, "s")
     table = build_table(KernelParams(shape.dim, s), h=h, cutoff=cfg.cutoff)
-    ps = fractional_perimeter(e, table, cfg.margin, cfg.threads)
+    ps = fractional_perimeter(e, table, cfg.margin)
     rows = [
         "set,N,s,h,cells,Ps",
         ",".join(
@@ -182,9 +182,7 @@ def _cmd_deficit(args, cfg: ExperimentConfig) -> int:
     shape, e, h = _shape_setup(args, cfg)
     s = _single(cfg.s_values, "s")
     table = build_table(KernelParams(shape.dim, s), h=h, cutoff=cfg.cutoff)
-    report = s_deficit(
-        e, table, set_id=args.shape, margin=cfg.margin, threads=cfg.threads
-    )
+    report = s_deficit(e, table, set_id=args.shape, margin=cfg.margin)
     _emit(DEFICIT_CSV_HEADER + "\n" + report.csv_row() + "\n", cfg.out)
     return 0
 

@@ -265,10 +265,14 @@ def s_deficit(
     room around the set it can run into the rim and be cut off there; its
     perimeter is then too high and the deficit too low.  Such a report
     carries the flag ``ball-clipped``.
+
+    ``threads`` is ignored: ``bench/workloads.py`` passes it, that file
+    changes only with the benchmark as a whole, and ROADMAP item 4
+    deletes it there and here.
     """
     ball = reference_ball(e)
-    ps = fractional_perimeter(e, table, margin, threads)
-    ps_ball = fractional_perimeter(ball, table, margin, threads)
+    ps = fractional_perimeter(e, table, margin)
+    ps_ball = fractional_perimeter(ball, table, margin)
     deficit = (ps - ps_ball) / ps_ball
     asym, center = fraenkel_asymmetry(e)
     flags = []
@@ -409,7 +413,6 @@ def n_symmetrize(
     table: InteractionTable,
     *,
     margin: int = DEFAULT_MARGIN,
-    threads: int = 1,
 ) -> tuple[GridSet, SymmetrizeAudit]:
     """Reflect the set axis by axis into a nearly symmetric competitor.
 
@@ -433,7 +436,7 @@ def n_symmetrize(
 
     def measured(f: GridSet) -> tuple[GridSet, DeficitReport]:
         f = _normalized(f, margin)
-        return f, s_deficit(f, table, margin=margin, threads=threads)
+        return f, s_deficit(f, table, margin=margin)
 
     cur, rep = measured(e)
     steps = []

@@ -149,7 +149,10 @@ _SETTINGS = {
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key = value lines; '#' comments and blank lines are skipped."""
+    """Flat key = value lines; '#' comments and blank lines are skipped.
+
+    A key given twice, or both ``n`` and ``dim``, is refused.
+    """
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -160,6 +163,11 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key != "n" and key not in _SETTINGS:
             raise FormatError(f"line {lineno}: unknown config key {key!r}")
+        if key in mapping:
+            raise FormatError(f"line {lineno}: config key {key!r} is given twice")
+        other = {"n": "dim", "dim": "n"}.get(key)
+        if other in mapping:
+            raise FormatError(f"line {lineno}: {other} and {key} both set the dimension")
         mapping[key] = value
     return mapping
 
@@ -227,7 +235,6 @@ def _one_record(member, s, h, table, config) -> SweepRecord:
         table,
         set_id=f"{member.family}:{member.param:g}",
         margin=config.margin,
-        threads=1,
     )
     dim = shape.dim
     flags = list(report.flags)
@@ -496,7 +503,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         h, s = 2.0**-8, 0.5
         e = _aligned_interval_set(h, ((0.0, 1.0),))
         table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
-        got = fractional_perimeter(e, table, threads=1)
+        got = fractional_perimeter(e, table)
         want = _interval_closed_form(1.0, s)
         rel = abs(got - want) / want
         return rel <= 1e-4, rel, 1e-4
@@ -505,7 +512,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         h, s = 2.0**-7, 0.5
         e = _aligned_interval_set(h, ((0.0, 1.0), (2.0, 3.0)))
         table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
-        got = fractional_perimeter(e, table, threads=1)
+        got = fractional_perimeter(e, table)
         want = 24.0 + 8.0 * math.sqrt(3.0) - 16.0 * math.sqrt(2.0)
         rel = abs(got - want) / want
         return rel <= 1e-6, rel, 1e-6
@@ -515,9 +522,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         h = e.spec.h
         t1 = build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
         t2 = t1.with_h(lam * h)
-        p1 = fractional_perimeter(e, t1, threads=1)
+        p1 = fractional_perimeter(e, t1)
         big = GridSet(GridSpec(dim, e.spec.cells, lam * h, e.spec.origin), e.occupancy)
-        p2 = fractional_perimeter(big, t2, threads=1)
+        p2 = fractional_perimeter(big, t2)
         power = dim - s
         lhs = p2 * h**power
         rhs = p1 * (lam * h) ** power
@@ -541,9 +548,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         e2 = _aligned_interval_set(h, ((1.5, 2.5),))
         union = _aligned_interval_set(h, ((0.0, 1.0), (1.5, 2.5)))
         gap = (
-            fractional_perimeter(e1, table, threads=1)
-            + fractional_perimeter(e2, table, threads=1)
-            - fractional_perimeter(union, table, threads=1)
+            fractional_perimeter(e1, table)
+            + fractional_perimeter(e2, table)
+            - fractional_perimeter(union, table)
         )
         return gap > 0.0, gap, 0.0
 
@@ -575,13 +582,13 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         h, s = 1 / 16, 0.5
         e = _blob_2d(config.seed + 1, h)
         table = build_table(KernelParams(2, s), h=h, cutoff=config.cutoff)
-        p_e = fractional_perimeter(e, table, threads=1)
+        p_e = fractional_perimeter(e, table)
         worst = -math.inf
         for axis in range(2):
             _plane, plus, minus = bisect_halves(e, axis)
             avg = 0.5 * (
-                fractional_perimeter(plus, table, threads=1)
-                + fractional_perimeter(minus, table, threads=1)
+                fractional_perimeter(plus, table)
+                + fractional_perimeter(minus, table)
             )
             worst = max(worst, (avg - p_e) / p_e)
         return worst <= 1e-9, worst, 1e-9
@@ -725,7 +732,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
             table.params, table.h, table.cutoff_radius, entries
         )
         want = _interval_closed_form(1.0, s)
-        rel = abs(fractional_perimeter(e, tampered, threads=1) - want) / want
+        rel = abs(fractional_perimeter(e, tampered) - want) / want
         return rel > oracle_tol, rel, oracle_tol
 
     def chk_empty_errors() -> _Outcome:

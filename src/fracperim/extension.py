@@ -575,7 +575,7 @@ def _lift(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
     start = [hi - lo for lo, hi in box]
     stop = [hi - lo + n for n, (lo, hi) in zip(cells, box)]
     table_shape = tuple(b + a + 1 for b, a in zip(below, above))
-    occ.spectrum(window_size(occ.array.shape, table_shape, start, stop), 1)
+    occ.spectrum(window_size(occ.array.shape, table_shape, start, stop))
 
     def make(z: float, scratch=None) -> np.ndarray:
         if params.dim == 1:
@@ -789,9 +789,8 @@ def calibrate_gamma(
     perimeter of an independent validation shape within `rtol`,
     otherwise a CalibrationError carries both residuals.  Both shapes
     are lifted on extension_domain's default geometry.  ``threads`` is
-    the number of FFT workers of each perimeter and of level workers of
-    each lift.  Returns gamma as a GammaRecord with both shapes' texts
-    and the validation residual.
+    the number of level workers of each lift.  Returns gamma as a
+    GammaRecord with both shapes' texts and the validation residual.
     """
     if table is None:
         table = build_table(params, h=h)
@@ -800,7 +799,7 @@ def calibrate_gamma(
         e = rasterize(shape, auto_spec(shape, h))
         if e.is_empty:
             raise EmptySetError("calibration shape rasterized to nothing")
-        perim = fractional_perimeter(e, table, threads=threads)
+        perim = fractional_perimeter(e, table)
         grid, embedded = extension_domain(e)
         energy = lift_energy(embedded, grid, params, threads=threads)
         return perim, energy.total

@@ -393,13 +393,13 @@ def _offset_kernel(shape: tuple, table: InteractionTable) -> np.ndarray:
     return k
 
 
-def _correlate(a: np.ndarray, b: np.ndarray, workers: int) -> np.ndarray:
+def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[d + n - 1] = sum_x a[x] * b[x + d] for every offset d of the box.
 
     That is the whole linear convolution of the flipped ``a`` with ``b``.
     """
     full = [2 * n - 1 for n in a.shape]
-    return convolve_window(np.flip(a), b, [0] * a.ndim, full, workers=workers)
+    return convolve_window(np.flip(a), b, [0] * a.ndim, full)
 
 
 def _pair_sum(k: np.ndarray, r: np.ndarray) -> float:
@@ -411,7 +411,6 @@ def fractional_perimeter(
     e: GridSet,
     table: InteractionTable,
     bounding_margin: int = DEFAULT_MARGIN,
-    threads: int = 1,
 ) -> float:
     """Interaction of E with its complement for the kernel |x-y|^(-(dim+s)).
 
@@ -420,14 +419,14 @@ def fractional_perimeter(
     rule, outside the per-cell tail.  The result is invariant under
     translations, reflections and axis swaps of E (bit for bit) and scales
     as h^(dim-s) exactly.  The in-box part costs one FFT correlation over
-    twice the box, with ``threads`` FFT workers, and one far-rule read per
-    offset beyond the table cutoff.  In 2D the tail costs one Phi read per
-    distinct slot (p, q) the cells read, counted from the occupancy and
-    its flips, and each Phi not yet in the table costs 16 edge arcs (about
-    1 us per Phi on a 2-vCPU VM); in 1D it is one closed form per occupied
-    cell.  Far and Phi values are evaluated once per ``table``,
-    where first read, and shared by every set measured with it.  Neither
-    the thread count nor the sets measured before changes the result.
+    twice the box and one far-rule read per offset beyond the table
+    cutoff.  In 2D the tail costs one Phi read per distinct slot (p, q)
+    the cells read, counted from the occupancy and its flips, and each Phi
+    not yet in the table costs 16 edge arcs (about 1 us per Phi on a
+    2-vCPU VM); in 1D it is one closed form per occupied cell.  Far and
+    Phi values are evaluated once per ``table``, where first read, and
+    shared by every set measured with it.  The sets measured before do
+    not change the result.
 
     Accuracy: in 2D, agreement with ``gagliardo_seminorm(1_E) / 2`` is
     limited by one of two rules, depending on the set's size; the pair
@@ -447,13 +446,11 @@ def fractional_perimeter(
             f"bounding_margin must be >= {MIN_MARGIN}; the tail reduction is "
             "singular next to the box boundary"
         )
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     params = table.params
     occ = np.pad(e.trimmed().occupancy, bounding_margin)
 
     # R(d) = #{c in E : c + d in Q \ E}, an exact count once rounded
-    r = rounded_counts(_correlate(occ, ~occ, threads))
+    r = rounded_counts(_correlate(occ, ~occ))
     inbox = _pair_sum(_offset_kernel(occ.shape, table), r)
 
     if params.dim == 1:
@@ -492,5 +489,5 @@ def gagliardo_seminorm(g, table: InteractionTable) -> float:
         return 0.0
     box = values[tuple(slice(ix.min(), ix.max() + 1) for ix in support)]
     diag = single_cell_perimeter(table.params) * float(np.vdot(box, box))
-    cross = _pair_sum(_offset_kernel(box.shape, table), _correlate(box, box, 1))
+    cross = _pair_sum(_offset_kernel(box.shape, table), _correlate(box, box))
     return 2.0 * (diag - cross) * table.scale_factor

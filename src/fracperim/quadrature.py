@@ -60,9 +60,9 @@ class FFTOperand:
         self._size: tuple[int, ...] | None = None
         self._spectrum: np.ndarray | None = None
 
-    def spectrum(self, size: tuple[int, ...], workers: int) -> np.ndarray:
+    def spectrum(self, size: tuple[int, ...]) -> np.ndarray:
         if size != self._size:
-            self._spectrum = fft.rfftn(self.array, size, workers=workers)
+            self._spectrum = fft.rfftn(self.array, size)
             self._size = size
         return self._spectrum
 
@@ -86,7 +86,7 @@ def window_size(a_shape, b_shape, start, stop) -> tuple[int, ...]:
     )
 
 
-def convolve_window(a, b, start, stop, *, workers: int = 1) -> np.ndarray:
+def convolve_window(a, b, start, stop) -> np.ndarray:
     """Outputs ``start[k] <= i < stop[k]`` of the full linear convolution a * b.
 
     ``a`` may be an FFTOperand, whose transform is reused; ``b`` is
@@ -97,12 +97,12 @@ def convolve_window(a, b, start, stop, *, workers: int = 1) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     size = window_size(fa.array.shape, b.shape, start, stop)
     # in place, so at most two padded spectra are alive besides a's
-    spec = fft.rfftn(b, size, workers=workers)
-    spec *= fa.spectrum(size, workers)
+    spec = fft.rfftn(b, size)
+    spec *= fa.spectrum(size)
     # Invert one axis at a time, keeping only the window's part of each
     # axis once it is inverted, so later axes transform fewer lines.
     for axis in range(b.ndim - 1):
-        spec = fft.ifft(spec, axis=axis, workers=workers, overwrite_x=True)
+        spec = fft.ifft(spec, axis=axis, overwrite_x=True)
         spec = spec[(slice(None),) * axis + (slice(start[axis], stop[axis]),)]
-    raw = fft.irfft(spec, size[-1], axis=-1, workers=workers)
+    raw = fft.irfft(spec, size[-1], axis=-1)
     return raw[..., start[-1] : stop[-1]].copy()

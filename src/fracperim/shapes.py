@@ -415,14 +415,15 @@ def auto_spec(shape, h: float, pad: int = 8) -> GridSpec:
     return GridSpec(shape.dim, tuple(cells), h, tuple(origin))
 
 
-_SHAPE_KINDS = {
-    "interval",
-    "ball",
-    "ellipse",
-    "axis_box",
-    "fourier_disk",
-    "dumbbell",
-    "union",
+# the keys of each shape kind besides "kind"; a union's members add "<i>.<key>"
+_SHAPE_KEYS = {
+    "interval": {"a", "b"},
+    "ball": {"r", "cx", "cy"},
+    "ellipse": {"a", "b", "cx", "cy"},
+    "axis_box": {"x0", "x1", "y0", "y1"},
+    "fourier_disk": {"r0", "eps", "k", "cx", "cy"},
+    "dumbbell": {"rho", "halfspan", "neck"},
+    "union": {"n"},
 }
 
 
@@ -469,66 +470,57 @@ def format_shape(shape) -> str:
 
 
 def parse_shape(text: str):
-    """Parse the flat key-value shape form produced by :func:`format_shape`."""
+    """Parse the flat key-value shape form produced by :func:`format_shape`.
+
+    A key that the kind does not have, a key given twice and a union
+    member numbered ``n`` or above are refused.
+    """
     fields = {}
     for token in text.split():
         if "=" not in token:
             raise FormatError(f"bad shape token {token!r}")
         key, val = token.split("=", 1)
+        if key in fields:
+            raise FormatError(f"shape key {key!r} is given twice")
         fields[key] = val
     return _shape_from_fields(fields)
 
 
 def _shape_from_fields(fields: dict):
     kind = fields.get("kind")
-    if kind not in _SHAPE_KINDS:
+    if kind not in _SHAPE_KEYS:
         raise FormatError(f"unknown shape kind {kind!r}")
+
+    def num(key: str) -> float:
+        return float(fields[key])
+
     try:
+        n = int(fields["n"]) if kind == "union" else 0
+        members = {str(i): {} for i in range(n)}
+        for key, val in fields.items():
+            index, dot, rest = key.partition(".")
+            if dot and index in members:
+                members[index][rest] = val
+            elif kind == "union" and dot and index.isdigit():
+                raise FormatError(f"union key {key!r} names member {index}, but n = {n}")
+            elif key != "kind" and key not in _SHAPE_KEYS[kind]:
+                raise FormatError(f"shape kind {kind!r} has no field {key!r}")
         if kind == "interval":
-            return Interval(float(fields["a"]), float(fields["b"]))
+            return Interval(num("a"), num("b"))
         if kind == "ball":
-            center = (float(fields["cx"]),)
-            if "cy" in fields:
-                center += (float(fields["cy"]),)
-            return Ball(center, float(fields["r"]))
+            center = (num("cx"), num("cy")) if "cy" in fields else (num("cx"),)
+            return Ball(center, num("r"))
         if kind == "ellipse":
-            return Ellipse(
-                (float(fields["cx"]), float(fields["cy"])),
-                float(fields["a"]),
-                float(fields["b"]),
-            )
+            return Ellipse((num("cx"), num("cy")), num("a"), num("b"))
         if kind == "axis_box":
-            lo = (float(fields["x0"]),)
-            hi = (float(fields["x1"]),)
-            if "y0" in fields:
-                lo += (float(fields["y0"]),)
-                hi += (float(fields["y1"]),)
-            return AxisBox(lo, hi)
+            axes = "xy" if {"y0", "y1"} & fields.keys() else "x"
+            return AxisBox(tuple(num(f"{a}0") for a in axes),
+                           tuple(num(f"{a}1") for a in axes))
         if kind == "fourier_disk":
-            return FourierDisk(
-                (float(fields["cx"]), float(fields["cy"])),
-                float(fields["r0"]),
-                float(fields["eps"]),
-                int(fields["k"]),
-            )
+            return FourierDisk((num("cx"), num("cy")), num("r0"), num("eps"),
+                               int(fields["k"]))
         if kind == "dumbbell":
-            return Dumbbell(
-                float(fields["rho"]),
-                float(fields["halfspan"]),
-                float(fields["neck"]),
-            )
-        if kind == "union":
-            n = int(fields["n"])
-            members = []
-            for i in range(n):
-                prefix = f"{i}."
-                sub = {
-                    k[len(prefix):]: v
-                    for k, v in fields.items()
-                    if k.startswith(prefix)
-                }
-                members.append(_shape_from_fields(sub))
-            return UnionShape(tuple(members))
+            return Dumbbell(num("rho"), num("halfspan"), num("neck"))
+        return UnionShape(tuple(map(_shape_from_fields, members.values())))
     except KeyError as exc:
         raise FormatError(f"shape kind {kind!r} missing field {exc}") from exc
-    raise FormatError(f"unhandled shape kind {kind!r}")

@@ -61,7 +61,7 @@ def test_a01_line_closed_form_to_1e4():
             t0 = time.perf_counter()
             table = build_table(KernelParams(1, s), h=h, cutoff=CUTOFF)
             e = aligned_interval_set(h, ((0.0, length),))
-            got = fractional_perimeter(e, table, threads=2)
+            got = fractional_perimeter(e, table)
             elapsed = time.perf_counter() - t0
             want = closed_form_interval(length, s)
             rel = abs(got - want) / want
@@ -82,13 +82,13 @@ def test_a02_dilation_homogeneity_bit_exact():
     for dim, e in cases:
         h = e.spec.h
         t1 = build_table(KernelParams(dim, s), h=h, cutoff=CUTOFF)
-        p1 = fractional_perimeter(e, t1, threads=1)
+        p1 = fractional_perimeter(e, t1)
         for lam in (2, 4):
             t2 = t1.with_h(lam * h)
             big = fp.GridSet(
                 fp.GridSpec(dim, e.spec.cells, lam * h, e.spec.origin), e.occupancy
             )
-            p2 = fractional_perimeter(big, t2, threads=1)
+            p2 = fractional_perimeter(big, t2)
             power = dim - s
             # cross-multiplied form avoids introducing new rounding
             lhs = p2 * h**power
@@ -118,7 +118,7 @@ def plane_limit_ratios(s: float):
     out = {}
     for name, (shape, per_euclid, per_taxicab) in shapes.items():
         e = rasterize(shape, auto_spec(shape, h))
-        ps = fractional_perimeter(e, table, threads=2)
+        ps = fractional_perimeter(e, table)
         out[name] = (ps, per_euclid, per_taxicab)
     return out
 
@@ -128,7 +128,7 @@ def test_a03_limit_s_to_1_on_the_line():
     s, h = 0.99, 2.0**-9
     table = build_table(KernelParams(1, s), h=h, cutoff=CUTOFF)
     e = aligned_interval_set(h, ((0.0, 1.0),))
-    got = (1.0 - s) * fractional_perimeter(e, table, threads=2) / 2.0
+    got = (1.0 - s) * fractional_perimeter(e, table) / 2.0
     assert abs(got - 1.0) <= 0.03, f"(1-s)Ps/P = {got:.5f} not within 3% of 1"
 
 
@@ -171,7 +171,7 @@ def test_a04_limit_s_to_0_on_the_line():
     s, h = 0.01, 2.0**-9
     table = build_table(KernelParams(1, s), h=h, cutoff=CUTOFF)
     e = aligned_interval_set(h, ((0.0, 1.0),))
-    got = fractional_perimeter(e, table, threads=2)
+    got = fractional_perimeter(e, table)
     want = closed_form_interval(1.0, s)
     assert abs(got - want) / want <= 1e-3
     # N |B| |E| = 1 * 2 * 1; the exact ratio is 1/(1-s) ~ 1.0101
@@ -214,7 +214,7 @@ def test_a05_round_set_minimizes_within_budget():
             for m in fp.generate_family(name, params, h=1 / 32):
                 h = 1 / 128 if m.dim == 1 else 1 / 32
                 e = rasterize(m.shape, auto_spec(m.shape, h))
-                rep = s_deficit(e, tables[m.dim], threads=2)
+                rep = s_deficit(e, tables[m.dim])
                 cases += 1
                 # deficit units: Ps(E) >= Ps(B) - budget * Ps(B)
                 if rep.deficit < -rep.error_budget:
@@ -230,7 +230,7 @@ def test_a05_round_set_minimizes_within_budget():
 def test_a06_lift_energy_predicts_perimeter():
     def residual(shape, gamma, params, h, table):
         e = rasterize(shape, auto_spec(shape, h))
-        ps = fractional_perimeter(e, table, threads=2)
+        ps = fractional_perimeter(e, table)
         grid, emb = fp.extension_domain(e)
         u = fp.poisson_extend(emb, grid, params, threads=2)
         pred = 0.5 * gamma * fp.extension_energy(u).total
@@ -340,12 +340,12 @@ def test_a08_reflected_half_sums_never_beat_the_set():
             m = fp.generate_family(name, (t,), h=1 / 32)[0]
             h = 1 / 128 if m.dim == 1 else 1 / 32
             e = rasterize(m.shape, auto_spec(m.shape, h))
-            ps = fractional_perimeter(e, tables[m.dim], threads=2)
+            ps = fractional_perimeter(e, tables[m.dim])
             for axis in range(m.dim):
                 _, plus, minus = bisect_halves(e, axis)
                 avg = 0.5 * (
-                    fractional_perimeter(plus, tables[m.dim], threads=2)
-                    + fractional_perimeter(minus, tables[m.dim], threads=2)
+                    fractional_perimeter(plus, tables[m.dim])
+                    + fractional_perimeter(minus, tables[m.dim])
                 )
                 candidates += 1
                 if avg > ps * (1.0 + 1e-12):  # roundoff-only tolerance
@@ -371,8 +371,8 @@ def test_a09_symmetrization_controls_volume_symmetry_and_deficit():
         h = 1 / 64 if m.dim == 1 else 1 / 16
         table = build_table(KernelParams(m.dim, 0.5), h=h, cutoff=CUTOFF)
         e = rasterize(m.shape, auto_spec(m.shape, h))
-        rep = s_deficit(e, table, threads=2)
-        f, audit = n_symmetrize(e, table, threads=2)
+        rep = s_deficit(e, table)
+        f, audit = n_symmetrize(e, table)
 
         # volume match up to one plane layer of cells per split axis
         box = f.bounding_cells()

@@ -187,6 +187,15 @@ def test_error_exit_codes(capsys):
     assert code == 2
 
 
+def test_repeated_shape_key_exits_2_and_prints_nothing(capsys):
+    shape = "kind=ball r=1.0 cx=0.0 cy=0.0 r=0.5"
+    code, out, err = run(["perim", "--shape", shape, "--s", "0.5", "--h", "0.25"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "shape key 'r' is given twice" in err
+
+
 @pytest.mark.parametrize("source", ["config", "flag"])
 def test_dimension_contradicting_shape_exits_2(source, tmp_path, capsys):
     args = ["perim", "--shape", "kind=ball r=1.0 cx=0.0 cy=0.0", "--s", "0.5",

@@ -58,6 +58,19 @@ def test_parse_config_rejects_unknown_key_and_bad_line():
         fp.parse_config_text("just some words")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("s = 0.5\nh = 0.25\ns = 0.7\n", "line 3: config key 's' is given twice"),
+        ("n = 1\n# the plane\ndim = 2\n", "line 3: n and dim both set the dimension"),
+        ("dim = 2\nn = 2\n", "line 2: dim and n both set the dimension"),
+    ],
+)
+def test_parse_config_rejects_a_setting_given_twice(text, message):
+    with pytest.raises(fp.FormatError, match=message):
+        fp.parse_config_text(text)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         fp.ExperimentConfig(s_values=(1.0,))

@@ -1,7 +1,9 @@
 """Tooling: every exported name resolves, so a deleted name cannot linger."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -45,3 +47,32 @@ def test_package_exposes_every_name_its_init_lists():
         assert exported is None or name in exported, (
             f"fracperim takes {name} from {module_name}, whose __all__ lacks it"
         )
+
+
+def test_threads_means_workers_over_independent_units_only():
+    # record pools and lift levels take `threads`; s_deficit keeps an
+    # ignored keyword until the benchmark stops passing it
+    public = {
+        name: obj
+        for module in _modules()
+        for name in getattr(module, "__all__", ())
+        if callable(obj := getattr(module, name)) and not inspect.isclass(obj)
+    }
+    with_threads = {name for name, fn in public.items()
+                    if "threads" in inspect.signature(fn).parameters}
+    assert with_threads == {"poisson_extend", "lift_energy", "calibrate_gamma",
+                            "s_deficit"}
+    assert "threads" in {f.name for f in dataclasses.fields(fracperim.ExperimentConfig)}
+    # no FFT-worker knob in the perimeter engine or its quadrature,
+    # private helpers and methods included
+    for module in (fracperim.quadrature, fracperim.perimeter):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                fns = [m for m in vars(obj).values() if inspect.isfunction(m)]
+            else:
+                fns = [obj] if callable(obj) else []
+            for fn in fns:
+                taken = inspect.signature(fn).parameters.keys() & {"workers", "threads"}
+                assert not taken, f"{module.__name__}.{fn.__qualname__} takes {taken}"

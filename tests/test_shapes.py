@@ -5,17 +5,20 @@ import pytest
 from scipy import integrate
 
 from fracperim import (
+    FAMILY_NAMES,
     AxisBox,
     Ball,
     DomainTooSmallError,
     Dumbbell,
     Ellipse,
+    FormatError,
     FourierDisk,
     GridSpec,
     Interval,
     UnionShape,
     auto_spec,
     format_shape,
+    generate_family,
     parse_shape,
     rasterize,
 )
@@ -118,10 +121,44 @@ def test_auto_spec_centers_shape():
         FourierDisk((0.0, 0.0), 1.0, 0.2, 5),
         Dumbbell(0.5, 1.0, 0.2),
         UnionShape((Ball((-2.0, 0.0), 1.0), Ball((2.0, 0.0), 1.0))),
+        UnionShape((Interval(0.0, 1.0), Interval(2.0, 3.0), Interval(4.0, 4.5))),
     ],
 )
 def test_shape_text_round_trip(shape):
     assert parse_shape(format_shape(shape)) == shape
+
+
+def test_every_family_member_round_trips():
+    params = {"ellipse-ecc": (0.0, 0.3), "fourier-disk": (0.1, 0.3),
+              "dumbbell": (0.4,), "two-balls": (1.0,), "offset-bump": (0.25,),
+              "two-intervals": (0.5,)}
+    assert set(params) == set(FAMILY_NAMES)
+    for name, values in params.items():
+        for member in generate_family(name, values):
+            assert parse_shape(format_shape(member.shape)) == member.shape
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("kind=ball r=1.0 cx=0.0 cy=0.0 r=0.5", "'r' is given twice"),
+        ("kind=interval a=0 a=0 b=1", "'a' is given twice"),
+        ("kind=interval a=0 b=1 cy=3", "'interval' has no field 'cy'"),
+        ("kind=axis_box x0=0 x1=1 y1=3", "'axis_box' missing field 'y0'"),
+        ("kind=ball r=1 cx=0 0.kind=ball", "'ball' has no field '0.kind'"),
+        ("kind=union n=1 0.kind=interval 0.a=0 0.b=1 0.cy=2",
+         "'interval' has no field 'cy'"),
+        ("kind=union n=1 0.kind=interval 0.a=0 0.b=1 x.kind=ball",
+         "'union' has no field 'x.kind'"),
+        ("kind=union n=2 0.kind=interval 0.a=0 0.b=1 1.kind=interval 1.a=2 "
+         "1.b=3 2.kind=interval 2.a=4 2.b=5", "'2.kind' names member 2, but n = 2"),
+        ("kind=union n=2 0.kind=interval 0.a=0 0.b=1 01.kind=interval 1.a=2 "
+         "1.b=3", "'01.kind' names member 01, but n = 2"),
+    ],
+)
+def test_unknown_repeated_or_surplus_shape_keys_are_refused(text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_shape(text)
 
 
 def test_contains_is_vectorized():
