@@ -1,13 +1,16 @@
-"""Strict line-oriented ASCII I/O shared by the four file formats.
+"""Strict line-oriented ASCII I/O shared by the four file formats, and CSV.
 
 Every file opens with a version header.  The grid formats go on with a
 geometry line ``dim [lead...] h origin... cells...`` and row-major value
 blocks.  Loaders run their body under ``strict``, so a parse error or a
 range error from a validating constructor surfaces as a FormatError.
+Every CSV line of the analysis output is made by ``csv_line``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from contextlib import contextmanager
@@ -20,6 +23,30 @@ from .errors import FormatError, FracperimError
 def g17(x) -> str:
     """17 significant digits: enough to round-trip any float64."""
     return format(float(x), ".17g")
+
+
+def csv_line(fields) -> str:
+    """One CSV line, without its terminator.
+
+    A str field is written as it is, an int by ``str`` and any other number
+    by ``g17``.  A field is quoted only where it holds a comma, a quote or a
+    line break.
+    """
+    out = io.StringIO()
+    csv.writer(out).writerow(
+        x if isinstance(x, str)
+        else str(x) if isinstance(x, (int, np.integer))
+        else g17(x)
+        for x in fields
+    )
+    # the default dialect ends its row in "\r\n"; with that terminator it
+    # quotes a lone "\r" too, which a "\n" terminator would leave bare
+    return out.getvalue()[:-2]
+
+
+def csv_text(header: str, *lines) -> str:
+    """The header and the csv_line lines, each ending in a newline."""
+    return "".join(f"{line}\n" for line in (header, *lines))
 
 
 def write_lines(path, lines) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._textio import g17, read_ascii
+from ._textio import csv_line, csv_text, read_ascii
 from .deficit import DEFICIT_CSV_HEADER, fraenkel_asymmetry, s_deficit
 from .errors import FracperimError
 from .experiments import (
@@ -156,25 +156,17 @@ def _cmd_perim(args, cfg: ExperimentConfig) -> int:
     s = _single(cfg.s_values, "s")
     table = build_table(KernelParams(shape.dim, s), h=h, cutoff=cfg.cutoff)
     ps = fractional_perimeter(e, table, cfg.margin)
-    rows = [
-        "set,N,s,h,cells,Ps",
-        ",".join(
-            [args.shape, str(shape.dim), g17(s), g17(h), str(e.cell_count), g17(ps)]
-        ),
-    ]
-    _emit("\n".join(rows) + "\n", cfg.out)
+    row = csv_line([args.shape, shape.dim, s, h, e.cell_count, ps])
+    _emit(csv_text("set,N,s,h,cells,Ps", row), cfg.out)
     return 0
 
 
 def _cmd_asym(args, cfg: ExperimentConfig) -> int:
     shape, e, h = _shape_setup(args, cfg)
     a, center = fraenkel_asymmetry(e)
-    cy = g17(center[1]) if shape.dim == 2 else ""
-    rows = [
-        "set,N,h,A,cx,cy",
-        ",".join([args.shape, str(shape.dim), g17(h), g17(a), g17(center[0]), cy]),
-    ]
-    _emit("\n".join(rows) + "\n", cfg.out)
+    cx, cy = (*center, "")[:2]  # a blank cy on the line
+    row = csv_line([args.shape, shape.dim, h, a, cx, cy])
+    _emit(csv_text("set,N,h,A,cx,cy", row), cfg.out)
     return 0
 
 
@@ -183,7 +175,7 @@ def _cmd_deficit(args, cfg: ExperimentConfig) -> int:
     s = _single(cfg.s_values, "s")
     table = build_table(KernelParams(shape.dim, s), h=h, cutoff=cfg.cutoff)
     report = s_deficit(e, table, set_id=args.shape, margin=cfg.margin)
-    _emit(DEFICIT_CSV_HEADER + "\n" + report.csv_row() + "\n", cfg.out)
+    _emit(csv_text(DEFICIT_CSV_HEADER, report.csv_row()), cfg.out)
     return 0
 
 
@@ -193,20 +185,12 @@ def _cmd_rearrange(args, cfg: ExperimentConfig) -> int:
     if cfg.out:
         save_gridfunction(sharp, cfg.out)
     report = polya_szego_report(g)
-    rows = [
-        "infile,energy_before,energy_after,gap,l1_distance,support_measure",
-        ",".join(
-            [
-                args.infile,
-                g17(report.energy_g),
-                g17(report.energy_gsharp),
-                g17(report.gap),
-                g17(report.l1_distance),
-                g17(report.support_measure),
-            ]
-        ),
-    ]
-    sys.stdout.write("\n".join(rows) + "\n")
+    row = csv_line(
+        [args.infile, report.energy_g, report.energy_gsharp, report.gap,
+         report.l1_distance, report.support_measure]
+    )
+    header = "infile,energy_before,energy_after,gap,l1_distance,support_measure"
+    sys.stdout.write(csv_text(header, row))
     return 0
 
 
@@ -227,25 +211,13 @@ def _cmd_extend(args, cfg: ExperimentConfig) -> int:
         energy = extension_energy(u)
     else:
         energy = lift_energy(embedded, grid, params, threads=cfg.threads)
-    rows = [
-        "set,N,s,h,levels,z0,z_top,energy,x_part,z_part,truncation_estimate",
-        ",".join(
-            [
-                args.shape,
-                str(shape.dim),
-                g17(s),
-                g17(h),
-                str(grid.level_count),
-                g17(grid.z_levels[0]),
-                g17(grid.z_levels[-1]),
-                g17(energy.total),
-                g17(energy.x_part),
-                g17(energy.z_part),
-                g17(energy.truncation_estimate),
-            ]
-        ),
-    ]
-    sys.stdout.write("\n".join(rows) + "\n")
+    row = csv_line(
+        [args.shape, shape.dim, s, h, grid.level_count, grid.z_levels[0],
+         grid.z_levels[-1], energy.total, energy.x_part, energy.z_part,
+         energy.truncation_estimate]
+    )
+    header = "set,N,s,h,levels,z0,z_top,energy,x_part,z_part,truncation_estimate"
+    sys.stdout.write(csv_text(header, row))
     return 0
 
 
@@ -255,7 +227,8 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
     _emit(text, cfg.out)
     if cfg.out:
         sys.stdout.write(f"{len(records)} records -> {cfg.out}\n")
-        sys.stdout.write(f"K_limit_estimate,{g17(k_limit_estimate(records))}\n")
+        k_limit = csv_line(["K_limit_estimate", k_limit_estimate(records)])
+        sys.stdout.write(k_limit + "\n")
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import g17
+from ._textio import csv_line
 from .errors import EmptySetError, SymmetryDefectError
 from .grids import GridSet, GridSpec, bisect_halves, pad_domain, unit_ball_volume
 from .kernels import InteractionTable
@@ -220,24 +220,12 @@ class DeficitReport:
     flags: tuple[str, ...]
 
     def csv_row(self) -> str:
-        cx = g17(self.center[0])
-        cy = g17(self.center[1]) if self.dim == 2 else ""
-        parts = [
-            self.set_id,
-            str(self.dim),
-            g17(self.s),
-            g17(self.h),
-            g17(self.perimeter),
-            g17(self.radius),
-            g17(self.ball_perimeter),
-            g17(self.deficit),
-            g17(self.asymmetry),
-            cx,
-            cy,
-            g17(self.error_budget),
-            ";".join(self.flags),
-        ]
-        return ",".join(parts)
+        cx, cy = (*self.center, "")[:2]  # a blank cy on the line
+        return csv_line(
+            [self.set_id, self.dim, self.s, self.h, self.perimeter, self.radius,
+             self.ball_perimeter, self.deficit, self.asymmetry, cx, cy,
+             self.error_budget, ";".join(self.flags)]
+        )
 
 
 def _reaches_rim(e: GridSet) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._textio import g17, read_ascii
+from ._textio import csv_line, csv_text, read_ascii
 from .deficit import (
     centered_sandwich_check,
     n_symmetrize,
@@ -205,21 +205,11 @@ class SweepRecord:
     flags: tuple[str, ...] = ()
 
     def csv_row(self) -> str:
-        ratio = "" if math.isnan(self.ratio_theorem) else g17(self.ratio_theorem)
-        return ",".join(
-            [
-                self.family,
-                g17(self.param),
-                g17(self.s),
-                g17(self.h),
-                g17(self.asymmetry),
-                g17(self.deficit),
-                g17(self.perimeter),
-                ratio,
-                g17(self.ratio_limit_s1),
-                g17(self.ratio_limit_s0),
-                ";".join(self.flags),
-            ]
+        ratio = "" if math.isnan(self.ratio_theorem) else self.ratio_theorem
+        return csv_line(
+            [self.family, self.param, self.s, self.h, self.asymmetry,
+             self.deficit, self.perimeter, ratio, self.ratio_limit_s1,
+             self.ratio_limit_s0, ";".join(self.flags)]
         )
 
 
@@ -313,9 +303,8 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
 
 
 def sweep_csv(records) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    lines += [r.csv_row() for r in sorted(records, key=_record_sort_key)]
-    return "\n".join(lines) + "\n"
+    ordered = sorted(records, key=_record_sort_key)
+    return csv_text(SWEEP_CSV_HEADER, *(r.csv_row() for r in ordered))
 
 
 def k_limit_estimate(records) -> float:
@@ -425,15 +414,8 @@ class VerifyCheck:
     detail: str = ""
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.name,
-                "pass" if self.passed else "FAIL",
-                g17(self.measured),
-                g17(self.bound),
-                self.detail,
-            ]
-        )
+        result = "pass" if self.passed else "FAIL"
+        return csv_line([self.name, result, self.measured, self.bound, self.detail])
 
 
 @dataclass(frozen=True)
@@ -445,9 +427,8 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
     def csv_text(self) -> str:
-        lines = ["check,result,measured,bound,detail"]
-        lines += [c.csv_row() for c in self.checks]
-        return "\n".join(lines) + "\n"
+        header = "check,result,measured,bound,detail"
+        return csv_text(header, *(c.csv_row() for c in self.checks))
 
 
 # what each verify check returns: (passed, measured, bound)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from ._textio import (
     bit, format_block, g17, geometry_line, parse_block, parse_geometry, read_lines,
@@ -128,6 +128,8 @@ def poisson_kernel_mass(params: KernelParams, x, z: float) -> float:
     and height; the point of evaluating it numerically is to confirm
     the normalization constant.
     """
+    from scipy import integrate  # only here, so importing fracperim skips it
+
     if z <= 0.0:
         raise ValueError("kernel mass requires z > 0")
     lam = lambda_constant(params)

@@ -1,5 +1,8 @@
 """Command line behavior: flags, config precedence, exit codes, CSV shape."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,68 @@ def test_rearrange_round_trip(tmp_path, capsys):
     assert np.array_equal(
         np.sort(sharp.values), np.sort(g.values)
     )
+
+
+def _csv_rows(text):
+    """The rows of a CSV text, each checked to have its header's width."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert len(rows) >= 2
+    assert all(len(row) == len(rows[0]) for row in rows[1:]), rows
+    return rows
+
+
+def test_every_command_prints_csv_that_parses_to_its_header(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    union_1d = "kind=union n=2 0.kind=interval 0.a=0 0.b=1 1.kind=interval 1.a=1.5 1.b=3"
+    stdout_commands = [
+        ["perim", "--shape", INTERVAL, "--s", "0.5", "--h", "0.0625"],
+        ["asym", "--shape", union_1d, "--h", "0.0625"],
+        ["asym", "--shape", ELLIPSE, "--h", "0.125"],
+        ["deficit", "--shape", INTERVAL, "--s", "0.5", "--h", "0.0625"],
+        ["deficit", "--shape", ELLIPSE, "--s", "0.5", "--h", "0.125"],
+        ["extend", "--shape", INTERVAL, "--s", "0.5", "--h", "0.125"],
+        ["sweep-s", "--n", "2", "--family", "ellipse-ecc", "--params", "0.1,0.6",
+         "--s", "0.5", "--h", "0.125"],
+    ]
+    for args in stdout_commands:
+        code, out, _ = run(args, capsys)
+        assert code == 0, args
+        _csv_rows(out)
+    # 1D sets leave cy blank
+    assert _csv_rows(run(stdout_commands[1], capsys)[1])[1][5] == ""
+
+    values = np.zeros((9, 7))
+    values[2:7, 2:5] = np.arange(15.0).reshape(5, 3)
+    g = fp.GridFunction(fp.GridSpec(2, (9, 7), 0.25, (0.0, 0.0)), values)
+    fp.save_gridfunction(g, "a,b.txt")
+    code, out, _ = run(["rearrange", "--infile", "a,b.txt"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith('"a,b.txt",')
+    assert _csv_rows(out)[1][0] == "a,b.txt"
+
+    code, _, _ = run(
+        ["exponent-study", "--n", "2", "--family", "fourier-disk", "--params",
+         "0.1,0.2,0.3,0.4,0.5", "--s", "0.5", "--h", "0.125", "--out", "exp.csv"],
+        capsys,
+    )
+    assert code == 0
+    rows = _csv_rows((tmp_path / "exp.csv").read_text())
+    assert rows[0] == fp.SWEEP_CSV_HEADER.split(",")
+    # a deficit <= 0 leaves ratio_theorem blank
+    assert rows[1][5].startswith("-") and rows[1][7] == ""
+
+    detail = "ValueError('a, b', \"c\")\nd"
+    report = fp.VerifyReport(
+        (fp.VerifyCheck("ok", True, 0.5, 1.0), fp.VerifyCheck("bad", False, 2.0, 1.0, detail))
+    )
+    monkeypatch.setattr("fracperim.cli.verify_suite", lambda cfg: report)
+    code, out, _ = run(["verify"], capsys)
+    assert code == 1
+    rows = _csv_rows(out)
+    assert rows[1] == ["ok", "pass", "0.5", "1", ""]
+    assert rows[2] == ["bad", "FAIL", "2", "1", detail]
 
 
 def test_sweep_config_and_flag_precedence(tmp_path, capsys):

@@ -5,6 +5,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import fracperim
@@ -76,3 +78,14 @@ def test_threads_means_workers_over_independent_units_only():
             for fn in fns:
                 taken = inspect.signature(fn).parameters.keys() & {"workers", "threads"}
                 assert not taken, f"{module.__name__}.{fn.__qualname__} takes {taken}"
+
+
+def test_import_loads_no_scipy_integrate():
+    # a child process, since this one has imported scipy.integrate for tests
+    probe = "import sys, fracperim; print('scipy.integrate' in sys.modules)"
+    src = str(Path(fracperim.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},
+    )
+    assert out.stdout == "False\n"

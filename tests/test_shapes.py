@@ -49,7 +49,8 @@ def test_exact_geometry_values():
     assert Ball((0.0, 0.0), 2.0).perimeter == pytest.approx(4 * math.pi, rel=1e-15)
     assert AxisBox((0.0, 0.0), (2.0, 1.0)).volume == 2.0
     assert AxisBox((0.0, 0.0), (2.0, 1.0)).perimeter == 6.0
-    # circle as a degenerate ellipse
+    # circles as a round Fourier disk and a degenerate ellipse
+    assert FourierDisk((0.0, 0.0), 0.7, 0.0, 3).perimeter == 2 * math.pi * 0.7
     assert Ellipse((0.0, 0.0), 1.0, 1.0).perimeter == pytest.approx(
         2 * math.pi, rel=1e-14
     )
@@ -73,6 +74,21 @@ def test_fourier_disk_volume_and_perimeter():
     )
     assert fd.volume == pytest.approx(ref, rel=1e-13)
     assert fd.perimeter > Ball((0.0, 0.0), math.sqrt(fd.volume / math.pi)).perimeter
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.6, 0.9, 0.95, -0.5])
+def test_fourier_disk_perimeter_against_quadrature(eps, k):
+    r0 = 0.8
+
+    def arc(t):
+        r = r0 * (1.0 + eps * math.cos(k * t))
+        return math.hypot(r, r0 * eps * k * math.sin(k * t))
+
+    # quad refuses epsrel below 50 machine epsilons when epsabs is 0
+    ref, _ = integrate.quad(arc, 0.0, 2 * math.pi, epsabs=0, epsrel=1.2e-14, limit=500)
+    got = FourierDisk((0.3, -0.2), r0, eps, k).perimeter
+    assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_dumbbell_closed_forms_against_raster():
@@ -154,6 +170,8 @@ def test_every_family_member_round_trips():
          "1.b=3 2.kind=interval 2.a=4 2.b=5", "'2.kind' names member 2, but n = 2"),
         ("kind=union n=2 0.kind=interval 0.a=0 0.b=1 01.kind=interval 1.a=2 "
          "1.b=3", "'01.kind' names member 01, but n = 2"),
+        ("kind=union n=3 0.kind=interval 0.a=0 0.b=1 1.kind=interval 1.a=2 "
+         "1.b=3", r"union of n = 3 has no member 2 \(2\.kind\)"),
     ],
 )
 def test_unknown_repeated_or_surplus_shape_keys_are_refused(text, message):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracperim as fp
+from fracperim._textio import csv_line, csv_text
 from fracperim.extension import ExtensionField, HalfSpaceGrid
 
 # ------------------------------------------------------------- pinned bytes
@@ -51,6 +52,15 @@ def test_fracext_exact_text(tmp_path):
         b"level 0\n0.10000000000000001\n1\nlevel 1\n0.25\n0\n"
         b"datum\n1\n0\n"
     )
+
+
+def test_csv_line_formats_by_type_and_quotes_only_where_needed():
+    fields = ["a b", "", 3, np.int64(5), 0.1, np.float64(2.0),
+              "x,y", 'q"', "l\nm", "c\rr"]
+    assert csv_line(fields) == (
+        'a b,,3,5,0.10000000000000001,2,"x,y","q""","l\nm","c\rr"'
+    )
+    assert csv_text("h,k", "1,2", "3,4") == "h,k\n1,2\n3,4\n"
 
 
 # ------------------------------------------------------- malformed inputs
