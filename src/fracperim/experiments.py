@@ -35,8 +35,8 @@ from .extension import (
 )
 from .families import FAMILY_NAMES, generate_family
 from .grids import GridSet, GridSpec, bisect_halves, unit_ball_volume
-from .kernels import InteractionTable, KernelParams, build_table
-from .perimeter import MIN_MARGIN, fractional_perimeter
+from .kernels import DEFAULT_CUTOFF, KernelParams, build_table
+from .perimeter import DEFAULT_MARGIN, MIN_MARGIN, fractional_perimeter
 from .rearrange import (
     GridFunction,
     dirichlet_energy,
@@ -77,8 +77,8 @@ class ExperimentConfig:
     h_values: tuple[float, ...] = (1 / 32,)
     family: str = "ellipse-ecc"
     params: tuple[float, ...] = (0.1, 0.2, 0.4)
-    margin: int = 4
-    cutoff: int = 16
+    margin: int = DEFAULT_MARGIN
+    cutoff: int = DEFAULT_CUTOFF
     threads: int = 1
     seed: int = 0
     out: str | None = None
@@ -148,6 +148,10 @@ _SETTINGS = {
 }
 
 
+_NUMBER_KINDS = {int: "an integer", float: "a number",
+                 _floats: "a comma list of numbers"}
+
+
 def parse_config_text(text: str) -> dict:
     """Flat key = value lines; '#' comments and blank lines are skipped.
 
@@ -173,14 +177,16 @@ def parse_config_text(text: str) -> dict:
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    m = dict(mapping)
-    if "n" in m and "dim" not in m:
-        m["dim"] = m.pop("n")
-    kw = {
-        field: parse(m[key])
-        for key, (field, parse) in _SETTINGS.items()
-        if key in m
-    }
+    """The config a mapping of settings gives; a malformed number names its key."""
+    kw = {}
+    for key, (field, parse) in _SETTINGS.items():
+        name = "n" if key == "dim" and "dim" not in mapping else key
+        if name in mapping:
+            try:
+                kw[field] = parse(mapping[name])
+            except ValueError:
+                raise FormatError(f"config key {name!r} is not "
+                                  f"{_NUMBER_KINDS[parse]}: {mapping[name]!r}") from None
     return ExperimentConfig(**kw)
 
 
@@ -278,14 +284,12 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
     if len(dims) != 1:
         raise ValueError("all families in one sweep must share a dimension")
     dim = dims.pop()
-    tables: dict[tuple[float, float], InteractionTable] = {}
-    for s in config.s_values:
-        for h in config.h_values:
-            table = build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
-            # warm the near window before any thread sharing; the tail
-            # and far memos grow under their own locks
-            table.near_dense
-            tables[(s, h)] = table
+    # threads share each table: its memos grow under their own locks
+    tables = {
+        (s, h): build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
+        for s in config.s_values
+        for h in config.h_values
+    }
     tasks = [
         (member, s, h)
         for member in members
@@ -709,9 +713,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         entries = dict(table.entries)
         for key in ((1,), (-1,)):
             entries[key] = entries[key] * 1.01
-        tampered = InteractionTable(
-            table.params, table.h, table.cutoff_radius, entries
-        )
+        tampered = replace(table, entries=entries)
         want = _interval_closed_form(1.0, s)
         rel = abs(fractional_perimeter(e, tampered) - want) / want
         return rel > oracle_tol, rel, oracle_tol

@@ -11,11 +11,14 @@ Quadrature strategy per lattice offset d, one rule for each case:
     exact because the integrand splits into homogeneous pieces there.
   - dim 2, |d|_inf >= 2: the pair integral equals a tent-weighted integral
     over [-1,1]^2 around d; tensor Gauss-Legendre per quadrant.
-``far_kernel_unit`` holds the closed form and the tent rule.  At order 20
-it gives the table window and every single pair integral; offsets beyond
-the table cutoff reuse it at the low order FAR_RULE = 3; at the default
-cutoff 16 that rule is already at 1e-9 relative error while a single
-midpoint evaluation would sit near 2e-3.
+``_unit_pair_values`` alone picks the rule: the corner rule for the two
+touching classes, ``far_kernel_unit`` (the closed form and the tent rule)
+for the rest; at order 20 it gives the table window and every single pair
+integral.  ``FarTable`` alone sets the order FAR_RULE = 3 of the tent
+rule beyond the table cutoff; at the default cutoff 16 it is already at
+1e-9 relative error while a single midpoint evaluation would sit near 2e-3.
+The table assembles K(d) over a box (``InteractionTable.offset_kernel``)
+from its near window, laid out when the table is made, and that far memo.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,8 +78,7 @@ def _box_gl(f, x0, x1, y0, y1, n):
     return float(np.sum(ww * f(xs[:, None], ys[None, :])))
 
 
-def _corner_dyadic(f, s: float, levels: int = _CORNER_LEVELS,
-                   n: int = _CORNER_ORDER) -> float:
+def _corner_dyadic(f, s: float) -> float:
     """Integral of f over [0,1]^2 with the integrable singularity at 0.
 
     f is |w|^(-(2+s)) times a product of affine factors vanishing at the
@@ -86,18 +87,18 @@ def _corner_dyadic(f, s: float, levels: int = _CORNER_LEVELS,
     annuli are summed in closed form from the last two computed ones.
     """
     vals = []
-    for k in range(levels):
+    for k in range(_CORNER_LEVELS):
         sk = 2.0**-k
         hk = 0.5 * sk
         v = (
-            _box_gl(f, hk, sk, 0.0, hk, n)
-            + _box_gl(f, hk, sk, hk, sk, n)
-            + _box_gl(f, 0.0, hk, hk, sk, n)
+            _box_gl(f, hk, sk, 0.0, hk, _CORNER_ORDER)
+            + _box_gl(f, hk, sk, hk, sk, _CORNER_ORDER)
+            + _box_gl(f, 0.0, hk, hk, sk, _CORNER_ORDER)
         )
         vals.append(v)
     q1 = 2.0 ** (s - 1.0)
     q2 = 2.0 ** (s - 2.0)
-    k = levels - 1
+    k = _CORNER_LEVELS - 1
     det = q1 ** (k - 1) * q2**k - q2 ** (k - 1) * q1**k
     a = (vals[-2] * q2**k - vals[-1] * q2 ** (k - 1)) / det
     b = (vals[-1] * q1 ** (k - 1) - vals[-2] * q1**k) / det
@@ -106,61 +107,57 @@ def _corner_dyadic(f, s: float, levels: int = _CORNER_LEVELS,
 
 
 def _pair_2d_touching(b: int, s: float) -> float:
-    """Offset (1, b): the edge neighbour for b = 0, the corner one for b = 1."""
+    """Offset (1, b): the edge neighbour for b = 0, the corner one for b = 1.
+
+    The tent (1 - |w1 - 1|)(1 - |w2 - b|) times |w|^(-(2+s)): the dyadic
+    rule on the corner squares at w = 0, a Gauss rule on the smooth boxes.
+    """
     alpha = 2.0 + s
 
+    def f(w1, w2):
+        return (w1 * w1 + w2 * w2) ** (-0.5 * alpha) * (
+            1.0 - np.abs(w1 - 1.0)
+        ) * (1.0 - np.abs(w2 - b))
+
+    sing = _corner_dyadic(f, s)
+    smooth = ((1, 2, 0, 1), (0, 1, 1, 2), (1, 2, 1, 2))
     if b == 0:
-        def f(w1, w2):
-            return (w1 * w1 + w2 * w2) ** (-0.5 * alpha) * (
-                1.0 - np.abs(w1 - 1.0)
-            ) * (1.0 - np.abs(w2))
-
-        sing = _corner_dyadic(f, s) + _corner_dyadic(lambda u, v: f(u, -v), s)
-        smooth = _box_gl(f, 1, 2, -1, 0, _SMOOTH_ORDER) + _box_gl(
-            f, 1, 2, 0, 1, _SMOOTH_ORDER
-        )
-        return sing + smooth
-
-    if b == 1:
-        def f(w1, w2):
-            return (w1 * w1 + w2 * w2) ** (-0.5 * alpha) * (
-                1.0 - np.abs(w1 - 1.0)
-            ) * (1.0 - np.abs(w2 - 1.0))
-
-        sing = _corner_dyadic(f, s)
-        smooth = (
-            _box_gl(f, 1, 2, 0, 1, _SMOOTH_ORDER)
-            + _box_gl(f, 0, 1, 1, 2, _SMOOTH_ORDER)
-            + _box_gl(f, 1, 2, 1, 2, _SMOOTH_ORDER)
-        )
-        return sing + smooth
-
-    raise AssertionError("touching offsets are (1,0) and (1,1) only")
+        sing += _corner_dyadic(lambda u, v: f(u, -v), s)
+        smooth = ((1, 2, -1, 0), (1, 2, 0, 1))
+    return sing + sum(_box_gl(f, *box, _SMOOTH_ORDER) for box in smooth)
 
 
-def _pair_unit(offset: tuple, params: KernelParams) -> float:
-    mags = sorted(abs(c) for c in offset)
-    if params.dim == 2 and mags[-1] == 1:
-        return _pair_2d_touching(mags[0], params.s)
-    return float(far_kernel_unit([offset], params, _SMOOTH_ORDER)[0])
+def _unit_pair_values(offsets, params: KernelParams, rule: int) -> np.ndarray:
+    """Unit-lattice pair integrals at nonzero offsets: the one rule picker.
+
+    In 2D the touching offsets (|d|_inf = 1) take the dyadic corner rule,
+    once per class (1, 0) and (1, 1); every other offset takes
+    ``far_kernel_unit`` at order ``rule``.  Each value depends on its own
+    offset alone, so it has the same bits in any batch.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    values = far_kernel_unit(offsets, params, rule)
+    if params.dim == 2:
+        mags = np.abs(offsets)
+        hi, lo = mags.max(axis=1), mags.min(axis=1)
+        for b in (0, 1):
+            touching = (hi == 1) & (lo == b)
+            if touching.any():
+                values[touching] = _pair_2d_touching(b, params.s)
+    return values
 
 
 def _window_values(params: KernelParams, cutoff: int) -> dict[tuple, float]:
     """Unit pair integrals for every offset of ``window_offsets``.
 
-    The rules see only sorted magnitudes a >= b, so one ``far_kernel_unit``
-    call evaluates each class once and its offsets share the value; in 2D
-    the two touching classes (a = 1) are integrated once each instead.
-    Every value is bit-equal to ``cell_pair_integral`` at h = 1.
+    The rules see only sorted magnitudes a >= b, so each class is evaluated
+    once and its offsets share the value.  Every value is bit-equal to
+    ``cell_pair_integral`` at h = 1.
     """
     offsets = window_offsets(params.dim, cutoff)
     mags = -np.sort(-np.abs(np.array(offsets)), axis=1)
     classes, inverse = np.unique(mags, axis=0, return_inverse=True)
-    values = far_kernel_unit(classes, params, _SMOOTH_ORDER)
-    if params.dim == 2:
-        for k, (a, b) in enumerate(classes):
-            if a == 1:
-                values[k] = _pair_2d_touching(int(b), params.s)
+    values = _unit_pair_values(classes, params, _SMOOTH_ORDER)
     return dict(zip(offsets, values[inverse.reshape(-1)].tolist()))
 
 
@@ -177,7 +174,8 @@ def cell_pair_integral(offset, params: KernelParams, h: float) -> float:
         raise SameCellError("cell paired with itself: the integral diverges")
     if h <= 0:
         raise ValueError("h must be positive")
-    return _pair_unit(offset, params) * h ** (params.dim - params.s)
+    unit = float(_unit_pair_values([offset], params, _SMOOTH_ORDER)[0])
+    return unit * h ** (params.dim - params.s)
 
 
 def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
@@ -322,20 +320,22 @@ class FarTable(GridMemo):
         return quad.reshape(shape)
 
     def _evaluate(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # beyond the cutoff no offset touches: the tent rule is the only rule
         offsets = np.stack([hi, lo], axis=1)[:, :self.params.dim]
         return far_kernel_unit(offsets, self.params, FAR_RULE)
 
 
 @dataclass(frozen=True)
 class InteractionTable:
-    """Precomputed near-window pair integrals.
+    """The pair kernel K(d): near-window integrals and the far rule.
 
-    Offsets beyond the window use ``far_kernel_unit`` at order FAR_RULE,
-    kept in ``far_table``; ``tail_table`` keeps the 2D complement tail.
     ``entries`` maps every nonzero offset with |offset|_inf <= cutoff_radius
-    to its unit-lattice value; the rules see only sorted magnitudes, so
-    symmetry under sign flips and (dim 2) coordinate swaps holds bit for
-    bit.  ``h`` only enters lookups through the h^(dim-s) prefactor.
+    to its unit-lattice value, laid out by offset + cutoff in ``near_dense``
+    when the table is made.  Offsets beyond use the far rule, kept in
+    ``far_table``; ``offset_kernel`` joins the two over a box, and
+    ``tail_table`` keeps the 2D complement tail.  The rules see only sorted
+    magnitudes, so symmetry under sign flips and (dim 2) coordinate swaps
+    holds bit for bit.  ``h`` only enters through the h^(dim-s) prefactor.
     """
 
     params: KernelParams
@@ -346,12 +346,18 @@ class InteractionTable:
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
-        if self.cutoff_radius < 2:
+        rc = self.cutoff_radius
+        if rc < 2:
             raise ValueError("cutoff_radius must be >= 2")
         from .perimeter import TailTable
 
+        near = np.zeros((2 * rc + 1,) * self.params.dim)
+        for off, val in self.entries.items():
+            near[tuple(c + rc for c in off)] = val
+        near.setflags(write=False)
+        object.__setattr__(self, "near_dense", near)
         object.__setattr__(self, "_tail", TailTable(self.params.s))
-        object.__setattr__(self, "_far", FarTable(self.params, self.cutoff_radius))
+        object.__setattr__(self, "_far", FarTable(self.params, rc))
 
     @property
     def scale_factor(self) -> float:
@@ -365,17 +371,22 @@ class InteractionTable:
                 f"grid (dim={spec.dim}, h={spec.h})"
             )
 
-    @cached_property
-    def near_dense(self) -> np.ndarray:
-        """Unit values on the full window, indexed by offset + cutoff; 0 at center."""
+    def offset_kernel(self, shape) -> np.ndarray:
+        """Unit pair values K[d + n - 1] for every offset d of a box of this shape.
+
+        The near window fills the offsets within the cutoff (clipped to the
+        box) and the far rule the rest; K is 0 at d = 0.  Far values are
+        read from ``far_table`` by sorted offset magnitude and mirrored, so
+        K(d) = K(-d) and K is symmetric under axis swaps bit for bit.
+        """
         rc = self.cutoff_radius
-        shape = (2 * rc + 1,) * self.params.dim
-        dense = np.zeros(shape)
-        for off, val in self.entries.items():
-            idx = tuple(c + rc for c in off)
-            dense[idx] = val
-        dense.setflags(write=False)
-        return dense
+        quad = self._far.quadrant(shape)
+        k = quad[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in shape))]
+        w = [min(rc, n - 1) for n in shape]
+        k[tuple(slice(n - 1 - wk, n + wk) for n, wk in zip(shape, w))] = (
+            self.near_dense[tuple(slice(rc - wk, rc + wk + 1) for wk in w)]
+        )
+        return k
 
     @property
     def tail_table(self):

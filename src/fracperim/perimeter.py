@@ -4,10 +4,12 @@ The perimeter of a cell set E splits at the box Q, the bounding box of E
 grown by a margin, into two exactly-accounted parts:
 
   in-box:  sum over offsets d of K(d) * R(d), where K is the pair kernel
-           over the whole offset box (the table inside its cutoff window,
-           the far rule beyond) and R(d) = #{c in E : c + d in Q \\ E} is an
-           integer count read off one FFT cross-correlation, rounded and
-           checked against its rounding residual;
+           over the whole offset box and R(d) = #{c in E : c + d in Q \\ E}
+           is an integer count read off one FFT cross-correlation, rounded
+           and checked against its rounding residual.  The table assembles
+           K (``InteractionTable.offset_kernel``): its near window, built
+           with the table, inside the cutoff, the far rule beyond; which
+           rule gives K(d) is decided in ``kernels`` alone;
   tail:    the complement beyond Q, reduced per cell to closed form: the
            exact antiderivative in one dimension; in two, an angular
            identity whose edge arcs are incomplete Beta functions, averaged
@@ -22,7 +24,7 @@ grown by a margin, into two exactly-accounted parts:
            relative of the true value.
 
 The two costly per-value kernels, Phi and the far rule, are memos kept
-with the InteractionTable (``tail_table`` and ``far_table``): each value
+with the InteractionTable (``tail_table`` and its far memo): each value
 is evaluated once per table, the first time a perimeter reads it, and
 every later set measured with the table (a deficit's reference ball, the
 members of a sweep) reads it back.
@@ -300,7 +302,7 @@ class TailTable(GridMemo):
     """Phi_s(p, q) at the pairs perimeters read, each evaluated once.
 
     An entry is evaluated when a perimeter first reads it, in blocks of at
-    most _FILL_BLOCK entries, and kept for every later set; pairs no set
+    most ``fill_block`` entries, and kept for every later set; pairs no set
     reads are never evaluated.  Entries are stored by sorted pair, at row
     2 min(p, q) + (p < q) and column max(p, q), so a box of nx x ny cells
     reserves 2 min(nx, ny) x max(nx, ny) slots, not a max(nx, ny) square.
@@ -321,10 +323,6 @@ class TailTable(GridMemo):
     def extent(self) -> int:
         """The longest box side the table has been grown to."""
         return self.shape[1]
-
-    @property
-    def fill_block(self) -> int:
-        return _FILL_BLOCK
 
     def _evaluate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         lo, swapped = np.divmod(rows, 2)
@@ -375,24 +373,6 @@ def _tail_2d(occ: np.ndarray, table: TailTable) -> float:
 # in-box pair sums: one kernel over the offset box times one correlation
 
 
-def _offset_kernel(shape: tuple, table: InteractionTable) -> np.ndarray:
-    """Unit pair values K[d + n - 1] for every offset d of a box of this shape.
-
-    The table fills the near window (clipped to the box) and the far rule
-    the rest; K is 0 at d = 0.  Far values are read from the table's
-    ``far_table`` by sorted offset magnitude and mirrored, so K(d) = K(-d)
-    and K is symmetric under axis swaps bit for bit.
-    """
-    rc = table.cutoff_radius
-    quad = table.far_table.quadrant(shape)
-    k = quad[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in shape))]
-    w = [min(rc, n - 1) for n in shape]
-    k[tuple(slice(n - 1 - wk, n + wk) for n, wk in zip(shape, w))] = (
-        table.near_dense[tuple(slice(rc - wk, rc + wk + 1) for wk in w)]
-    )
-    return k
-
-
 def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[d + n - 1] = sum_x a[x] * b[x + d] for every offset d of the box.
 
@@ -400,11 +380,6 @@ def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     full = [2 * n - 1 for n in a.shape]
     return convolve_window(np.flip(a), b, [0] * a.ndim, full)
-
-
-def _pair_sum(k: np.ndarray, r: np.ndarray) -> float:
-    """Exactly rounded sum of K(d) * R(d) over every offset of the box."""
-    return _exact_sum(k * r)
 
 
 def fractional_perimeter(
@@ -451,7 +426,7 @@ def fractional_perimeter(
 
     # R(d) = #{c in E : c + d in Q \ E}, an exact count once rounded
     r = rounded_counts(_correlate(occ, ~occ))
-    inbox = _pair_sum(_offset_kernel(occ.shape, table), r)
+    inbox = _exact_sum(table.offset_kernel(occ.shape) * r)
 
     if params.dim == 1:
         tail_units = _tail_1d_units(np.flatnonzero(occ), float(occ.size), params.s)
@@ -489,5 +464,5 @@ def gagliardo_seminorm(g, table: InteractionTable) -> float:
         return 0.0
     box = values[tuple(slice(ix.min(), ix.max() + 1) for ix in support)]
     diag = single_cell_perimeter(table.params) * float(np.vdot(box, box))
-    cross = _pair_sum(_offset_kernel(box.shape, table), _correlate(box, box))
+    cross = _exact_sum(table.offset_kernel(box.shape) * _correlate(box, box))
     return 2.0 * (diag - cross) * table.scale_factor

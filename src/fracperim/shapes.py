@@ -223,6 +223,7 @@ class FourierDisk:
             raise ValueError("|eps| must stay below 1 to keep the radius positive")
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("angular frequency k must be a positive integer")
+        object.__setattr__(self, "k", int(self.k))
 
     dim = 2
 
@@ -511,11 +512,16 @@ def _shape_from_fields(fields: dict):
     if kind not in _SHAPE_KEYS:
         raise FormatError(f"unknown shape kind {kind!r}")
 
-    def num(key: str) -> float:
-        return float(fields[key])
+    def num(key: str, parse=float):
+        try:
+            return parse(fields[key])
+        except ValueError:
+            what = "an integer" if parse is int else "a number"
+            raise FormatError(
+                f"shape key {key!r} is not {what}: {fields[key]!r}") from None
 
     try:
-        n = int(fields["n"]) if kind == "union" else 0
+        n = num("n", int) if kind == "union" else 0
         members = {str(i): {} for i in range(n)}
         for key, val in fields.items():
             index, dot, rest = key.partition(".")
@@ -538,7 +544,7 @@ def _shape_from_fields(fields: dict):
                            tuple(num(f"{a}1") for a in axes))
         if kind == "fourier_disk":
             return FourierDisk((num("cx"), num("cy")), num("r0"), num("eps"),
-                               int(fields["k"]))
+                               num("k", int))
         if kind == "dumbbell":
             return Dumbbell(num("rho"), num("halfspan"), num("neck"))
         for index, member in members.items():

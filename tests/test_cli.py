@@ -303,6 +303,22 @@ def test_invalid_config_value_exits_2_naming_field(args, field, capsys):
 
 
 @pytest.mark.parametrize(
+    "args,message",
+    [
+        (["perim", "--shape", "kind=ball r=abc cx=0 cy=0", "--s", "0.5",
+          "--h", "0.25"], "shape key 'r' is not a number: 'abc'"),
+        (["perim", "--shape", INTERVAL, "--s", "0.5,abc", "--h", "0.25"],
+         "config key 's' is not a comma list of numbers: '0.5,abc'"),
+    ],
+)
+def test_malformed_number_exits_2_naming_its_key(args, message, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "shape",
     [
         "kind=ball r=inf cx=0 cy=0",

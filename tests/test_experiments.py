@@ -1,5 +1,6 @@
 """Config parsing, sweep records, exponent fits, and the verify suite."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 
 import fracperim as fp
 from fracperim.experiments import ExponentFit, _fit_family
+from fracperim.extension import extension_domain
+from fracperim.kernels import DEFAULT_CUTOFF
+from fracperim.perimeter import DEFAULT_MARGIN
 
 
 # ------------------------------------------------------------------ config
@@ -69,6 +73,28 @@ def test_parse_config_rejects_unknown_key_and_bad_line():
 def test_parse_config_rejects_a_setting_given_twice(text, message):
     with pytest.raises(fp.FormatError, match=message):
         fp.parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("margin = x", "config key 'margin' is not an integer: 'x'"),
+        ("n = two", "config key 'n' is not an integer: 'two'"),
+        ("rho = fast", "config key 'rho' is not a number: 'fast'"),
+        ("s = 0.5,abc", "config key 's' is not a comma list of numbers: '0.5,abc'"),
+    ],
+)
+def test_config_malformed_number_names_its_key(text, message):
+    with pytest.raises(fp.FormatError, match=message):
+        fp.config_from_mapping(fp.parse_config_text(text))
+
+
+def test_config_defaults_are_the_library_defaults():
+    cfg = fp.ExperimentConfig()
+    assert (cfg.margin, cfg.cutoff) == (DEFAULT_MARGIN, DEFAULT_CUTOFF)
+    domain = inspect.signature(extension_domain).parameters
+    for name in ("z0", "rho", "top_factor", "lateral_factor"):
+        assert getattr(cfg, name) == domain[name].default, name
 
 
 def test_config_validation():

@@ -7,6 +7,8 @@ from scipy import integrate
 
 from fracperim import FormatError, SameCellError
 from fracperim.kernels import (
+    DEFAULT_CUTOFF,
+    FAR_RULE,
     GridMemo,
     KernelParams,
     build_table,
@@ -121,6 +123,50 @@ def test_2d_touching_frozen_regression(s):
     edge, corner = _FROZEN_TOUCHING[s]
     assert cell_pair_integral((1, 0), p, 1.0) == pytest.approx(edge, rel=1e-12)
     assert cell_pair_integral((1, 1), p, 1.0) == pytest.approx(corner, rel=1e-12)
+
+
+# float.hex of the touching pairs (1, 0) and (1, 1) at _FROZEN_TOUCHING's s,
+# pinned under numpy 2.4.6 and scipy 1.17.1
+_PIN_VERSIONS = ("2.4.6", "1.17.1")
+_TOUCHING_PINS = {
+    0.01: ("0x1.ddfe134014e9ap+0", "0x1.4f1d879db1d05p-1"),
+    0.25: ("0x1.3696c0c9838afp+1", "0x1.50b2b885e7242p-1"),
+    0.75: ("0x1.dfd9ae3942b78p+2", "0x1.6ede887fac542p-1"),
+    0.99: ("0x1.8e962af849055p+7", "0x1.93ffb21232f8bp-1"),
+}
+
+
+@pytest.mark.parametrize("s", sorted(_FROZEN_TOUCHING))
+def test_touching_pairs_keep_their_pinned_bits(s):
+    import scipy
+
+    p = KernelParams(2, s)
+    got = [cell_pair_integral(off, p, 1.0) for off in ((1, 0), (1, 1))]
+    if (np.__version__, scipy.__version__) == _PIN_VERSIONS:
+        assert [v.hex() for v in got] == list(_TOUCHING_PINS[s])
+    else:
+        print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
+              f"pinned {_PIN_VERSIONS}: comparing at 1e-13 relative")
+        want = [float.fromhex(v) for v in _TOUCHING_PINS[s]]
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_beyond_the_cutoff_pairs_take_order_20_and_kernels_far_rule():
+    # a single pair integral is the tent rule at order 20 at every offset
+    # beyond the touching ones; the table's offset kernel holds FAR_RULE
+    params = KernelParams(2, 0.5)
+    table = build_table(params)
+    shape = (40, 21)
+    k = table.offset_kernel(shape)
+    offsets = [(17, 0), (-17, 17), (24, -3), (3, 20), (-39, -20)]
+    for off in offsets:
+        assert max(map(abs, off)) > DEFAULT_CUTOFF
+        single = cell_pair_integral(off, params, 1.0)
+        assert single == far_kernel_unit([off], params, 20)[0], off
+        far = k[off[0] + shape[0] - 1, off[1] + shape[1] - 1]
+        assert far == far_kernel_unit([off], params, FAR_RULE)[0], off
+    # the two orders differ there, so the check tells them apart
+    assert k[17 + 39, 20] != cell_pair_integral((17, 0), params, 1.0)
 
 
 def test_table_symmetry_classes():

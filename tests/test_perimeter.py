@@ -36,7 +36,6 @@ from fracperim.perimeter import (
     TailTable,
     _EdgeArc,
     _exact_sum,
-    _offset_kernel,
     _phi,
     _tail_1d_units,
     _tail_2d,
@@ -366,7 +365,7 @@ def _box_slots(n):
     return rows, cols, extent
 
 
-def test_tail_table_growth_is_bit_independent(monkeypatch):
+def test_tail_table_growth_is_bit_independent():
     full = _box_slots(40)
     for s in (0.25, 0.5, 0.75):
         stepped = TailTable(s)
@@ -377,9 +376,9 @@ def test_tail_table_growth_is_bit_independent(monkeypatch):
         stepped.gather(*_box_slots(12))
         assert stepped.extent == 40
         assert stepped.evaluations == evaluated
-        with monkeypatch.context() as m:
-            m.setattr("fracperim.perimeter._FILL_BLOCK", 7)
-            reblocked = TailTable(s).gather(*full)
+        small_blocks = TailTable(s)
+        small_blocks.fill_block = 7
+        reblocked = small_blocks.gather(*full)
         assert np.array_equal(stepped.gather(*full), reblocked)
         assert np.array_equal(TailTable(s).gather(*full), reblocked)
 
@@ -433,9 +432,9 @@ def test_tail_integral_equals_table_gather():
 @pytest.mark.parametrize("s", [0.25, 0.75])
 def test_offset_kernel_bit_symmetric_under_axis_swap(s):
     table = build_table(KernelParams(2, s), h=1.0, cutoff=3)
-    wide = _offset_kernel((9, 23), table)
-    assert np.array_equal(_offset_kernel((23, 9), table), wide.T)
-    square = _offset_kernel((17, 17), table)
+    wide = table.offset_kernel((9, 23))
+    assert np.array_equal(table.offset_kernel((23, 9)), wide.T)
+    square = table.offset_kernel((17, 17))
     assert np.array_equal(square, square.T)
 
 
@@ -465,11 +464,11 @@ def test_a_long_thin_box_reserves_no_square():
 def test_far_table_grown_by_two_boxes_matches_a_fresh_one():
     params, rc = KernelParams(2, 0.4), 3
     grown = build_table(params, cutoff=rc)
-    first = _offset_kernel((9, 40), grown)
-    second = _offset_kernel((23, 9), grown)
+    first = grown.offset_kernel((9, 40))
+    second = grown.offset_kernel((23, 9))
     fresh = build_table(params, cutoff=rc)
-    assert np.array_equal(second, _offset_kernel((23, 9), fresh))
-    assert np.array_equal(first, _offset_kernel((9, 40), grown))
+    assert np.array_equal(second, fresh.offset_kernel((23, 9)))
+    assert np.array_equal(first, grown.offset_kernel((9, 40)))
     # one evaluation per sorted magnitude b <= a beyond the cutoff: the
     # (23, 9) box needs none the (9, 40) box did not
     want = sum(1 for a in range(rc + 1, 40) for b in range(min(a + 1, 9)))

@@ -144,6 +144,15 @@ def test_shape_text_round_trip(shape):
     assert parse_shape(format_shape(shape)) == shape
 
 
+def test_fourier_disk_keeps_an_integer_k():
+    # a whole float k is accepted and stored as an int, so the text form
+    # writes k=3, which parse_shape reads back
+    shape = FourierDisk((0.0, 0.0), 1.0, 0.2, 3.0)
+    assert type(shape.k) is int
+    assert " k=3 " in format_shape(shape)
+    assert parse_shape(format_shape(shape)) == shape
+
+
 def test_every_family_member_round_trips():
     params = {"ellipse-ecc": (0.0, 0.3), "fourier-disk": (0.1, 0.3),
               "dumbbell": (0.4,), "two-balls": (1.0,), "offset-bump": (0.25,),
@@ -172,6 +181,13 @@ def test_every_family_member_round_trips():
          "1.b=3", "'01.kind' names member 01, but n = 2"),
         ("kind=union n=3 0.kind=interval 0.a=0 0.b=1 1.kind=interval 1.a=2 "
          "1.b=3", r"union of n = 3 has no member 2 \(2\.kind\)"),
+        ("kind=ball r=abc cx=0 cy=0", "shape key 'r' is not a number: 'abc'"),
+        ("kind=fourier_disk r0=1 eps=0.2 k=x cx=0 cy=0",
+         "shape key 'k' is not an integer: 'x'"),
+        ("kind=fourier_disk r0=1 eps=0.2 k=3.0 cx=0 cy=0",
+         "shape key 'k' is not an integer: '3.0'"),
+        ("kind=union n=two 0.kind=interval 0.a=0 0.b=1",
+         "shape key 'n' is not an integer: 'two'"),
     ],
 )
 def test_unknown_repeated_or_surplus_shape_keys_are_refused(text, message):
