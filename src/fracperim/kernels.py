@@ -70,12 +70,21 @@ class KernelParams:
             raise ValueError("s must lie strictly inside (0, 1)")
 
 
-def _box_gl(f, x0, x1, y0, y1, n):
+def _boxes_gl(f, boxes, n: int) -> np.ndarray:
+    """Tensor Gauss rule of order n of f over each box (x0, x1, y0, y1).
+
+    All boxes are one array pass; each box's n*n weighted values are a
+    contiguous row, and its sum is that row's ``sum``, the same pairwise
+    sum as ``np.sum`` of the one box alone, so a box has the same bits in
+    any batch.
+    """
     t, w = gauss_unit(n)
+    x0, x1, y0, y1 = np.asarray(boxes, dtype=np.float64).T[..., None]
     xs = x0 + (x1 - x0) * t
     ys = y0 + (y1 - y0) * t
-    ww = ((x1 - x0) * w)[:, None] * ((y1 - y0) * w)[None, :]
-    return float(np.sum(ww * f(xs[:, None], ys[None, :])))
+    ww = ((x1 - x0) * w)[:, :, None] * ((y1 - y0) * w)[:, None, :]
+    vals = ww * f(xs[:, :, None], ys[:, None, :])
+    return vals.reshape(len(vals), -1).sum(axis=1)
 
 
 def _corner_dyadic(f, s: float) -> float:
@@ -85,17 +94,16 @@ def _corner_dyadic(f, s: float) -> float:
     corner, so each dyadic L-shaped annulus contributes exactly
     a*q1^k + b*q2^k with q1 = 2^(s-1), q2 = 2^(s-2); the unresolved inner
     annuli are summed in closed form from the last two computed ones.
+    The three boxes of all levels are one ``_boxes_gl`` pass, and a
+    level's value is its three box sums added in box order.
     """
-    vals = []
+    boxes = []
     for k in range(_CORNER_LEVELS):
         sk = 2.0**-k
         hk = 0.5 * sk
-        v = (
-            _box_gl(f, hk, sk, 0.0, hk, _CORNER_ORDER)
-            + _box_gl(f, hk, sk, hk, sk, _CORNER_ORDER)
-            + _box_gl(f, 0.0, hk, hk, sk, _CORNER_ORDER)
-        )
-        vals.append(v)
+        boxes += [(hk, sk, 0.0, hk), (hk, sk, hk, sk), (0.0, hk, hk, sk)]
+    box = _boxes_gl(f, boxes, _CORNER_ORDER).reshape(_CORNER_LEVELS, 3)
+    vals = (box[:, 0] + box[:, 1] + box[:, 2]).tolist()
     q1 = 2.0 ** (s - 1.0)
     q2 = 2.0 ** (s - 2.0)
     k = _CORNER_LEVELS - 1
@@ -124,7 +132,7 @@ def _pair_2d_touching(b: int, s: float) -> float:
     if b == 0:
         sing += _corner_dyadic(lambda u, v: f(u, -v), s)
         smooth = ((1, 2, -1, 0), (1, 2, 0, 1))
-    return sing + sum(_box_gl(f, *box, _SMOOTH_ORDER) for box in smooth)
+    return sing + sum(_boxes_gl(f, smooth, _SMOOTH_ORDER).tolist())
 
 
 def _unit_pair_values(offsets, params: KernelParams, rule: int) -> np.ndarray:
@@ -154,11 +162,14 @@ def _window_values(params: KernelParams, cutoff: int) -> dict[tuple, float]:
     once and its offsets share the value.  Every value is bit-equal to
     ``cell_pair_integral`` at h = 1.
     """
-    offsets = window_offsets(params.dim, cutoff)
-    mags = -np.sort(-np.abs(np.array(offsets)), axis=1)
-    classes, inverse = np.unique(mags, axis=0, return_inverse=True)
-    values = _unit_pair_values(classes, params, _SMOOTH_ORDER)
-    return dict(zip(offsets, values[inverse.reshape(-1)].tolist()))
+    dim = params.dim
+    # |offset| in window_offsets order: the window in C order less its centre
+    mags = np.abs(np.indices((2 * cutoff + 1,) * dim).reshape(dim, -1).T - cutoff)
+    mags = -np.sort(-np.delete(mags, len(mags) // 2, axis=0), axis=1)
+    keys = np.ravel_multi_index(mags.T, (cutoff + 1,) * dim)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    values = _unit_pair_values(mags[first], params, _SMOOTH_ORDER)
+    return dict(zip(window_offsets(dim, cutoff), values[inverse].tolist()))
 
 
 def cell_pair_integral(offset, params: KernelParams, h: float) -> float:
@@ -187,6 +198,13 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
     needs |offset|_inf >= 2, where the integrand is smooth.  Each value
     depends on its own offset alone, so it has the same bits in any batch,
     and is symmetric bit for bit under sign flips and axis swaps.
+
+    The offsets run along the last axis, so every elementwise step is one
+    long pass: the squares of a +- x and b +- x are formed once and each
+    quadrant adds them into ``r2`` and raises it to the power in place.
+    The weighted sum stays ``np.einsum`` over a contiguous (m, rule, rule)
+    copy, the layout it has always summed, since its order of additions
+    depends on the layout and a plain sum gives other bits.
     """
     if rule < 1:
         raise ValueError("far-field rule order must be >= 1")
@@ -202,31 +220,34 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
     x, w = gauss_unit(rule)
     tent = w * (1.0 - x)
     ww = tent[:, None] * tent[None, :]
+    power = -0.5 * (2.0 + params.s)
     out = np.zeros(len(offsets))
     step = max(1, _FAR_BLOCK // ww.size)  # bounds the temporaries
     for lo in range(0, len(offsets), step):
         blk = slice(lo, lo + step)
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                xs = a[blk, None] + s1 * x[None, :]
-                ys = b[blk, None] + s2 * x[None, :]
-                r2 = xs[:, :, None] ** 2 + ys[:, None, :] ** 2
+        # (rule, m): the squared node coordinates of each sign, per offset
+        xs2 = [np.square(a[None, blk] + s1 * x[:, None]) for s1 in (1.0, -1.0)]
+        ys2 = [np.square(b[None, blk] + s2 * x[:, None]) for s2 in (1.0, -1.0)]
+        r2 = np.empty((rule, rule, xs2[0].shape[1]))
+        for x2 in xs2:
+            for y2 in ys2:
+                np.add(x2[:, None, :], y2[None, :, :], out=r2)
+                np.power(r2, power, out=r2)
                 out[blk] += np.einsum(
-                    "ij,mij->m", ww, r2 ** (-0.5 * (2.0 + params.s))
+                    "ij,mij->m", ww, np.ascontiguousarray(r2.transpose(2, 0, 1))
                 )
     return out
 
 
 def window_offsets(dim: int, cutoff: int) -> list[tuple]:
     """All nonzero offsets with |offset|_inf <= cutoff, lexicographic."""
+    side = range(-cutoff, cutoff + 1)
     if dim == 1:
-        return [(d,) for d in range(-cutoff, cutoff + 1) if d != 0]
-    return [
-        (dx, dy)
-        for dx in range(-cutoff, cutoff + 1)
-        for dy in range(-cutoff, cutoff + 1)
-        if (dx, dy) != (0, 0)
-    ]
+        offsets = [(d,) for d in side]
+    else:
+        offsets = [(dx, dy) for dx in side for dy in side]
+    del offsets[len(offsets) // 2]  # the zero offset, at the centre
+    return offsets
 
 
 class GridMemo:
@@ -325,6 +346,13 @@ class FarTable(GridMemo):
         return far_kernel_unit(offsets, self.params, FAR_RULE)
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class InteractionTable:
     """The pair kernel K(d): near-window integrals and the far rule.
@@ -351,13 +379,43 @@ class InteractionTable:
             raise ValueError("cutoff_radius must be >= 2")
         from .perimeter import TailTable
 
-        near = np.zeros((2 * rc + 1,) * self.params.dim)
-        for off, val in self.entries.items():
-            near[tuple(c + rc for c in off)] = val
+        # window_offsets is the C order of the window less its centre
+        values = self._checked_values()
+        half = values.size // 2
+        near = np.insert(values, half, 0.0).reshape((2 * rc + 1,) * self.params.dim)
         near.setflags(write=False)
         object.__setattr__(self, "near_dense", near)
         object.__setattr__(self, "_tail", TailTable(self.params.s))
         object.__setattr__(self, "_far", FarTable(self.params, rc))
+
+    def _checked_values(self) -> np.ndarray:
+        """The entries' values in ``window_offsets`` order, checked.
+
+        Raises ValueError naming the first key that is not an offset of the
+        window, else the first offset of the window with no entry, else the
+        first offset whose value is not a finite number.
+        """
+        rc = self.cutoff_radius
+        offsets = window_offsets(self.params.dim, rc)
+        if self.entries.keys() != set(offsets):
+            window = set(offsets)
+            for key in self.entries:
+                if key not in window:
+                    raise ValueError(
+                        f"table entry at {key!r} is not a nonzero "
+                        f"{self.params.dim}D offset with |offset|_inf <= {rc}")
+            missing = next(off for off in offsets if off not in self.entries)
+            raise ValueError(f"table has no entry at offset {missing!r}")
+        values = [self.entries[off] for off in offsets]
+        try:
+            checked = np.array(values, dtype=np.float64)
+            if np.isfinite(checked).all():
+                return checked
+        except (TypeError, ValueError):  # a value that is not a number
+            pass
+        bad = next(off for off, v in zip(offsets, values) if not _finite(v))
+        raise ValueError(
+            f"table entry at {bad!r} is not a finite number: {self.entries[bad]!r}")
 
     @property
     def scale_factor(self) -> float:
@@ -393,7 +451,8 @@ class InteractionTable:
         """Phi_s(p, q) of the 2D complement tail (``perimeter.TailTable``).
 
         Each entry is evaluated once per table, when a perimeter first reads
-        it, and shared by every set measured with the table.
+        it, and shared by every set measured with the table or with its
+        ``with_h`` copies.
         """
         return self._tail
 
@@ -403,7 +462,15 @@ class InteractionTable:
         return self._far
 
     def with_h(self, h: float) -> "InteractionTable":
-        return InteractionTable(self.params, h, self.cutoff_radius, self.entries)
+        """This table at cell size h, sharing its tail and far memos.
+
+        Memo values depend on (params, cutoff) alone, and the memos are
+        thread-safe, so what either table evaluates serves both.
+        """
+        table = InteractionTable(self.params, h, self.cutoff_radius, self.entries)
+        object.__setattr__(table, "_tail", self._tail)
+        object.__setattr__(table, "_far", self._far)
+        return table
 
 
 def build_table(

@@ -10,6 +10,7 @@ from fracperim.kernels import (
     DEFAULT_CUTOFF,
     FAR_RULE,
     GridMemo,
+    InteractionTable,
     KernelParams,
     build_table,
     cell_pair_integral,
@@ -185,6 +186,37 @@ def test_table_entries_are_the_single_pair_rule(dim, s):
     tab = build_table(params)
     for off, val in tab.entries.items():
         assert val == cell_pair_integral(off, params, 1.0), off
+
+
+def _edited_entries(edit):
+    entries = dict(build_table(KernelParams(1, 0.5), cutoff=2).entries)
+    edit(entries)
+    return entries
+
+
+@pytest.mark.parametrize("edit,named", [
+    # an offset beyond the cutoff on either side, in place of (2,)
+    (lambda e: (e.pop((2,)), e.update({(-3,): 99.0})), "(-3,)"),
+    (lambda e: (e.pop((2,)), e.update({(3,): 99.0})), "(3,)"),
+    (lambda e: e.pop((1,)), "no entry at offset (1,)"),
+    (lambda e: e.update({(1, 0): 1.0}), "(1, 0)"),
+    (lambda e: e.update({(-1,): math.inf}), "(-1,) is not a finite number"),
+    (lambda e: e.update({(2,): math.nan}), "(2,) is not a finite number"),
+], ids=["beyond-negative", "beyond-positive", "missing", "wrong-dim", "inf", "nan"])
+def test_table_refuses_entries_that_are_not_its_window(edit, named):
+    with pytest.raises(ValueError) as err:
+        InteractionTable(KernelParams(1, 0.5), 1.0, 2, _edited_entries(edit))
+    assert named in str(err.value)
+
+
+def test_table_lays_out_entries_given_in_any_order():
+    tab = build_table(KernelParams(2, 0.35), cutoff=3)
+    shuffled = dict(reversed(tab.entries.items()))
+    again = InteractionTable(tab.params, tab.h, 3, shuffled)
+    assert np.array_equal(again.near_dense, tab.near_dense)
+    for (dx, dy), value in tab.entries.items():
+        assert tab.near_dense[dx + 3, dy + 3] == value
+    assert tab.near_dense[3, 3] == 0.0
 
 
 def test_table_matches_1d_closed_form():

@@ -335,11 +335,16 @@ def test_phi_bits_do_not_depend_on_array_shape():
     # arcs take both branches of _EdgeArc (lat2 <= d2 and above)
     branches = set()
 
-    def watched(lat2, d2):
-        branches.update((lat2 <= d2).ravel().tolist())
-        return arc(lat2, d2)
+    class Watched(_EdgeArc):
+        def below(self, lat2, d2):
+            branches.update((lat2 <= d2).ravel().tolist())
+            return super().below(lat2, d2)
 
-    watched.s = arc.s
+        def above(self, lat2, d2):
+            branches.update((lat2 <= d2).ravel().tolist())
+            return super().above(lat2, d2)
+
+    watched = Watched(arc.s)
     rows, cols = np.divmod(np.arange(grid.size), grid.shape[1])
     picked = np.flatnonzero((rows == 0) | (cols == 0) | (rows == cols))
     pieces = [_phi(flat[0][k:k + 1], flat[1][k:k + 1], watched) for k in picked]
@@ -410,6 +415,23 @@ def test_perimeter_independent_of_table_history():
     fractional_perimeter(large, table)
     assert table.tail_table.extent > 30 + 8
     assert [fractional_perimeter(e, table) for e in (small, sparse)] == fresh
+
+
+def test_with_h_shares_the_unit_lattice_memos():
+    params = KernelParams(2, 0.45)
+    t1 = build_table(params, h=1 / 16)
+    t2 = t1.with_h(1 / 8)
+    assert t2.tail_table is t1.tail_table and t2.far_table is t1.far_table
+    ball = Ball((0.0, 0.0), 1.5)
+    e1 = rasterize(ball, auto_spec(ball, 1 / 16))
+    fractional_perimeter(e1, t1)
+    filled = t1.tail_table.evaluations, t1.far_table.evaluations
+    assert min(filled) > 0
+    # the same cells at twice the size read only what t1 filled
+    e2 = GridSet(GridSpec(2, e1.spec.cells, 1 / 8, e1.spec.origin), e1.occupancy)
+    shared = fractional_perimeter(e2, t2)
+    assert (t2.tail_table.evaluations, t2.far_table.evaluations) == filled
+    assert shared == fractional_perimeter(e2, build_table(params, h=1 / 8))
 
 
 def test_tail_integral_equals_table_gather():
