@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy import special
 
 from ._textio import (
     bit, format_block, g17, geometry_line, parse_block, parse_geometry, read_lines,
@@ -110,13 +109,52 @@ class TruncationWarning(RuntimeWarning):
     """The field had not decayed enough at the domain edge."""
 
 
+# cephes Gamma: the rational approximation on [2, 3] that scipy.special
+# evaluates, coefficients from highest degree down
+_GAMMA_P = (
+    1.60119522476751861407e-4, 1.19135147006586384913e-3,
+    1.04213797561761569935e-2, 4.76367800457137231464e-2,
+    2.07448227648435975150e-1, 4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5, 5.39605580493303397842e-4,
+    -4.45641913851797240494e-3, 1.18139785222060435552e-2,
+    3.58236398605498653373e-2, -2.34591795718243348568e-1,
+    7.14304917030273074085e-2, 1.00000000000000000320e0,
+)
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for 0 < x < 3, the operations of cephes ``Gamma`` in order.
+
+    The argument is shifted up into [2, 3) by the recurrence, and the
+    rational approximation is taken there (below 1e-9, a first-order
+    form), so the result has the bits of ``scipy.special.gamma``.
+    """
+    if not 0.0 < x < 3.0:
+        raise ValueError(f"_gamma takes 0 < x < 3, not {x!r}")
+    z = 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    p, q = _GAMMA_P[0], _GAMMA_Q[0]
+    for c in _GAMMA_P[1:]:
+        p = p * x + c
+    for c in _GAMMA_Q[1:]:
+        q = q * x + c
+    return z * p / q
+
+
 def lambda_constant(params: KernelParams) -> float:
     """Unit-mass normalization Gamma((N+s)/2) / (pi^(N/2) Gamma(s/2))."""
     n, s = params.dim, params.s
-    return float(
-        special.gamma(0.5 * (n + s))
-        / (math.pi ** (0.5 * n) * special.gamma(0.5 * s))
-    )
+    return _gamma(0.5 * (n + s)) / (math.pi ** (0.5 * n) * _gamma(0.5 * s))
 
 
 def poisson_kernel_mass(params: KernelParams, x, z: float) -> float:
@@ -378,6 +416,8 @@ def _beta_profile(w: np.ndarray, z: float, s: float) -> np.ndarray:
     With w = z*tan(theta) the integrand becomes cos(theta)^(s-1), whose
     integral from 0 is half a regularized incomplete Beta function.
     """
+    from scipy import special  # only here, so importing fracperim skips it
+
     t = w * w / (w * w + z * z)
     vals = 0.5 * special.beta(0.5, 0.5 * s) * special.betainc(0.5, 0.5 * s, t)
     return np.copysign(vals, w)
@@ -427,7 +467,8 @@ def _poisson_table_2d(
     near = int(_PANEL_SCALE)
     r2 = (dx[:near, None] * h) ** 2 + (dy[None, :near] * h) ** 2 + z * z
     panels = np.minimum(_PANEL_CAP, np.ceil(_PANEL_SCALE * h / np.sqrt(r2)))
-    for k in np.unique(panels[panels > 1]).astype(np.int64):
+    # a set, not np.unique, whose first call would load numpy.ma in a worker
+    for k in sorted({int(k) for k in panels[panels > 1].tolist()}):
         idx, idy = np.nonzero(panels == k)
         centers = (np.arange(k) + 0.5) / k - 0.5
         nodes = np.concatenate(
@@ -612,8 +653,8 @@ def poisson_extend(
     bounding box lo..hi (k = hi - lo + 1 cells) per axis: the kernel
     table's quadrant up to offset max(hi, n - 1 - lo) per axis, four
     Gauss nodes per cell (n + k - 1 closed forms in 1D), mirrored into
-    the offsets -hi..n-1-lo; one real FFT of that table at
-    next_fast_len(n + k - 1) per axis and one inverse pruned to the base
+    the offsets -hi..n-1-lo; one real FFT of that table at the first
+    5-smooth length >= n + k - 1 per axis and one inverse pruned to the base
     grid's window, on one thread.  The box's occupancy is transformed
     once per lift.
 

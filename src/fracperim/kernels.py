@@ -144,14 +144,17 @@ def _unit_pair_values(offsets, params: KernelParams, rule: int) -> np.ndarray:
     offset alone, so it has the same bits in any batch.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    values = far_kernel_unit(offsets, params, rule)
-    if params.dim == 2:
-        mags = np.abs(offsets)
-        hi, lo = mags.max(axis=1), mags.min(axis=1)
-        for b in (0, 1):
-            touching = (hi == 1) & (lo == b)
-            if touching.any():
-                values[touching] = _pair_2d_touching(b, params.s)
+    if params.dim == 1:
+        return far_kernel_unit(offsets, params, rule)
+    mags = np.abs(offsets)
+    hi, lo = mags.max(axis=1), mags.min(axis=1)
+    values = np.empty(len(offsets))
+    far = hi != 1
+    values[far] = far_kernel_unit(offsets[far], params, rule)
+    for b in (0, 1):
+        touching = (hi == 1) & (lo == b)
+        if touching.any():
+            values[touching] = _pair_2d_touching(b, params.s)
     return values
 
 
@@ -195,7 +198,9 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
 
     dim 1 uses the exact closed form regardless of ``rule``; dim 2 applies
     the tent-weighted tensor rule of the given order per quadrant, which
-    needs |offset|_inf >= 2, where the integrand is smooth.  Each value
+    needs |offset|_inf >= 2, where the integrand is smooth.  An offset
+    where the rule does not hold (d = 0 in 1D, |d|_inf < 2 in 2D) raises
+    ValueError, which names the first of them.  Each value
     depends on its own offset alone, so it has the same bits in any batch,
     and is symmetric bit for bit under sign flips and axis swaps.
 
@@ -208,13 +213,19 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
     """
     if rule < 1:
         raise ValueError("far-field rule order must be >= 1")
-    offsets = np.asarray(offsets, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64).reshape(-1, params.dim)
+    mags = np.abs(offsets)
+    near = np.flatnonzero(mags.max(axis=1) < (1 if params.dim == 1 else 2))
+    if near.size:
+        raise ValueError(
+            "far_kernel_unit's rule is singular at offset "
+            f"{tuple(offsets[near[0]].tolist())}"
+        )
     if params.dim == 1:
-        d = np.abs(offsets.reshape(-1)).astype(np.float64)
+        d = mags[:, 0].astype(np.float64)
         p = 1.0 - params.s
         return (2.0 * d**p - (d - 1.0) ** p - (d + 1.0) ** p) / (params.s * p)
     # sorted magnitudes, so that (a, b) and (b, a) give the same bits
-    mags = np.abs(offsets)
     a = mags.max(axis=1).astype(np.float64)
     b = mags.min(axis=1).astype(np.float64)
     x, w = gauss_unit(rule)

@@ -1,11 +1,27 @@
-"""Small quadrature and counting helpers used by the numeric core."""
+"""Small quadrature and counting helpers used by the numeric core.
+
+Convolutions take ``numpy.fft``, which transforms a strided axis one
+line at a time, so every pass here runs along contiguous rows.  A 2D
+spectrum is kept transposed, with shape ``(size[1] // 2 + 1, size[0])``:
+the real transform runs along the operand's rows and is written,
+transposed, into that zero-padded buffer, and the complex transform runs
+along the buffer's rows.  The inverse complex transform runs along the
+same rows, and only the window's columns are transposed back for the
+last, real, inverse pass.  Both transposing passes go _BLOCK rows at a
+time, so that a block's real transform and its transposed copy stay in
+cache, where whole-array copies of the lift's 549 x 493 tables do not.
+Every line sees the arithmetic it sees in ``scipy.fft.rfftn`` and its
+inverses, so the bits are theirs.
+"""
 
 from __future__ import annotations
 
 import functools
 
 import numpy as np
-from scipy import fft
+# both at import, so that no op loads them on its first call
+from numpy import fft
+from numpy.polynomial.legendre import leggauss
 
 from .errors import FracperimError
 
@@ -15,7 +31,7 @@ def gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on (0, 1)."""
     if n < 1:
         raise ValueError("quadrature order must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
     nodes.setflags(write=False)
@@ -42,6 +58,42 @@ def rounded_counts(raw: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+# rows per block of the passes that transpose a 2D spectrum
+_BLOCK = 64
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n, a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two that brings it to n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _forward(a: np.ndarray, size: tuple[int, ...]) -> np.ndarray:
+    """The real FFT of ``a`` cut or zero-padded to ``size``, 2D ones transposed.
+
+    An operand longer than its FFT is cut, as ``scipy.fft.rfftn`` cuts
+    it; ``window_size`` allows that only where the window never reads
+    the cut part.
+    """
+    if a.ndim == 1:
+        return fft.rfft(a, size[0])
+    n0 = min(len(a), size[0])
+    spec = np.empty((size[1] // 2 + 1, size[0]), dtype=np.complex128)
+    spec[:, n0:] = 0.0
+    for lo in range(0, n0, _BLOCK):
+        hi = min(lo + _BLOCK, n0)
+        spec[:, lo:hi] = fft.rfft(a[lo:hi], size[1], axis=-1).T
+    return fft.fft(spec, axis=-1, out=spec)
+
+
 class FFTOperand:
     """A convolution operand that keeps its real FFT for reuse.
 
@@ -57,12 +109,14 @@ class FFTOperand:
 
     def __init__(self, array) -> None:
         self.array = np.asarray(array, dtype=np.float64)
+        if self.array.ndim not in (1, 2):
+            raise ValueError("convolution operands must have rank 1 or 2")
         self._size: tuple[int, ...] | None = None
         self._spectrum: np.ndarray | None = None
 
     def spectrum(self, size: tuple[int, ...]) -> np.ndarray:
         if size != self._size:
-            self._spectrum = fft.rfftn(self.array, size)
+            self._spectrum = _forward(self.array, size)
             self._size = size
         return self._spectrum
 
@@ -81,8 +135,7 @@ def window_size(a_shape, b_shape, start, stop) -> tuple[int, ...]:
     if any(not 0 <= lo < hi <= n for lo, hi, n in zip(start, stop, full)):
         raise ValueError(f"window {start}..{stop} is outside the convolution {full}")
     return tuple(
-        fft.next_fast_len(max(hi, n - lo), real=True)
-        for lo, hi, n in zip(start, stop, full)
+        _fast_len(max(hi, n - lo)) for lo, hi, n in zip(start, stop, full)
     )
 
 
@@ -90,19 +143,22 @@ def convolve_window(a, b, start, stop) -> np.ndarray:
     """Outputs ``start[k] <= i < stop[k]`` of the full linear convolution a * b.
 
     ``a`` may be an FFTOperand, whose transform is reused; ``b`` is
-    transformed afresh.  The FFT lengths are ``window_size``'s, and the
-    inverse transform is pruned to the window axis by axis.
+    transformed afresh.  The FFT lengths are ``window_size``'s.  In 2D
+    the inverse complex pass runs over the whole transposed spectrum and
+    the real one over the window's rows only, a block at a time.
     """
     fa = a if isinstance(a, FFTOperand) else FFTOperand(a)
     b = np.asarray(b, dtype=np.float64)
     size = window_size(fa.array.shape, b.shape, start, stop)
     # in place, so at most two padded spectra are alive besides a's
-    spec = fft.rfftn(b, size)
+    spec = _forward(b, size)
     spec *= fa.spectrum(size)
-    # Invert one axis at a time, keeping only the window's part of each
-    # axis once it is inverted, so later axes transform fewer lines.
-    for axis in range(b.ndim - 1):
-        spec = fft.ifft(spec, axis=axis, overwrite_x=True)
-        spec = spec[(slice(None),) * axis + (slice(start[axis], stop[axis]),)]
-    raw = fft.irfft(spec, size[-1], axis=-1)
-    return raw[..., start[-1] : stop[-1]].copy()
+    if b.ndim == 1:
+        return fft.irfft(spec, size[0])[start[0] : stop[0]].copy()
+    fft.ifft(spec, axis=-1, out=spec)
+    out = np.empty((stop[0] - start[0], stop[1] - start[1]))
+    for lo in range(start[0], stop[0], _BLOCK):
+        hi = min(lo + _BLOCK, stop[0])
+        rows = fft.irfft(np.ascontiguousarray(spec[:, lo:hi].T), size[1], axis=-1)
+        out[lo - start[0] : hi - start[0]] = rows[:, start[1] : stop[1]]
+    return out

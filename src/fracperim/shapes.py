@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainTooSmallError, FormatError
 from .grids import GridSet, GridSpec
@@ -129,6 +128,8 @@ class Ellipse:
 
     @property
     def perimeter(self) -> float:
+        from scipy import special  # only here, so importing fracperim skips it
+
         big, small = max(self.a, self.b), min(self.a, self.b)
         return 4.0 * big * special.ellipe(1.0 - (small / big) ** 2)
 

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 import subprocess
 import sys
@@ -80,12 +81,54 @@ def test_threads_means_workers_over_independent_units_only():
                 assert not taken, f"{module.__name__}.{fn.__qualname__} takes {taken}"
 
 
-def test_import_loads_no_scipy_integrate():
-    # a child process, since this one has imported scipy.integrate for tests
-    probe = "import sys, fracperim; print('scipy.integrate' in sys.modules)"
+def _child_stdout(probe: str) -> str:
+    # a child process, since this one has imported scipy for tests
     src = str(Path(fracperim.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": src},
     )
-    assert out.stdout == "False\n"
+    return out.stdout
+
+
+def test_import_loads_no_scipy():
+    probe = (
+        "import sys, fracperim; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _child_stdout(probe) == "[]\n"
+
+
+_OPS_PROBE = """
+import json, sys
+import fracperim as fp
+loaded = set(sys.modules)
+found = {}
+def op(name, fn):
+    fn()
+    found[name] = sorted(set(sys.modules) - loaded)
+    loaded.update(sys.modules)
+ball = fp.Ball((0.0, 0.0), 1.0)
+h = 0.25
+e = fp.rasterize(ball, fp.auto_spec(ball, h))
+params = fp.KernelParams(2, 0.5)
+op("build_table", lambda: fp.build_table(params, h))
+table = fp.build_table(params, h)
+op("fractional_perimeter", lambda: fp.fractional_perimeter(e, table))
+op("s_deficit", lambda: fp.s_deficit(e, table))
+g = fp.GridFunction(e.spec, e.occupancy.astype(float))
+op("gagliardo_seminorm", lambda: fp.gagliardo_seminorm(g, table))
+grid, embedded = fp.extension_domain(e)
+for threads in (1, 2):
+    op(f"lift_energy threads={threads}",
+       lambda: fp.lift_energy(embedded, grid, params, threads=threads))
+print(json.dumps(found))
+"""
+
+
+def test_ops_load_no_module_after_the_import():
+    # a module loaded on first use would be timed inside the first op (and
+    # inside a level worker for the lift), so the import must carry them all
+    found = json.loads(_child_stdout(_OPS_PROBE))
+    assert len(found) == 6
+    assert found == {name: [] for name in found}

@@ -15,10 +15,11 @@ from contextlib import closing
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import fracperim as fp
 from fracperim.extension import (
+    _gamma,
     _poisson_table_1d,
     _poisson_table_2d,
     _slab_weight,
@@ -52,6 +53,31 @@ def test_lambda_value_2d_closed_form():
     for s in (0.25, 0.5, 0.75):
         got = fp.lambda_constant(fp.KernelParams(2, s))
         assert got == pytest.approx(s / (2 * math.pi), rel=1e-14)
+
+
+def test_gamma_port_has_scipy_bits():
+    # the range lambda_constant reads, s/2 and (N+s)/2, the first-order
+    # branch below it and the rest of the port's domain above it
+    xs = np.concatenate([
+        np.linspace(5e-4, 1.5, 100_001),
+        np.geomspace(1e-12, 1e-8, 101),
+        np.linspace(1.5, 3.0, 1_001)[:-1],
+    ])
+    got = np.array([_gamma(x) for x in xs.tolist()])
+    assert np.array_equal(got, special.gamma(xs))
+    for x in (0.0, -0.5, 3.0, math.nan):
+        with pytest.raises(ValueError):
+            _gamma(x)
+
+
+def test_lambda_value_has_the_bits_of_the_scipy_formula():
+    for dim in (1, 2):
+        for s in np.linspace(0.0, 1.0, 2_001)[1:-1].tolist():
+            want = float(
+                special.gamma(0.5 * (dim + s))
+                / (math.pi ** (0.5 * dim) * special.gamma(0.5 * s))
+            )
+            assert fp.lambda_constant(fp.KernelParams(dim, s)) == want, (dim, s)
 
 
 def test_lambda_positive_across_s():
@@ -592,15 +618,15 @@ def test_many_workers_share_one_box_spectrum(monkeypatch):
     e = fp.rasterize(shape, fp.auto_spec(shape, h))
     grid, embedded = fp.extension_domain(e)
     want = fp.poisson_extend(embedded, grid, params, threads=1)
-    rfftn = fp.quadrature.fft.rfftn
+    forward = fp.quadrature._forward
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         time.sleep(0.002)  # widens the window in which a worker could race
-        return rfftn(*args, **kwargs)
+        return forward(*args, **kwargs)
 
-    monkeypatch.setattr(fp.quadrature.fft, "rfftn", counted)
+    monkeypatch.setattr(fp.quadrature, "_forward", counted)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

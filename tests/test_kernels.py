@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -294,6 +295,25 @@ def test_far_rule_accuracy_outside_cutoff():
     for row, off in enumerate(offsets):
         exact = cell_pair_integral(tuple(off), p, 1.0)
         assert abs(approx[row] - exact) / exact < 1e-8
+
+
+@pytest.mark.parametrize(
+    "dim,offsets,named",
+    [
+        (2, [(1, 0)], "(1, 0)"),
+        (2, [(2, 0), (1, 1)], "(1, 1)"),
+        (2, [(0, 0)], "(0, 0)"),
+        (2, [(5, 3), (0, -1), (1, 0)], "(0, -1)"),
+        (1, [(0,)], "(0,)"),
+        (1, [(3,), (0,)], "(0,)"),
+    ],
+)
+def test_far_rule_refuses_offsets_where_it_is_singular(dim, offsets, named):
+    # the tent rule needs |d|_inf >= 2 in 2D, the closed form d != 0 in 1D;
+    # before, (1, 0) gave 2.948 against the pair integral 3.647 and (0, 0)
+    # a finite 26.9, and (0,) a nan with a warning
+    with pytest.raises(ValueError, match=re.escape(named)):
+        far_kernel_unit(np.array(offsets), KernelParams(dim, 0.5), 3)
 
 
 def test_far_rule_1d_is_closed_form():

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy import signal
+from scipy import fft, signal
 
-from fracperim.quadrature import FFTOperand, convolve_window
+from fracperim.quadrature import FFTOperand, _fast_len, convolve_window
 
 
 def direct_full(a, b):
@@ -52,3 +52,54 @@ def test_window_outside_the_convolution_is_refused():
             convolve_window(a, b, start, stop)
     with pytest.raises(ValueError, match="rank"):
         convolve_window(a, np.ones((3, 3)), (0,), (6,))
+    with pytest.raises(ValueError, match="rank 1 or 2"):
+        convolve_window(np.ones((2, 2, 2)), np.ones((2, 2, 2)), (0,) * 3, (3,) * 3)
+
+
+def scipy_convolve_window(a, b, start, stop):
+    # the scipy.fft path that numpy.fft's contiguous passes replaced: their
+    # bits must be its bits
+    full = [na + nb - 1 for na, nb in zip(a.shape, b.shape)]
+    size = tuple(
+        fft.next_fast_len(max(hi, n - lo), real=True)
+        for lo, hi, n in zip(start, stop, full)
+    )
+    spec = fft.rfftn(b, size)
+    spec *= fft.rfftn(a, size)
+    for axis in range(b.ndim - 1):
+        spec = fft.ifft(spec, axis=axis, overwrite_x=True)
+        spec = spec[(slice(None),) * axis + (slice(start[axis], stop[axis]),)]
+    raw = fft.irfft(spec, size[-1], axis=-1)
+    return raw[..., start[-1] : stop[-1]].copy()
+
+
+def test_fast_len_is_scipys_real_next_fast_len():
+    for n in range(1, 2**16 + 1):
+        assert _fast_len(n) == fft.next_fast_len(n, real=True), n
+
+
+@pytest.mark.parametrize(
+    "na,nb,start,stop",
+    [
+        # FFT lengths in the comments
+        ((7,), (13,), (6,), (13,)),  # 15
+        ((8,), (9,), (0,), (16,)),  # 16
+        ((54,), (3,), (40,), (45,)),  # 45: the operand is cut to it
+        ((9, 8), (17, 15), (8, 7), (17, 15)),  # 18 x 15, the lift's window
+        ((9, 8), (17, 15), (0, 0), (25, 22)),  # 25 x 24
+        ((7, 5), (9, 5), (0, 0), (15, 9)),  # 15 x 9
+        ((16, 12), (12, 16), (3, 2), (20, 27)),  # 24 x 27
+        ((5, 6), (4, 2), (1, 3), (7, 5)),  # 8 x 5
+        ((60, 7), (3, 5), (40, 0), (45, 11)),  # 45 x 12: rows cut to 45
+        ((150, 9), (140, 11), (20, 3), (270, 17)),  # 270 x 18: 64-row blocks
+    ],
+)
+def test_window_has_the_bits_of_the_scipy_path(na, nb, start, stop):
+    rng = np.random.default_rng(11)
+    for a in (rng.random(na), (rng.random(na) < 0.5).astype(np.float64)):
+        b = rng.random(nb)
+        want = scipy_convolve_window(a, b, start, stop)
+        assert np.array_equal(convolve_window(a, b, start, stop), want)
+        op = FFTOperand(a)
+        for _ in range(2):  # the spectrum is taken, then read
+            assert np.array_equal(convolve_window(op, b, start, stop), want)
