@@ -18,6 +18,7 @@ from .deficit import DEFICIT_CSV_HEADER, fraenkel_asymmetry, s_deficit
 from .errors import FracperimError
 from .experiments import (
     _SETTINGS,
+    MIN_FIT_POINTS,
     ExperimentConfig,
     config_from_mapping,
     exponent_study,
@@ -238,13 +239,18 @@ def _cmd_exponent(args, cfg: ExperimentConfig) -> int:
         _emit(sweep_csv(summary.records), cfg.out)
     for line in summary.summary_lines():
         sys.stdout.write(line + "\n")
-    ok = True
-    for fit in summary.fits:
-        if fit.degenerate or fit.divergent:
-            ok = False
-        elif fit.slope < 0.25 * fit.s - 0.02:
-            ok = False
-    return 0 if ok else 1
+    # a fit with too few points is a study that cannot be judged (2); a
+    # divergent fit or a slope below the theorem's bound fails it (1)
+    failed = any(fit.divergent or fit.slope < 0.25 * fit.s - 0.02
+                 for fit in summary.fits if not fit.degenerate)
+    degenerate = [fit for fit in summary.fits if fit.degenerate]
+    for fit in degenerate:
+        sys.stderr.write(
+            f"fracperim: error: {fit.family} s={fit.s:g} h={fit.h:g}: "
+            f"{fit.points} usable points, the fit needs {MIN_FIT_POINTS}\n")
+    if failed:
+        return 1
+    return 2 if degenerate else 0
 
 
 def _cmd_verify(args, cfg: ExperimentConfig) -> int:

@@ -63,6 +63,10 @@ __all__ = [
     "verify_suite",
 ]
 
+# an exponent fit takes a family's records with 0 < Ds <= 1 and A > 0;
+# with fewer than this many it is degenerate
+MIN_FIT_POINTS = 4
+
 SWEEP_CSV_HEADER = (
     "family,param,s,h,A,Ds,Ps,ratio_theorem,ratio_limit_s1,ratio_limit_s0,flags"
 )
@@ -369,7 +373,7 @@ def _fit_family(records: list[SweepRecord], family: str, s: float, h: float) -> 
         and r.deficit <= 1.0
     ]
     n = len(eligible)
-    if n < 4:
+    if n < MIN_FIT_POINTS:
         return ExponentFit(
             family, s, h, n, math.nan, math.nan, math.nan, math.nan, True, False
         )

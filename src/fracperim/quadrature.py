@@ -39,6 +39,18 @@ def gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=8)
+def chebyshev_monomials(n: int) -> tuple[tuple[int, ...], ...]:
+    """The integer coefficients of T_0 .. T_(n-1) by power: row j, entry k
+    is the coefficient of u^k in T_j(u), from T_j = 2u T_(j-1) - T_(j-2)."""
+    rows = [(1,), (0, 1)][:n]
+    while len(rows) < n:
+        twice = (0, *(2 * c for c in rows[-1]))
+        rows.append(tuple(c - (rows[-2][k] if k < len(rows[-2]) else 0)
+                          for k, c in enumerate(twice)))
+    return tuple(rows)
+
+
 COUNT_RESIDUAL_BOUND = 1e-3
 
 

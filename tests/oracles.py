@@ -179,6 +179,24 @@ def order4_tail_2d(cells, nx, ny, s):
     return g @ (w[:, None] * w[None, :]).reshape(-1)
 
 
+def clenshaw_arc(coef, head, factor, x):
+    """An edge arc with its Chebyshev fit summed by Clenshaw's recurrence,
+    one coefficient per pass over the points.
+
+    The arc is factor(x) * (head + x * sum_j coef[j] T_j(4x - 1)), with
+    (head, factor) = (1, sqrt) for the lower form and (1/(s+1), y^b) for
+    the complement.  This is how the edge arcs were evaluated before they
+    were converted to monomials: the reference for those bits.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    u2 = 8.0 * x - 2.0
+    b1, b2 = np.full_like(x, coef[-1]), np.zeros_like(x)
+    for c in coef[-2:0:-1]:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    fit = 0.5 * u2 * b1 - b2 + coef[0]
+    return (fit * x + head) * factor(x)
+
+
 def poisson_table_2d_full(s, h, z, m1, m2):
     """Lifting-kernel cell integrals over offsets [-m1..m1]x[-m2..m2], cell by cell.
 

@@ -220,15 +220,51 @@ def test_exponent_study_exit_and_summary(capsys):
 
 
 def test_exponent_study_degenerate_exits_nonzero(capsys):
-    code, out, _ = run(
+    # two members at h = 1/8 leave no usable point: the summary, then one
+    # stderr line naming the fit and its usable points, and exit 2 (a
+    # study that cannot be judged), not 1 (a failed assertion)
+    code, out, err = run(
         [
             "exponent-study", "--n", "2", "--family", "ellipse-ecc",
             "--params", "0.2,0.4", "--s", "0.5", "--h", "0.125",
         ],
         capsys,
     )
-    assert code == 1
-    assert "degenerate" in out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert "points=0 slope=nan" in out and "[degenerate]" in out
+    assert err == ("fracperim: error: ellipse-ecc s=0.5 h=0.125: "
+                   "0 usable points, the fit needs 4\n")
+
+
+def test_exponent_study_with_no_flags_exits_2():
+    # the defaults fit two members at h = 1/32
+    assert main(["exponent-study"]) == 2
+
+
+def _fit(family, slope, degenerate=False, divergent=False):
+    nan = float("nan")
+    return fp.ExponentFit(family, 0.5, 0.125, 2 if degenerate else 5,
+                          nan if degenerate else slope, 0.0, 1.0, 1.0,
+                          degenerate, divergent)
+
+
+@pytest.mark.parametrize("fits,code", [
+    ([_fit("a", 0.2)], 0),
+    # the theorem's bound s/4 - 0.02 = 0.105 at s = 1/2
+    ([_fit("a", 0.1)], 1),
+    ([_fit("a", 0.2, divergent=True)], 1),
+    ([_fit("a", 0.2), _fit("b", 0.0, degenerate=True)], 2),
+    # a failed assertion outranks a fit that could not be made
+    ([_fit("a", 0.1), _fit("b", 0.0, degenerate=True)], 1),
+])
+def test_exponent_study_exit_code_by_fit(monkeypatch, fits, code, capsys):
+    monkeypatch.setattr("fracperim.cli.exponent_study",
+                        lambda cfg: fp.ExponentSummary((), tuple(fits)))
+    got, out, err = run(["exponent-study"], capsys)
+    assert got == code
+    assert out.count("\n") == len(fits)
+    assert err.count("\n") == sum(f.degenerate for f in fits)
 
 
 def test_error_exit_codes(capsys):

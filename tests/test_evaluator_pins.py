@@ -1,5 +1,5 @@
-"""Bit pins of the per-value evaluators: the tent rule, Phi, the edge-arc
-fit and the near window of a built table.
+"""Bit pins of the per-value evaluators: the tent rule and its multipole
+expansion, Phi, the edge-arc fit and the near window of a built table.
 
 float.hex taken under numpy 2.4.6 / scipy 1.17.1; under other versions
 the values are compared at 1e-13 relative and the test says so.  The
@@ -10,13 +10,19 @@ more inputs than the pins name.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from fracperim.kernels import KernelParams, build_table, far_kernel_unit
+import fracperim
+from fracperim.kernels import FarTable, KernelParams, build_table, far_kernel_unit
 from fracperim.perimeter import (
     _SERIES_TERMS,
     _EdgeArc,
@@ -60,6 +66,13 @@ _FAR_PINS = {
         "0x1.429f66018d476p-3", "0x1.a5730de1a3eeap-5", "0x1.a7be415cc30b0p-14",
         "0x1.ed0e678f8ba4fp-13", "0x1.0ff4dc85e04fcp-16", "0x1.31ef7ff9bcd58p-26",
     ),
+}
+# the far memo's multipole expansion at the offsets of _FAR_OFFSETS beyond
+# |d|_inf = 16; some share the rule's bits, some are an ulp off
+_EXPANSION_PINS = {
+    0.05: ("0x1.8a1be38c32e28p-9", "0x1.ebc5f1fd8347fp-12", "0x1.14722ab5065aep-18"),
+    0.5: ("0x1.b8ca0ae5315f1p-11", "0x1.6db3db61a93bfp-14", "0x1.22d132995e8bfp-22"),
+    0.95: ("0x1.ed0e679e61866p-13", "0x1.0ff4dc85e5784p-16", "0x1.31ef7ff9bcd5bp-26"),
 }
 _PHI_PINS = {
     0.05: (
@@ -170,6 +183,19 @@ def _pinned(got, want_hex):
 def test_far_kernel_unit_keeps_its_pinned_bits(s, rule):
     got = far_kernel_unit(np.array(_FAR_OFFSETS), KernelParams(2, s), rule)
     assert _pinned(got, _FAR_PINS[s, rule])
+
+
+def _far_memo(s, offsets):
+    # the far memo of a default-cutoff table, read at (min, max) magnitude
+    mags = np.sort(np.abs(np.asarray(offsets)), axis=1)
+    memo = FarTable(KernelParams(2, s), 16)
+    return memo.gather(mags[:, 0], mags[:, 1], (mags.max() + 1,) * 2)
+
+
+@pytest.mark.parametrize("s", _S)
+def test_far_expansion_keeps_its_pinned_bits(s):
+    beyond = [off for off in _FAR_OFFSETS if max(off) > 16]
+    assert _pinned(_far_memo(s, beyond), _EXPANSION_PINS[s])
 
 
 @pytest.mark.parametrize("s", _S)
@@ -285,3 +311,55 @@ def test_series_rests_equal_their_loop_form(s):
     want = [_rests_loop(v, s) for v in x]
     assert _lower_rest(x, s) == [lo for lo, _ in want]
     assert _complement_rest(x, s) == [co for _, co in want]
+
+
+_SIMD_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+sys.path.insert(0, sys.argv[1])
+import test_evaluator_pins as pins
+print(json.dumps({
+    "enabled": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+    "digests": pins.simd_free_digests(),
+}))
+"""
+
+
+def simd_free_digests() -> dict:
+    """SHA-256 of values that use no SIMD-dependent numpy loop, per s.
+
+    The far memo of a default table beyond 16 (``_FarExpansion``: one
+    ``np.float_power`` and + - * /) at every sorted offset with
+    17 <= |d|_inf < 200, and ``_EdgeArc.lower`` (sqrt and + - * /) on a
+    dense grid of [0, 1/2].
+    """
+    a, b = np.triu_indices(200)
+    far = a >= 17
+    offsets = np.stack([a[far], b[far]], axis=1)
+    x = np.r_[np.linspace(0.0, 0.5, 20001), 1e-300, 1e-30, 1e-12]
+    digests = {}
+    for s in (0.01, *_S, 0.99):
+        for name, values in (("far", _far_memo(s, offsets)),
+                             ("lower", _EdgeArc(s).lower(x))):
+            digests[f"{name} {s}"] = hashlib.sha256(values.tobytes()).hexdigest()
+    return digests
+
+
+def test_far_memo_and_lower_arc_keep_their_bits_with_no_simd_target():
+    # a child process with every numpy dispatch target disabled takes the
+    # baseline loops; these values use none whose bits depend on them
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    if not any(__cpu_features__.get(t) for t in __cpu_dispatch__):
+        print("this process takes no numpy SIMD target either: the child "
+              "runs the same loops, so the comparison shows nothing new")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+           "PYTHONPATH": str(Path(fracperim.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _SIMD_PROBE, str(Path(__file__).parent)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    child = json.loads(out.stdout)
+    assert child["enabled"] == []
+    assert child["digests"] == simd_free_digests()

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from fracperim.perimeter import (
     TailTable,
     _EdgeArc,
     _exact_sum,
+    _monomial_coefficients,
     _phi,
     _tail_1d_units,
     _tail_2d,
@@ -46,7 +48,7 @@ from fracperim.perimeter import (
 )
 from fracperim.quadrature import rounded_counts
 from fracperim.rearrange import GridFunction
-from oracles import brute_perimeter_2d, order4_tail_2d
+from oracles import brute_perimeter_2d, clenshaw_arc, order4_tail_2d
 
 
 def interval_perimeter(length, s):
@@ -319,6 +321,42 @@ def test_edge_arc_matches_betainc(s):
     assert _rel(arc.full, 0.5 * special.beta(0.5, b)) <= 5e-16
     assert _rel(arc.lower(x) / arc.full, special.betainc(0.5, b, x)) <= 2e-15
     assert _rel(arc.complement(x) / arc.full, special.betainc(b, 0.5, x)) <= 2e-15
+
+
+def test_edge_arc_monomials_are_the_fit_rounded_once():
+    # an independent conversion: numpy's cheb2poly for T_j, Fraction sums
+    for s in (0.05, 0.5, 0.95):
+        arc = _EdgeArc(s)
+        for coef, mono in ((arc._lower_coef, arc._lower_mono),
+                           (arc._complement_coef, arc._complement_mono)):
+            n = len(coef)
+            rows = [[int(c) for c in np.polynomial.chebyshev.cheb2poly(np.eye(n)[j])]
+                    for j in range(n)]
+            want = [float(sum(Fraction(float(coef[j])) * rows[j][k]
+                              for j in range(k, n))) for k in range(n)]
+            assert mono.tolist() == want
+            assert _monomial_coefficients(coef).tolist() == want
+
+
+def test_edge_arc_horner_is_the_clenshaw_arc_to_rounding():
+    # Horner on the monomials and Clenshaw on the pinned fit round apart:
+    # the arcs agree to 2 ulps everywhere, and bit for bit at about 99.15%
+    # of these 400,400 points (3,410 differ)
+    x = np.r_[np.linspace(0.0, 0.5, 4001), 1e-300, 1e-30, 1e-12]
+    differ = total = 0
+    for s in np.linspace(0.01, 0.99, 50).tolist():
+        arc = _EdgeArc(s)
+        forms = (
+            (arc.lower, arc._lower_coef, 1.0, np.sqrt),
+            (arc.complement, arc._complement_coef, 1.0 / (s + 1.0),
+             lambda y: y ** arc.power),
+        )
+        for form, coef, head, factor in forms:
+            got, want = form(x), clenshaw_arc(coef, head, factor, x)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), s
+            differ += int(np.count_nonzero(got != want))
+            total += x.size
+    assert differ <= 0.01 * total
 
 
 def test_phi_bits_do_not_depend_on_array_shape():
