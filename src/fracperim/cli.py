@@ -35,6 +35,7 @@ from .extension import (
     poisson_extend,
     save_extension,
 )
+from .families import generate_family
 from .kernels import KernelParams, build_table
 from .perimeter import fractional_perimeter
 from .rearrange import (
@@ -141,12 +142,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_dimension(n: int | None, dim: int, what: str) -> None:
+    """Refuse a given dimension n (a flag or a config key) other than dim."""
+    if n is not None and n != dim:
+        raise ValueError(f"dimension n = {n} contradicts {what}")
+
+
 def _shape_setup(args, cfg: ExperimentConfig):
     shape = parse_shape(args.shape)
-    if args.n is not None and args.n != shape.dim:
-        raise ValueError(
-            f"dimension n = {args.n} contradicts a {shape.dim}-dimensional shape"
-        )
+    _check_dimension(args.n, shape.dim, f"a {shape.dim}-dimensional shape")
     h = _single(cfg.h_values, "h")
     e = rasterize(shape, auto_spec(shape, h))
     return shape, e, h
@@ -222,7 +226,18 @@ def _cmd_extend(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _check_family_dimension(n: int | None, cfg: ExperimentConfig) -> None:
+    """Refuse a given dimension n other than a swept family's; else they decide."""
+    if n is None:
+        return
+    for name in cfg.family_names():
+        for member in generate_family(name, cfg.params):
+            _check_dimension(n, member.dim,
+                             f"the {member.dim}-dimensional family {name!r}")
+
+
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
+    _check_family_dimension(args.n, cfg)
     records = sweep_s(cfg)
     text = sweep_csv(records)
     _emit(text, cfg.out)
@@ -234,6 +249,7 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_exponent(args, cfg: ExperimentConfig) -> int:
+    _check_family_dimension(args.n, cfg)
     summary = exponent_study(cfg)
     if cfg.out:
         _emit(sweep_csv(summary.records), cfg.out)
@@ -283,8 +299,9 @@ def main(argv=None) -> int:
     except (FracperimError, ValueError, OSError) as exc:
         sys.stderr.write(f"fracperim: error: {exc}\n")
         return 2
-    except MemoryError as exc:
-        sys.stderr.write(f"fracperim: error: out of memory: {exc}\n")
+    except MemoryError as exc:  # a bare MemoryError() has no message
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"fracperim: error: {args.command} ran out of memory{detail}\n")
         return 2
 
 

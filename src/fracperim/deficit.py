@@ -255,7 +255,7 @@ def s_deficit(
     carries the flag ``ball-clipped``.
 
     ``threads`` is ignored: ``bench/workloads.py`` passes it, that file
-    changes only with the benchmark as a whole, and ROADMAP item 4
+    changes only with the benchmark as a whole, and ROADMAP item 7
     deletes it there and here.
     """
     ball = reference_ball(e)

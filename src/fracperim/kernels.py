@@ -14,14 +14,15 @@ Quadrature strategy per lattice offset d, one rule for each case:
 ``_unit_pair_values`` alone picks the rule: the corner rule for the two
 touching classes, ``far_kernel_unit`` (the closed form and the tent rule)
 for the rest; at order 20 it gives the table window and every single pair
-integral.  ``FarTable`` alone sets the order FAR_RULE = 3 of the tent
-rule beyond the table cutoff; at the default cutoff 16 it is already at
-1e-9 relative error while a single midpoint evaluation would sit near 2e-3.
-Beyond |d|_inf = 16 the memo evaluates that rule as its multipole
-expansion (``_FarExpansion``), built from the rule's own moments, so it
-gives the rule's values to rounding for one power per value instead of
-36.  The table assembles K(d) over a box (``InteractionTable.offset_kernel``)
-from its near window, laid out when the table is made, and that far memo.
+integral.  Beyond the table cutoff FAR_RULE = 3 sets the order of the
+tent rule; at the default cutoff 16 it is already at 1e-9 relative error
+while a single midpoint evaluation would sit near 2e-3.  Beyond
+|d|_inf = 16 that rule is evaluated as its multipole expansion
+(``_FarExpansion``), built from the rule's own moments, so it gives the
+rule's values to rounding for one power per value instead of 36.  The
+table assembles K(d) over a box (``InteractionTable.offset_kernel``) from
+its near window, laid out when the table is made, and the far values of
+that box, evaluated afresh for each box.
 """
 
 from __future__ import annotations
@@ -47,13 +48,12 @@ __all__ = [
     "far_kernel_unit",
     "window_offsets",
     "GridMemo",
-    "FarTable",
 ]
 
 DEFAULT_CUTOFF = 16
 # Gauss order of the tent rule for pair offsets beyond the table cutoff
 FAR_RULE = 3
-# beyond this |offset|_inf the far memo takes the rule's multipole
+# beyond this |offset|_inf the far values take the rule's multipole
 # expansion, to total derivative degree 2 * _MULTIPOLE_TERMS
 _MULTIPOLE_FROM = 16
 _MULTIPOLE_TERMS = 6
@@ -62,6 +62,8 @@ _SMOOTH_ORDER = 20
 _CORNER_LEVELS = 14
 _CORNER_ORDER = 16
 _FAR_BLOCK = 1 << 16
+# far values per expansion pass: its temporaries stay in cache
+_EXPANSION_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -457,55 +459,6 @@ class GridMemo:
         raise NotImplementedError
 
 
-class FarTable(GridMemo):
-    """The far rule, ``far_kernel_unit`` at order FAR_RULE, by sorted offset
-    magnitude.
-
-    Up to |d|_inf = 16 (when the cutoff is below it) the entry is the rule
-    itself; beyond, it is the rule's multipole expansion
-    (``_FarExpansion``), within 1e-15 relative of it.  On a 2-vCPU VM, in
-    blocks of 64k values, the expansion takes about 60 ns a value and the
-    rule about 480 ns; a memo fill, bookkeeping included, about 150 ns.
-    The entry at (b, a) is the value of every offset whose magnitudes
-    sorted are a >= b (in 1D, b = 0 and a = |d|, and the closed form):
-    both forms see only sorted magnitudes, so these offsets share its
-    bits.  Boxes measured with one InteractionTable share the entries, and
-    each is evaluated once; a box of nx x ny cells reserves
-    min(nx, ny) x max(nx, ny) of them.
-    """
-
-    def __init__(self, params: KernelParams, cutoff: int):
-        super().__init__()
-        self.params = params
-        self.cutoff = cutoff
-        self.expansion = _FarExpansion(params.s) if params.dim == 2 else None
-
-    def quadrant(self, shape) -> np.ndarray:
-        """The far rule at every offset d >= 0 of a box of this shape.
-
-        Offsets with |d|_inf <= cutoff, the table's window, are left 0.
-        """
-        box = (1,) * (2 - len(shape)) + tuple(shape)  # a line is one row
-        mags = np.meshgrid(*(np.arange(n) for n in box), indexing="ij")
-        hi, lo = np.maximum(*mags), np.minimum(*mags)
-        far = hi > self.cutoff
-        quad = np.zeros(box)
-        quad[far] = self.gather(lo[far], hi[far], (min(box), max(box)))
-        return quad.reshape(shape)
-
-    def _evaluate(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        # beyond the cutoff no offset touches: the tent rule is the only rule
-        if self.expansion is None:
-            return far_kernel_unit(hi[:, None], self.params, FAR_RULE)
-        out = self.expansion(hi.astype(np.float64), lo.astype(np.float64))
-        # up to 16 (a cutoff below 16) the rule replaces the expansion
-        rule = np.flatnonzero(hi <= _MULTIPOLE_FROM)
-        if rule.size:
-            out[rule] = far_kernel_unit(np.stack([hi[rule], lo[rule]], axis=1),
-                                        self.params, FAR_RULE)
-        return out
-
-
 def _finite(value) -> bool:
     try:
         return math.isfinite(float(value))
@@ -519,11 +472,11 @@ class InteractionTable:
 
     ``entries`` maps every nonzero offset with |offset|_inf <= cutoff_radius
     to its unit-lattice value, laid out by offset + cutoff in ``near_dense``
-    when the table is made.  Offsets beyond use the far rule, kept in
-    ``far_table``; ``offset_kernel`` joins the two over a box, and
-    ``tail_table`` keeps the 2D complement tail.  The rules see only sorted
-    magnitudes, so symmetry under sign flips and (dim 2) coordinate swaps
-    holds bit for bit.  ``h`` only enters through the h^(dim-s) prefactor.
+    when the table is made.  Offsets beyond use the far rule, evaluated for
+    each box by ``offset_kernel``, which joins the two; ``tail_table`` keeps
+    the 2D complement tail.  The rules see only sorted magnitudes, so
+    symmetry under sign flips and (dim 2) coordinate swaps holds bit for
+    bit.  ``h`` only enters through the h^(dim-s) prefactor.
     """
 
     params: KernelParams
@@ -546,7 +499,8 @@ class InteractionTable:
         near.setflags(write=False)
         object.__setattr__(self, "near_dense", near)
         object.__setattr__(self, "_tail", TailTable(self.params.s))
-        object.__setattr__(self, "_far", FarTable(self.params, rc))
+        expansion = _FarExpansion(self.params.s) if self.params.dim == 2 else None
+        object.__setattr__(self, "_expansion", expansion)
 
     def _checked_values(self) -> np.ndarray:
         """The entries' values in ``window_offsets`` order, checked.
@@ -594,17 +548,50 @@ class InteractionTable:
 
         The near window fills the offsets within the cutoff (clipped to the
         box) and the far rule the rest; K is 0 at d = 0.  Far values are
-        read from ``far_table`` by sorted offset magnitude and mirrored, so
+        evaluated once per sorted offset magnitude and mirrored, so
         K(d) = K(-d) and K is symmetric under axis swaps bit for bit.
         """
         rc = self.cutoff_radius
-        quad = self._far.quadrant(shape)
+        quad = self._far_quadrant(shape)
         k = quad[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in shape))]
         w = [min(rc, n - 1) for n in shape]
         k[tuple(slice(n - 1 - wk, n + wk) for n, wk in zip(shape, w))] = (
             self.near_dense[tuple(slice(rc - wk, rc + wk + 1) for wk in w)]
         )
         return k
+
+    def _far_quadrant(self, shape) -> np.ndarray:
+        """The far rule at every offset d >= 0 of a box of this shape.
+
+        Offsets with |d|_inf <= cutoff, the table's window, are left 0.  In
+        2D each sorted pair a >= b beyond the cutoff is evaluated once, by
+        the rule up to a = 16 and by its expansion beyond, in blocks of
+        rows of about ``_EXPANSION_BLOCK`` entries; both are elementwise,
+        so a value has the same bits in any box.
+        """
+        rc = self.cutoff_radius
+        if self.params.dim == 1:
+            quad = np.zeros(shape)
+            d = np.arange(rc + 1, shape[0])
+            quad[rc + 1:] = far_kernel_unit(d[:, None], self.params, FAR_RULE)
+            return quad
+        long, short = max(shape), min(shape)
+        quad = np.zeros((long, short))
+        # rows (rc, 16] are one block of the rule, later rows blocks of the
+        # expansion; a block's columns run to its last row, so it holds
+        # every b <= a of its rows and some b > a, which the mirror replaces
+        start = max(rc, _MULTIPOLE_FROM) + 1
+        edges = [rc + 1, *range(start, long, max(1, _EXPANSION_BLOCK // short)), long]
+        for lo, hi in zip(edges, edges[1:]):
+            a, b = np.meshgrid(np.arange(lo, hi, dtype=np.float64),
+                               np.arange(min(hi, short), dtype=np.float64),
+                               indexing="ij")
+            values = (self._expansion(a, b) if hi > start else far_kernel_unit(
+                np.stack([a, b], axis=-1), self.params, FAR_RULE))
+            quad[lo:hi, :a.shape[1]] = values.reshape(a.shape)
+        square = quad[:short]
+        square[...] = np.tril(square) + np.triu(square.T, 1)
+        return quad if shape[0] >= shape[1] else quad.T
 
     @property
     def tail_table(self):
@@ -616,20 +603,14 @@ class InteractionTable:
         """
         return self._tail
 
-    @property
-    def far_table(self) -> FarTable:
-        """The far rule beyond the cutoff, each value evaluated once per table."""
-        return self._far
-
     def with_h(self, h: float) -> "InteractionTable":
-        """This table at cell size h, sharing its tail and far memos.
+        """This table at cell size h, sharing its tail memo.
 
-        Memo values depend on (params, cutoff) alone, and the memos are
-        thread-safe, so what either table evaluates serves both.
+        Phi values depend on s alone, and the memo is thread-safe, so what
+        either table evaluates serves both.
         """
         table = InteractionTable(self.params, h, self.cutoff_radius, self.entries)
         object.__setattr__(table, "_tail", self._tail)
-        object.__setattr__(table, "_far", self._far)
         return table
 
 

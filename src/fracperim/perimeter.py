@@ -24,12 +24,12 @@ grown by a margin, into two exactly-accounted parts:
            relative of the true value, converted exactly to monomials
            and evaluated by Horner's rule.
 
-The two costly per-value kernels, Phi and the far rule, are memos kept
-with the InteractionTable (``tail_table`` and its far memo): each value
-is evaluated once per table, the first time a perimeter reads it, and
-every later set measured with the table (a deficit's reference ball, the
-members of a sweep) reads it back.  The far memo evaluates the rule as
-its multipole expansion beyond |d|_inf = 16 (``kernels.FarTable``).
+Phi, the costly per-value kernel, is a memo kept with the
+InteractionTable (``tail_table``): each value is evaluated once per table,
+the first time a perimeter reads it, and every later set measured with
+the table (a deficit's reference ball, the members of a sweep) reads it
+back.  The far rule is evaluated afresh for each box, beyond
+|d|_inf = 16 as its multipole expansion (``kernels._FarExpansion``).
 
 The Gagliardo seminorm runs through the same kernel and correlation, with
 R the autocorrelation of the grid function.  All sums run on the unit
@@ -478,16 +478,15 @@ def fractional_perimeter(
     rule, outside the per-cell tail.  The result is invariant under
     translations, reflections and axis swaps of E (bit for bit) and scales
     as h^(dim-s) exactly.  The in-box part costs one FFT correlation over
-    twice the box and one far-rule read per offset beyond the table
-    cutoff.  In 2D the tail costs one Phi read per distinct slot (p, q)
-    the cells read, counted from the occupancy and its flips, and each Phi
-    not yet in the table costs 16 edge arcs; in 1D it is one closed form
-    per occupied cell.  On a 2-vCPU VM a Phi costs about 0.5 us and a far
-    value about 0.15 us to evaluate, memo bookkeeping included.  Far and
-    Phi values are evaluated once per ``table``, where first read, and
-    shared by every set measured with it (and with its ``with_h``
-    copies).  The sets measured before do
-    not change the result.
+    twice the box and one far-rule evaluation per sorted offset magnitude
+    beyond the table cutoff.  In 2D the tail costs one Phi read per
+    distinct slot (p, q) the cells read, counted from the occupancy and
+    its flips, and each Phi not yet in the table costs 16 edge arcs; in 1D
+    it is one closed form per occupied cell.  On a 2-vCPU VM a Phi costs
+    about 0.5 us to evaluate, memo bookkeeping included.  Phi values are
+    evaluated once per ``table``, where first read, and shared by every
+    set measured with it (and with its ``with_h`` copies).  The sets
+    measured before do not change the result.
 
     Accuracy: in 2D, agreement with ``gagliardo_seminorm(1_E) / 2`` is
     limited by one of two rules, depending on the set's size; the pair

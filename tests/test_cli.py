@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fracperim as fp
+from fracperim import cli
 from fracperim.cli import build_parser, main
 
 INTERVAL = "kind=interval a=0.0 b=1.0"
@@ -398,6 +399,49 @@ def test_allocation_failure_exits_2(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "out of memory: Unable to allocate 4.66 TiB" in err
+
+
+def test_bare_memory_error_names_the_command(monkeypatch, capsys):
+    # MemoryError() has an empty message; the line must still say what failed
+    def refuse(args, cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "perim", refuse)
+    code, out, err = run(
+        ["perim", "--shape", INTERVAL, "--s", "0.5", "--h", "0.25"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "fracperim: error: perim ran out of memory\n"
+
+
+@pytest.mark.parametrize("command", ["sweep-s", "exponent-study"])
+@pytest.mark.parametrize("source", ["flag", "n", "dim"])
+@pytest.mark.parametrize("n,family,dim", [(1, "ellipse-ecc", 2),
+                                          (2, "two-intervals", 1)])
+def test_dimension_contradicting_families_exits_2(
+    command, source, n, family, dim, tmp_path, capsys
+):
+    args = [command, "--family", family, "--params", "0.3", "--s", "0.5",
+            "--h", "0.125"]
+    if source == "flag":
+        args += ["--n", str(n)]
+    else:
+        cfg = tmp_path / "dim.cfg"
+        cfg.write_text(f"{source} = {n}\n")
+        args += ["--config", str(cfg)]
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"contradicts the {dim}-dimensional family '{family}'" in err
+
+
+@pytest.mark.parametrize("dimension", [[], ["--n", "1"]])
+def test_sweep_takes_the_families_dimension(dimension, capsys):
+    code, out, _ = run(["sweep-s", "--family", "two-intervals", "--params", "0.3",
+                        "--s", "0.5", "--h", "0.125", *dimension], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith("two-intervals,")
 
 
 @pytest.mark.slow

@@ -22,7 +22,7 @@ import pytest
 import scipy
 
 import fracperim
-from fracperim.kernels import FarTable, KernelParams, build_table, far_kernel_unit
+from fracperim.kernels import KernelParams, build_table, far_kernel_unit
 from fracperim.perimeter import (
     _SERIES_TERMS,
     _EdgeArc,
@@ -67,7 +67,7 @@ _FAR_PINS = {
         "0x1.ed0e678f8ba4fp-13", "0x1.0ff4dc85e04fcp-16", "0x1.31ef7ff9bcd58p-26",
     ),
 }
-# the far memo's multipole expansion at the offsets of _FAR_OFFSETS beyond
+# the far rule's multipole expansion at the offsets of _FAR_OFFSETS beyond
 # |d|_inf = 16; some share the rule's bits, some are an ulp off
 _EXPANSION_PINS = {
     0.05: ("0x1.8a1be38c32e28p-9", "0x1.ebc5f1fd8347fp-12", "0x1.14722ab5065aep-18"),
@@ -185,17 +185,19 @@ def test_far_kernel_unit_keeps_its_pinned_bits(s, rule):
     assert _pinned(got, _FAR_PINS[s, rule])
 
 
-def _far_memo(s, offsets):
-    # the far memo of a default-cutoff table, read at (min, max) magnitude
-    mags = np.sort(np.abs(np.asarray(offsets)), axis=1)
-    memo = FarTable(KernelParams(2, s), 16)
-    return memo.gather(mags[:, 0], mags[:, 1], (mags.max() + 1,) * 2)
+def _far_values(s, offsets):
+    # a default-cutoff table's far values, read off the offset kernel of
+    # the smallest square box that holds every offset
+    offsets = np.asarray(offsets)
+    n = int(np.abs(offsets).max()) + 1
+    k = build_table(KernelParams(2, s)).offset_kernel((n, n))
+    return k[offsets[:, 0] + n - 1, offsets[:, 1] + n - 1]
 
 
 @pytest.mark.parametrize("s", _S)
 def test_far_expansion_keeps_its_pinned_bits(s):
     beyond = [off for off in _FAR_OFFSETS if max(off) > 16]
-    assert _pinned(_far_memo(s, beyond), _EXPANSION_PINS[s])
+    assert _pinned(_far_values(s, beyond), _EXPANSION_PINS[s])
 
 
 @pytest.mark.parametrize("s", _S)
@@ -329,10 +331,10 @@ print(json.dumps({
 def simd_free_digests() -> dict:
     """SHA-256 of values that use no SIMD-dependent numpy loop, per s.
 
-    The far memo of a default table beyond 16 (``_FarExpansion``: one
-    ``np.float_power`` and + - * /) at every sorted offset with
-    17 <= |d|_inf < 200, and ``_EdgeArc.lower`` (sqrt and + - * /) on a
-    dense grid of [0, 1/2].
+    The far values of a default table's offset kernel beyond 16
+    (``_FarExpansion``: one ``np.float_power`` and + - * /) at every
+    sorted offset with 17 <= |d|_inf < 200, and ``_EdgeArc.lower`` (sqrt
+    and + - * /) on a dense grid of [0, 1/2].
     """
     a, b = np.triu_indices(200)
     far = a >= 17
@@ -340,7 +342,7 @@ def simd_free_digests() -> dict:
     x = np.r_[np.linspace(0.0, 0.5, 20001), 1e-300, 1e-30, 1e-12]
     digests = {}
     for s in (0.01, *_S, 0.99):
-        for name, values in (("far", _far_memo(s, offsets)),
+        for name, values in (("far", _far_values(s, offsets)),
                              ("lower", _EdgeArc(s).lower(x))):
             digests[f"{name} {s}"] = hashlib.sha256(values.tobytes()).hexdigest()
     return digests

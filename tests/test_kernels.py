@@ -13,6 +13,7 @@ from fracperim.kernels import (
     GridMemo,
     InteractionTable,
     KernelParams,
+    _FarExpansion,
     _multipole_operator,
     build_table,
     cell_pair_integral,
@@ -154,23 +155,23 @@ def test_touching_pairs_keep_their_pinned_bits(s):
         assert got == pytest.approx(want, rel=1e-13)
 
 
-def _expansion_at(table, offsets):
-    # the far memo's multipole expansion at sorted magnitudes a >= b
+def _expansion_at(params, offsets):
+    # the far rule's multipole expansion at sorted magnitudes a >= b
     mags = np.sort(np.abs(np.asarray(offsets, dtype=np.float64)), axis=1)
-    return table.far_table.expansion(mags[:, 1], mags[:, 0])
+    return _FarExpansion(params.s)(mags[:, 1], mags[:, 0])
 
 
 def test_beyond_the_cutoff_pairs_take_order_20_and_kernels_far_rule():
     # a single pair integral is the tent rule at order 20 at every offset
-    # beyond the touching ones; the table's offset kernel holds the far
-    # memo, the multipole expansion of the rule at FAR_RULE beyond
-    # |d|_inf = 16, within 1e-15 of the rule but not always its bits
+    # beyond the touching ones; the table's offset kernel holds the
+    # multipole expansion of the rule at FAR_RULE beyond |d|_inf = 16,
+    # within 1e-15 of the rule but not always its bits
     params = KernelParams(2, 0.5)
     table = build_table(params)
     shape = (40, 21)
     k = table.offset_kernel(shape)
     offsets = [(17, 0), (-17, 17), (24, -3), (3, 20), (-39, -20)]
-    expansion = _expansion_at(table, offsets)
+    expansion = _expansion_at(params, offsets)
     for off, want in zip(offsets, expansion):
         assert max(map(abs, off)) > DEFAULT_CUTOFF
         single = cell_pair_integral(off, params, 1.0)
@@ -196,20 +197,19 @@ def test_far_memo_takes_the_rule_itself_up_to_16():
         assert got == far_kernel_unit([off], params, FAR_RULE)[0], off
     far_offsets = [(17, 0), (17, 17), (-29, 3)]
     got = [k[a + shape[0] - 1, b + shape[1] - 1] for a, b in far_offsets]
-    assert got == _expansion_at(table, far_offsets).tolist()
+    assert got == _expansion_at(params, far_offsets).tolist()
 
 
 @pytest.mark.parametrize("s", [0.01, 0.05, 0.5, 0.95, 0.99])
 def test_far_expansion_is_the_rule_to_rounding(s):
     # 20k offsets per band of |d|_inf; the largest gap seen was 8.9e-16
     params = KernelParams(2, s)
-    table = build_table(params, cutoff=2)
     rng = np.random.default_rng(int(s * 100))
     for lo, hi in ((17, 24), (24, 48), (48, 2000)):
         a = rng.integers(lo, hi + 1, 20000)
         b = rng.integers(0, a + 1)
         offsets = np.stack([a, b], axis=1)
-        got = _expansion_at(table, offsets)
+        got = _expansion_at(params, offsets)
         rule = far_kernel_unit(offsets, params, FAR_RULE)
         assert np.max(np.abs(got - rule) / rule) <= 1e-15, (lo, hi)
 

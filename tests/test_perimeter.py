@@ -459,16 +459,16 @@ def test_with_h_shares_the_unit_lattice_memos():
     params = KernelParams(2, 0.45)
     t1 = build_table(params, h=1 / 16)
     t2 = t1.with_h(1 / 8)
-    assert t2.tail_table is t1.tail_table and t2.far_table is t1.far_table
+    assert t2.tail_table is t1.tail_table
     ball = Ball((0.0, 0.0), 1.5)
     e1 = rasterize(ball, auto_spec(ball, 1 / 16))
     fractional_perimeter(e1, t1)
-    filled = t1.tail_table.evaluations, t1.far_table.evaluations
-    assert min(filled) > 0
+    filled = t1.tail_table.evaluations
+    assert filled > 0
     # the same cells at twice the size read only what t1 filled
     e2 = GridSet(GridSpec(2, e1.spec.cells, 1 / 8, e1.spec.origin), e1.occupancy)
     shared = fractional_perimeter(e2, t2)
-    assert (t2.tail_table.evaluations, t2.far_table.evaluations) == filled
+    assert t2.tail_table.evaluations == filled
     assert shared == fractional_perimeter(e2, build_table(params, h=1 / 8))
 
 
@@ -508,31 +508,35 @@ def test_sparse_set_evaluates_only_the_phi_it_reads():
 
 
 def test_a_long_thin_box_reserves_no_square():
-    # the memos may hold no more slots than the box's offset kernel
+    # the Phi memo may hold no more slots than the box's offset kernel
     spec = GridSpec(2, (3001, 4), 1 / 8, (0.0, 0.0))
     e = GridSet.from_cells(spec, [(0, 0), (3000, 3)])
     table = build_table(KernelParams(2, 0.5), h=1 / 8)
     fractional_perimeter(e, table)
     nx, ny = 3001 + 8, 4 + 8
-    kernel_slots = (2 * nx - 1) * (2 * ny - 1)
-    for memo in (table.tail_table, table.far_table):
-        assert memo.shape[1] == nx
-        assert memo.shape[0] * memo.shape[1] <= kernel_slots
-    assert table.tail_table.evaluations <= 16
+    memo = table.tail_table
+    assert memo.shape[1] == nx
+    assert memo.shape[0] * memo.shape[1] <= (2 * nx - 1) * (2 * ny - 1)
+    assert memo.evaluations <= 16
 
 
-def test_far_table_grown_by_two_boxes_matches_a_fresh_one():
-    params, rc = KernelParams(2, 0.4), 3
-    grown = build_table(params, cutoff=rc)
-    first = grown.offset_kernel((9, 40))
-    second = grown.offset_kernel((23, 9))
-    fresh = build_table(params, cutoff=rc)
-    assert np.array_equal(second, fresh.offset_kernel((23, 9)))
-    assert np.array_equal(first, grown.offset_kernel((9, 40)))
-    # one evaluation per sorted magnitude b <= a beyond the cutoff: the
-    # (23, 9) box needs none the (9, 40) box did not
-    want = sum(1 for a in range(rc + 1, 40) for b in range(min(a + 1, 9)))
-    assert grown.far_table.evaluations == want
+@pytest.mark.parametrize("rc", [3, 16])
+@pytest.mark.parametrize("dim,shape,larger", [
+    (1, (40,), (97,)),
+    (2, (9, 40), (25, 61)),
+    (2, (40, 9), (61, 25)),
+    (2, (23, 23), (24, 70)),
+    # rows evaluated in blocks that start at other rows in the two boxes
+    (2, (200, 150), (600, 300)),
+])
+def test_offset_kernel_is_the_central_slice_of_a_larger_box(dim, shape, larger, rc):
+    # a far value is evaluated afresh for each box: it must not depend on
+    # the box, so a box's kernel is, bit for bit, the offsets it shares
+    # with a larger box's kernel
+    table = build_table(KernelParams(dim, 0.4), cutoff=rc)
+    big = table.offset_kernel(larger)
+    centre = tuple(slice(m - n, m + n - 1) for n, m in zip(shape, larger))
+    assert np.array_equal(table.offset_kernel(shape), big[centre])
 
 
 def test_threads_sharing_one_table_get_the_serial_values():
