@@ -35,7 +35,6 @@ from .extension import (
     poisson_extend,
     save_extension,
 )
-from .families import generate_family
 from .kernels import KernelParams, build_table
 from .perimeter import fractional_perimeter
 from .rearrange import (
@@ -122,10 +121,7 @@ def _merge_config(args) -> ExperimentConfig:
         value = getattr(args, "n" if key == "dim" else key, None)
         if value is not None:
             mapping[key] = value
-    cfg = config_from_mapping(mapping)
-    if "dim" in mapping or "n" in mapping:
-        args.n = cfg.dim  # the merged dimension, checked against a shape
-    return cfg
+    return config_from_mapping(mapping)
 
 
 def _single(values, what: str) -> float:
@@ -142,15 +138,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_dimension(n: int | None, dim: int, what: str) -> None:
-    """Refuse a given dimension n (a flag or a config key) other than dim."""
-    if n is not None and n != dim:
-        raise ValueError(f"dimension n = {n} contradicts {what}")
-
-
 def _shape_setup(args, cfg: ExperimentConfig):
     shape = parse_shape(args.shape)
-    _check_dimension(args.n, shape.dim, f"a {shape.dim}-dimensional shape")
+    if cfg.dim not in (None, shape.dim):  # a --n flag or a config n/dim
+        raise ValueError(f"dimension n = {cfg.dim} contradicts a "
+                         f"{shape.dim}-dimensional shape")
     h = _single(cfg.h_values, "h")
     e = rasterize(shape, auto_spec(shape, h))
     return shape, e, h
@@ -226,18 +218,7 @@ def _cmd_extend(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _check_family_dimension(n: int | None, cfg: ExperimentConfig) -> None:
-    """Refuse a given dimension n other than a swept family's; else they decide."""
-    if n is None:
-        return
-    for name in cfg.family_names():
-        for member in generate_family(name, cfg.params):
-            _check_dimension(n, member.dim,
-                             f"the {member.dim}-dimensional family {name!r}")
-
-
 def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
-    _check_family_dimension(args.n, cfg)
     records = sweep_s(cfg)
     text = sweep_csv(records)
     _emit(text, cfg.out)
@@ -249,7 +230,6 @@ def _cmd_sweep(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_exponent(args, cfg: ExperimentConfig) -> int:
-    _check_family_dimension(args.n, cfg)
     summary = exponent_study(cfg)
     if cfg.out:
         _emit(sweep_csv(summary.records), cfg.out)

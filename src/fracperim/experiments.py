@@ -74,9 +74,13 @@ SWEEP_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs for sweeps and studies; invalid values refuse to construct."""
+    """Inputs for sweeps and studies; invalid values refuse to construct.
 
-    dim: int = 2
+    `dim` None (the default) lets the shapes or families decide the
+    dimension; a given one must agree with them.
+    """
+
+    dim: int | None = None
     s_values: tuple[float, ...] = (0.5,)
     h_values: tuple[float, ...] = (1 / 32,)
     family: str = "ellipse-ecc"
@@ -95,7 +99,7 @@ class ExperimentConfig:
         object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
         object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
         object.__setattr__(self, "params", tuple(float(t) for t in self.params))
-        if self.dim not in (1, 2):
+        if self.dim not in (None, 1, 2):
             raise ValueError("dim must be 1 or 2")
         if not self.s_values or any(not 0.0 < s < 1.0 for s in self.s_values):
             raise ValueError("every s must lie strictly inside (0, 1)")
@@ -266,7 +270,8 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
     The records are computed on a pool of ``config.threads`` workers and
     come back in (family, param, s, h) order.  A setting that lists no
     value, or one value twice, is refused: a copy would be measured again
-    and counted as one more point of a fit.
+    and counted as one more point of a fit.  The families fix the
+    dimension: a ``config.dim`` that contradicts one is refused.
     """
     names = config.family_names()
     for key, value in (("family", names), ("params", config.params),
@@ -283,7 +288,11 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
             )
     members = []
     for name in names:
-        members.extend(generate_family(name, config.params, h=min(config.h_values)))
+        for member in generate_family(name, config.params, h=min(config.h_values)):
+            if config.dim not in (None, member.dim):
+                raise ValueError(f"dimension n = {config.dim} contradicts the "
+                                 f"{member.dim}-dimensional family {name!r}")
+            members.append(member)
     dims = {m.dim for m in members}
     if len(dims) != 1:
         raise ValueError("all families in one sweep must share a dimension")

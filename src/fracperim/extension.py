@@ -36,12 +36,12 @@ when that field is stored.
 poisson_extend builds and keeps the lift's stack, and lift_energy sums
 the lift's levels as they are made, with no stack.
 
-Every pass over a field's levels (its energy, its trace) is one task per
-level on one generator, _level_pass, with one rule for the worker count:
-on one worker the worker makes the levels and the calling thread runs
-the tasks; on more, each level is made and its task run in one job on
-the workers, at most ``threads`` levels in flight.  The results come
-back in level order and are folded on the calling thread, so every
+Every pass over a field's levels (its energy, its trace) is one path,
+_level_pass, on any worker count: each level is made and its task run
+in one job on the workers, at most ``threads`` levels in flight, and no
+job waits on another.  The levels and their task results come back in
+level order; the calling thread takes what needs two levels (the energy's
+difference between consecutive levels) and folds the results, so every
 energy and trace has the same bits on any worker count.
 """
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
@@ -299,8 +299,8 @@ class ExtensionField:
     A field keeps its level workers (poisson_extend's ``threads``, and
     those of the field that horizontal_rearrange rearranges; 1 for a
     field built here or read by load_extension): its levels are made,
-    and every pass over them (extension_energy, trace_check) runs, on
-    that many workers, bit for bit as on one.
+    and every pass over them (extension_energy, trace_check) runs one
+    job per level, on that many workers, bit for bit as on one.
     """
 
     # a stored field's _sources is its stack and its _make is None; a made
@@ -342,8 +342,9 @@ class ExtensionField:
 
         `make` must return a new checked, clamped, read-only float array
         shaped like the base grid, and may use `scratch` (a float buffer
-        of one value per grid cell; None, the default, when there is
-        none) while it works.  The datum is copied.
+        of one value per grid cell, which a level pass's task uses next;
+        None, the default, when there is none) while it works.  The
+        datum is copied.
         """
         field = object.__new__(cls)
         field._init(grid, params, _frozen_datum(grid, datum), sources, make, threads)
@@ -526,63 +527,28 @@ def _ordered_map(fn, items, workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _level_pass(u: ExtensionField, task, first=None):
-    """Yield task(j, level, below, scratch) for every level j of u, in level order.
+def _level_pass(u: ExtensionField, task):
+    """Yield (level, task(j, level, scratch)) for every level j of u, in level order.
 
-    `below()` returns level j - 1, and `first` for level 0, so a task
-    can work on its own level before it needs the one below.  `scratch`
-    is a float buffer of one value per grid cell that is the task's own
-    while it runs; a made level may use one while it is made, too.  On
-    one worker the worker makes the levels (u.levels()) and the tasks
-    run here.  On more, each level is made and its task run in one job
-    on the workers, and below() waits on the slot that the job below
-    fills as soon as its level is made.  Either way the tasks compute the
-    same floats, so no bit depends on the worker count.  A failing job
-    empties its slot, which ends the wait above it; the failure is
-    raised here after the jobs not started are cancelled and the workers
-    joined.
+    Each level is one job on u's workers.  The job takes a scratch
+    buffer of its own (one float per grid cell), makes the level if u is
+    made (the making may use the buffer) and runs the task, which may
+    use it too.  No job waits on another and a task sees its own level
+    only, so no bit depends on the worker count; what needs two levels
+    the caller does with the levels it is handed.  A failing job is
+    raised here, in level order, after the jobs not started are
+    cancelled and the workers joined.
     """
-    spare = []  # scratch buffers not in use, at most one per thread at work
-
-    def scratched(fn, *args):
-        try:
-            scratch = spare.pop()
-        except IndexError:
-            scratch = np.empty(math.prod(u.grid.base.cells))
-        try:
-            return fn(*args, scratch)
-        finally:
-            spare.append(scratch)
-
-    if u._threads == 1:
-        below = first
-        with closing(u.levels()) as levels:
-            for j, level in enumerate(levels):
-                # the task runs before the yield, while below is level j - 1
-                yield scratched(task, j, level, lambda: below)
-                below = level
-        return
     make = u._make
+    cells = math.prod(u.grid.base.cells)
 
-    def job(slots):
-        j, source, below, ready = slots
-        try:
-            level = source if make is None else scratched(make, source)
-            ready.set_result(level)
-            return scratched(task, j, level, below.result)
-        except BaseException:
-            ready.cancel()  # a level never made stops the next job's wait
-            raise
+    def job(item):
+        j, source = item
+        scratch = np.empty(cells)
+        level = source if make is None else make(source, scratch)
+        return level, task(j, level, scratch)
 
-    def jobs():
-        ready = Future()
-        ready.set_result(first)
-        for j, source in enumerate(u._sources):
-            below, ready = ready, Future()
-            yield j, source, below, ready
-            del below  # not held while the next level is made
-
-    yield from _ordered_map(job, jobs(), u._threads)
+    return _ordered_map(job, enumerate(u._sources), u._threads)
 
 
 def _lift(e: GridSet, grid: HalfSpaceGrid, params: KernelParams, threads: int):
@@ -669,7 +635,7 @@ def poisson_extend(
     ``threads`` levels are in flight, each with its table and FFT work
     (about six levels' worth of memory at its peak), plus the level
     being copied into the stack: two-balls(0.9) at h = 1/8 (50 levels)
-    peaks at about 1.13 stacks on one worker and 1.20 on two.
+    peaks at about 1.13 stacks on one worker and 1.21 on two.
     lift_energy sums the levels as they are made and holds no stack at
     all, and horizontal_rearrange of the field adds no second stack.
     """
@@ -705,11 +671,13 @@ def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     ignored outside the computed box is returned, and a TruncationWarning
     is issued when it exceeds _TRUNCATION_SHARE of the total.
 
-    Each level's differences and sums are one task of a level pass over
-    the field, on its level workers, in a scratch buffer; the sums are
-    folded into the energy here, in level order, so the result is the
-    same bit for bit on any number of workers.  A made field is summed
-    as its levels are made, with no stack.
+    Each level's lateral differences and sums are one task of a level
+    pass over the field, on its level workers, in a scratch buffer.  The
+    calling thread takes the difference between each level and the one
+    below, which the pass hands it in level order, and folds every sum
+    into the energy in level order, so the result is the same bit for
+    bit on any number of workers.  A made field is summed as its levels
+    are made, with no stack.
     """
     return _energy(u)
 
@@ -745,8 +713,8 @@ def _energy(u: ExtensionField) -> ExtensionEnergy:
     z_weights = [_slab_weight(lo, hi, s) for lo, hi in zip(below_z, zs)]
     top = len(zs) - 1
 
-    def sums(j, level, below, scratch):
-        # a level's differences and level - below take turns in scratch
+    def sums(j, level, scratch):
+        # a level's lateral differences take turns in scratch
         x_sum = x_rim = 0.0
         for axis in range(n):
             # the forward difference sits on the lower cell of each pair
@@ -759,24 +727,27 @@ def _energy(u: ExtensionField) -> ExtensionEnergy:
             d *= d
             x_sum += float(d.sum())
             x_rim += _rim_sum(d, axis)
-        q = np.subtract(level, below(), out=scratch.reshape(level.shape))
-        q /= zs[j] - below_z[j]
-        q *= q
-        z_sum, z_rim = float(q.sum()), _rim_sum(q)
+        q = scratch.reshape(level.shape)
         top_sum = float(np.multiply(level, level, out=q).sum()) if j == top else 0.0
-        return x_sum, x_rim, z_sum, z_rim, top_sum
+        return x_sum, x_rim, top_sum
 
     x_part = 0.0
     z_part = 0.0
     rim_energy = 0.0
-    with closing(_level_pass(u, sums, u.datum.astype(np.float64))) as parts:
-        for j, (x_sum, x_rim, z_sum, z_rim, top_sum) in enumerate(parts):
+    below = u.datum.astype(np.float64)
+    q = np.empty(u.grid.base.cells)  # level - below, here on the calling thread
+    with closing(_level_pass(u, sums)) as parts:
+        for j, (level, (x_sum, x_rim, top_sum)) in enumerate(parts):
+            np.subtract(level, below, out=q)
+            below = level
+            q /= zs[j] - below_z[j]
+            q *= q
             w = x_weights[j]
             x_part += w * cell * x_sum
             rim_energy += w * cell * x_rim
             w = z_weights[j]
-            z_part += w * cell * z_sum
-            rim_energy += w * cell * z_rim
+            z_part += w * cell * float(q.sum())
+            rim_energy += w * cell * _rim_sum(q)
 
     # Decay model for the ignored exterior: laterally u ~ r^-(N+s) so the
     # outermost ring underestimates the exterior by about r/(h*(N+2s));
@@ -874,10 +845,11 @@ def horizontal_rearrange(u: ExtensionField) -> ExtensionField:
     Only the datum is rearranged here.  The result is a made field over
     the same sources as `u` (the rows of its stack, which it keeps
     alive), on `u`'s level workers: its level j is u's level j
-    rearranged, checked and clamped, made in the same job as the pass
+    rearranged, checked and clamped, made in the level's job of the pass
     that reads it (after u's own making, if `u` is made too).  So
     extension_energy of the result holds a few level slices per worker
-    besides `u`, no bit depends on the workers, and reading its `values`
+    besides `u` (two-balls(0.9) at h = 1/8: about 0.11 to 0.16 of a
+    stack), no bit depends on the workers, and reading its `values`
     builds and keeps its own stack.
     """
     base = u.grid.base
@@ -916,12 +888,13 @@ def trace_check(u: ExtensionField) -> np.ndarray:
     ind = u.datum.astype(np.float64)
     cell = u.grid.base.h ** u.grid.base.dim
 
-    def distance(j, level, below, scratch) -> float:
+    def distance(j, level, scratch) -> float:
         diff = np.subtract(level, ind, out=scratch.reshape(level.shape))
         diff *= diff
         return math.sqrt(cell * float(diff.sum()))
 
-    with closing(_level_pass(u, distance)) as dists:
+    with closing(_level_pass(u, distance)) as pairs:
+        dists = (dist for _, dist in pairs)
         return np.fromiter(dists, np.float64, u.grid.level_count)
 
 

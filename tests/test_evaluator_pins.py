@@ -336,7 +336,7 @@ def simd_free_digests() -> dict:
     sorted offset with 17 <= |d|_inf < 200, and ``_EdgeArc.lower`` (sqrt
     and + - * /) on a dense grid of [0, 1/2].
     """
-    a, b = np.triu_indices(200)
+    a, b = np.tril_indices(200)  # a >= b
     far = a >= 17
     offsets = np.stack([a[far], b[far]], axis=1)
     x = np.r_[np.linspace(0.0, 0.5, 20001), 1e-300, 1e-30, 1e-12]
@@ -348,7 +348,7 @@ def simd_free_digests() -> dict:
     return digests
 
 
-def test_far_memo_and_lower_arc_keep_their_bits_with_no_simd_target():
+def test_far_offset_kernel_and_lower_arc_keep_their_bits_with_no_simd_target():
     # a child process with every numpy dispatch target disabled takes the
     # baseline loops; these values use none whose bits depend on them
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fracperim.perimeter import DEFAULT_MARGIN
 
 def test_config_defaults_valid():
     cfg = fp.ExperimentConfig()
-    assert cfg.dim == 2
+    assert cfg.dim is None  # the shapes or families decide
     assert cfg.threads == 1
 
 
@@ -254,6 +255,23 @@ def test_mixed_dimension_sweep_rejected():
     )
     with pytest.raises(ValueError, match="dimension"):
         fp.sweep_s(cfg)
+
+
+@pytest.mark.parametrize("dim,family,family_dim", [(1, "ellipse-ecc", 2),
+                                                  (2, "two-intervals", 1)])
+def test_sweep_refuses_a_dimension_that_contradicts_its_families(
+    dim, family, family_dim
+):
+    cfg = fp.ExperimentConfig(dim=dim, family=family, params=(0.3,),
+                              s_values=(0.5,), h_values=(0.125,))
+    message = (f"dimension n = {dim} contradicts the "
+               f"{family_dim}-dimensional family '{family}'")
+    for study in (fp.sweep_s, fp.exponent_study):
+        with pytest.raises(ValueError, match=message):
+            study(cfg)
+    # with no dimension, or the families' own, the families decide
+    free = fp.sweep_csv(fp.sweep_s(replace(cfg, dim=None)))
+    assert fp.sweep_csv(fp.sweep_s(replace(cfg, dim=family_dim))) == free
 
 
 # ---------------------------------------------------------------- exponent

@@ -581,32 +581,44 @@ def test_more_threads_than_levels_start_one_worker_per_level(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::fracperim.extension.TruncationWarning")
-def test_one_worker_makes_the_levels_while_the_calling_thread_sums(monkeypatch):
-    # On one level worker (extend's default) the worker lifts or rearranges
-    # each level and the calling thread sums it: lifting and summing on one
-    # thread is slower.
+@pytest.mark.parametrize("threads", [1, 2])
+def test_workers_make_and_sum_each_level_while_the_calling_thread_differences(
+    threads, monkeypatch
+):
+    # Each level is lifted or rearranged, and its lateral differences
+    # summed, in one job on the level workers; the difference between
+    # consecutive levels needs two of them and is taken on the calling
+    # thread.  One worker or two, the split is the same.
     e, grid, params = _six_level_lift()
-    u = fp.poisson_extend(e, grid, params, threads=1)
-    made, summed = set(), set()
+    u = fp.poisson_extend(e, grid, params, threads=threads)
+    made, lateral, vertical = set(), set(), set()
+    rim_sum = fp.extension._rim_sum
 
-    def recorded(fn, names):
+    def recorded(fn):
         def wrapped(*args, **kwargs):
-            names.add(threading.current_thread().name)
+            made.add(threading.current_thread().name)
             return fn(*args, **kwargs)
         return wrapped
 
-    for name, names in (("_poisson_table_2d", made), ("_rearranged", made),
-                        ("_rim_sum", summed)):
-        monkeypatch.setattr(fp.extension, name,
-                            recorded(getattr(fp.extension, name), names))
-    energies = (lambda: fp.lift_energy(e, grid, params, threads=1),
+    def rim(a, diff_axis=None):
+        # a lateral difference sits on the lower cells along diff_axis
+        names = vertical if diff_axis is None else lateral
+        names.add(threading.current_thread().name)
+        return rim_sum(a, diff_axis)
+
+    for name in ("_poisson_table_2d", "_rearranged"):
+        monkeypatch.setattr(fp.extension, name, recorded(getattr(fp.extension, name)))
+    monkeypatch.setattr(fp.extension, "_rim_sum", rim)
+    energies = (lambda: fp.lift_energy(e, grid, params, threads=threads),
                 lambda: fp.extension_energy(fp.horizontal_rearrange(u)))
     for energy in energies:
-        made.clear()
-        summed.clear()
+        for names in (made, lateral, vertical):
+            names.clear()
         energy()
-        assert len(made) == 1 and made.pop().startswith("fracperim-level")
-        assert summed == {threading.current_thread().name}
+        for names in (made, lateral):
+            assert 1 <= len(names) <= threads
+            assert all(name.startswith("fracperim-level") for name in names)
+        assert vertical == {threading.current_thread().name}
 
 
 def test_many_workers_share_one_box_spectrum(monkeypatch):
@@ -673,8 +685,9 @@ def test_lift_holds_one_stack_and_rearranged_energy_holds_none():
     # A lift keeps one stack plus one level's FFT work over the set's
     # bounding box (1.13 stacks).  The rearrangement is a made field over
     # the lift's stack, so its energy holds a few level slices at a time
-    # (0.14 stacks, the worker making the next level while this thread
-    # sums one; 0.13 on two workers).
+    # (0.11-0.13 stacks: a job's scratch buffer and rearranged level, and
+    # this thread's two levels and their difference; 0.13-0.16 on two
+    # workers).
     lift_peak, rearrange_extra = _traced_lift_and_rearrangement(1)
     assert lift_peak <= 1.25
     assert rearrange_extra <= 0.2
@@ -951,8 +964,8 @@ def _level_pass_bits(u):
 
 def test_level_passes_keep_their_bits_at_any_worker_count(tmp_path):
     # A field's energy, rearrangement and trace run on the workers it was
-    # lifted with, and lift_energy sums each level in the level's own task;
-    # one worker or four, every float and every byte is the same.
+    # lifted with, and lift_energy sums each level as it is made; one
+    # worker or four, every float and every byte is the same.
     union = fp.UnionShape((fp.Interval(0.0, 0.8), fp.Interval(1.5, 2.7)))
     balls = fp.generate_family("two-balls", (0.9,), h=1 / 8)[0].shape
     for shape, dim, h in ((union, 1, 1 / 16), (balls, 2, 1 / 8)):
@@ -1015,10 +1028,11 @@ def test_rearranged_level_failing_its_check_in_a_worker_joins_the_workers(monkey
 
 
 def test_refused_scratch_buffer_fails_the_energy_and_joins_the_workers(monkeypatch):
-    # The first level's scratch buffer is refused only after the second
-    # level's job has its own.  The rearranged field makes its levels in
-    # a scratch buffer, so its second job goes on to wait for the first
-    # level; the failure must end that wait instead of hanging the join.
+    # The first scratch buffer a job asks for is refused only after a
+    # second job has its own, so the failure comes while another job is
+    # at work.  No job waits on another: the failure must reach the caller
+    # once the jobs not started are cancelled and the workers joined.  The
+    # buffer the calling thread differences levels in is not counted.
     e, grid, params = _six_level_lift()
     u = fp.poisson_extend(e, grid, params, threads=2)
     for field in (u, fp.horizontal_rearrange(u)):
@@ -1030,10 +1044,11 @@ def test_refused_scratch_buffer_fails_the_energy_and_joins_the_workers(monkeypat
                 return getattr(np, name)
 
             def empty(self, *args, **kwargs):
-                if next(calls) == 0:
-                    second.wait(10.0)
-                    raise MemoryError("no scratch")
-                second.set()
+                if threading.current_thread().name.startswith("fracperim-level"):
+                    if next(calls) == 0:
+                        second.wait(10.0)
+                        raise MemoryError("no scratch")
+                    second.set()
                 return np.empty(*args, **kwargs)
 
         monkeypatch.setattr(fp.extension, "np", RefusesFirstEmpty())
