@@ -112,20 +112,38 @@ def _lattice_scan(e: GridSet, r: float) -> tuple[int, np.ndarray]:
     """Best overlap count over every lattice-aligned window center (2D).
 
     The count of occupied cell centers inside the open window of radius
-    ``r`` is a correlation of the occupancy with a symmetric ball stencil,
-    evaluated here for all centers over the bounding box dilated by ``r``.
+    ``r`` is a correlation of the occupancy with a symmetric ball stencil
+    of 2m + 1 cells a side, taken here on the trimmed occupancy.  Beyond
+    the bounding box dilated by m cells every count is 0, so the first
+    maximum in C order over that dilated box is the whole grid's.  The
+    window is read first over the centers of the bounding box only.
+    Clamping a center onto the box moves it nearer to every occupied
+    center, so it keeps at least its count, and a center outside that
+    comes before an interior one in C order clamps onto a rim center that
+    also comes before it.  So a first maximum inside the rim is the first
+    over the dilated box.  One on the rim may be tied by an earlier
+    center outside, and then the window widens to the whole dilated box.
+    Either way the count, the center and so ``A`` are the full scan's.
     """
-    spec = e.spec
-    h = spec.h
+    h = e.spec.h
     m = int(math.ceil(r / h)) + 1
     off = np.arange(-m, m + 1, dtype=np.float64) * h
     d2 = off[:, None] ** 2 + off[None, :] ** 2
     stencil = (d2 < r * r).astype(np.float64)
-    full = [n + 2 * m for n in spec.cells]
-    counts = rounded_counts(convolve_window(e.occupancy, stencil, [0, 0], full))
-    flat = int(np.argmax(counts))  # first maximum in C order: deterministic
-    idx = np.unravel_index(flat, counts.shape)
-    center = np.array([spec.origin[k] + (idx[k] - m + 0.5) * h for k in (0, 1)])
+    box = e.bounding_cells()
+    lo = [b for b, _ in box]
+    occ = e.occupancy[tuple(slice(b, c + 1) for b, c in box)]
+    # window index i is the center cell lo + i + start - m
+    inner = ([m, m], [m + n for n in occ.shape])
+    dilated = ([0, 0], [n + 2 * m for n in occ.shape])
+    for start, stop in (inner, dilated):
+        counts = rounded_counts(convolve_window(occ, stencil, start, stop))
+        flat = int(np.argmax(counts))  # first maximum in C order: deterministic
+        idx = np.unravel_index(flat, counts.shape)
+        if not any(i in (0, n - 1) for i, n in zip(idx, counts.shape)):
+            break
+    center = np.array([e.spec.origin[k] + (lo[k] + idx[k] + start[k] - m + 0.5) * h
+                       for k in (0, 1)])
     return int(counts[idx]), center
 
 
@@ -179,8 +197,12 @@ def fraenkel_asymmetry(e: GridSet) -> tuple[float, tuple[float, ...]]:
 
     Returns ``2 (|E| - max_x |E ∩ W_r(x)|) / |E|`` where ``W_r(x)`` is the
     open round window of the equivalent radius, with the overlap counted on
-    cell centers, plus the best center found.  In the plane a full lattice
-    scan over the dilated bounding box comes first, then a compass pattern
+    cell centers, plus the best center found.  In the plane a lattice scan
+    comes first: one FFT convolution of the trimmed occupancy with a disk
+    stencil, read over the centers of the set's bounding box, and widened
+    to the box dilated by the stencil's reach only when the best count
+    sits on the box's rim (``_lattice_scan``), so its result is that of
+    a scan over every center of the dilated box.  Then a compass pattern
     search refines the center below h/8.  On the line an exact
     sliding-window sweep alone gives the result of exhaustive search.
 

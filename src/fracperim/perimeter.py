@@ -5,8 +5,11 @@ grown by a margin, into two exactly-accounted parts:
 
   in-box:  sum over offsets d of K(d) * R(d), where K is the pair kernel
            over the whole offset box and R(d) = #{c in E : c + d in Q \\ E}
-           is an integer count read off one FFT cross-correlation, rounded
-           and checked against its rounding residual.  The table assembles
+           is the exact integer count B(d) - A(d): B(d) = #{c in E :
+           c + d in Q} from prefix sums, and the autocorrelation
+           A(d) = #{c in E : c + d in E} from one forward FFT and its
+           power spectrum, rounded and checked against its rounding
+           residual (``quadrature``).  The table assembles
            K (``InteractionTable.offset_kernel``): its near window, built
            with the table, inside the cutoff, the far rule beyond; which
            rule gives K(d) is decided in ``kernels`` alone;
@@ -31,8 +34,9 @@ the table (a deficit's reference ball, the members of a sweep) reads it
 back.  The far rule is evaluated afresh for each box, beyond
 |d|_inf = 16 as its multipole expansion (``kernels._FarExpansion``).
 
-The Gagliardo seminorm runs through the same kernel and correlation, with
-R the autocorrelation of the grid function.  All sums run on the unit
+The Gagliardo seminorm runs through the same kernel, with R the
+autocorrelation of the grid function, taken by a cross-correlation of
+two transforms, as its values are not rounded.  All sums run on the unit
 lattice and the physical scale enters once through h^(dim-s).  Every sum
 is exactly rounded in numpy (``_exact_sum``: integer mantissas binned by
 exponent, one correctly rounded division), so it equals ``math.fsum`` of
@@ -54,10 +58,11 @@ from .errors import EmptySetError, MarginError
 from .grids import GridSet, GridSpec
 from .kernels import GridMemo, InteractionTable, KernelParams, build_table
 from .quadrature import (
+    autocorrelation_counts,
+    box_counts,
     chebyshev_monomials,
     convolve_window,
     gauss_unit,
-    rounded_counts,
 )
 
 __all__ = [
@@ -454,13 +459,16 @@ def _tail_2d(occ: np.ndarray, table: TailTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# in-box pair sums: one kernel over the offset box times one correlation
+# in-box pair sums: one kernel over the offset box times one pair count
 
 
 def _correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[d + n - 1] = sum_x a[x] * b[x + d] for every offset d of the box.
 
-    That is the whole linear convolution of the flipped ``a`` with ``b``.
+    That is the whole linear convolution of the flipped ``a`` with ``b``,
+    two forward transforms and one inverse.  Only the seminorm takes it:
+    its values are not rounded, and one transform's ``|X|^2`` would move
+    their bits.
     """
     full = [2 * n - 1 for n in a.shape]
     return convolve_window(np.flip(a), b, [0] * a.ndim, full)
@@ -477,8 +485,9 @@ def fractional_perimeter(
     ``bounding_margin`` cells; inside, pair sums use the table and the far
     rule, outside the per-cell tail.  The result is invariant under
     translations, reflections and axis swaps of E (bit for bit) and scales
-    as h^(dim-s) exactly.  The in-box part costs one FFT correlation over
-    twice the box and one far-rule evaluation per sorted offset magnitude
+    as h^(dim-s) exactly.  The in-box part costs one forward FFT of the
+    box at twice its size, an inverse over half the offsets, prefix sums
+    for B, and one far-rule evaluation per sorted offset magnitude
     beyond the table cutoff.  In 2D the tail costs one Phi read per
     distinct slot (p, q) the cells read, counted from the occupancy and
     its flips, and each Phi not yet in the table costs 16 edge arcs; in 1D
@@ -509,8 +518,9 @@ def fractional_perimeter(
     params = table.params
     occ = np.pad(e.trimmed().occupancy, bounding_margin)
 
-    # R(d) = #{c in E : c + d in Q \ E}, an exact count once rounded
-    r = rounded_counts(_correlate(occ, ~occ))
+    # R(d) = #{c in E : c + d in Q \ E} = B(d) - A(d), exact integer counts
+    r = box_counts(occ)
+    r -= autocorrelation_counts(occ)
     inbox = _exact_sum(table.offset_kernel(occ.shape) * r)
 
     if params.dim == 1:
@@ -538,7 +548,8 @@ def gagliardo_seminorm(g, table: InteractionTable) -> float:
       seminorm^2 = 2 * (P_cell * sum g_c^2 - sum_{d != 0} K(d) R(d))
     where P_cell is the single-cell perimeter, K the pair kernel of the
     perimeter engine and R(d) = sum_c g_c g_{c+d} the autocorrelation of g
-    over its support box, taken by one FFT; the complement tail beyond the
+    over its support box, taken by one FFT correlation (``_correlate``)
+    and not rounded; the complement tail beyond the
     grid is exact in this form.  For an indicator this equals twice the
     fractional perimeter of the underlying set.
     """

@@ -11,7 +11,10 @@ last, real, inverse pass.  Both transposing passes go _BLOCK rows at a
 time, so that a block's real transform and its transposed copy stay in
 cache, where whole-array copies of the lift's 549 x 493 tables do not.
 Every line sees the arithmetic it sees in ``scipy.fft.rfftn`` and its
-inverses, so the bits are theirs.
+inverses, so the bits are theirs.  The exact lattice counts
+(``autocorrelation_counts``, ``box_counts``) are integers: the first
+rounds its own transforms and checks their residual, the second takes no
+transform at all.
 """
 
 from __future__ import annotations
@@ -61,8 +64,11 @@ def rounded_counts(raw: np.ndarray) -> np.ndarray:
     largest distance to one is checked against COUNT_RESIDUAL_BOUND.
     """
     counts = np.rint(raw)
-    residual = float(np.max(np.abs(raw - counts), initial=0.0))
-    if residual >= COUNT_RESIDUAL_BOUND:
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN, refused below
+        gap = raw - counts
+    residual = float(np.max(np.abs(gap, out=gap), initial=0.0))
+    # not "residual >= bound": a NaN residual must be refused too
+    if not residual < COUNT_RESIDUAL_BOUND:
         raise FracperimError(
             f"correlation rounding residual {residual:.3g} is not below "
             f"{COUNT_RESIDUAL_BOUND:g}; the counts are not exact"
@@ -174,3 +180,58 @@ def convolve_window(a, b, start, stop) -> np.ndarray:
         rows = fft.irfft(np.ascontiguousarray(spec[:, lo:hi].T), size[1], axis=-1)
         out[lo - start[0] : hi - start[0]] = rows[:, start[1] : stop[1]]
     return out
+
+
+def autocorrelation_counts(occ: np.ndarray) -> np.ndarray:
+    """``A[d + n - 1] = #{x : occ[x] and occ[x + d]}`` for every offset d of the box.
+
+    One forward transform X of the 0/1 occupancy at the unaliased length
+    ``2n - 1`` (rounded up to a fast length), and its power spectrum
+    ``|X|^2``, which is real and even, squared in X's own buffer.  In 2D
+    the complex inverse pass along axis 0 of that real array is a real
+    forward transform, whose column j is the inverse at d_0 = -j, so only
+    the half-space d_0 <= 0 is written out, by a real inverse pass over
+    its rows, a block at a time.  That half is rounded and checked
+    (``rounded_counts``) and mirrored into the other by ``A(-d) = A(d)``.
+    """
+    a = np.asarray(occ, dtype=np.float64)
+    n = a.shape
+    size = tuple(_fast_len(2 * k - 1) for k in n)
+    parts = _forward(a, size).view(np.float64)
+    np.square(parts, out=parts)
+    power = parts[..., 0::2]
+    power += parts[..., 1::2]
+    if a.ndim == 1:
+        half = rounded_counts(fft.irfft(power, size[0])[: n[0]])
+        return np.concatenate([half[:0:-1], half])
+    cols = fft.rfft(power, axis=-1, norm="forward")
+    del parts, power  # X's buffer is free before the inverse takes its own
+    # low[j, d_1 + n_1 - 1] = A(-j, d_1)
+    low = np.empty((n[0], 2 * n[1] - 1))
+    for lo in range(0, n[0], _BLOCK):
+        hi = min(lo + _BLOCK, n[0])
+        rows = fft.irfft(np.ascontiguousarray(cols[:, lo:hi].T), size[1], axis=-1)
+        low[lo:hi, : n[1] - 1] = rows[:, size[1] - n[1] + 1 :]
+        low[lo:hi, n[1] - 1 :] = rows[:, : n[1]]
+    low = rounded_counts(low)
+    return np.concatenate([low[::-1], low[1:, ::-1]])
+
+
+def box_counts(occ: np.ndarray) -> np.ndarray:
+    """``B[d + n - 1] = #{x : occ[x] and x + d inside the box}`` for every offset d.
+
+    Exact integers from prefix sums, one axis at a time: a cell x of a
+    row of n counts at offset d >= 0 while x < n - d, a prefix, and at
+    d < 0 while x >= -d, a suffix.  So the offsets d < 0 of an axis take
+    the sums over its reversed rows and the offsets d >= 0 the reversed
+    sums over its rows; both write the total at d = 0.
+    """
+    b = np.asarray(occ)
+    for axis in range(b.ndim):
+        m = b.shape[axis]
+        out = np.empty(b.shape[:axis] + (2 * m - 1,) + b.shape[axis + 1:], np.int64)
+        v, o = np.moveaxis(b, axis, 0), np.moveaxis(out, axis, 0)
+        np.cumsum(v[::-1], axis=0, dtype=np.int64, out=o[:m])
+        np.cumsum(v, axis=0, dtype=np.int64, out=o[m - 1:][::-1])
+        b = out
+    return b

@@ -4,7 +4,11 @@ Nothing here shares quadrature code with the package: pair values come from
 plain midpoint rules, scipy adaptive quadrature, or closed forms derived by
 hand, so agreement with the engine is evidence rather than tautology.  The
 mirror oracle likewise maps cell centers by their coordinates, not by the
-package's cell-index arithmetic.
+package's cell-index arithmetic.  The exceptions are the two lattice-count
+oracles, ``complement_pair_counts`` and ``full_lattice_scan``: they are
+the package's earlier FFT paths, kept as references for the paths that
+replaced them (prefix sums and one autocorrelation; a scan over the
+set's bounding box).
 """
 
 import math
@@ -13,6 +17,7 @@ import numpy as np
 from scipy import integrate, signal, special
 
 from fracperim import GridSet, GridSpec
+from fracperim.quadrature import convolve_window, rounded_counts
 
 
 def _midpoint_pair(d, s, sub):
@@ -131,6 +136,39 @@ def exhaustive_asymmetry_1d(e, steps_per_cell=64):
     counts = (np.abs(cs[None, :] - xs[:, None]) < r).sum(axis=1)
     best = int(counts.max())
     return 2.0 * (k - best) / k
+
+
+def complement_pair_counts(occ):
+    """R[d + n - 1] = #{c : occ[c] and not occ[c + d]} over the occupancy's box.
+
+    One windowed FFT cross-correlation of the occupancy with its
+    complement, the whole linear convolution of the flipped occupancy
+    with the complement, rounded and checked.
+    """
+    occ = np.asarray(occ, dtype=bool)
+    full = [2 * n - 1 for n in occ.shape]
+    return rounded_counts(convolve_window(np.flip(occ), ~occ, [0] * occ.ndim, full))
+
+
+def full_lattice_scan(e, r):
+    """Best window count and its center over the whole grid dilated by m cells.
+
+    The count of occupied cell centers in the open window of radius r at
+    every cell center of the grid dilated by m = ceil(r/h) + 1 cells: the
+    whole convolution of the occupancy with a ball stencil.  The first
+    maximum in C order wins.
+    """
+    spec = e.spec
+    h = spec.h
+    m = int(math.ceil(r / h)) + 1
+    off = np.arange(-m, m + 1, dtype=np.float64) * h
+    d2 = off[:, None] ** 2 + off[None, :] ** 2
+    stencil = (d2 < r * r).astype(np.float64)
+    full = [n + 2 * m for n in spec.cells]
+    counts = rounded_counts(convolve_window(e.occupancy, stencil, [0, 0], full))
+    idx = np.unravel_index(int(np.argmax(counts)), counts.shape)
+    center = np.array([spec.origin[k] + (idx[k] - m + 0.5) * h for k in (0, 1)])
+    return int(counts[idx]), center
 
 
 def elliptic_bump_gap(ratio, amp=1.0):

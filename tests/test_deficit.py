@@ -38,7 +38,11 @@ from fracperim.grids import translate_cells
 from fracperim.kernels import KernelParams, build_table
 from fracperim.perimeter import fractional_perimeter
 from fracperim.shapes import Ellipse, UnionShape
-from oracles import exhaustive_asymmetry_1d, interval_union_perimeter
+from oracles import (
+    exhaustive_asymmetry_1d,
+    full_lattice_scan,
+    interval_union_perimeter,
+)
 
 # closed form for E = (0,1) u (2,3) at s = 1/2, derived by hand:
 # each interval gives 8, the interaction removes 2*(8 sqrt2 - 4 - 4 sqrt3)
@@ -190,6 +194,51 @@ class TestFraenkelAsymmetry:
         e = rasterize(shape, auto_spec(shape, 1 / 16))
         a, _ = fraenkel_asymmetry(e)
         assert a == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_scan_of_a_bar_widens_to_the_dilated_box(self, transposed, monkeypatch):
+        # cells (4, 10..49) of a 9 x 60 grid: a center one row off the bar
+        # reaches the same 7 cells as one on it, so the first maximum in C
+        # order lies outside the bar's box, and only the widened window
+        # holds it
+        occ = np.zeros((9, 60), dtype=bool)
+        occ[4, 10:50] = True
+        if transposed:
+            occ = occ.T
+        e = GridSet(GridSpec(2, occ.shape, 0.05, (0.0, 0.0)), occ)
+        r = equivalent_radius(e)
+        starts = []
+        convolve = fracperim.deficit.convolve_window
+
+        def spy(a, b, start, stop):
+            starts.append(list(start))
+            return convolve(a, b, start, stop)
+
+        monkeypatch.setattr(fracperim.deficit, "convolve_window", spy)
+        count, center = fracperim.deficit._lattice_scan(e, r)
+        want_count, want_center = full_lattice_scan(e, r)
+        assert count == want_count == 7
+        assert center.tolist() == want_center.tolist()
+        m = math.ceil(r / e.spec.h) + 1
+        assert starts == [[m, m], [0, 0]]
+        # the full scan's first maximum: row 3 over the bar's row 4
+        cell = np.round(want_center / e.spec.h - 0.5).astype(int).tolist()
+        assert cell == ([13, 3] if transposed else [3, 13])
+
+    def test_scan_matches_the_full_window_scan(self):
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            n0, n1 = rng.integers(1, 14, size=2)
+            occ = np.zeros((n0 + 10, n1 + 12), dtype=bool)
+            occ[5:5 + n0, 3:3 + n1] = rng.random((n0, n1)) < rng.uniform(0.2, 1.0)
+            if not occ.any():
+                continue
+            e = GridSet(GridSpec(2, occ.shape, 0.25, (-1.0, 0.5)), occ)
+            r = equivalent_radius(e)
+            count, center = fracperim.deficit._lattice_scan(e, r)
+            want_count, want_center = full_lattice_scan(e, r)
+            assert count == want_count
+            assert center.tolist() == want_center.tolist()
 
     def test_range(self):
         rng = np.random.default_rng(1)

@@ -1,10 +1,22 @@
-"""The windowed FFT convolution against direct sums."""
+"""The windowed FFT convolution against direct sums, and the exact lattice counts."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import fft, signal
 
-from fracperim.quadrature import FFTOperand, _fast_len, convolve_window
+from fracperim.errors import FracperimError
+from fracperim.quadrature import (
+    FFTOperand,
+    _fast_len,
+    autocorrelation_counts,
+    box_counts,
+    convolve_window,
+    rounded_counts,
+)
+from oracles import complement_pair_counts
 
 
 def direct_full(a, b):
@@ -103,3 +115,54 @@ def test_window_has_the_bits_of_the_scipy_path(na, nb, start, stop):
         op = FFTOperand(a)
         for _ in range(2):  # the spectrum is taken, then read
             assert np.array_equal(convolve_window(op, b, start, stop), want)
+
+
+def _hollow(n0, n1):
+    occ = np.ones((n0, n1), dtype=bool)
+    occ[1:-1, 1:-1] = False
+    return occ
+
+
+_OCCUPANCIES = st.one_of(
+    arrays(bool, st.tuples(st.integers(1, 40))),
+    arrays(bool, st.tuples(st.integers(1, 14), st.integers(1, 14))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OCCUPANCIES)
+@example(np.ones((1, 1), dtype=bool))
+@example(np.ones(1, dtype=bool))
+@example(np.array([[True, False, True, True, False, True, True]]))
+@example(np.array([[True], [True], [False], [True], [False]]))
+@example(np.ones((5, 9), dtype=bool))
+@example(np.ones(13, dtype=bool))
+@example(_hollow(6, 8))
+@example(_hollow(3, 3))
+@example(np.zeros((4, 3), dtype=bool))
+def test_pair_counts_are_the_complement_correlation(occ):
+    # R = B - A, the complement correlation the perimeter sums K against
+    a = autocorrelation_counts(occ)
+    b = box_counts(occ)
+    full = tuple(2 * n - 1 for n in occ.shape)
+    assert a.shape == b.shape == full
+    assert a.dtype == b.dtype == np.int64
+    assert np.array_equal(b - a, complement_pair_counts(occ))
+    # A(-d) = A(d), and A(0) and B(0) both count the cells
+    assert np.array_equal(a, np.flip(a))
+    centre = tuple(n - 1 for n in occ.shape)
+    assert a[centre] == b[centre] == np.count_nonzero(occ)
+
+
+def test_pair_counts_of_a_box_at_fast_and_slow_lengths():
+    # a 64-row block edge and FFT lengths that are not powers of two
+    for shape in ((70, 3), (3, 70), (129, 41), (41, 129)):
+        occ = np.random.default_rng(sum(shape)).random(shape) < 0.6
+        assert np.array_equal(box_counts(occ) - autocorrelation_counts(occ),
+                              complement_pair_counts(occ))
+
+
+def test_rounded_counts_refuses_nan_and_inf():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(FracperimError, match="residual"):
+            rounded_counts(np.array([1.0, bad]))
