@@ -131,6 +131,19 @@ def test_boundary_cell_count_square():
     assert boundary_cell_count(GridSet(spec, occ)) == 25 - 9
 
 
+def _scan_window_starts(monkeypatch):
+    """A list that gets the start of every window the asymmetry scan convolves."""
+    starts = []
+    convolve = fracperim.deficit.convolve_window
+
+    def spy(a, b, start, stop):
+        starts.append(list(start))
+        return convolve(a, b, start, stop)
+
+    monkeypatch.setattr(fracperim.deficit, "convolve_window", spy)
+    return starts
+
+
 class TestFraenkelAsymmetry:
     def test_two_intervals_value_one(self):
         e = _interval_union_set([(0, 1), (2, 3)], 1 / 32)
@@ -207,14 +220,7 @@ class TestFraenkelAsymmetry:
             occ = occ.T
         e = GridSet(GridSpec(2, occ.shape, 0.05, (0.0, 0.0)), occ)
         r = equivalent_radius(e)
-        starts = []
-        convolve = fracperim.deficit.convolve_window
-
-        def spy(a, b, start, stop):
-            starts.append(list(start))
-            return convolve(a, b, start, stop)
-
-        monkeypatch.setattr(fracperim.deficit, "convolve_window", spy)
+        starts = _scan_window_starts(monkeypatch)
         count, center = fracperim.deficit._lattice_scan(e, r)
         want_count, want_center = full_lattice_scan(e, r)
         assert count == want_count == 7
@@ -224,6 +230,19 @@ class TestFraenkelAsymmetry:
         # the full scan's first maximum: row 3 over the bar's row 4
         cell = np.round(want_center / e.spec.h - 0.5).astype(int).tolist()
         assert cell == ([13, 3] if transposed else [3, 13])
+
+    def test_scan_of_a_ball_reads_its_box_only(self, monkeypatch):
+        # the best count sits inside the box's rim: no second convolution
+        ball = Ball((0.1, -0.2), 1.0)
+        e = rasterize(ball, auto_spec(ball, 1 / 32))
+        r = equivalent_radius(e)
+        starts = _scan_window_starts(monkeypatch)
+        count, center = fracperim.deficit._lattice_scan(e, r)
+        want_count, want_center = full_lattice_scan(e, r)
+        assert count == want_count
+        assert center.tolist() == want_center.tolist()
+        m = math.ceil(r / e.spec.h) + 1
+        assert starts == [[m, m]]
 
     def test_scan_matches_the_full_window_scan(self):
         rng = np.random.default_rng(17)
