@@ -2,6 +2,7 @@
 
 from .errors import (
     CalibrationError,
+    DegenerateFitError,
     DomainTooSmallError,
     EmptySetError,
     FormatError,

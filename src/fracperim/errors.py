@@ -46,5 +46,9 @@ class SymmetryDefectError(FracperimError):
         self.defect_cells = [] if defect_cells is None else list(defect_cells)
 
 
+class DegenerateFitError(FracperimError):
+    """A study has fewer members than each of its fits needs."""
+
+
 class FormatError(FracperimError):
     """A text file does not conform to its declared format."""

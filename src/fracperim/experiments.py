@@ -22,7 +22,7 @@ from .deficit import (
     reference_ball,
     s_deficit,
 )
-from .errors import EmptySetError, FormatError
+from .errors import DegenerateFitError, EmptySetError, FormatError
 from .extension import (
     calibrate_gamma,
     extension_domain,
@@ -273,6 +273,32 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
     and counted as one more point of a fit.  The families fix the
     dimension: a ``config.dim`` that contradicts one is refused.
     """
+    members = _sweep_members(config)
+    dim = members[0].dim
+    # threads share each table: a table is not changed once it is made
+    tables = {
+        (s, h): build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
+        for s in config.s_values
+        for h in config.h_values
+    }
+    tasks = [
+        (member, s, h)
+        for member in members
+        for s in config.s_values
+        for h in config.h_values
+    ]
+
+    def run(task) -> SweepRecord:
+        member, s, h = task
+        return _one_record(member, s, h, tables[(s, h)], config)
+
+    with ThreadPoolExecutor(config.threads) as pool:
+        records = list(pool.map(run, tasks))
+    return sorted(records, key=_record_sort_key)
+
+
+def _sweep_members(config: ExperimentConfig) -> list:
+    """The config's family members, once ``sweep_s``'s checks pass."""
     names = config.family_names()
     for key, value in (("family", names), ("params", config.params),
                        ("s", config.s_values), ("h", config.h_values)):
@@ -293,30 +319,9 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
                 raise ValueError(f"dimension n = {config.dim} contradicts the "
                                  f"{member.dim}-dimensional family {name!r}")
             members.append(member)
-    dims = {m.dim for m in members}
-    if len(dims) != 1:
+    if len({m.dim for m in members}) != 1:
         raise ValueError("all families in one sweep must share a dimension")
-    dim = dims.pop()
-    # threads share each table: its memos grow under their own locks
-    tables = {
-        (s, h): build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
-        for s in config.s_values
-        for h in config.h_values
-    }
-    tasks = [
-        (member, s, h)
-        for member in members
-        for s in config.s_values
-        for h in config.h_values
-    ]
-
-    def run(task) -> SweepRecord:
-        member, s, h = task
-        return _one_record(member, s, h, tables[(s, h)], config)
-
-    with ThreadPoolExecutor(config.threads) as pool:
-        records = list(pool.map(run, tasks))
-    return sorted(records, key=_record_sort_key)
+    return members
 
 
 def sweep_csv(records) -> str:
@@ -409,7 +414,14 @@ def _fit_family(records: list[SweepRecord], family: str, s: float, h: float) -> 
 
 
 def exponent_study(config: ExperimentConfig) -> ExponentSummary:
-    """Sweep the config's families and fit log A against log Ds."""
+    """Sweep the config's families and fit log A against log Ds; a fit
+    takes one record per parameter, so fewer than MIN_FIT_POINTS
+    parameters are refused (DegenerateFitError) before the sweep."""
+    _sweep_members(config)
+    if len(config.params) < MIN_FIT_POINTS:
+        raise DegenerateFitError(
+            f"exponent-study fits one point per parameter: "
+            f"{len(config.params)} given, each fit needs {MIN_FIT_POINTS}")
     records = sweep_s(config)
     fits = []
     for family in config.family_names():

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "load_table",
     "far_kernel_unit",
     "window_offsets",
-    "GridMemo",
 ]
 
 DEFAULT_CUTOFF = 16
@@ -397,68 +395,6 @@ def window_offsets(dim: int, cutoff: int) -> list[tuple]:
     return offsets
 
 
-class GridMemo:
-    """Values at non-negative integer points (row, col), each computed once.
-
-    A dense array grown on demand, NaN where no value is known yet.
-    ``gather`` looks at the requested points only: it evaluates those that
-    no earlier request asked for, once each in sorted flat order, in
-    blocks of at most ``fill_block`` points per call of ``_evaluate``, and
-    then reads every requested point from the array.
-    Growth, evaluation and reads run under one lock, so threads may share
-    a memo.  ``_evaluate`` must give each point the same bits whatever
-    batch it comes in, and never NaN; then no value depends on the order
-    of requests.
-    """
-
-    # new entries are evaluated in blocks of at most this many
-    fill_block = 1 << 16
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._values = np.zeros((0, 0))
-        self.evaluations = 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._values.shape
-
-    def gather(self, rows, cols, extent) -> np.ndarray:
-        """Values at (rows[k], cols[k]), grown first to at least ``extent``.
-
-        ``extent`` is a (rows, cols) size that covers every point requested.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        with self._lock:
-            self._grow(extent)
-            values = self._values.reshape(-1)  # a view: _values is contiguous
-            flat = np.ravel_multi_index((rows, cols), self.shape)
-            # the missing points, sorted and once each: the same batches
-            # whatever the request's order or repeats (np.unique is ten
-            # times slower than this sort on a cold request)
-            new = np.sort(flat[np.isnan(values[flat])])
-            first = np.ones(new.size, dtype=bool)
-            first[1:] = new[1:] != new[:-1]
-            new = new[first]
-            for k in range(0, new.size, self.fill_block):
-                blk = new[k:k + self.fill_block]
-                values[blk] = self._evaluate(*np.unravel_index(blk, self.shape))
-            self.evaluations += new.size
-            return values[flat]
-
-    def _grow(self, extent) -> None:
-        old = self.shape
-        shape = tuple(max(n, int(e)) for n, e in zip(old, extent))
-        if shape != old:
-            values = np.full(shape, np.nan)
-            values[:old[0], :old[1]] = self._values
-            self._values = values
-
-    def _evaluate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 def _finite(value) -> bool:
     try:
         return math.isfinite(float(value))
@@ -473,10 +409,12 @@ class InteractionTable:
     ``entries`` maps every nonzero offset with |offset|_inf <= cutoff_radius
     to its unit-lattice value, laid out by offset + cutoff in ``near_dense``
     when the table is made.  Offsets beyond use the far rule, evaluated for
-    each box by ``offset_kernel``, which joins the two; ``tail_table`` keeps
-    the 2D complement tail.  The rules see only sorted magnitudes, so
-    symmetry under sign flips and (dim 2) coordinate swaps holds bit for
-    bit.  ``h`` only enters through the h^(dim-s) prefactor.
+    each box by ``offset_kernel``, which joins the two.  A 2D table also
+    fits the far rule's expansion and ``edge_arc``, the tail's edge arcs
+    (``perimeter._EdgeArc``; None in 1D).  Nothing in a table changes
+    once it is made, so threads share it.  The rules see only sorted
+    magnitudes, so symmetry under sign flips and (dim 2) coordinate swaps
+    holds bit for bit.  ``h`` only enters through the h^(dim-s) prefactor.
     """
 
     params: KernelParams
@@ -490,7 +428,7 @@ class InteractionTable:
         rc = self.cutoff_radius
         if rc < 2:
             raise ValueError("cutoff_radius must be >= 2")
-        from .perimeter import TailTable
+        from .perimeter import _EdgeArc
 
         # window_offsets is the C order of the window less its centre
         values = self._checked_values()
@@ -498,9 +436,9 @@ class InteractionTable:
         near = np.insert(values, half, 0.0).reshape((2 * rc + 1,) * self.params.dim)
         near.setflags(write=False)
         object.__setattr__(self, "near_dense", near)
-        object.__setattr__(self, "_tail", TailTable(self.params.s))
-        expansion = _FarExpansion(self.params.s) if self.params.dim == 2 else None
-        object.__setattr__(self, "_expansion", expansion)
+        for name, make in (("_expansion", _FarExpansion), ("edge_arc", _EdgeArc)):
+            object.__setattr__(self, name,
+                               make(self.params.s) if self.params.dim == 2 else None)
 
     def _checked_values(self) -> np.ndarray:
         """The entries' values in ``window_offsets`` order, checked.
@@ -593,25 +531,9 @@ class InteractionTable:
         square[...] = np.tril(square) + np.triu(square.T, 1)
         return quad if shape[0] >= shape[1] else quad.T
 
-    @property
-    def tail_table(self):
-        """Phi_s(p, q) of the 2D complement tail (``perimeter.TailTable``).
-
-        Each entry is evaluated once per table, when a perimeter first reads
-        it, and shared by every set measured with the table or with its
-        ``with_h`` copies.
-        """
-        return self._tail
-
     def with_h(self, h: float) -> "InteractionTable":
-        """This table at cell size h, sharing its tail memo.
-
-        Phi values depend on s alone, and the memo is thread-safe, so what
-        either table evaluates serves both.
-        """
-        table = InteractionTable(self.params, h, self.cutoff_radius, self.entries)
-        object.__setattr__(table, "_tail", self._tail)
-        return table
+        """This table's unit-lattice values at cell size h."""
+        return InteractionTable(self.params, h, self.cutoff_radius, self.entries)
 
 
 def build_table(

@@ -19,20 +19,18 @@ grown by a margin, into two exactly-accounted parts:
            over each cell by an order-4 Gauss rule.  The nodes are
            symmetric, so a cell's tail is eight values Phi_s(p, q) at
            integer offsets from the box edges, and the set's tail is
-           sum over slots (p, q) of multiplicity(p, q) * Phi_s(p, q), the
-           multiplicity counted from the occupancy and its flips.  The
-           arcs are evaluated in numpy (``_EdgeArc``): a series in x below
+           sum over (p, q) of C(p, q) * Phi_s(p, q), the count C taken
+           from the occupancy and its flips.  The arcs are evaluated in
+           numpy (``_EdgeArc``, made with the table): a series in x below
            x = 1/2 and one in the complement y = 1 - x above, each a
            Chebyshev interpolant fitted once per s and within 4.5e-16
            relative of the true value, converted exactly to monomials
-           and evaluated by Horner's rule.
+           and evaluated by Horner's rule.  Long runs of equal counts
+           along a row of C are summed by parts (``_tail_2d``).
 
-Phi, the costly per-value kernel, is a memo kept with the
-InteractionTable (``tail_table``): each value is evaluated once per table,
-the first time a perimeter reads it, and every later set measured with
-the table (a deficit's reference ball, the members of a sweep) reads it
-back.  The far rule is evaluated afresh for each box, beyond
-|d|_inf = 16 as its multipole expansion (``kernels._FarExpansion``).
+Nothing is kept between perimeters: the far rule is evaluated afresh for
+each box, beyond |d|_inf = 16 as its multipole expansion
+(``kernels._FarExpansion``), and the tail for each set.
 
 The Gagliardo seminorm runs through the same kernel, with R the
 autocorrelation of the grid function, taken by a cross-correlation of
@@ -43,8 +41,7 @@ exponent, one correctly rounded division), so it equals ``math.fsum`` of
 the same multiset bit for bit.  Congruent sets give bit-identical values
 without fixing a frame: a reflection or axis swap only permutes the
 multisets, since K is bit-symmetric, R is an exact integer count and a
-cell's eight Phi(p, q) are permuted among themselves, so the slot
-multiplicities do not change.
+tail's count array C does not change.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ import numpy as np
 
 from .errors import EmptySetError, MarginError
 from .grids import GridSet, GridSpec
-from .kernels import GridMemo, InteractionTable, KernelParams, build_table
+from .kernels import InteractionTable, KernelParams, build_table
 from .quadrature import (
     autocorrelation_counts,
     box_counts,
@@ -78,9 +75,14 @@ _TAIL_OUTER_ORDER = 4
 _ARC_NODES = 20
 # at x <= 1/2 the k-th series term is below 2^-k: 80 leave less than 1e-24
 _SERIES_TERMS = 80
+# see ``_tail_2d``
+_PARTS_ROW = 16
+_SHORT_RUN = 8
+_RUN_TERMS = 12
+_BINOMIAL_TERMS = 30
 _FILL_BLOCK = 1 << 16
-# Phi entries evaluated per array pass: the temporaries stay in cache
-_PHI_BLOCK = 1 << 14
+# Phi entries (16 arcs each) per array pass: temporaries stay in cache
+_PHI_BLOCK = 1 << 10
 # _exact_sum splits a value's 53-bit integer mantissa at bit _SPLIT and
 # bins both halves at its frexp exponent + _EXP_SHIFT - 53, so that the
 # least exponent of a finite float, -1073, lands in bin 0
@@ -311,11 +313,8 @@ class _EdgeArc:
         return self.lower(lat2 / (lat2 + d2))
 
     def above(self, lat2: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """B_s I_x at x = lat2 / (lat2 + d2), for lat2 > d2.
-
-        The complement is taken at y = d2 / (lat2 + d2), formed directly
-        rather than as 1 - x.
-        """
+        """B_s I_x at x = lat2 / (lat2 + d2), for lat2 > d2, through the
+        complement at y = d2 / (lat2 + d2), formed directly, not as 1 - x."""
         rest = self.complement(d2 / (lat2 + d2))
         return np.subtract(self.full, rest, out=rest)
 
@@ -373,89 +372,153 @@ def _phi(p: np.ndarray, q: np.ndarray, arc: _EdgeArc) -> np.ndarray:
 
 
 def _phi_sum(p: np.ndarray, q: np.ndarray, edge, s: float) -> np.ndarray:
-    """sum_ab w_a w_b (p + t_a)^-s edge((q + t_b)^2, (p + t_a)^2), per entry."""
+    """sum_ab w_a w_b (p + t_a)^-s edge((q + t_b)^2, (p + t_a)^2), per entry:
+    one ``edge`` call over an (a, b, entry) array, summed over b, then a."""
     t, w = gauss_unit(_TAIL_OUTER_ORDER)
-    lat2 = [np.square(q + tb) for tb in t]
-    total = np.zeros(p.shape)
-    for ta, wa in zip(t, w):
-        d = p + ta
-        d2 = d * d
-        arcs = np.zeros_like(total)
-        for lb2, wb in zip(lat2, w):
-            arcs += wb * edge(lb2, d2)
-        total += (wa * d ** (-s)) * arcs
-    return total
+    d = p + t[:, None]
+    arcs = edge(np.square(q + t[:, None])[None], (d * d)[:, None])
+    arcs *= w[:, None]
+    inner = functools.reduce(np.add, arcs.transpose(1, 0, 2))
+    inner *= w[:, None] * d ** (-s)
+    return functools.reduce(np.add, inner)
 
 
-class TailTable(GridMemo):
-    """Phi_s(p, q) at the pairs perimeters read, each evaluated once.
+_BERNOULLI = ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42),
+              (0, 1), (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730))
 
-    An entry is evaluated when a perimeter first reads it, in blocks of at
-    most ``fill_block`` entries, and kept for every later set; pairs no set
-    reads are never evaluated.  Entries are stored by sorted pair, at row
-    2 min(p, q) + (p < q) and column max(p, q), so a box of nx x ny cells
-    reserves 2 min(nx, ny) x max(nx, ny) slots, not a max(nx, ny) square.
-    Since _phi is elementwise, no value depends on which sets were
-    measured first.
+
+@functools.cache
+def _run_weights() -> tuple[float, ...]:
+    """beta_m = sum_b w_b B_m(t_b) / m!, m <= _RUN_TERMS, over the order-4
+    rule's own floats (integers over ``scale``, a power of 2) and Bernoulli
+    polynomials B_m(t) = sum_k C(m, k) B_k t^(m-k), B_k = num/den in
+    _BERNOULLI; each exact and rounded once.  The rule is exact to degree 7, so beta_1 .. beta_7 vanish to
+    rounding (below 3e-17); beta_8 = -5.6e-10."""
+    t, w = (v.tolist() for v in gauss_unit(_TAIL_OUTER_ORDER))
+    scale = max(v.as_integer_ratio()[1] for v in t + w)
+    rule = [(int(a * scale), int(b * scale)) for a, b in zip(t, w)]
+    lcm = math.lcm(*[den for _, den in _BERNOULLI])
+    return tuple(
+        sum(math.comb(m, k) * (num * lcm // den) * scale**k
+            * sum(wb * tb ** (m - k) for tb, wb in rule)
+            for k, (num, den) in enumerate(_BERNOULLI[:m + 1]))
+        / (lcm * scale ** (m + 1) * math.factorial(m))
+        for m in range(_RUN_TERMS + 1))
+
+
+def _shrink(u: np.ndarray, s: float) -> np.ndarray:
+    """((1 + u)^(-s/2) - 1) / s for u >= 0, elementwise; up to u = 1/4 by its
+    binomial series, as the direct form loses low bits to a small s (terms
+    past the _BINOMIAL_TERMS-th add under 4^-29 of the first)."""
+    out = (np.float_power(u + 1.0, -0.5 * s) - 1.0) / s
+    coef = np.cumprod([-0.5, *[(-0.5 * s - k) / (k + 1)
+                               for k in range(1, _BINOMIAL_TERMS)]]).tolist()
+    small = u <= 0.25
+    v = u[small]
+    series = v * coef[-1]
+    for c in coef[-2::-1]:
+        series += c
+        series *= v
+    out[small] = series
+    return out
+
+
+def _run_antiderivative(x: np.ndarray, d: np.ndarray, arc: _EdgeArc) -> np.ndarray:
+    """H(x), so that sum_(q=q0..q1) sum_b w_b A((q + t_b)/d) = H(q1 + 1) - H(q0).
+
+    A(r) is ``arc`` at lateral offset r d.  By the Euler-Maclaurin formula
+    for the rule's offsets, H(x) = beta_0 d G(x/d) + sum_(m=1..12) beta_m
+    d^(1-m) A^(m-1)(x/d), with G(r) = r A(r) + ((1 + r^2)^(-s/2) - 1)/s,
+    G' = A.  A' = g = (1 + r^2)^-k, k = 1 + s/2, so (1 + r^2) g^(n+1) =
+    -[(2n + 2k) r g^(n) + n (n - 1 + 2k) g^(n-1)].  Elementwise; past
+    ``arc``, only + - * / and ``np.float_power``.
     """
+    s = arc.s
+    beta = _run_weights()
+    a = arc(x * x, d * d)
+    r = x / d
+    u = r * r
+    shrink = _shrink(u, s)
+    u += 1.0
+    # A^(0..11), then sum_(m>=1) beta_m d^(1-m) A^(m-1) by Horner in 1/d
+    g = (1.0 + s * shrink) / u
+    dA = [a, g, -(2.0 + s) * r * g / u]
+    for n in range(1, _RUN_TERMS - 2):
+        dA.append(-((2 * n + 2.0 + s) * r * dA[n + 1] + n * (n + 1.0 + s) * dA[n]) / u)
+    inverse = 1.0 / d
+    rest = beta[_RUN_TERMS] * dA[-1]
+    for m in range(_RUN_TERMS - 1, 0, -1):
+        rest *= inverse
+        rest += beta[m] * dA[m - 1]
+    return beta[0] * (x * a + d * shrink) + rest
 
-    def __init__(self, s: float):
-        super().__init__()
-        self.s = s
 
-    @functools.cached_property
-    def arc(self) -> _EdgeArc:
-        """The edge-arc evaluator for this s, fitted at the first fill."""
-        return _EdgeArc(self.s)
-
-    @property
-    def extent(self) -> int:
-        """The longest box side the table has been grown to."""
-        return self.shape[1]
-
-    def _evaluate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        lo, swapped = np.divmod(rows, 2)
-        return _phi(np.where(swapped, lo, cols), np.where(swapped, cols, lo),
-                    self.arc)
-
-
-def _tail_slots(occ: np.ndarray):
-    """The Phi slots an occupancy's tail reads, and how often it reads each.
-
-    With R, L, T, B a cell's integer offsets from the four edges of its
-    nx x ny box, the Gauss nodes' symmetry under t -> 1 - t turns each of
-    the eight edge arcs of its tail into one Phi: (R,T) (R,B) (L,T) (L,B)
-    (T,R) (T,L) (B,R) (B,L).  The first four read Phi(p, q) once per cell
-    of the occupancy and its three flips at (p, q) = (x, y), the last four
-    at (p, q) = (y, x), so Phi(p, q) and Phi(q, p) are read equally often.
-    Returns the nonzero slots of ``TailTable``'s layout as (rows, cols),
-    their counts and the layout's extent (2 min(nx, ny), max(nx, ny)).
-    """
-    grid = occ.astype(np.uint8)
+def _tail_terms(occ: np.ndarray):
+    """The tail's reads of Phi(p, q), C(p, q) = grid[p, q] + grid[q, p] with
+    ``grid`` the occupancy plus its three flips, long side first (rows p
+    beyond the short side read grid alone: no array is a square of the
+    long side).  Returns the cells read one by one as (p, q, count), and
+    for the runs summed by parts, the jumps c(x - 1) - c(x) of a row's
+    counts at each x where they change, as (p, x, jump)."""
+    grid = occ.astype(np.int8)
     grid = grid + grid[::-1]
     grid = grid + grid[:, ::-1]
     if grid.shape[0] < grid.shape[1]:
         grid = grid.T
     lo = grid.shape[1]
-    # sym[q, p] = grid[p, q] + grid[q, p], the reads of Phi(p, q) and,
-    # equally, of Phi(q, p); q < lo covers every pair, as min(p, q) < lo
-    sym = grid.T.copy()
-    sym[:, :lo] += grid[:lo]
-    slots = np.zeros((2 * lo, grid.shape[0]), dtype=np.uint8)
-    slots[0::2] = np.triu(sym)
-    slots[1::2] = np.triu(sym, 1)
-    rows, cols = np.nonzero(slots)
-    return rows, cols, slots[rows, cols], slots.shape
+    head = grid.T.copy()
+    head[:, :lo] += grid[:lo]
+    cells, jumps = [], []
+    for counts, first in ((head, 0), (grid[lo:], lo)):
+        padded = np.pad(counts, ((0, 0), (1, 1)))
+        row, x = np.nonzero(np.diff(padded))
+        same = row[1:] == row[:-1]
+        row, start, stop = row[:-1][same], x[:-1][same], x[1:][same]
+        direct = (padded[row, start + 1] != 0) & (
+            (stop - start < _SHORT_RUN) | (row + first < _PARTS_ROW))
+        size = stop[direct] - start[direct]
+        row = np.repeat(row[direct], size)
+        col = np.repeat(start[direct] - np.cumsum(size) + size + 1, size)
+        col += np.arange(col.size)
+        cells.append((row + first, col - 1, padded[row, col]))
+        padded[row, col] = 0
+        steps = np.diff(padded)
+        row, x = np.nonzero(steps)
+        jumps.append((row + first, x, -steps[row, x]))
+    return ([np.concatenate(part) for part in zip(*cells)],
+            [np.concatenate(part) for part in zip(*jumps)])
 
 
-def _tail_2d(occ: np.ndarray, table: TailTable) -> float:
+def _tail_2d(occ: np.ndarray, arc: _EdgeArc) -> float:
     """Unit tail of an occupancy against the box [0,nx]x[0,ny] it fills.
 
-    The exactly rounded sum of each Phi slot read, times its count, over s:
-    one ``table`` read per distinct slot, not eight per cell.
+    The Gauss nodes' symmetry under t -> 1 - t turns each of the eight
+    edge arcs of a cell's tail into one Phi at its offsets from two edges,
+    so s times the tail is sum_pq C(p, q) Phi(p, q) (``_tail_terms``).
+    Along a row, Phi(p, q) = sum_a w_a d_a^-s sum_b w_b A((q + t_b)/d_a)
+    with d_a = p + t_a, so a run of equal counts adds its count times
+    sum_a w_a d_a^-s (H_a(end) - H_a(start)) (``_run_antiderivative``).
+
+    Runs are summed so from row _PARTS_ROW = 16 on: a whole row agrees
+    with its direct sum to rounding (at most 1.2e-15 of it, s = 0.05 to
+    0.95) from row 8 on; at row 4 eight terms miss by 3e-14.
+    _RUN_TERMS = 12 keeps every beta_m down to -5.5e-13, and the first
+    term left out is below 1e-20 of H at d >= 16.  Runs under
+    _SHORT_RUN = 8 cells read Phi: H grows with x, so its difference
+    cancels, by up to 7e-15 of an 8-cell run and 5e-14 of one cell.  None
+    is a setting.  All terms go into one exact sum.  C is the same for
+    every reflection or axis swap of the occupancy: congruent sets give
+    the same bits.
     """
-    rows, cols, counts, extent = _tail_slots(occ)
-    return _exact_sum(table.gather(rows, cols, extent), counts) / table.s
+    (p, q, cells), (bp, bx, jumps) = _tail_terms(occ)
+    t, w = gauss_unit(_TAIL_OUTER_ORDER)
+    d = bp + t[:, None]
+    runs = _run_antiderivative(bx.astype(np.float64), d, arc)
+    runs *= w[:, None] * np.float_power(d, -arc.s)
+    runs[:, jumps < 0] *= -1.0
+    values = np.concatenate([_phi(p, q, arc), runs.ravel()])
+    counts = np.concatenate([cells, np.tile(np.abs(jumps), len(t))])
+    return _exact_sum(values, counts) / arc.s
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +551,17 @@ def fractional_perimeter(
     as h^(dim-s) exactly.  The in-box part costs one forward FFT of the
     box at twice its size, an inverse over half the offsets, prefix sums
     for B, and one far-rule evaluation per sorted offset magnitude
-    beyond the table cutoff.  In 2D the tail costs one Phi read per
-    distinct slot (p, q) the cells read, counted from the occupancy and
-    its flips, and each Phi not yet in the table costs 16 edge arcs; in 1D
-    it is one closed form per occupied cell.  On a 2-vCPU VM a Phi costs
-    about 0.5 us to evaluate, memo bookkeeping included.  Phi values are
-    evaluated once per ``table``, where first read, and shared by every
-    set measured with it (and with its ``with_h`` copies).  The sets
-    measured before do not change the result.
+    beyond the table cutoff.  The 2D tail costs 16 edge arcs per Phi it
+    reads and 4 antiderivatives per jump of a run's count (``_tail_2d``):
+    on the bench ``deficit`` sets at h = 1/128, 0.8k-3.3k Phi, 0.5k-2.2k
+    jumps and 3-6 ms on a 2-vCPU VM.  In 1D it is one closed form per
+    occupied cell.  Nothing is kept between calls.
 
     Accuracy: in 2D, agreement with ``gagliardo_seminorm(1_E) / 2`` is
     limited by one of two rules, depending on the set's size; the pair
-    sums themselves agree to rounding.  For small sets (up to 12 x 12
-    cells) it is the order-4 Gauss average of the tail over each cell:
+    sums agree to rounding, and the tail summed by parts agrees with its
+    per-Phi sum to 1e-15.  For small sets (up to 12 x 12 cells) it is the
+    order-4 Gauss average of the tail over each cell:
     up to 9e-12 relative at the default ``bounding_margin=4``, and about
     1e-12 at a margin of 8.  For bench-sized sets it is the far rule's
     order (``FAR_RULE = 3``): on the h = 1/128 ellipse (51,439 cells)
@@ -527,7 +588,7 @@ def fractional_perimeter(
         tail_units = _tail_1d_units(np.flatnonzero(occ), float(occ.size), params.s)
         tail = _exact_sum(tail_units)
     else:
-        tail = _tail_2d(occ, table.tail_table)
+        tail = _tail_2d(occ, table.edge_arc)
     return math.fsum([inbox, tail]) * table.scale_factor
 
 

@@ -5,10 +5,11 @@ plain midpoint rules, scipy adaptive quadrature, or closed forms derived by
 hand, so agreement with the engine is evidence rather than tautology.  The
 mirror oracle likewise maps cell centers by their coordinates, not by the
 package's cell-index arithmetic.  The exceptions are the two lattice-count
-oracles, ``complement_pair_counts`` and ``full_lattice_scan``: they are
-the package's earlier FFT paths, kept as references for the paths that
-replaced them (prefix sums and one autocorrelation; a scan over the
-set's bounding box).
+oracles, ``complement_pair_counts`` and ``full_lattice_scan``, and the
+tail oracle ``slot_tail_2d``: they are the package's earlier paths, kept
+as references for the paths that replaced them (prefix sums and one
+autocorrelation; a scan over the set's bounding box; rows of the tail
+summed by parts).
 """
 
 import math
@@ -17,6 +18,7 @@ import numpy as np
 from scipy import integrate, signal, special
 
 from fracperim import GridSet, GridSpec
+from fracperim.perimeter import _exact_sum, _phi
 from fracperim.quadrature import convolve_window, rounded_counts
 
 
@@ -215,6 +217,28 @@ def order4_tail_2d(cells, nx, ny, s):
         + arc(nx - u, u, ny - v) + arc(nx - u, u, v)
     ) / s
     return g @ (w[:, None] * w[None, :]).reshape(-1)
+
+
+def slot_tail_2d(occ, arc):
+    """Unit 2D tail of an occupancy against its box, one Phi per slot.
+
+    With ``grid`` the occupancy plus its three flips, s times the tail is
+    the sum over every slot (p, q) of C(p, q) Phi(p, q), where
+    C(p, q) = grid[p, q] + grid[q, p]; each Phi is ``perimeter._phi``, all
+    in one exact sum.  This is how the tail was summed before its rows
+    were summed by parts: the reference for that path.
+    """
+    grid = occ.astype(np.int64)
+    grid = grid + grid[::-1]
+    grid = grid + grid[:, ::-1]
+    x, y = np.nonzero(grid)
+    # each cell is read as grid[p, q] and as grid[q, p]; Phi once per slot
+    p, q = np.concatenate([x, y]), np.concatenate([y, x])
+    _, first, inverse = np.unique(p * grid.size + q, return_index=True,
+                                  return_inverse=True)
+    counts = np.bincount(inverse, np.concatenate([grid[x, y]] * 2))
+    values = _phi(p[first], q[first], arc)
+    return _exact_sum(values, counts.astype(np.int64)) / arc.s
 
 
 def clenshaw_arc(coef, head, factor, x):

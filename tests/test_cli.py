@@ -220,10 +220,11 @@ def test_exponent_study_exit_and_summary(capsys):
     assert "[ok]" in out
 
 
-def test_exponent_study_degenerate_exits_nonzero(capsys):
-    # two members at h = 1/8 leave no usable point: the summary, then one
-    # stderr line naming the fit and its usable points, and exit 2 (a
-    # study that cannot be judged), not 1 (a failed assertion)
+def test_exponent_study_degenerate_exits_nonzero(monkeypatch, capsys):
+    # two parameters can never give a fit its four points: refused before
+    # the sweep with exit 2 (a study that cannot be judged), not 1 (a
+    # failed assertion), naming the count and the minimum
+    monkeypatch.setattr("fracperim.experiments.sweep_s", None)  # not reached
     code, out, err = run(
         [
             "exponent-study", "--n", "2", "--family", "ellipse-ecc",
@@ -232,15 +233,34 @@ def test_exponent_study_degenerate_exits_nonzero(capsys):
         capsys,
     )
     assert code == 2
+    assert out == ""
+    assert err == ("fracperim: error: exponent-study fits one point per "
+                   "parameter: 2 given, each fit needs 4\n")
+
+
+def test_exponent_study_with_too_few_usable_points_exits_2(capsys):
+    # four members at h = 1/8 leave two usable points: the summary, then
+    # one stderr line naming the fit and its usable points, and exit 2
+    code, out, err = run(
+        [
+            "exponent-study", "--n", "2", "--family", "ellipse-ecc",
+            "--params", "0.2,0.4,0.6,0.8", "--s", "0.5", "--h", "0.125",
+        ],
+        capsys,
+    )
+    assert code == 2
     assert out.count("\n") == 1
-    assert "points=0 slope=nan" in out and "[degenerate]" in out
+    assert "points=2 slope=nan" in out and "[degenerate]" in out
     assert err == ("fracperim: error: ellipse-ecc s=0.5 h=0.125: "
-                   "0 usable points, the fit needs 4\n")
+                   "2 usable points, the fit needs 4\n")
 
 
-def test_exponent_study_with_no_flags_exits_2():
-    # the defaults fit two members at h = 1/32
-    assert main(["exponent-study"]) == 2
+def test_exponent_study_with_no_flags_exits_2(capsys):
+    # the defaults list three parameters: refused before the sweep
+    code, out, err = run(["exponent-study"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "3 given, each fit needs 4" in err
 
 
 def _fit(family, slope, degenerate=False, divergent=False):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fracperim as fp
-from fracperim.experiments import ExponentFit, _fit_family
+from fracperim.experiments import MIN_FIT_POINTS, ExponentFit, _fit_family
 from fracperim.extension import extension_domain
 from fracperim.kernels import DEFAULT_CUTOFF
 from fracperim.perimeter import DEFAULT_MARGIN
@@ -206,28 +206,6 @@ def test_sweep_thread_count_does_not_change_bytes(small_sweep):
     assert fp.sweep_csv(records) == fp.sweep_csv(threaded)
 
 
-def test_sweep_threads_share_one_growing_tail_table():
-    # members with different boxes grow the shared tail table in an order
-    # that depends on thread timing; the bytes must not
-    from dataclasses import replace
-
-    cfg = fp.ExperimentConfig(
-        dim=2,
-        family="ellipse-ecc,dumbbell",
-        params=(0.3, 0.5, 0.7),
-        s_values=(0.4,),
-        h_values=(1 / 16,),
-    )
-    extents = set()
-    for name in cfg.family_names():
-        for member in fp.generate_family(name, cfg.params, h=1 / 16):
-            e = fp.rasterize(member.shape, fp.auto_spec(member.shape, 1 / 16))
-            extents.add(max(e.trimmed().occupancy.shape))
-    assert len(extents) > 2
-    serial = fp.sweep_csv(fp.sweep_s(cfg))
-    assert fp.sweep_csv(fp.sweep_s(replace(cfg, threads=3))) == serial
-
-
 def test_ratio_theorem_blank_when_deficit_nonpositive():
     rec = fp.SweepRecord(
         "ellipse-ecc", 0.1, 0.5, 0.125, 0.01, -1e-3, 50.0,
@@ -334,6 +312,15 @@ def test_fit_divergence_flag():
     # the well-behaved family is not flagged
     ok = _fit_family(_fake_records(0.4), "ellipse-ecc", 0.5, 0.0625)
     assert not ok.divergent
+
+
+def test_exponent_study_refuses_too_few_parameters_before_the_sweep(monkeypatch):
+    cfg = fp.ExperimentConfig(dim=2, family="fourier-disk", params=(0.1, 0.2, 0.3),
+                              s_values=(0.5,), h_values=(1 / 16,))
+    monkeypatch.setattr("fracperim.experiments.sweep_s", None)  # not reached
+    with pytest.raises(fp.DegenerateFitError,
+                       match=f"3 given, each fit needs {MIN_FIT_POINTS}"):
+        fp.exponent_study(cfg)
 
 
 def test_exponent_study_end_to_end():

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from fracperim import FormatError, SameCellError
 from fracperim.kernels import (
     DEFAULT_CUTOFF,
     FAR_RULE,
-    GridMemo,
     InteractionTable,
     KernelParams,
     _FarExpansion,
@@ -376,44 +374,3 @@ def test_far_rule_1d_is_closed_form():
     vals = far_kernel_unit(np.array([[17], [-40]]), p, 3)
     assert vals[0] == cell_pair_integral((17,), p, 1.0)
     assert vals[1] == cell_pair_integral((40,), p, 1.0)
-
-
-class _IndexMemo(GridMemo):
-    """A memo of row * 1000 + col that records each batch it evaluates."""
-
-    def __init__(self):
-        super().__init__()
-        self.batches = []
-
-    def _evaluate(self, rows, cols):
-        self.batches.append(list(zip(rows.tolist(), cols.tolist())))
-        return rows * 1000.0 + cols
-
-
-def test_warm_gather_reads_only_the_requested_points():
-    memo = _IndexMemo()
-    memo.gather([999], [999], (1000, 1000))  # an 8 MB memo
-    rows = np.arange(0, 1000, 100)
-    cols = np.arange(5, 1000, 100)
-    memo.gather(rows, cols, (1000, 1000))
-    tracemalloc.start()
-    try:
-        got = memo.gather(rows, cols, (1000, 1000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, rows * 1000.0 + cols)
-    assert peak < 64 * 1024
-
-
-def test_gather_evaluates_each_new_point_once_in_sorted_batches():
-    memo = _IndexMemo()
-    memo.fill_block = 2
-    got = memo.gather([1, 3, 1, 1, 0], [2, 4, 2, 2, 7], (5, 8))
-    assert np.array_equal(got, [1002.0, 3004.0, 1002.0, 1002.0, 7.0])
-    assert memo.batches == [[(0, 7), (1, 2)], [(3, 4)]]
-    assert memo.evaluations == 3
-    got = memo.gather([3, 2, 2, 3], [4, 0, 0, 4], (5, 8))
-    assert np.array_equal(got, [3004.0, 2000.0, 2000.0, 3004.0])
-    assert memo.batches[2:] == [[(2, 0)]]
-    assert memo.evaluations == 4

@@ -34,21 +34,21 @@ from fracperim.kernels import (
     far_kernel_unit,
 )
 from fracperim.perimeter import (
-    TailTable,
     _EdgeArc,
     _exact_sum,
     _monomial_coefficients,
     _phi,
+    _run_weights,
     _tail_1d_units,
     _tail_2d,
-    _tail_slots,
+    _tail_terms,
     fractional_perimeter,
     gagliardo_seminorm,
     single_cell_perimeter,
 )
-from fracperim.quadrature import rounded_counts
+from fracperim.quadrature import gauss_unit, rounded_counts
 from fracperim.rearrange import GridFunction
-from oracles import brute_perimeter_2d, clenshaw_arc, order4_tail_2d
+from oracles import brute_perimeter_2d, clenshaw_arc, order4_tail_2d, slot_tail_2d
 
 
 def interval_perimeter(length, s):
@@ -134,20 +134,19 @@ def test_congruence_bit_exact():
     assert fractional_perimeter(translate_cells(e, (3, -2)), tab) == base
 
 
-def test_congruence_bit_exact_on_a_large_non_square_set():
+@pytest.mark.parametrize("s", [0.05, 0.35, 0.95])
+def test_congruence_bit_exact_on_a_large_non_square_set(s):
     # a 40 x 90 box outgrows the cutoff window, so the far rule fills part
-    # of K, and the set is dense enough that the tail gathers from the Phi
-    # table instead of evaluating per cell
+    # of K, and its tail has rows beyond 16, summed by parts
     rng = np.random.default_rng(11)
     occ = rng.random((40, 90)) < 0.6
-    tab = build_table(KernelParams(2, 0.35), h=0.125)
+    tab = build_table(KernelParams(2, s), h=0.125)
 
     def perim(a):
         spec = GridSpec(2, a.shape, 0.125, (0.0, 0.0))
         return fractional_perimeter(GridSet(spec, a.copy()), tab)
 
     base = perim(occ)
-    assert tab.tail_table.extent >= 90 + 2 * 4
     for variant in (occ, occ.T):
         for flipped in (variant, variant[::-1], variant[:, ::-1],
                         variant[::-1, ::-1]):
@@ -229,9 +228,9 @@ def test_tail_integral_contract():
     # one cell's tail beyond a box on the unit lattice: a larger box leaves
     # less, by exactly the pair terms of the ring between the two boxes
     p2 = KernelParams(2, 0.6)
-    table = TailTable(0.6)
-    t_small = _tail_2d(_one_cell((3, 3), (7, 7)), table)
-    t_big = _tail_2d(_one_cell((6, 6), (13, 13)), table)
+    arc = _EdgeArc(0.6)
+    t_small = _tail_2d(_one_cell((3, 3), (7, 7)), arc)
+    t_big = _tail_2d(_one_cell((6, 6), (13, 13)), arc)
     assert t_big < t_small
     ring = math.fsum(
         cell_pair_integral((x, y), p2, 1.0)
@@ -256,7 +255,7 @@ def test_tail_scale_factor():
     # a perimeter scales its unit tail by its table's h^(dim - s) exactly
     units = {
         1: float(_tail_1d_units(np.array([3.0]), 7.0, 0.6)[0]),
-        2: _tail_2d(_one_cell((3, 3), (7, 7)), TailTable(0.6)),
+        2: _tail_2d(_one_cell((3, 3), (7, 7)), _EdgeArc(0.6)),
     }
     for dim, unit in units.items():
         t1, t2 = (
@@ -268,16 +267,78 @@ def test_tail_scale_factor():
 
 @pytest.mark.parametrize("s", [0.1, 0.45, 0.9])
 def test_gathered_tail_matches_order4_rule_per_cell(s):
-    table = build_table(KernelParams(2, s)).tail_table
+    arc = build_table(KernelParams(2, s)).edge_arc
     rng = np.random.default_rng(int(100 * s))
     for _ in range(6):
         nx, ny = (int(n) for n in rng.integers(5, 48, 2))
         # occupied cells sit at least 2 cells inside the box, as in a perimeter
         cells = np.argwhere(rng.random((nx - 4, ny - 4)) < 0.5) + 2
-        got = np.array([_tail_2d(_one_cell(cell, (nx, ny)), table)
+        got = np.array([_tail_2d(_one_cell(cell, (nx, ny)), arc)
                         for cell in cells])
         want = order4_tail_2d(cells, nx, ny, s)
         assert np.max(np.abs(got - want) / want) <= 2e-15
+
+
+def _tail_test_sets(rng):
+    """A ragged blob, a disc with holes and a striped disc, each in a random
+    box of up to 160 cells a side, 4 empty cells around it."""
+    nx, ny = (int(n) for n in rng.integers(24, 153, 2))
+    x, y = np.mgrid[:nx, :ny] - np.array([nx - 1, ny - 1])[:, None, None] / 2
+    r, theta = np.hypot(x, y), np.arctan2(y, x)
+    radius = 0.5 * min(nx, ny)
+    wobble = sum(rng.uniform(-0.08, 0.08) * np.cos(k * theta + rng.uniform(0, 7))
+                 for k in range(2, 7))
+    blob = r + rng.normal(0.0, 1.0, r.shape) < radius * (1.0 + wobble)
+    disc = r < radius
+    holes = disc.copy()
+    for _ in range(4):
+        c = rng.uniform(-0.5, 0.5, 2) * radius
+        holes &= np.hypot(x - c[0], y - c[1]) > rng.uniform(1.0, 0.2 * radius)
+    width = int(rng.integers(1, 4))
+    stripes = disc & ((y + 0.5 * ny) // width % 2 == 0)
+    return [np.pad(occ, 4) for occ in (blob, holes, stripes)]
+
+
+def test_run_weights_are_the_rules_bernoulli_moments():
+    # beta_m = sum_b w_b B_m(t_b) / m!, with B_m from the recurrence
+    # sum_(k<=m) C(m + 1, k) B_k = 0 and the rule's floats as fractions
+    t, w = gauss_unit(4)
+    bern = [Fraction(1)]
+    for m in range(1, 13):
+        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    want = tuple(
+        float(sum(Fraction(wb) * sum(math.comb(m, k) * bern[k] * Fraction(tb) ** (m - k)
+                                     for k in range(m + 1))
+                  for tb, wb in zip(t.tolist(), w.tolist())) / math.factorial(m))
+        for m in range(13))
+    assert _run_weights() == want
+    # exact to degree 7: beta_1 .. beta_7 vanish to rounding
+    assert max(abs(b) for b in want[1:8]) < 3e-17 and want[8] < -5e-10
+
+
+@pytest.mark.parametrize("s", [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99])
+def test_tail_summed_by_parts_matches_the_slot_sum(s):
+    arc = _EdgeArc(s)
+    rng = np.random.default_rng(int(1000 * s))
+    for occ in _tail_test_sets(rng):
+        want = slot_tail_2d(occ, arc)
+        assert abs(_tail_2d(occ, arc) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+def test_tail_with_no_run_summed_by_parts_has_the_slot_sum_bits(s):
+    # a cell's runs are single cells, and boxes of at most 16 cells have
+    # no row p >= 16: every Phi is read directly, as the slot sum reads it
+    arc = _EdgeArc(s)
+    for shape, cell in (((7, 7), (3, 3)), ((40, 25), (30, 4)),
+                        ((33, 90), (16, 70)), ((3009, 12), (2000, 5))):
+        occ = _one_cell(cell, shape)
+        assert _tail_2d(occ, arc) == slot_tail_2d(occ, arc)
+    rng = np.random.default_rng(int(100 * s))
+    for _ in range(4):
+        nx, ny = (int(n) for n in rng.integers(5, 17, 2))
+        occ = np.pad(rng.random((nx - 4, ny - 4)) < 0.6, 2)
+        assert _tail_2d(occ, arc) == slot_tail_2d(occ, arc)
 
 
 _ARC_POINTS = np.r_[np.linspace(0.0, 0.5, 401)[1:], 1e-300, 1e-30, 1e-12, 1e-6]
@@ -399,43 +460,6 @@ def test_phi_fill_calls_no_betainc(monkeypatch):
     monkeypatch.setattr(special, "betainc", refuse)
     table = build_table(KernelParams(2, 0.4), h=1 / 16)
     assert fractional_perimeter(e, table) == want
-    assert table.tail_table.evaluations > 0
-
-
-def _box_slots(n):
-    # every cell of an n x n box reads every Phi(p, q) with p, q < n
-    rows, cols, _, extent = _tail_slots(np.ones((n, n), dtype=bool))
-    return rows, cols, extent
-
-
-def test_tail_table_growth_is_bit_independent():
-    full = _box_slots(40)
-    for s in (0.25, 0.5, 0.75):
-        stepped = TailTable(s)
-        for n in (3, 17, 40):
-            stepped.gather(*_box_slots(n))
-        assert stepped.extent == 40
-        evaluated = stepped.evaluations
-        stepped.gather(*_box_slots(12))
-        assert stepped.extent == 40
-        assert stepped.evaluations == evaluated
-        small_blocks = TailTable(s)
-        small_blocks.fill_block = 7
-        reblocked = small_blocks.gather(*full)
-        assert np.array_equal(stepped.gather(*full), reblocked)
-        assert np.array_equal(TailTable(s).gather(*full), reblocked)
-
-
-def test_tail_slots_count_eight_reads_per_cell():
-    rng = np.random.default_rng(8)
-    for shape in ((7, 7), (5, 13), (13, 5), (1, 1), (3001, 4)):
-        occ = rng.random(shape) < 0.4
-        rows, cols, counts, extent = _tail_slots(occ)
-        assert extent == (2 * min(shape), max(shape))
-        assert counts.min() > 0 and int(counts.sum()) == 8 * occ.sum()
-        # Phi(p, q) at row 2 min(p, q) + (p < q), column max(p, q)
-        lo, swapped = np.divmod(rows, 2)
-        assert np.all(np.where(swapped, lo < cols, lo <= cols))
 
 
 def test_perimeter_independent_of_table_history():
@@ -443,50 +467,87 @@ def test_perimeter_independent_of_table_history():
     small = rasterize(Ball((0.0, 0.0), 0.5), auto_spec(Ball((0.0, 0.0), 0.5), h))
     large = rasterize(AxisBox((0.0, 0.0), (5.0, 2.0)),
                       auto_spec(AxisBox((0.0, 0.0), (5.0, 2.0)), h))
-    # two cells far apart: their tails read Phi entries of the table's memo
-    # that the large set, measured first, has already filled
+    # two cells far apart, measured after a large set and on fresh tables
     spec = GridSpec(2, (40, 40), h, (0.0, 0.0))
     sparse = GridSet.from_cells(spec, [(0, 0), (30, 5)])
     fresh = [fractional_perimeter(e, build_table(params, h=h))
              for e in (small, sparse)]
     table = build_table(params, h=h)
     fractional_perimeter(large, table)
-    assert table.tail_table.extent > 30 + 8
     assert [fractional_perimeter(e, table) for e in (small, sparse)] == fresh
 
 
-def test_with_h_shares_the_unit_lattice_memos():
-    params = KernelParams(2, 0.45)
-    t1 = build_table(params, h=1 / 16)
-    t2 = t1.with_h(1 / 8)
-    assert t2.tail_table is t1.tail_table
-    ball = Ball((0.0, 0.0), 1.5)
-    e1 = rasterize(ball, auto_spec(ball, 1 / 16))
-    fractional_perimeter(e1, t1)
-    filled = t1.tail_table.evaluations
-    assert filled > 0
-    # the same cells at twice the size read only what t1 filled
-    e2 = GridSet(GridSpec(2, e1.spec.cells, 1 / 8, e1.spec.origin), e1.occupancy)
-    shared = fractional_perimeter(e2, t2)
-    assert t2.tail_table.evaluations == filled
-    assert shared == fractional_perimeter(e2, build_table(params, h=1 / 8))
+def test_tail_slots_count_eight_reads_per_cell():
+    # the cells read one by one and the jumps of the runs summed by parts
+    # give back every count C(p, q) = grid[p, q] + grid[q, p] of the
+    # occupancy plus its flips: eight reads per occupied cell
+    rng = np.random.default_rng(8)
+    for shape in ((7, 7), (5, 13), (13, 5), (1, 1), (40, 90), (90, 40), (301, 4)):
+        occ = rng.random(shape) < 0.4
+        occ[:, :shape[1] // 2] |= rng.random((shape[0], 1)) < 0.5  # long runs
+        grid = occ.astype(np.int64)
+        grid = grid + grid[::-1]
+        grid = grid + grid[:, ::-1]
+        n = max(shape)
+        want = np.zeros((n, n), dtype=np.int64)
+        want[:shape[0], :shape[1]] += grid
+        want[:shape[1], :shape[0]] += grid.T
+        (p, q, cells), (bp, bx, jumps) = _tail_terms(occ)
+        steps = np.zeros((n, n + 1), dtype=np.int64)
+        steps[bp, bx] = -jumps
+        rebuilt = np.cumsum(steps, axis=1)[:, :-1]
+        assert not rebuilt[:16].any()  # rows p < 16 read every Phi
+        assert np.all(rebuilt[p, q] == 0)
+        rebuilt[p, q] = cells
+        assert np.array_equal(rebuilt, want)
+        assert int(want.sum()) == 8 * occ.sum()
+        assert bp.size > 0 or min(shape) < 8  # no run of 8 without 8 columns
 
 
 def test_tail_integral_equals_table_gather():
-    # a one-cell tail on a fresh table equals the fsum of its eight Phi
-    # reads from a table shared by every box
+    # a one-cell tail is the fsum of the eight Phi it reads, over s: Phi(p, q)
+    # and Phi(q, p) at the cell's offsets p from an x edge and q from a y edge
     rng = np.random.default_rng(5)
     for s in (0.2, 0.6):
-        table = TailTable(s)
+        arc = _EdgeArc(s)
         for _ in range(20):
             nx, ny = (int(v) for v in rng.integers(5, 40, 2))
-            cell = (int(rng.integers(2, nx - 2)), int(rng.integers(2, ny - 2)))
-            occ = _one_cell(cell, (nx, ny))
-            rows, cols, counts, extent = _tail_slots(occ)
-            reads = np.repeat(table.gather(rows, cols, extent), counts)
-            assert reads.size == 8
-            gathered = math.fsum(reads.tolist()) / s
-            assert _tail_2d(occ, TailTable(s)) == gathered
+            x, y = int(rng.integers(2, nx - 2)), int(rng.integers(2, ny - 2))
+            pairs = [(a, b) for a in (x, nx - 1 - x) for b in (y, ny - 1 - y)]
+            p, q = np.array(pairs + [(b, a) for a, b in pairs], dtype=np.float64).T
+            reads = _phi(p, q, arc).tolist()
+            assert _tail_2d(_one_cell((x, y), (nx, ny)), arc) == math.fsum(reads) / s
+
+
+def test_sparse_set_evaluates_only_the_phi_it_reads(monkeypatch):
+    # two cells far apart in a 40 x 40 box read 8 Phi each, and none of
+    # their runs is long enough to be summed by parts
+    import fracperim.perimeter as perimeter
+
+    spec = GridSpec(2, (40, 40), 1 / 8, (0.0, 0.0))
+    sparse = GridSet.from_cells(spec, [(0, 0), (30, 5)])
+    table = build_table(KernelParams(2, 0.35), h=1 / 8)
+    evaluated, phi = [], perimeter._phi
+    monkeypatch.setattr(perimeter, "_phi",
+                        lambda p, q, arc: evaluated.append(np.size(p)) or phi(p, q, arc))
+    fractional_perimeter(sparse, table)
+    assert 0 < sum(evaluated) <= 16
+
+
+def test_a_long_thin_box_reserves_no_square():
+    # the tail's counts of a 3009 x 12 box hold no square of its long side
+    spec = GridSpec(2, (3001, 4), 1 / 8, (0.0, 0.0))
+    e = GridSet.from_cells(spec, [(0, 0), (3000, 3)])
+    table = build_table(KernelParams(2, 0.5), h=1 / 8)
+    fractional_perimeter(e, table)
+    occ = np.pad(e.trimmed().occupancy, 4)
+    tracemalloc.start()
+    try:
+        _tail_2d(occ, table.edge_arc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < occ.shape[0] ** 2 // 8
 
 
 @pytest.mark.parametrize("s", [0.25, 0.75])
@@ -496,28 +557,6 @@ def test_offset_kernel_bit_symmetric_under_axis_swap(s):
     assert np.array_equal(table.offset_kernel((23, 9)), wide.T)
     square = table.offset_kernel((17, 17))
     assert np.array_equal(square, square.T)
-
-
-def test_sparse_set_evaluates_only_the_phi_it_reads():
-    # two cells far apart in a 40 x 40 box read 8 Phi each
-    spec = GridSpec(2, (40, 40), 1 / 8, (0.0, 0.0))
-    sparse = GridSet.from_cells(spec, [(0, 0), (30, 5)])
-    table = build_table(KernelParams(2, 0.35), h=1 / 8)
-    fractional_perimeter(sparse, table)
-    assert 0 < table.tail_table.evaluations <= 16
-
-
-def test_a_long_thin_box_reserves_no_square():
-    # the Phi memo may hold no more slots than the box's offset kernel
-    spec = GridSpec(2, (3001, 4), 1 / 8, (0.0, 0.0))
-    e = GridSet.from_cells(spec, [(0, 0), (3000, 3)])
-    table = build_table(KernelParams(2, 0.5), h=1 / 8)
-    fractional_perimeter(e, table)
-    nx, ny = 3001 + 8, 4 + 8
-    memo = table.tail_table
-    assert memo.shape[1] == nx
-    assert memo.shape[0] * memo.shape[1] <= (2 * nx - 1) * (2 * ny - 1)
-    assert memo.evaluations <= 16
 
 
 @pytest.mark.parametrize("rc", [3, 16])
@@ -809,7 +848,7 @@ _PINS = {
     ("two-cell", 0.05): "0x1.31a3bc4b3b153p+0",
     ("union", 0.05): "0x1.106a1a0733a47p+6",
     ("bump", 0.05): "0x1.ae78296a4f090p+6",
-    ("ball", 0.5): "0x1.f62694f9c052cp+5",
+    ("ball", 0.5): "0x1.f62694f9c052ep+5",
     ("ellipse", 0.5): "0x1.d450aa2fd995fp+5",
     ("random", 0.5): "0x1.5d4b94c184f92p+4",
     ("two-cell", 0.5): "0x1.b363fa04be504p-1",
