@@ -5,14 +5,13 @@ once through the exact prefactor h^(dim-s), so rescaling the grid rescales
 every quantity bit-reproducibly.
 
 Quadrature strategy per lattice offset d, one rule for each case:
-  - dim 1: closed-form antiderivative, every offset.
-  - dim 2, touching cells (|d|_inf = 1): dyadic subdivision toward the shared
-    corner plus a two-term geometric extrapolation of the remaining annuli,
-    exact because the integrand splits into homogeneous pieces there.
+  - dim 1: the exact antiderivative, as a one-signed series at d >= 2.
+  - dim 2, touching cells (|d|_inf = 1): the boundary identity, 1D
+    integrals over parallel edges (``_boundary_values``).
   - dim 2, |d|_inf >= 2: the pair integral equals a tent-weighted integral
     over [-1,1]^2 around d; tensor Gauss-Legendre per quadrant.
-``_unit_pair_values`` alone picks the rule: the corner rule for the two
-touching classes, ``far_kernel_unit`` (the closed form and the tent rule)
+``_unit_pair_values`` alone picks the rule: the boundary identity for the
+two touching classes, ``far_kernel_unit`` (the series and the tent rule)
 for the rest; at order 20 it gives the table window and every single pair
 integral.  Beyond the table cutoff FAR_RULE = 3 sets the order of the
 tent rule; at the default cutoff 16 it is already at 1e-9 relative error
@@ -57,8 +56,12 @@ _MULTIPOLE_FROM = 16
 _MULTIPOLE_TERMS = 6
 
 _SMOOTH_ORDER = 20
-_CORNER_LEVELS = 14
-_CORNER_ORDER = 16
+# Gauss order of ``_boundary_values``: at rounding from 12, 2.5e-14 off at 10
+_EDGE_ORDER = 16
+# 1 / (k + 2)! for k < 20: (e^x - 1 - x) / x^2 to rounding at |x| <= 1.04
+_REST_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(20))
+# at d = 2, s in [0.001, 0.9999], 24 terms are 2.6e-16 off, 22 2.8e-15
+_PAIR_1D_TERMS = 26
 _FAR_BLOCK = 1 << 16
 # far values per expansion pass: its temporaries stay in cache
 _EXPANSION_BLOCK = 1 << 14
@@ -78,78 +81,51 @@ class KernelParams:
             raise ValueError("s must lie strictly inside (0, 1)")
 
 
-def _boxes_gl(f, boxes, n: int) -> np.ndarray:
-    """Tensor Gauss rule of order n of f over each box (x0, x1, y0, y1).
+def _boundary_values(s: float) -> tuple[float, float, float]:
+    """K(1, 0), K(1, 1) and the single cell P_cell, exact to rounding.
 
-    All boxes are one array pass; each box's n*n weighted values are a
-    contiguous row, and its sum is that row's ``sum``, the same pairwise
-    sum as ``np.sum`` of the one box alone, so a box has the same bits in
-    any batch.
+    Cells A, B with disjoint interiors interact as K_AB = -s^-2 int int
+    over dA x dB of (n_A . n_B) |x - y|^-s, as the Laplacian of |x|^-s is
+    s^2 |x|^-(2+s).  With the parallel-edge integrals V(a) = int_{-1}^{1}
+    (1 - |w|)(a^2 + w^2)^(-s/2) dw and D(a) = int_0^2 (1 - |w - 1|)(a^2 +
+    w^2)^(-s/2) dw, K(1, 0) = -s^-2 [2V(1) - V(2) - V(0) + 2D(0) - 2D(1)],
+    K(1, 1) = -2 s^-2 [2D(1) - D(2) - D(0)], P_cell = 4 s^-2 [V(0) - V(1)].
+    Of r^-s = 1 - (s/2) log r^2 + R only R / s^2 is integrated (the rest
+    cancels, but for P_cell's 2 pi / s): by its series in s log r^2 and
+    Gauss rules on [0, 1] and [1, 2] where r >= 1, in closed form at r < 1.
+    Within 2.5e-16 of mpmath, s in [0.01, 0.99]; no SIMD-dependent loop.
     """
-    t, w = gauss_unit(n)
-    x0, x1, y0, y1 = np.asarray(boxes, dtype=np.float64).T[..., None]
-    xs = x0 + (x1 - x0) * t
-    ys = y0 + (y1 - y0) * t
-    ww = ((x1 - x0) * w)[:, :, None] * ((y1 - y0) * w)[:, None, :]
-    vals = ww * f(xs[:, :, None], ys[:, None, :])
-    return vals.reshape(len(vals), -1).sum(axis=1)
-
-
-def _corner_dyadic(f, s: float) -> float:
-    """Integral of f over [0,1]^2 with the integrable singularity at 0.
-
-    f is |w|^(-(2+s)) times a product of affine factors vanishing at the
-    corner, so each dyadic L-shaped annulus contributes exactly
-    a*q1^k + b*q2^k with q1 = 2^(s-1), q2 = 2^(s-2); the unresolved inner
-    annuli are summed in closed form from the last two computed ones.
-    The three boxes of all levels are one ``_boxes_gl`` pass, and a
-    level's value is its three box sums added in box order.
-    """
-    boxes = []
-    for k in range(_CORNER_LEVELS):
-        sk = 2.0**-k
-        hk = 0.5 * sk
-        boxes += [(hk, sk, 0.0, hk), (hk, sk, hk, sk), (0.0, hk, hk, sk)]
-    box = _boxes_gl(f, boxes, _CORNER_ORDER).reshape(_CORNER_LEVELS, 3)
-    vals = (box[:, 0] + box[:, 1] + box[:, 2]).tolist()
-    q1 = 2.0 ** (s - 1.0)
-    q2 = 2.0 ** (s - 2.0)
-    k = _CORNER_LEVELS - 1
-    det = q1 ** (k - 1) * q2**k - q2 ** (k - 1) * q1**k
-    a = (vals[-2] * q2**k - vals[-1] * q2 ** (k - 1)) / det
-    b = (vals[-1] * q1 ** (k - 1) - vals[-2] * q1**k) / det
-    tail = a * q1 ** (k + 1) / (1.0 - q1) + b * q2 ** (k + 1) / (1.0 - q2)
-    return math.fsum(vals) + tail
-
-
-def _pair_2d_touching(b: int, s: float) -> float:
-    """Offset (1, b): the edge neighbour for b = 0, the corner one for b = 1.
-
-    The tent (1 - |w1 - 1|)(1 - |w2 - b|) times |w|^(-(2+s)): the dyadic
-    rule on the corner squares at w = 0, a Gauss rule on the smooth boxes.
-    """
-    alpha = 2.0 + s
-
-    def f(w1, w2):
-        return (w1 * w1 + w2 * w2) ** (-0.5 * alpha) * (
-            1.0 - np.abs(w1 - 1.0)
-        ) * (1.0 - np.abs(w2 - b))
-
-    sing = _corner_dyadic(f, s)
-    smooth = ((1, 2, 0, 1), (0, 1, 1, 2), (1, 2, 1, 2))
-    if b == 0:
-        sing += _corner_dyadic(lambda u, v: f(u, -v), s)
-        smooth = ((1, 2, -1, 0), (1, 2, 0, 1))
-    return sing + sum(_boxes_gl(f, smooth, _SMOOTH_ORDER).tolist())
+    t, w = gauss_unit(_EDGE_ORDER)
+    # r^2 at a^2 + t^2 (a = 1, 2), then at a^2 + (1 + t)^2 (a = 0, 1, 2)
+    u2 = (1.0 + t) * (1.0 + t)
+    r2 = np.stack([1.0 + t * t, 4.0 + t * t, u2, 1.0 + u2, 4.0 + u2])
+    logs = np.array([math.log(v) for v in r2.ravel().tolist()]).reshape(r2.shape)
+    x = -0.5 * s * logs
+    series = np.full_like(x, _REST_SERIES[-1])
+    for c in _REST_SERIES[-2::-1]:
+        series *= x
+        series += c
+    rest = 0.25 * logs * logs * series
+    # the rows times the tent weights w t on [0, 1] and w (1 - t) on [1, 2]
+    n1, n2, f1, f2, f0, g1, g2 = [math.fsum(row) for row in np.vstack(
+        [w * t * rest[:2], w * (1.0 - t) * rest]).tolist()]
+    v0 = 2.0 / (1.0 - s) - 0.5 / (2.0 - s)
+    v1, v2 = 2.0 * f1, 2.0 * f2
+    d0 = math.fsum([0.25 / (2.0 - s), f0])
+    d1, d2 = math.fsum([n1, g1]), math.fsum([n2, g2])
+    edge = -math.fsum([2.0 * v1, -v2, -v0, 2.0 * d0, -2.0 * d1])
+    corner = -2.0 * math.fsum([2.0 * d1, -d2, -d0])
+    cell = math.fsum([2.0 * math.pi / s, 8.0 / (1.0 - s), -2.0 / (2.0 - s), -4.0 * v1])
+    return edge, corner, cell
 
 
 def _unit_pair_values(offsets, params: KernelParams, rule: int) -> np.ndarray:
     """Unit-lattice pair integrals at nonzero offsets: the one rule picker.
 
-    In 2D the touching offsets (|d|_inf = 1) take the dyadic corner rule,
-    once per class (1, 0) and (1, 1); every other offset takes
-    ``far_kernel_unit`` at order ``rule``.  Each value depends on its own
-    offset alone, so it has the same bits in any batch.
+    In 2D the touching offsets (|d|_inf = 1) of both classes (1, 0) and
+    (1, 1) take the boundary identity (``_boundary_values``); every other
+    offset takes ``far_kernel_unit`` at order ``rule``.  Each value depends
+    on its own offset alone, so it has the same bits in any batch.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     if params.dim == 1:
@@ -159,10 +135,8 @@ def _unit_pair_values(offsets, params: KernelParams, rule: int) -> np.ndarray:
     values = np.empty(len(offsets))
     far = hi != 1
     values[far] = far_kernel_unit(offsets[far], params, rule)
-    for b in (0, 1):
-        touching = (hi == 1) & (lo == b)
-        if touching.any():
-            values[touching] = _pair_2d_touching(b, params.s)
+    if not far.all():
+        values[~far] = np.array(_boundary_values(params.s)[:2])[lo[~far]]
     return values
 
 
@@ -200,17 +174,43 @@ def cell_pair_integral(offset, params: KernelParams, h: float) -> float:
     return unit * h ** (params.dim - params.s)
 
 
+def _pair_values_1d(d: np.ndarray, s: float) -> np.ndarray:
+    """The 1D pair integral at distances d >= 1 (floats), exact to rounding.
+
+    (2 d^p - (d - 1)^p - (d + 1)^p) / (s p), p = 1 - s, loses 2 log10(d)
+    digits, so at d >= 2 it is (2 d^-s / (s p d)) sum_{k >= 1} |C(p, 2k)|
+    d^(2 - 2k), one-signed, and at d = 1 2 (1 - 2^-s) / (s p) by expm1:
+    within 3.4e-16 of mpmath up to d = 2^20, and SIMD-independent.
+    """
+    p = 1.0 - s
+    # |C(p, n)| = |C(p, n - 1)| (n - 1 - p) / n, kept at even n
+    coefficients, c = [], p
+    for n in range(2, 2 * _PAIR_1D_TERMS + 1):
+        c *= (n - 2 + s) / n
+        if n % 2 == 0:
+            coefficients.append(c)
+    u = 1.0 / (d * d)
+    out = np.full_like(u, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        out *= u
+        out += c
+    out *= np.float_power(d, -s) / d
+    out *= 2.0 / (s * p)
+    out[d == 1.0] = -2.0 * math.expm1(-s * math.log(2.0)) / (s * p)
+    return out
+
+
 def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
                     rule: int) -> np.ndarray:
     """Unit-lattice pair integrals for many offsets at once.
 
-    dim 1 uses the exact closed form regardless of ``rule``; dim 2 applies
-    the tent-weighted tensor rule of the given order per quadrant, which
-    needs |offset|_inf >= 2, where the integrand is smooth.  An offset
-    where the rule does not hold (d = 0 in 1D, |d|_inf < 2 in 2D) raises
-    ValueError, which names the first of them.  Each value
-    depends on its own offset alone, so it has the same bits in any batch,
-    and is symmetric bit for bit under sign flips and axis swaps.
+    dim 1 is exact to rounding regardless of ``rule`` (``_pair_values_1d``);
+    dim 2 applies the tent-weighted tensor rule of the given order per
+    quadrant, which needs |offset|_inf >= 2, where the integrand is smooth.
+    An offset where the rule does not hold (d = 0 in 1D, |d|_inf < 2 in 2D)
+    raises ValueError, which names the first of them.  Each value depends
+    on its own offset alone, so it has the same bits in any batch, and is
+    symmetric bit for bit under sign flips and axis swaps.
 
     The offsets run along the last axis, so every elementwise step is one
     long pass: the squares of a +- x and b +- x are formed once and each
@@ -230,9 +230,7 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
             f"{tuple(offsets[near[0]].tolist())}"
         )
     if params.dim == 1:
-        d = mags[:, 0].astype(np.float64)
-        p = 1.0 - params.s
-        return (2.0 * d**p - (d - 1.0) ** p - (d + 1.0) ** p) / (params.s * p)
+        return _pair_values_1d(mags[:, 0].astype(np.float64), params.s)
     # sorted magnitudes, so that (a, b) and (b, a) give the same bits
     a = mags.max(axis=1).astype(np.float64)
     b = mags.min(axis=1).astype(np.float64)

@@ -1,8 +1,9 @@
 """Independent reference computations used as test oracles.
 
 Nothing here shares quadrature code with the package: pair values come from
-plain midpoint rules, scipy adaptive quadrature, or closed forms derived by
-hand, so agreement with the engine is evidence rather than tautology.  The
+plain midpoint rules, scipy adaptive quadrature, mpmath at 40 digits, or
+closed forms derived by hand, so agreement with the engine is evidence
+rather than tautology.  The
 mirror oracle likewise maps cell centers by their coordinates, not by the
 package's cell-index arithmetic.  The exceptions are the two lattice-count
 oracles, ``complement_pair_counts`` and ``full_lattice_scan``, and the
@@ -14,6 +15,7 @@ summed by parts).
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, signal, special
 
@@ -67,6 +69,70 @@ def _brute_pair_value(d, s):
     if dist > 16:
         return _midpoint_pair(d, s, 2)
     return _midpoint_pair(d, s, 8)
+
+
+def touching_pair(b, s):
+    """K(1, b) for b = 0 (edge neighbour) or 1 (corner neighbour), in mpmath.
+
+    The tent form int (1 - |c - 1|)(1 - |t - b|) (c^2 + t^2)^-al dc dt,
+    al = 1 + s/2, with the t integral in closed form: int_Y^inf (c^2 +
+    t^2)^-al dt = Y^-(1+s) H(c^2 / Y^2) / (1 + s), H(z) = 2F1(al, al - 1/2;
+    al + 1/2; -z), and int_0^Y t (c^2 + t^2)^-al dt elementary.  The c^-(1+s)
+    part of the edge neighbour's inner integral is integrated exactly.  No
+    boundary identity, so it checks ``kernels._boundary_values``.
+    """
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        al = 1 + s / 2
+
+        def hyp(z):
+            return mpmath.hyp2f1(al, al - 0.5, al + 0.5, -z)
+
+        def ends(c, y):  # int_0^y t (c^2 + t^2)^-al dt
+            return ((c * c + y * y) ** (-s / 2) - c ** -s) / -s
+
+        if b == 1:
+            def inner(c):  # int_0^1 t g dt + int_1^2 (2 - t) g dt
+                band = (hyp(c * c) - 2 ** (-1 - s) * hyp(c * c / 4)) / (1 + s)
+                return 2 * band + 2 * ends(c, 1) - ends(c, 2)
+
+            return +mpmath.quad(lambda c: (1 - abs(c - 1)) * inner(c), [0, 1, 2])
+        # 2 int_0^1 (1 - t)(...) dt = 2 B c^-(1+s) - 2 H(c^2) / (1 + s) - 2 ends(c, 1)
+        big = mpmath.sqrt(mpmath.pi) * mpmath.gamma(al - 0.5) / (2 * mpmath.gamma(al))
+
+        def smooth(c):
+            return -2 * hyp(c * c) / (1 + s) - 2 * ends(c, 1)
+
+        # int_0^2 (1 - |c - 1|) c^-(1+s) dc
+        singular = 1 / (1 - s) + 2 * (1 - 2 ** -s) / s - (2 ** (1 - s) - 1) / (1 - s)
+        rest = mpmath.quad(lambda c: (1 - abs(c - 1)) * smooth(c), [0, 1, 2])
+        return +(2 * big * singular + rest)
+
+
+def cell_perimeter(s):
+    """The unit square against its complement, in mpmath.
+
+    By chords: P = (1 / (s (1 - s))) int over directions and lines of
+    L^(1-s), L the chord length; for the square, 8 octants of
+    int_0^(pi/4) cos^(s-1) t [cos t - sin t + 2 sin t / (2 - s)] dt.
+    """
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+
+        def octant(t):
+            c, n = mpmath.cos(t), mpmath.sin(t)
+            return c ** (s - 1) * (c - n + 2 * n / (2 - s))
+
+        return +(8 / (s * (1 - s)) * mpmath.quad(octant, [0, mpmath.pi / 4]))
+
+
+def pair_1d(d, s):
+    """The 1D pair integral at distance d, (2 d^p - (d-1)^p - (d+1)^p) / (s p),
+    p = 1 - s, in mpmath at 40 digits (28 or more left at d <= 2^20)."""
+    with mpmath.workdps(40):
+        s, d = mpmath.mpf(s), mpmath.mpf(d)
+        p = 1 - s
+        return +((2 * d**p - (d - 1) ** p - (d + 1) ** p) / (s * p))
 
 
 def brute_perimeter_2d(e, s, reach=50):

@@ -504,24 +504,24 @@ class TestNSymmetrize:
 _AUDIT_PIN_VERSIONS = ("2.4.6", "1.17.1")
 _AUDIT_PINS = {
     "offset-bump": (
-        ("0x1.27c7c668823ccp-3", "0x1.1cd1390835398p-2"),
+        ("0x1.27c7c668823d4p-3", "0x1.1cd139083539ep-2"),
         "++",
-        (("-0x1.a000000000000p-2", "0x1.fd68134709200p-3", "0x1.27c7c668823ccp-3"),
-         ("0x0.0p+0", "0x0.0p+0", "0x1.1cd1390835398p-2")),
-        (("0x1.4554b8b3d94c4p+6", "0x1.1cd1390835398p-2", "0x1.c666666666666p-1"),
-         ("0x1.034702bed4034p+6", "0x1.42658a6c4abf3p-8", "0x1.5555555555555p-3"),
-         ("0x1.4554b8b3d94c4p+6", "0x1.1cd1390835398p-2", "0x1.c666666666666p-1"),
-         ("0x1.4554b8b3d94c4p+6", "0x1.1cd1390835398p-2", "0x1.c666666666666p-1")),
+        (("-0x1.a000000000000p-2", "0x1.fd68134709000p-3", "0x1.27c7c668823d4p-3"),
+         ("0x0.0p+0", "0x0.0p+0", "0x1.1cd139083539ep-2")),
+        (("0x1.4554b8b3d94c6p+6", "0x1.1cd139083539ep-2", "0x1.c666666666666p-1"),
+         ("0x1.034702bed4035p+6", "0x1.42658a6c4acf1p-8", "0x1.5555555555555p-3"),
+         ("0x1.4554b8b3d94c6p+6", "0x1.1cd139083539ep-2", "0x1.c666666666666p-1"),
+         ("0x1.4554b8b3d94c6p+6", "0x1.1cd139083539ep-2", "0x1.c666666666666p-1")),
     ),
     "ellipse": (
-        ("0x1.bf589b2b46b4fp-6", "0x1.d1b9e3c6a131bp-6"),
+        ("0x1.bf589b2b46bb4p-6", "0x1.d1b9e3c6a131ap-6"),
         "-+",
-        (("0x1.0000000000000p-6", "0x1.6a15af0000000p-23", "0x1.bf589b2b46b4fp-6"),
-         ("0x0.0p+0", "0x0.0p+0", "0x1.d1b9e3c6a131bp-6")),
-        (("0x1.4bd258fb882edp+5", "0x1.acf3b8e9dd9d7p-6", "0x1.796a5d7c4f4dbp-2"),
-         ("0x1.4cce4f92a565ap+5", "0x1.d1b9e3c6a131bp-6", "0x1.7b4d55b803782p-2"),
-         ("0x1.4cce4f92a565ap+5", "0x1.d1b9e3c6a131bp-6", "0x1.7b4d55b803782p-2"),
-         ("0x1.4cce4f92a565ap+5", "0x1.d1b9e3c6a131bp-6", "0x1.7b4d55b803782p-2")),
+        (("0x1.0000000000000p-6", "0x1.6a15b00000000p-23", "0x1.bf589b2b46bb4p-6"),
+         ("0x0.0p+0", "0x0.0p+0", "0x1.d1b9e3c6a131ap-6")),
+        (("0x1.4bd258fb882efp+5", "0x1.acf3b8e9dda08p-6", "0x1.796a5d7c4f4dbp-2"),
+         ("0x1.4cce4f92a565bp+5", "0x1.d1b9e3c6a131ap-6", "0x1.7b4d55b803782p-2"),
+         ("0x1.4cce4f92a565bp+5", "0x1.d1b9e3c6a131ap-6", "0x1.7b4d55b803782p-2"),
+         ("0x1.4cce4f92a565bp+5", "0x1.d1b9e3c6a131ap-6", "0x1.7b4d55b803782p-2")),
     ),
 }
 

@@ -22,13 +22,19 @@ import pytest
 import scipy
 
 import fracperim
-from fracperim.kernels import KernelParams, build_table, far_kernel_unit
+from fracperim.kernels import (
+    KernelParams,
+    build_table,
+    cell_pair_integral,
+    far_kernel_unit,
+)
 from fracperim.perimeter import (
     _SERIES_TERMS,
     _EdgeArc,
     _complement_rest,
     _lower_rest,
     _phi,
+    single_cell_perimeter,
 )
 from fracperim.quadrature import gauss_unit
 
@@ -161,10 +167,10 @@ _ARC_PINS = {
     ),
 }
 _NEAR_DENSE_SHA256 = {
-    (2, 0.05): "ed21c7ec1ac275cf56cd6eec88e2ac25941e4c0ffbbe3cef828ca0f24d5c24be",
-    (2, 0.5): "329f088c55f2a92ea95be93db2876e2212f13fc963125a9c4b7bea16f9a9b19f",
-    (2, 0.95): "7c316488f8b2a62233219dcf27793dd3909a57474ac434a65df7a88b390f727c",
-    (1, 0.5): "90f05a557e776ac1cdad31aea155a82de62152984b2e0c98c2748846d8fa293a",
+    (2, 0.05): "9ad09ee5d0677cdef5f9793dc00776de66beabd58484422cd1efb78d6119d568",
+    (2, 0.5): "6231cfe7854a0697699ebd7b94a416d8cae187214ace5d03e7dacfd35efdd9f7",
+    (2, 0.95): "5c5a2f0033c1581be406062283cdce65840caea4930608a0414d8e4851ef2e7d",
+    (1, 0.5): "432d8de43b8a735c664919f7f92afcd3020cbc05d6d50d6f04eab526ba8790ac",
 }
 
 
@@ -333,17 +339,27 @@ def simd_free_digests() -> dict:
 
     The far values of a default table's offset kernel beyond 16
     (``_FarExpansion``: one ``np.float_power`` and + - * /) at every
-    sorted offset with 17 <= |d|_inf < 200, and ``_EdgeArc.lower`` (sqrt
-    and + - * /) on a dense grid of [0, 1/2].
+    sorted offset with 17 <= |d|_inf < 200, ``_EdgeArc.lower`` (sqrt
+    and + - * /) on a dense grid of [0, 1/2], the touching pairs K(1, 0)
+    and K(1, 1) and the single cell (``math.log``, + - * /), and the 1D
+    pair series (``np.float_power``, + - * /) at d from 1 to 4,999 and
+    at a few large d.
     """
     a, b = np.tril_indices(200)  # a >= b
     far = a >= 17
     offsets = np.stack([a[far], b[far]], axis=1)
     x = np.r_[np.linspace(0.0, 0.5, 20001), 1e-300, 1e-30, 1e-12]
+    line = np.r_[np.arange(1, 5000), 60000, 2**20, 2**26][:, None]
     digests = {}
     for s in (0.01, *_S, 0.99):
+        plane = KernelParams(2, s)
+        cells = np.array([cell_pair_integral((1, 0), plane, 1.0),
+                          cell_pair_integral((1, 1), plane, 1.0),
+                          single_cell_perimeter(plane)])
         for name, values in (("far", _far_values(s, offsets)),
-                             ("lower", _EdgeArc(s).lower(x))):
+                             ("lower", _EdgeArc(s).lower(x)),
+                             ("cell", cells),
+                             ("line", far_kernel_unit(line, KernelParams(1, s), 3))):
             digests[f"{name} {s}"] = hashlib.sha256(values.tobytes()).hexdigest()
     return digests
 

@@ -20,6 +20,7 @@ from fracperim.kernels import (
     save_table,
     window_offsets,
 )
+from oracles import pair_1d, touching_pair
 
 # frozen from the 1D antiderivative: values double-checked by hand
 PAIR_1D_D1 = 4.0 * (2.0 - math.sqrt(2.0))  # 2.3431457505076194
@@ -131,10 +132,10 @@ def test_2d_touching_frozen_regression(s):
 # pinned under numpy 2.4.6 and scipy 1.17.1
 _PIN_VERSIONS = ("2.4.6", "1.17.1")
 _TOUCHING_PINS = {
-    0.01: ("0x1.ddfe134014e9ap+0", "0x1.4f1d879db1d05p-1"),
-    0.25: ("0x1.3696c0c9838afp+1", "0x1.50b2b885e7242p-1"),
-    0.75: ("0x1.dfd9ae3942b78p+2", "0x1.6ede887fac542p-1"),
-    0.99: ("0x1.8e962af849055p+7", "0x1.93ffb21232f8bp-1"),
+    0.01: ("0x1.ddfe134014ea1p+0", "0x1.4f1d879db1d06p-1"),
+    0.25: ("0x1.3696c0c9838b0p+1", "0x1.50b2b885e7244p-1"),
+    0.75: ("0x1.dfd9ae3942be9p+2", "0x1.6ede887fac546p-1"),
+    0.99: ("0x1.8e962af849367p+7", "0x1.93ffb21232f96p-1"),
 }
 
 
@@ -151,6 +152,31 @@ def test_touching_pairs_keep_their_pinned_bits(s):
               f"pinned {_PIN_VERSIONS}: comparing at 1e-13 relative")
         want = [float.fromhex(v) for v in _TOUCHING_PINS[s]]
         assert got == pytest.approx(want, rel=1e-13)
+
+
+# s from near 0 to near 1, where a plain rule cancels or the pair blows up
+_EXACT_S = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("s", _EXACT_S)
+def test_touching_pairs_are_exact_to_rounding(s):
+    # the boundary identity against the tent form in mpmath; the corner
+    # rule before it was off by up to 1.1e-13 at s = 0.99
+    p = KernelParams(2, s)
+    for b in (0, 1):
+        want = float(touching_pair(b, s))
+        got = cell_pair_integral((1, b), p, 1.0)
+        assert abs(got - want) <= 2e-15 * want, (b, got, want)
+
+
+@pytest.mark.parametrize("s", _EXACT_S)
+def test_1d_pair_is_exact_to_rounding_at_any_distance(s):
+    # the closed form lost about 2 log10(d) digits: 1e-5 at d = 60000
+    d = np.array([[2], [3], [10], [1000], [60000], [2**20]])
+    got = far_kernel_unit(d, KernelParams(1, s), FAR_RULE)
+    for (dist,), value in zip(d.tolist(), got.tolist()):
+        want = float(pair_1d(dist, s))
+        assert abs(value - want) <= 2e-15 * want, (dist, value, want)
 
 
 def _expansion_at(params, offsets):

@@ -48,7 +48,13 @@ from fracperim.perimeter import (
 )
 from fracperim.quadrature import gauss_unit, rounded_counts
 from fracperim.rearrange import GridFunction
-from oracles import brute_perimeter_2d, clenshaw_arc, order4_tail_2d, slot_tail_2d
+from oracles import (
+    brute_perimeter_2d,
+    cell_perimeter,
+    clenshaw_arc,
+    order4_tail_2d,
+    slot_tail_2d,
+)
 
 
 def interval_perimeter(length, s):
@@ -624,6 +630,15 @@ def test_single_cell_engine_identity():
         )
 
 
+@pytest.mark.parametrize("s", [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 0.99])
+def test_single_cell_perimeter_is_exact_to_rounding(s):
+    # the closed form against the square's chord integral in mpmath; the
+    # one-cell engine run before it was off by up to 8.2e-14 at s = 0.95
+    want = float(cell_perimeter(s))
+    got = single_cell_perimeter(KernelParams(2, s))
+    assert abs(got - want) <= 2e-15 * want
+
+
 def test_gagliardo_indicator_identity():
     s, h = 0.5, 2.0**-6
     e, tab = raster_interval(2.0, h, s)
@@ -846,20 +861,20 @@ _PINS = {
     ("ellipse", 0.05): "0x1.61783379556acp+8",
     ("random", 0.05): "0x1.8f27a34e4c2e6p+5",
     ("two-cell", 0.05): "0x1.31a3bc4b3b153p+0",
-    ("union", 0.05): "0x1.106a1a0733a47p+6",
-    ("bump", 0.05): "0x1.ae78296a4f090p+6",
-    ("ball", 0.5): "0x1.f62694f9c052ep+5",
-    ("ellipse", 0.5): "0x1.d450aa2fd995fp+5",
-    ("random", 0.5): "0x1.5d4b94c184f92p+4",
-    ("two-cell", 0.5): "0x1.b363fa04be504p-1",
-    ("union", 0.5): "0x1.af033c4990b64p+3",
-    ("bump", 0.5): "0x1.19fddc6f00ba0p+4",
-    ("ball", 0.95): "0x1.3f0008494ebf2p+8",
-    ("ellipse", 0.95): "0x1.3ce4c81f92464p+8",
-    ("random", 0.95): "0x1.73d2e9ad73b48p+8",
-    ("two-cell", 0.95): "0x1.1ebd4edd1876ep+4",
-    ("union", 0.95): "0x1.49c7e5e3b675bp+6",
-    ("bump", 0.95): "0x1.49b1059de5864p+5",
+    ("union", 0.05): "0x1.106a1a0733a44p+6",
+    ("bump", 0.05): "0x1.ae78296a4f0e5p+6",
+    ("ball", 0.5): "0x1.f62694f9c052fp+5",
+    ("ellipse", 0.5): "0x1.d450aa2fd9960p+5",
+    ("random", 0.5): "0x1.5d4b94c184f96p+4",
+    ("two-cell", 0.5): "0x1.b363fa04be50bp-1",
+    ("union", 0.5): "0x1.af033c4990b5ep+3",
+    ("bump", 0.5): "0x1.19fddc6f00f88p+4",
+    ("ball", 0.95): "0x1.3f0008494ed6ap+8",
+    ("ellipse", 0.95): "0x1.3ce4c81f925dcp+8",
+    ("random", 0.95): "0x1.73d2e9ad73d39p+8",
+    ("two-cell", 0.95): "0x1.1ebd4edd188f2p+4",
+    ("union", 0.95): "0x1.49c7e5e3b675cp+6",
+    ("bump", 0.95): "0x1.49b1059de5eb4p+5",
 }
 
 
