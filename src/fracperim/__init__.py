@@ -10,7 +10,6 @@ from .errors import (
     GridMismatchError,
     MarginError,
     MissingHaloError,
-    SameCellError,
     SymmetryDefectError,
 )
 from .deficit import (
@@ -37,7 +36,6 @@ from .experiments import (
     config_from_mapping,
     exponent_study,
     k_limit_estimate,
-    load_config,
     parse_config_text,
     sweep_csv,
     sweep_s,
@@ -71,20 +69,13 @@ from .grids import (
     GridSet,
     GridSpec,
     bisect_halves,
-    load_gridset,
     pad_domain,
-    same_region,
-    save_gridset,
-    translate_cells,
     unit_ball_volume,
 )
 from .kernels import (
     InteractionTable,
     KernelParams,
     build_table,
-    cell_pair_integral,
-    load_table,
-    save_table,
 )
 from .perimeter import (
     fractional_perimeter,

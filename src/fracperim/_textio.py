@@ -1,10 +1,10 @@
-"""Strict line-oriented ASCII I/O shared by the four file formats, and CSV.
+"""Strict line-oriented ASCII I/O shared by FRACFUN and FRACEXT, and CSV.
 
-Every file opens with a version header.  The grid formats go on with a
-geometry line ``dim [lead...] h origin... cells...`` and row-major value
-blocks.  Loaders run their body under ``strict``, so a parse error or a
-range error from a validating constructor surfaces as a FormatError.
-Every CSV line of the analysis output is made by ``csv_line``.
+Both formats open with a fixed version line, go on with a geometry line
+``dim [lead...] h origin... cells...`` and hold row-major value blocks.
+Loaders run their body under ``strict``, so a parse error or a range error
+from a validating constructor surfaces as a FormatError.  Every CSV line
+of the analysis output is made by ``csv_line``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -79,18 +78,12 @@ def read_ascii(path) -> str:
         ) from exc
 
 
-def read_lines(path, header: str) -> tuple[tuple[str, ...], list[str]]:
-    """The header's fields and the nonblank lines after it.
-
-    The first line must match ``header`` exactly, each ``{}`` standing for
-    one whitespace-free field.
-    """
+def read_lines(path, header: str) -> list[str]:
+    """The nonblank lines after a first line that must equal ``header``."""
     lines = read_ascii(path).splitlines()
-    pattern = r"(\S+)".join(re.escape(part) for part in header.split("{}"))
-    match = re.fullmatch(pattern, lines[0]) if lines else None
-    if match is None:
+    if not lines or lines[0] != header:
         raise FormatError(f"{path}: first line does not match {header!r}")
-    return match.groups(), [ln for ln in lines[1:] if ln.strip()]
+    return [ln for ln in lines[1:] if ln.strip()]
 
 
 def geometry_line(spec, *lead) -> str:
@@ -117,17 +110,17 @@ def bit(token: str) -> bool:
     return token == "1"
 
 
-def format_block(arr, fmt, sep: str = " ") -> list[str]:
+def format_block(arr, fmt) -> list[str]:
     """Row-major text: one line per index along axis 0, values by ``fmt``."""
-    return [sep.join(fmt(x) for x in row) for row in arr.reshape(len(arr), -1)]
+    return [" ".join(fmt(x) for x in row) for row in arr.reshape(len(arr), -1)]
 
 
-def parse_block(rows, shape, conv, sep: str = " ") -> np.ndarray:
+def parse_block(rows, shape, conv) -> np.ndarray:
     """Inverse of format_block: an array of ``shape``, values read by ``conv``."""
     ncols = math.prod(shape[1:])
     if len(rows) != shape[0]:
         raise FormatError(f"expected {shape[0]} rows, found {len(rows)}")
-    tokens = [row.split() if sep else list(row) for row in rows]
+    tokens = [row.split() for row in rows]
     if any(len(t) != ncols for t in tokens):
         raise FormatError(f"expected {ncols} values in every row")
     return np.array([[conv(x) for x in t] for t in tokens]).reshape(shape)

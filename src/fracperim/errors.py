@@ -19,10 +19,6 @@ class EmptySetError(FracperimError):
     """An operation that needs a nonempty set received an empty one."""
 
 
-class SameCellError(FracperimError):
-    """A cell-pair quantity was requested at zero offset."""
-
-
 class MarginError(FracperimError):
     """A complement-box margin is too small for the requested accuracy."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._textio import csv_line, csv_text, read_ascii
+from ._textio import csv_line, csv_text
 from .deficit import (
     centered_sandwich_check,
     n_symmetrize,
@@ -56,7 +56,6 @@ __all__ = [
     "config_from_mapping",
     "exponent_study",
     "k_limit_estimate",
-    "load_config",
     "parse_config_text",
     "sweep_csv",
     "sweep_s",
@@ -196,10 +195,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
                 raise FormatError(f"config key {name!r} is not "
                                   f"{_NUMBER_KINDS[parse]}: {mapping[name]!r}") from None
     return ExperimentConfig(**kw)
-
-
-def load_config(path) -> ExperimentConfig:
-    return config_from_mapping(parse_config_text(read_ascii(path)))
 
 
 @dataclass(frozen=True)

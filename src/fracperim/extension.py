@@ -103,6 +103,10 @@ _PANEL_SCALE = 8.0
 _PANEL_CAP = 64
 # share of the total energy past which the truncation estimate warns
 _TRUNCATION_SHARE = 0.01
+# the most z-levels a ladder may have, about 190 times the default ladder
+# (53 levels on the unit ball at h = 1/16): each level holds a field on the
+# base grid, and a ratio near 1 would build levels until memory ran out
+MAX_LEVELS = 10_000
 
 
 class TruncationWarning(RuntimeWarning):
@@ -237,6 +241,13 @@ def geometric_levels(z0: float, rho: float, top: float) -> tuple[float, ...]:
         raise ValueError("need 0 < z0 < top")
     if rho <= 1.0:
         raise ValueError("geometric ratio must exceed 1")
+    # the loop makes ceil(steps) + 1 levels, up to rounding
+    steps = math.log(top / z0) / math.log(rho)
+    if steps > MAX_LEVELS - 1:
+        raise ValueError(
+            f"rho = {rho!r} would make about {steps + 1:.0f} z-levels from "
+            f"{z0!r} to {top!r}, more than the {MAX_LEVELS} allowed"
+        )
     levels = [z0]
     while levels[-1] < top:
         levels.append(levels[-1] * rho)
@@ -921,7 +932,7 @@ def save_extension(u: ExtensionField, path) -> None:
 
 def load_extension(path) -> ExtensionField:
     """Read a lift from the FRACEXT v1 text format."""
-    _, lines = read_lines(path, "FRACEXT v1")
+    lines = read_lines(path, "FRACEXT v1")
     with strict("FRACEXT"):
         fields, (s,) = parse_geometry(lines[0], 1)
         spec = GridSpec(*fields)

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import (
-    bit, format_block, geometry_line, parse_block, parse_geometry, read_lines,
-    strict, write_lines,
-)
 from .errors import DomainTooSmallError, EmptySetError, GridMismatchError
 
 __all__ = [
@@ -26,13 +22,7 @@ __all__ = [
     "unit_ball_volume",
     "bisect_halves",
     "pad_domain",
-    "same_region",
-    "translate_cells",
-    "save_gridset",
-    "load_gridset",
 ]
-
-_LATTICE_TOL = 1e-9
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -197,26 +187,6 @@ class GridSet:
         )
 
 
-def same_region(a: GridSet, b: GridSet) -> bool:
-    """True when two sets cover the same region of space.
-
-    Compares cell size, trimmed occupancy, and trimmed anchor, so sets that
-    live on differently padded domains still compare equal.
-    """
-    if a.spec.h != b.spec.h or a.spec.dim != b.spec.dim:
-        return False
-    if a.is_empty or b.is_empty:
-        return a.is_empty and b.is_empty
-    ta, tb = a.trimmed(), b.trimmed()
-    if ta.spec.cells != tb.spec.cells:
-        return False
-    h = a.spec.h
-    for k in range(a.spec.dim):
-        if abs(ta.spec.origin[k] - tb.spec.origin[k]) > _LATTICE_TOL * h:
-            return False
-    return bool(np.array_equal(ta.occupancy, tb.occupancy))
-
-
 def _fitted(spec: GridSpec, idx: np.ndarray) -> GridSet:
     """Cells ``idx``, indexed on ``spec``, on ``spec`` grown just to hold them."""
     lo = np.minimum(idx.min(axis=0, initial=0), 0)
@@ -305,27 +275,3 @@ def pad_domain(e: GridSet, pad: int) -> GridSet:
     )
     return GridSet(spec, np.pad(e.trimmed().occupancy, pad))
 
-
-def translate_cells(e: GridSet, offset_cells) -> GridSet:
-    """Shift a set by whole cells (implemented as an exact anchor move)."""
-    off = tuple(int(v) for v in np.atleast_1d(offset_cells))
-    if len(off) != e.spec.dim:
-        raise ValueError("offset length must equal dim")
-    return GridSet(e.spec.window(off, e.spec.cells), e.occupancy)
-
-
-def save_gridset(e: GridSet, path) -> None:
-    """Write a set in the FRACGRID v1 text format."""
-    rows = format_block(np.atleast_2d(e.occupancy).astype(int), str, sep="")
-    write_lines(path, ["FRACGRID v1", geometry_line(e.spec), *rows])
-
-
-def load_gridset(path) -> GridSet:
-    """Read a set from the FRACGRID v1 text format."""
-    _, lines = read_lines(path, "FRACGRID v1")
-    with strict("FRACGRID"):
-        fields, _ = parse_geometry(lines[0], 0)
-        spec = GridSpec(*fields)
-        shape = (1,) * (2 - spec.dim) + spec.cells  # a 1D set is one row
-        occ = parse_block(lines[1:], shape, bit, sep="")
-        return GridSet(spec, occ.reshape(spec.cells))

@@ -11,17 +11,18 @@ Quadrature strategy per lattice offset d, one rule for each case:
   - dim 2, |d|_inf >= 2: the pair integral equals a tent-weighted integral
     over [-1,1]^2 around d; tensor Gauss-Legendre per quadrant.
 ``_unit_pair_values`` alone picks the rule: the boundary identity for the
-two touching classes, ``far_kernel_unit`` (the series and the tent rule)
-for the rest; at order 20 it gives the table window and every single pair
-integral.  Beyond the table cutoff FAR_RULE = 3 sets the order of the
-tent rule; at the default cutoff 16 it is already at 1e-9 relative error
-while a single midpoint evaluation would sit near 2e-3.  Beyond
-|d|_inf = 16 that rule is evaluated as its multipole expansion
-(``_FarExpansion``), built from the rule's own moments, so it gives the
-rule's values to rounding for one power per value instead of 36.  The
-table assembles K(d) over a box (``InteractionTable.offset_kernel``) from
-its near window, laid out when the table is made, and the far values of
-that box, evaluated afresh for each box.
+two touching classes, ``_far_kernel_unit`` (the series and the tent rule)
+for the rest; at order 20 it gives the table window.  Beyond the table
+cutoff FAR_RULE = 3 sets the order of the tent rule; at the default cutoff
+16 it is already at 1e-9 relative error while a single midpoint
+evaluation would sit near 2e-3.  Beyond |d|_inf = 16 that rule is
+evaluated as its multipole expansion (``_FarExpansion``), built from the
+rule's own moments, so it gives the rule's values to rounding for one
+power per value instead of 36.  The table assembles K(d) over a box
+(``InteractionTable.offset_kernel``) from its near window, laid out when
+the table is made, and the far values of that box, evaluated afresh for
+each box.  A table is always built, never read from a file:
+``build_table`` makes a 2D one at the default cutoff in 3 to 4 ms.
 """
 
 from __future__ import annotations
@@ -32,18 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import g17, parse_block, read_lines, strict, write_lines
-from .errors import FormatError, GridMismatchError, SameCellError
+from .errors import GridMismatchError
 from .quadrature import chebyshev_monomials, gauss_unit
 
 __all__ = [
     "KernelParams",
     "InteractionTable",
-    "cell_pair_integral",
     "build_table",
-    "save_table",
-    "load_table",
-    "far_kernel_unit",
     "window_offsets",
 ]
 
@@ -124,17 +120,17 @@ def _unit_pair_values(offsets, params: KernelParams, rule: int) -> np.ndarray:
 
     In 2D the touching offsets (|d|_inf = 1) of both classes (1, 0) and
     (1, 1) take the boundary identity (``_boundary_values``); every other
-    offset takes ``far_kernel_unit`` at order ``rule``.  Each value depends
+    offset takes ``_far_kernel_unit`` at order ``rule``.  Each value depends
     on its own offset alone, so it has the same bits in any batch.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     if params.dim == 1:
-        return far_kernel_unit(offsets, params, rule)
+        return _far_kernel_unit(offsets, params, rule)
     mags = np.abs(offsets)
     hi, lo = mags.max(axis=1), mags.min(axis=1)
     values = np.empty(len(offsets))
     far = hi != 1
-    values[far] = far_kernel_unit(offsets[far], params, rule)
+    values[far] = _far_kernel_unit(offsets[far], params, rule)
     if not far.all():
         values[~far] = np.array(_boundary_values(params.s)[:2])[lo[~far]]
     return values
@@ -144,8 +140,8 @@ def _window_values(params: KernelParams, cutoff: int) -> dict[tuple, float]:
     """Unit pair integrals for every offset of ``window_offsets``.
 
     The rules see only sorted magnitudes a >= b, so each class is evaluated
-    once and its offsets share the value.  Every value is bit-equal to
-    ``cell_pair_integral`` at h = 1.
+    once and its offsets share the value, which has the bits that
+    ``_unit_pair_values`` gives that offset alone.
     """
     dim = params.dim
     # |offset| in window_offsets order: the window in C order less its centre
@@ -155,23 +151,6 @@ def _window_values(params: KernelParams, cutoff: int) -> dict[tuple, float]:
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     values = _unit_pair_values(mags[first], params, _SMOOTH_ORDER)
     return dict(zip(window_offsets(dim, cutoff), values[inverse].tolist()))
-
-
-def cell_pair_integral(offset, params: KernelParams, h: float) -> float:
-    """Interaction integral between two cells of size h at a lattice offset.
-
-    Scales exactly as h^(dim-s).  Raises for the zero offset, where the
-    integral diverges and is never needed for perimeters of sets.
-    """
-    offset = tuple(int(c) for c in np.atleast_1d(offset))
-    if len(offset) != params.dim:
-        raise ValueError("offset length does not match params.dim")
-    if all(c == 0 for c in offset):
-        raise SameCellError("cell paired with itself: the integral diverges")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    unit = float(_unit_pair_values([offset], params, _SMOOTH_ORDER)[0])
-    return unit * h ** (params.dim - params.s)
 
 
 def _pair_values_1d(d: np.ndarray, s: float) -> np.ndarray:
@@ -200,8 +179,8 @@ def _pair_values_1d(d: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
-                    rule: int) -> np.ndarray:
+def _far_kernel_unit(offsets: np.ndarray, params: KernelParams,
+                     rule: int) -> np.ndarray:
     """Unit-lattice pair integrals for many offsets at once.
 
     dim 1 is exact to rounding regardless of ``rule`` (``_pair_values_1d``);
@@ -226,7 +205,7 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
     near = np.flatnonzero(mags.max(axis=1) < (1 if params.dim == 1 else 2))
     if near.size:
         raise ValueError(
-            "far_kernel_unit's rule is singular at offset "
+            "the far rule is singular at offset "
             f"{tuple(offsets[near[0]].tolist())}"
         )
     if params.dim == 1:
@@ -260,7 +239,7 @@ def far_kernel_unit(offsets: np.ndarray, params: KernelParams,
 def _multipole_operator() -> tuple:
     """The integer part of the far rule's expansion: rows[n][j] lists (k, p, c).
 
-    The tent rule of ``far_kernel_unit`` is sum_ij ww_ij f(a +- x_i,
+    The tent rule of ``_far_kernel_unit`` is sum_ij ww_ij f(a +- x_i,
     b +- x_j) over the four sign pairs, f = |z|^(2 gamma), z = a + ib,
     gamma = -(2 + s)/2.  Its Taylor series is
     sum_kl M_kl d_a^2k d_b^2l f, with the rule's own moments
@@ -305,7 +284,7 @@ def _far_rule_moments() -> tuple[dict, float, float]:
     """The moments M_kl of the tent rule at FAR_RULE, and M_00 as hi + lo.
 
     M_kl = 4 sum_ij ww_ij x_i^2k x_j^2l / ((2k)! (2l)!), over the weight
-    products ww_ij that ``far_kernel_unit`` forms, for k + l <= 6.
+    products ww_ij that ``_far_kernel_unit`` forms, for k + l <= 6.
     """
     x, w = gauss_unit(FAR_RULE)
     tent = w * (1.0 - x)
@@ -325,7 +304,7 @@ def _far_rule_moments() -> tuple[dict, float, float]:
 
 
 class _FarExpansion:
-    """``far_kernel_unit`` at order FAR_RULE, as its multipole expansion.
+    """``_far_kernel_unit`` at order FAR_RULE, as its multipole expansion.
 
     K(a, b) = r^(2 gamma) sum_{n <= 6} rho^n P_n(c), with rho = 1/r^2 and
     c = cos 4 theta = (a^4 - 6 a^2 b^2 + b^4) / r^4, where each P_n, of
@@ -509,7 +488,7 @@ class InteractionTable:
         if self.params.dim == 1:
             quad = np.zeros(shape)
             d = np.arange(rc + 1, shape[0])
-            quad[rc + 1:] = far_kernel_unit(d[:, None], self.params, FAR_RULE)
+            quad[rc + 1:] = _far_kernel_unit(d[:, None], self.params, FAR_RULE)
             return quad
         long, short = max(shape), min(shape)
         quad = np.zeros((long, short))
@@ -522,7 +501,7 @@ class InteractionTable:
             a, b = np.meshgrid(np.arange(lo, hi, dtype=np.float64),
                                np.arange(min(hi, short), dtype=np.float64),
                                indexing="ij")
-            values = (self._expansion(a, b) if hi > start else far_kernel_unit(
+            values = (self._expansion(a, b) if hi > start else _far_kernel_unit(
                 np.stack([a, b], axis=-1), self.params, FAR_RULE))
             quad[lo:hi, :a.shape[1]] = values.reshape(a.shape)
         square = quad[:short]
@@ -544,37 +523,3 @@ def build_table(
         raise ValueError("cutoff must be >= 2")
     return InteractionTable(params, h, cutoff, _window_values(params, cutoff))
 
-
-_HEADER = "FRACTAB v1 N={} s={} Rc={}"
-
-
-def save_table(table: InteractionTable, path) -> None:
-    """Write the unit-lattice table as FRACTAB v1 text.
-
-    The file is resolution-free: the header carries (N, s, Rc) only, and
-    values are printed with 17 significant digits so they round-trip float64
-    exactly.
-    """
-    params = table.params
-    lines = [_HEADER.format(params.dim, repr(float(params.s)), table.cutoff_radius)]
-    for off in window_offsets(params.dim, table.cutoff_radius):
-        lines.append(" ".join([*map(str, off), g17(table.entries[off])]))
-    write_lines(path, lines)
-
-
-def load_table(path, h: float = 1.0) -> InteractionTable:
-    """Read a FRACTAB v1 file back into an InteractionTable at cell size h."""
-    (dim, s, cutoff), lines = read_lines(path, _HEADER)
-    with strict("FRACTAB"):
-        params = KernelParams(int(dim), float(s))
-        cutoff = int(cutoff)
-        count = (2 * cutoff + 1) ** params.dim - 1
-        rows = parse_block(lines, (count, params.dim + 1), str)
-        expected = window_offsets(params.dim, cutoff)
-        if [tuple(int(c) for c in row[:-1]) for row in rows] != expected:
-            raise FormatError("FRACTAB offsets are not in lexicographic order")
-        values = [float(v) for v in rows[:, -1]]
-        if not all(0.0 < v < math.inf for v in values):
-            raise FormatError("FRACTAB values must be positive and finite")
-        entries = dict(zip(expected, values))
-        return InteractionTable(params, h, cutoff, entries)

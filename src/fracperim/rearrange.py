@@ -207,7 +207,7 @@ def save_gridfunction(g: GridFunction, path) -> None:
 
 def load_gridfunction(path) -> GridFunction:
     """Read a grid function from the FRACFUN v1 text format."""
-    _, lines = read_lines(path, "FRACFUN v1")
+    lines = read_lines(path, "FRACFUN v1")
     with strict("FRACFUN"):
         fields, _ = parse_geometry(lines[0], 0)
         spec = GridSpec(*fields)

@@ -10,7 +10,9 @@ oracles, ``complement_pair_counts`` and ``full_lattice_scan``, and the
 tail oracle ``slot_tail_2d``: they are the package's earlier paths, kept
 as references for the paths that replaced them (prefix sums and one
 autocorrelation; a scan over the set's bounding box; rows of the tail
-summed by parts).
+summed by parts).  ``cell_pair_integral``, ``same_region`` and
+``translate_cells`` were public helpers that nothing but the tests called;
+the first is the engine's own pair rule, which the tests pin bit for bit.
 """
 
 import math
@@ -19,7 +21,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, signal, special
 
-from fracperim import GridSet, GridSpec
+from fracperim import GridSet, GridSpec, kernels
 from fracperim.perimeter import _exact_sum, _phi
 from fracperim.quadrature import convolve_window, rounded_counts
 
@@ -437,3 +439,31 @@ def mirror_oracle(e, axis, plane, half=None):
         max(hi, image[:, axis].max() + 0.5 * h),
     )
     return GridSet(spec, occ), span
+
+
+def cell_pair_integral(offset, params, h):
+    # the engine's pair integral at one nonzero lattice offset, scaled by
+    # h^(dim - s): every table entry and every single pair value
+    unit = kernels._unit_pair_values([offset], params, kernels._SMOOTH_ORDER)[0]
+    return float(unit) * h ** (params.dim - params.s)
+
+
+def translate_cells(e, offset_cells):
+    # a shift by whole cells, as an exact move of the anchor
+    return GridSet(e.spec.window(offset_cells, e.spec.cells), e.occupancy)
+
+
+def same_region(a, b):
+    # the same cell size and the same occupied cells, anchored within 1e-9
+    # of a cell, whatever the grids the two sets live on
+    if a.spec.h != b.spec.h or a.spec.dim != b.spec.dim:
+        return False
+    if a.is_empty or b.is_empty:
+        return a.is_empty and b.is_empty
+    ta, tb = a.trimmed(), b.trimmed()
+    if ta.spec.cells != tb.spec.cells:
+        return False
+    if any(abs(x - y) > 1e-9 * a.spec.h
+           for x, y in zip(ta.spec.origin, tb.spec.origin)):
+        return False
+    return bool(np.array_equal(ta.occupancy, tb.occupancy))

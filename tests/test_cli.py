@@ -359,6 +359,18 @@ def test_invalid_config_value_exits_2_naming_field(args, field, capsys):
     assert f"{field} must be" in err
 
 
+def test_endless_level_ladder_exits_2(capsys):
+    # one ulp above 1 the ladder would need some 3e16 levels; it is refused
+    # from its count before a level is made
+    code, out, err = run(
+        ["extend", "--shape", INTERVAL, "--h", "0.0625", "--rho", "1.0000000000000002"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "more than the 10000 allowed" in err
+
+
 @pytest.mark.parametrize(
     "args,message",
     [

@@ -34,7 +34,6 @@ from fracperim.deficit import (
     s_deficit,
     symmetry_defect_cells,
 )
-from fracperim.grids import translate_cells
 from fracperim.kernels import KernelParams, build_table
 from fracperim.perimeter import fractional_perimeter
 from fracperim.shapes import Ellipse, UnionShape

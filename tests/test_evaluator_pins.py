@@ -22,12 +22,7 @@ import pytest
 import scipy
 
 import fracperim
-from fracperim.kernels import (
-    KernelParams,
-    build_table,
-    cell_pair_integral,
-    far_kernel_unit,
-)
+from fracperim.kernels import KernelParams, _far_kernel_unit, build_table
 from fracperim.perimeter import (
     _SERIES_TERMS,
     _EdgeArc,
@@ -37,6 +32,7 @@ from fracperim.perimeter import (
     single_cell_perimeter,
 )
 from fracperim.quadrature import gauss_unit
+from oracles import cell_pair_integral
 
 _PIN_VERSIONS = ("2.4.6", "1.17.1")
 _S = (0.05, 0.5, 0.95)
@@ -187,7 +183,7 @@ def _pinned(got, want_hex):
 @pytest.mark.parametrize("s", _S)
 @pytest.mark.parametrize("rule", [3, 20])
 def test_far_kernel_unit_keeps_its_pinned_bits(s, rule):
-    got = far_kernel_unit(np.array(_FAR_OFFSETS), KernelParams(2, s), rule)
+    got = _far_kernel_unit(np.array(_FAR_OFFSETS), KernelParams(2, s), rule)
     assert _pinned(got, _FAR_PINS[s, rule])
 
 
@@ -273,7 +269,7 @@ def test_far_kernel_unit_equals_its_loop_form(rule):
     ])
     offsets = offsets[np.abs(offsets).max(axis=1) >= 2]
     for s in _S:
-        got = far_kernel_unit(offsets, KernelParams(2, s), rule)
+        got = _far_kernel_unit(offsets, KernelParams(2, s), rule)
         assert np.array_equal(got, _far_loop(offsets, s, rule))
 
 
@@ -359,7 +355,7 @@ def simd_free_digests() -> dict:
         for name, values in (("far", _far_values(s, offsets)),
                              ("lower", _EdgeArc(s).lower(x)),
                              ("cell", cells),
-                             ("line", far_kernel_unit(line, KernelParams(1, s), 3))):
+                             ("line", _far_kernel_unit(line, KernelParams(1, s), 3))):
             digests[f"{name} {s}"] = hashlib.sha256(values.tobytes()).hexdigest()
     return digests
 

@@ -143,21 +143,6 @@ def test_config_margin_uses_the_perimeter_bound():
     assert fp.ExperimentConfig(margin=2).margin == 2
 
 
-def test_load_config(tmp_path):
-    path = tmp_path / "cfg.txt"
-    path.write_text("s = 0.5\nh = 0.125\nfamily = two-intervals\nparams = 0.5\nn = 1\n")
-    cfg = fp.load_config(path)
-    assert cfg.dim == 1
-    assert cfg.family == "two-intervals"
-
-
-def test_load_config_names_line_of_non_ascii_byte(tmp_path):
-    path = tmp_path / "cfg.txt"
-    path.write_bytes("s = 0.5\n# caf\u00e9 comment\nh = 0.125\n".encode("utf-8"))
-    with pytest.raises(fp.FormatError, match=r"cfg\.txt: line 2: non-ASCII byte 0xc3"):
-        fp.load_config(path)
-
-
 # ------------------------------------------------------------------- sweep
 
 

@@ -38,6 +38,34 @@ def test_every_name_in_a_module_all_exists():
         assert not missing, f"{module.__name__}.__all__ lists missing {missing}"
 
 
+# exported for users alone: it reads back the FRACEXT file of `extend --out`
+_CALLED_BY_USERS_ONLY = {"load_extension"}
+
+
+def test_every_exported_name_has_a_caller():
+    # a name in a module's __all__ must be read somewhere in the package,
+    # the benchmark or the demos; the package's __init__ does not count
+    root = Path(fracperim.__file__).parents[2]
+    exported, used = set(), set()
+    for path in sorted(root.glob("src/fracperim/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+    for pattern in ("src/fracperim/*.py", "bench/*.py", "demos/*.py"):
+        for path in root.glob(pattern):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert exported
+    assert exported - used == _CALLED_BY_USERS_ONLY, sorted(exported - used)
+
+
 def test_package_exposes_every_name_its_init_lists():
     listed = _init_imports()
     assert listed
@@ -92,11 +120,16 @@ def _child_stdout(probe: str) -> str:
 
 
 def test_import_loads_no_scipy():
+    # nor any other module outside the package, numpy and the standard library
     probe = (
-        "import sys, fracperim; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys; before = set(sys.modules); import fracperim; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    assert _child_stdout(probe) == "[]\n"
+    added = json.loads(_child_stdout(probe))
+    assert "fracperim" in added and "numpy" in added
+    allowed = {"fracperim", "numpy", *sys.stdlib_module_names}
+    foreign = [m for m in added if m.split(".")[0] not in allowed]
+    assert not foreign, f"import fracperim loads {foreign}"
 
 
 _OPS_PROBE = """

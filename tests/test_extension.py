@@ -211,6 +211,15 @@ def test_geometric_levels_cover_the_top():
         fp.geometric_levels(0.25, 1.0, 4.0)
 
 
+def test_geometric_levels_refuse_a_ladder_too_long_to_build():
+    # a ratio near 1 is refused from its count, before any level is made:
+    # at 1 + 1e-4 the loop would build about 73k levels, 1,350 times the
+    # 54 of the default ratio over the same span
+    with pytest.raises(ValueError, match=r"about 72948 z-levels .* the 10000 allowed"):
+        fp.geometric_levels(1 / 64, 1 + 1e-4, 23.0)
+    assert len(fp.geometric_levels(1 / 64, 1.15, 23.0)) == 54
+
+
 def test_extension_domain_geometry():
     h = 1 / 16
     shape = fp.Interval(0.0, 1.0)

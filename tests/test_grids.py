@@ -11,15 +11,11 @@ from fracperim import (
     GridSpec,
     bisect_halves,
     extension_domain,
-    load_gridset,
     pad_domain,
-    same_region,
-    save_gridset,
-    translate_cells,
     unit_ball_volume,
 )
 from fracperim.grids import _fitted, _mirrored
-from oracles import mirror_oracle
+from oracles import mirror_oracle, same_region, translate_cells
 
 
 def mirror(e, axis, q):
@@ -141,17 +137,6 @@ def test_translate_exact():
 def test_unit_ball_volume():
     assert unit_ball_volume(1) == 2.0
     assert unit_ball_volume(2) == math.pi
-
-
-def test_gridset_file_round_trip(tmp_path):
-    spec = GridSpec(2, (5, 6), 0.25, (-0.5, 0.75))
-    rng = np.random.default_rng(11)
-    e = GridSet(spec, rng.random((5, 6)) < 0.5)
-    path = tmp_path / "set.fracgrid"
-    save_gridset(e, path)
-    back = load_gridset(path)
-    assert back == e
-    assert back.spec == e.spec
 
 
 def test_empty_set_guards():

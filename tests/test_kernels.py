@@ -5,22 +5,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fracperim import FormatError, SameCellError
 from fracperim.kernels import (
     DEFAULT_CUTOFF,
     FAR_RULE,
     InteractionTable,
     KernelParams,
     _FarExpansion,
+    _far_kernel_unit,
     _multipole_operator,
     build_table,
-    cell_pair_integral,
-    far_kernel_unit,
-    load_table,
-    save_table,
-    window_offsets,
 )
-from oracles import pair_1d, touching_pair
+from oracles import cell_pair_integral, pair_1d, touching_pair
 
 # frozen from the 1D antiderivative: values double-checked by hand
 PAIR_1D_D1 = 4.0 * (2.0 - math.sqrt(2.0))  # 2.3431457505076194
@@ -53,17 +48,12 @@ def test_1d_midpoint_agreement_at_distance():
 
 
 def test_scaling_is_exact():
+    # a table at h = 2 holds the unit values and scales them by h^(dim - s)
     for params, off in [(KernelParams(1, 0.3), (4,)), (KernelParams(2, 0.7), (3, 1))]:
         v1 = cell_pair_integral(off, params, 1.0)
-        v2 = cell_pair_integral(off, params, 2.0)
-        assert v2 == 2.0 ** (params.dim - params.s) * v1
-
-
-def test_zero_offset_rejected():
-    with pytest.raises(SameCellError):
-        cell_pair_integral((0,), KernelParams(1, 0.5), 1.0)
-    with pytest.raises(SameCellError):
-        cell_pair_integral((0, 0), KernelParams(2, 0.5), 1.0)
+        tab = build_table(params, h=2.0)
+        assert tab.entries[off] == v1
+        assert tab.entries[off] * tab.scale_factor == 2.0 ** (params.dim - params.s) * v1
 
 
 def nquad_pair_2d(a, b, s):
@@ -173,7 +163,7 @@ def test_touching_pairs_are_exact_to_rounding(s):
 def test_1d_pair_is_exact_to_rounding_at_any_distance(s):
     # the closed form lost about 2 log10(d) digits: 1e-5 at d = 60000
     d = np.array([[2], [3], [10], [1000], [60000], [2**20]])
-    got = far_kernel_unit(d, KernelParams(1, s), FAR_RULE)
+    got = _far_kernel_unit(d, KernelParams(1, s), FAR_RULE)
     for (dist,), value in zip(d.tolist(), got.tolist()):
         want = float(pair_1d(dist, s))
         assert abs(value - want) <= 2e-15 * want, (dist, value, want)
@@ -199,10 +189,10 @@ def test_beyond_the_cutoff_pairs_take_order_20_and_kernels_far_rule():
     for off, want in zip(offsets, expansion):
         assert max(map(abs, off)) > DEFAULT_CUTOFF
         single = cell_pair_integral(off, params, 1.0)
-        assert single == far_kernel_unit([off], params, 20)[0], off
+        assert single == _far_kernel_unit([off], params, 20)[0], off
         far = k[off[0] + shape[0] - 1, off[1] + shape[1] - 1]
         assert far == want, off
-        rule = far_kernel_unit([off], params, FAR_RULE)[0]
+        rule = _far_kernel_unit([off], params, FAR_RULE)[0]
         assert abs(far - rule) <= 1e-15 * rule, off
     # the two orders differ there, so the check tells them apart
     assert k[17 + 39, 20] != cell_pair_integral((17, 0), params, 1.0)
@@ -218,7 +208,7 @@ def test_far_memo_takes_the_rule_itself_up_to_16():
     rule_offsets = [(4, 0), (5, -2), (16, 16), (-16, 9)]
     for off in rule_offsets:
         got = k[off[0] + shape[0] - 1, off[1] + shape[1] - 1]
-        assert got == far_kernel_unit([off], params, FAR_RULE)[0], off
+        assert got == _far_kernel_unit([off], params, FAR_RULE)[0], off
     far_offsets = [(17, 0), (17, 17), (-29, 3)]
     got = [k[a + shape[0] - 1, b + shape[1] - 1] for a, b in far_offsets]
     assert got == _expansion_at(params, far_offsets).tolist()
@@ -234,7 +224,7 @@ def test_far_expansion_is_the_rule_to_rounding(s):
         b = rng.integers(0, a + 1)
         offsets = np.stack([a, b], axis=1)
         got = _expansion_at(params, offsets)
-        rule = far_kernel_unit(offsets, params, FAR_RULE)
+        rule = _far_kernel_unit(offsets, params, FAR_RULE)
         assert np.max(np.abs(got - rule) / rule) <= 1e-15, (lo, hi)
 
 
@@ -306,71 +296,10 @@ def test_table_matches_1d_closed_form():
         assert tab.entries[(d,)] == pytest.approx(exact, rel=1e-12)
 
 
-def test_cache_round_trip_bit_identical(tmp_path):
-    path = tmp_path / "k.fractab"
-    tab = build_table(KernelParams(2, 0.35), cutoff=5)
-    save_table(tab, path)
-    assert load_table(path) == tab
-    loaded = load_table(path, h=0.125)
-    assert loaded.entries == tab.entries
-    assert loaded.h == 0.125
-    assert loaded.params == tab.params
-
-
-def test_save_is_lexicographic_17_digits(tmp_path):
-    path = tmp_path / "k.fractab"
-    tab = build_table(KernelParams(2, 0.5), cutoff=2)
-    save_table(tab, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "FRACTAB v1 N=2 s=0.5 Rc=2"
-    offs = [tuple(int(t) for t in ln.split()[:2]) for ln in lines[1:]]
-    assert offs == window_offsets(2, 2)
-    val = float(lines[1].split()[2])
-    assert val == tab.entries[(-2, -2)]
-
-
-def test_load_rejects_corruption(tmp_path):
-    path = tmp_path / "k.fractab"
-    save_table(build_table(KernelParams(1, 0.5), cutoff=3), path)
-    text = path.read_text()
-    value = text.splitlines()[2].split()[1]
-    assert f" {value}\n" in text
-    path.write_text(text.replace(f" {value}\n", " -1.0\n", 1))
-    with pytest.raises(FormatError):
-        load_table(path)
-
-
-@pytest.mark.parametrize(
-    "old,new",
-    [("\n-3 ", "\nx "), ("Rc=3", "Rc=-2"), ("s=0.5", "s=1.5")],
-    ids=["offset", "Rc", "s"],
-)
-def test_corrupt_cache_is_rebuilt(tmp_path, old, new):
-    path = tmp_path / "k.fractab"
-    params = KernelParams(1, 0.5)
-    tab = build_table(params, cutoff=3)
-    save_table(tab, path)
-    text = path.read_text()
-    assert old in text
-    path.write_text(text.replace(old, new, 1))
-    with pytest.raises(FormatError):
-        load_table(path)
-    save_table(build_table(params, cutoff=3), path)
-    assert load_table(path) == tab
-
-
-def test_cache_written_for_numpy_s_reads_back(tmp_path):
-    path = tmp_path / "k.fractab"
-    tab = build_table(KernelParams(1, np.float64(0.5)), cutoff=3)
-    save_table(tab, path)
-    assert path.read_text().startswith("FRACTAB v1 N=1 s=0.5 Rc=3\n")
-    assert load_table(path) == tab
-
-
 def test_far_rule_accuracy_outside_cutoff():
     p = KernelParams(2, 0.5)
     offsets = np.array([(17, 0), (17, 17), (24, 3), (40, 0)])
-    approx = far_kernel_unit(offsets, p, 3)
+    approx = _far_kernel_unit(offsets, p, 3)
     for row, off in enumerate(offsets):
         exact = cell_pair_integral(tuple(off), p, 1.0)
         assert abs(approx[row] - exact) / exact < 1e-8
@@ -392,11 +321,11 @@ def test_far_rule_refuses_offsets_where_it_is_singular(dim, offsets, named):
     # before, (1, 0) gave 2.948 against the pair integral 3.647 and (0, 0)
     # a finite 26.9, and (0,) a nan with a warning
     with pytest.raises(ValueError, match=re.escape(named)):
-        far_kernel_unit(np.array(offsets), KernelParams(dim, 0.5), 3)
+        _far_kernel_unit(np.array(offsets), KernelParams(dim, 0.5), 3)
 
 
 def test_far_rule_1d_is_closed_form():
     p = KernelParams(1, 0.5)
-    vals = far_kernel_unit(np.array([[17], [-40]]), p, 3)
+    vals = _far_kernel_unit(np.array([[17], [-40]]), p, 3)
     assert vals[0] == cell_pair_integral((17,), p, 1.0)
     assert vals[1] == cell_pair_integral((40,), p, 1.0)

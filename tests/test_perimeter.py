@@ -24,14 +24,12 @@ from fracperim import (
     UnionShape,
     auto_spec,
     rasterize,
-    translate_cells,
 )
 from fracperim.kernels import (
     FAR_RULE,
     KernelParams,
+    _far_kernel_unit,
     build_table,
-    cell_pair_integral,
-    far_kernel_unit,
 )
 from fracperim.perimeter import (
     _EdgeArc,
@@ -50,10 +48,12 @@ from fracperim.quadrature import gauss_unit, rounded_counts
 from fracperim.rearrange import GridFunction
 from oracles import (
     brute_perimeter_2d,
+    cell_pair_integral,
     cell_perimeter,
     clenshaw_arc,
     order4_tail_2d,
     slot_tail_2d,
+    translate_cells,
 )
 
 
@@ -717,7 +717,7 @@ def _double_sum_seminorm(values, tab):
             if max(abs(x) for x in d) <= tab.cutoff_radius:
                 j = tab.entries[d]
             else:
-                j = far_kernel_unit(np.array([d]), params, FAR_RULE)[0]
+                j = _far_kernel_unit(np.array([d]), params, FAR_RULE)[0]
             cross.append(values[c] * values[c2] * j)
     diag = single_cell_perimeter(params) * math.fsum((values**2).ravel())
     return 2.0 * (diag - math.fsum(cross)) * tab.scale_factor

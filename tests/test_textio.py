@@ -1,4 +1,4 @@
-"""The four text formats: pinned writer bytes, strict loaders, round trips."""
+"""The two text formats: pinned writer bytes, strict loaders, round trips."""
 
 import tempfile
 from pathlib import Path
@@ -13,16 +13,6 @@ from fracperim._textio import csv_line, csv_text
 from fracperim.extension import ExtensionField, HalfSpaceGrid
 
 # ------------------------------------------------------------- pinned bytes
-
-
-def test_fracgrid_exact_text(tmp_path):
-    path = tmp_path / "g.fracgrid"
-    spec = fp.GridSpec(2, (2, 3), 0.1, (0.0, -1.5))
-    fp.save_gridset(fp.GridSet(spec, [[1, 0, 1], [0, 1, 1]]), path)
-    assert path.read_bytes() == b"FRACGRID v1\n2 0.1 0.0 -1.5 2 3\n101\n011\n"
-    spec = fp.GridSpec(1, (4,), 0.25, (1.0,))
-    fp.save_gridset(fp.GridSet(spec, [0, 1, 1, 0]), path)
-    assert path.read_bytes() == b"FRACGRID v1\n1 0.25 1.0 4\n0110\n"
 
 
 def test_fracfun_exact_text(tmp_path):
@@ -65,8 +55,6 @@ def test_csv_line_formats_by_type_and_quotes_only_where_needed():
 
 # ------------------------------------------------------- malformed inputs
 
-TAB = "FRACTAB v1 N=1 s=0.5 Rc=2\n-2 0.5\n-1 2.5\n1 2.5\n2 0.5\n"
-GRID = "FRACGRID v1\n2 0.5 0.0 0.0 2 3\n101\n011\n"
 FUN = "FRACFUN v1\n2 0.5 0.0 0.0 2 2\n0.5 1\n0 2\n"
 EXT = (
     "FRACEXT v1\n1 0.5 0.5 0.0 2\nlevels 0.25 0.5\n"
@@ -74,67 +62,41 @@ EXT = (
 )
 
 LOADERS = {
-    "tab": fp.load_table,
-    "grid": fp.load_gridset,
     "fun": fp.load_gridfunction,
     "ext": fp.load_extension,
 }
-VALID = {"tab": TAB, "grid": GRID, "fun": FUN, "ext": EXT}
+VALID = {"fun": FUN, "ext": EXT}
 
 MALFORMED = [
-    # FRACTAB
-    ("tab", "empty file", ""),
-    ("tab", "wrong version", TAB.replace("v1", "v2")),
-    ("tab", "header missing Rc", TAB.replace(" Rc=2", "")),
-    ("tab", "extra header field", TAB.replace("Rc=2", "Rc=2 x=1")),
-    ("tab", "non-numeric N", TAB.replace("N=1", "N=one")),
-    ("tab", "N = 3", TAB.replace("N=1", "N=3")),
-    ("tab", "s = 1.5", TAB.replace("s=0.5", "s=1.5")),
-    ("tab", "s = nan", TAB.replace("s=0.5", "s=nan")),
-    ("tab", "Rc = -2", TAB.replace("Rc=2", "Rc=-2")),
-    ("tab", "Rc = 1", "FRACTAB v1 N=1 s=0.5 Rc=1\n-1 2.5\n1 2.5\n"),
-    ("tab", "huge Rc", TAB.replace("Rc=2", "Rc=10000000")),
-    ("tab", "non-numeric offset", TAB.replace("-1 2.5", "x 2.5")),
-    ("tab", "fractional offset", TAB.replace("-1 2.5", "-1.0 2.5")),
-    ("tab", "offsets out of order", TAB.replace("-2 0.5\n-1", "-1 0.5\n-2")),
-    ("tab", "missing row", TAB.replace("\n2 0.5\n", "\n")),
-    ("tab", "extra token", TAB.replace("1 2.5\n2", "1 2.5 7\n2")),
-    ("tab", "negative value", TAB.replace("-1 2.5", "-1 -2.5")),
-    ("tab", "zero value", TAB.replace("-1 2.5", "-1 0")),
-    ("tab", "inf value", TAB.replace("-1 2.5", "-1 inf")),
-    ("tab", "nan value", TAB.replace("-1 2.5", "-1 nan")),
-    ("tab", "non-numeric value", TAB.replace("-1 2.5", "-1 big")),
-    # FRACGRID
-    ("grid", "header only", "FRACGRID v1\n"),
-    ("grid", "wrong header", GRID.replace("FRACGRID", "FRACFUN")),
-    ("grid", "h = nan", GRID.replace("2 0.5", "2 nan")),
-    ("grid", "h = 0", GRID.replace("2 0.5", "2 0")),
-    ("grid", "origin = inf", GRID.replace("0.0 0.0", "inf 0.0")),
-    ("grid", "dim = 3", GRID.replace("2 0.5 0.0 0.0 2 3", "3 0.5 0 0 0 2 3 1")),
-    ("grid", "non-numeric dim", GRID.replace("2 0.5", "two 0.5")),
-    ("grid", "extra geometry field", GRID.replace("2 3\n", "2 3 9\n")),
-    ("grid", "missing cell count", GRID.replace("2 3\n", "2\n")),
-    ("grid", "zero cell count", GRID.replace("2 3\n", "2 0\n")),
-    ("grid", "fractional cell count", GRID.replace("2 3\n", "2 3.5\n")),
-    ("grid", "missing row", GRID.replace("011\n", "")),
-    ("grid", "extra row", GRID + "111\n"),
-    ("grid", "short row", GRID.replace("011", "01")),
-    ("grid", "cell 2", GRID.replace("011", "021")),
-    ("grid", "non-ascii byte", GRID.replace("011", "01é")),
-    # FRACFUN
+    # FRACFUN: the version line, the geometry line and the value blocks
+    # that FRACEXT shares, and the bytes of the file
+    ("fun", "empty file", ""),
     ("fun", "header only", "FRACFUN v1\n"),
+    ("fun", "wrong version", FUN.replace("v1", "v2")),
     ("fun", "header with suffix", FUN.replace("v1", "v1 extra")),
-    ("fun", "extra geometry field", FUN.replace("2 2\n", "2 2 2\n")),
+    ("fun", "h = nan", FUN.replace("2 0.5", "2 nan")),
+    ("fun", "h = 0", FUN.replace("2 0.5", "2 0")),
     ("fun", "h = -0.5", FUN.replace("2 0.5", "2 -0.5")),
-    ("fun", "negative value", FUN.replace("0 2", "-1 2")),
-    ("fun", "nan value", FUN.replace("0 2", "nan 2")),
-    ("fun", "inf value", FUN.replace("0 2", "inf 2")),
-    ("fun", "non-numeric value", FUN.replace("0 2", "zero 2")),
+    ("fun", "origin = inf", FUN.replace("0.0 0.0", "inf 0.0")),
+    ("fun", "dim = 3", FUN.replace("2 0.5 0.0 0.0 2 2", "3 0.5 0 0 0 2 2 1")),
+    ("fun", "non-numeric dim", FUN.replace("2 0.5", "two 0.5")),
+    ("fun", "extra geometry field", FUN.replace("2 2\n", "2 2 2\n")),
+    ("fun", "missing cell count", FUN.replace("0.0 2 2\n", "0.0 2\n")),
+    ("fun", "zero cell count", FUN.replace("0.0 2 2\n", "0.0 2 0\n")),
+    ("fun", "fractional cell count", FUN.replace("0.0 2 2\n", "0.0 2 2.5\n")),
+    ("fun", "negative value", FUN.replace("\n0 2\n", "\n-1 2\n")),
+    ("fun", "nan value", FUN.replace("\n0 2\n", "\nnan 2\n")),
+    ("fun", "inf value", FUN.replace("\n0 2\n", "\ninf 2\n")),
+    ("fun", "non-numeric value", FUN.replace("\n0 2\n", "\nzero 2\n")),
     ("fun", "missing row", FUN.replace("0 2\n", "")),
-    ("fun", "long row", FUN.replace("0 2", "0 2 3")),
+    ("fun", "extra row", FUN + "1 1\n"),
+    ("fun", "long row", FUN.replace("\n0 2\n", "\n0 2 3\n")),
+    ("fun", "short row", FUN.replace("\n0 2\n", "\n0\n")),
+    ("fun", "non-ascii byte", FUN.replace("\n0 2\n", "\n0 \u00e9\n")),
     # FRACEXT
     ("ext", "wrong header", EXT.replace("FRACEXT", "FRACFUN")),
     ("ext", "s = 1.5", EXT.replace("1 0.5 0.5", "1 1.5 0.5")),
+    ("ext", "s = nan", EXT.replace("1 0.5 0.5", "1 nan 0.5")),
     ("ext", "geometry without s", EXT.replace("1 0.5 0.5 0.0 2", "1 0.5 0.0 2")),
     ("ext", "extra geometry field", EXT.replace("0.0 2\n", "0.0 2 2\n")),
     ("ext", "levels not increasing", EXT.replace("0.25 0.5", "0.5 0.25")),
@@ -195,17 +157,6 @@ def _round_trip(obj, save, load):
         path = Path(tmp) / "obj.txt"
         save(obj, path)
         return load(path)
-
-
-@settings(max_examples=60, deadline=None)
-@given(grid_specs(), st.data())
-def test_fracgrid_round_trip(spec, data):
-    n = int(np.prod(spec.cells))
-    bits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    e = fp.GridSet(spec, np.reshape(bits, spec.cells))
-    back = _round_trip(e, fp.save_gridset, fp.load_gridset)
-    assert back == e
-    assert back.spec == e.spec
 
 
 @settings(max_examples=60, deadline=None)
