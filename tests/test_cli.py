@@ -412,6 +412,15 @@ def test_non_ascii_config_exits_2_naming_file_and_line(tmp_path, capsys):
     assert "sweep.cfg: line 2: non-ASCII byte 0xe9" in err
 
 
+def test_utf8_config_comment_exits_2_naming_its_first_byte(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes("s = 0.5\n# caf\u00e9 comment\nh = 0.125\n".encode("utf-8"))
+    code, out, err = run(["sweep-s", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cfg.txt: line 2: non-ASCII byte 0xc3" in err
+
+
 def test_malformed_infile_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.fracfun"
     bad.write_text("FRACFUN v1\n1 nan 0.0 2\n1\n2\n")

@@ -56,6 +56,7 @@ def test_csv_line_formats_by_type_and_quotes_only_where_needed():
 # ------------------------------------------------------- malformed inputs
 
 FUN = "FRACFUN v1\n2 0.5 0.0 0.0 2 2\n0.5 1\n0 2\n"
+FUN1 = "FRACFUN v1\n1 0.5 0.0 2\n0.5\n1\n"
 EXT = (
     "FRACEXT v1\n1 0.5 0.5 0.0 2\nlevels 0.25 0.5\n"
     "level 0\n0.5\n0.25\nlevel 1\n0.25\n0.125\ndatum\n1\n0\n"
@@ -93,10 +94,20 @@ MALFORMED = [
     ("fun", "long row", FUN.replace("\n0 2\n", "\n0 2 3\n")),
     ("fun", "short row", FUN.replace("\n0 2\n", "\n0\n")),
     ("fun", "non-ascii byte", FUN.replace("\n0 2\n", "\n0 \u00e9\n")),
+    ("fun", "wrong header", FUN.replace("FRACFUN", "FRACEXT")),
+    ("fun", "1d extra geometry field", FUN1.replace("0.0 2\n", "0.0 2 2\n")),
+    ("fun", "1d missing row", FUN1.replace("\n1\n", "\n")),
+    ("fun", "1d nan value", FUN1.replace("\n1\n", "\nnan\n")),
+    ("fun", "1d non-numeric value", FUN1.replace("\n1\n", "\none\n")),
     # FRACEXT
+    ("ext", "header only", "FRACEXT v1\n"),
     ("ext", "wrong header", EXT.replace("FRACEXT", "FRACFUN")),
+    ("ext", "header with suffix", EXT.replace("v1", "v1 extra")),
+    ("ext", "dim = 3", EXT.replace("1 0.5 0.5 0.0 2", "3 0.5 0.5 0 0 0 2 2 2")),
+    ("ext", "non-numeric dim", EXT.replace("1 0.5 0.5", "one 0.5 0.5")),
     ("ext", "s = 1.5", EXT.replace("1 0.5 0.5", "1 1.5 0.5")),
     ("ext", "s = nan", EXT.replace("1 0.5 0.5", "1 nan 0.5")),
+    ("ext", "s = 0", EXT.replace("1 0.5 0.5", "1 0 0.5")),
     ("ext", "geometry without s", EXT.replace("1 0.5 0.5 0.0 2", "1 0.5 0.0 2")),
     ("ext", "extra geometry field", EXT.replace("0.0 2\n", "0.0 2 2\n")),
     ("ext", "levels not increasing", EXT.replace("0.25 0.5", "0.5 0.25")),
@@ -106,10 +117,14 @@ MALFORMED = [
     ("ext", "missing levels line", EXT.replace("levels 0.25 0.5\n", "")),
     ("ext", "value above 1", EXT.replace("0.125\n", "1.5\n")),
     ("ext", "nan value", EXT.replace("0.125\n", "nan\n")),
+    ("ext", "inf value", EXT.replace("0.125\n", "inf\n")),
     ("ext", "non-numeric value", EXT.replace("0.125\n", "half\n")),
+    ("ext", "long row", EXT.replace("0.125\n", "0.125 0.5\n")),
+    ("ext", "missing level row", EXT.replace("level 0\n0.5\n", "level 0\n")),
     ("ext", "missing level marker", EXT.replace("level 1\n", "")),
     ("ext", "missing datum marker", EXT.replace("datum\n", "")),
     ("ext", "datum cell 2", EXT.replace("datum\n1\n", "datum\n2\n")),
+    ("ext", "datum cell 0.5", EXT.replace("datum\n1\n", "datum\n0.5\n")),
     ("ext", "truncated datum", EXT.replace("datum\n1\n0\n", "datum\n1\n")),
     ("ext", "truncated file", EXT[: EXT.index("level 1")]),
 ]
