@@ -50,7 +50,6 @@ from .extension import (
     calibrate_gamma,
     extension_domain,
     extension_energy,
-    geometric_levels,
     horizontal_rearrange,
     lambda_constant,
     lift_energy,

@@ -5,7 +5,8 @@ function and field transforms (rearrange, extend), and batch studies
 (sweep-s, exponent-study, verify).  Analysis output is CSV with a header
 row; a --config file supplies defaults and explicit flags override it.
 Exit code 0 means every assertion the command makes passed, 1 that one
-failed, and 2 that the input was bad or the work did not fit in memory.
+failed, and 2 that the input was bad or the work did not fit in memory
+or in double precision.
 """
 
 from __future__ import annotations
@@ -53,18 +54,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, choices=(1, 2), help="ambient dimension")
     p.add_argument("--s", help="order in (0,1); comma list for sweeps")
     p.add_argument("--h", help="grid spacing; comma list for sweeps")
-    p.add_argument("--margin", type=int, help="halo width in cells (>= 2)")
-    p.add_argument("--cutoff", type=int, help="near-window radius in cells")
     p.add_argument("--threads", type=int, help="sweep record pool; extend level workers")
     p.add_argument("--seed", type=int, help="seed for randomized checks")
     p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-
-
-def _add_zgrid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--z0", type=float, help="first extension level (default h/4)")
-    p.add_argument("--rho", type=float, help="geometric level ratio")
-    p.add_argument("--top-factor", type=float, help="top height over set diameter")
-    p.add_argument("--lateral-factor", type=float, help="side padding over diameter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="upper half space lift of one shape")
     p.add_argument("--shape", required=True, help=shape_help)
     _add_common(p)
-    _add_zgrid(p)
 
     p = sub.add_parser("sweep-s", help="family sweep over s and h")
     p.add_argument("--family", help="comma list of family names")
@@ -151,8 +142,7 @@ def _shape_setup(args, cfg: ExperimentConfig):
 def _cmd_perim(args, cfg: ExperimentConfig) -> int:
     shape, e, h = _shape_setup(args, cfg)
     s = _single(cfg.s_values, "s")
-    table = build_table(KernelParams(shape.dim, s), h=h, cutoff=cfg.cutoff)
-    ps = fractional_perimeter(e, table, cfg.margin)
+    ps = fractional_perimeter(e, build_table(KernelParams(shape.dim, s), h=h))
     row = csv_line([args.shape, shape.dim, s, h, e.cell_count, ps])
     _emit(csv_text("set,N,s,h,cells,Ps", row), cfg.out)
     return 0
@@ -170,8 +160,8 @@ def _cmd_asym(args, cfg: ExperimentConfig) -> int:
 def _cmd_deficit(args, cfg: ExperimentConfig) -> int:
     shape, e, h = _shape_setup(args, cfg)
     s = _single(cfg.s_values, "s")
-    table = build_table(KernelParams(shape.dim, s), h=h, cutoff=cfg.cutoff)
-    report = s_deficit(e, table, set_id=args.shape, margin=cfg.margin)
+    table = build_table(KernelParams(shape.dim, s), h=h)
+    report = s_deficit(e, table, set_id=args.shape)
     _emit(csv_text(DEFICIT_CSV_HEADER, report.csv_row()), cfg.out)
     return 0
 
@@ -194,13 +184,7 @@ def _cmd_rearrange(args, cfg: ExperimentConfig) -> int:
 def _cmd_extend(args, cfg: ExperimentConfig) -> int:
     shape, e, h = _shape_setup(args, cfg)
     s = _single(cfg.s_values, "s")
-    grid, embedded = extension_domain(
-        e,
-        z0=cfg.z0,
-        rho=cfg.rho,
-        top_factor=cfg.top_factor,
-        lateral_factor=cfg.lateral_factor,
-    )
+    grid, embedded = extension_domain(e)
     params = KernelParams(shape.dim, s)
     if cfg.out:
         u = poisson_extend(embedded, grid, params, threads=cfg.threads)
@@ -279,9 +263,10 @@ def main(argv=None) -> int:
     except (FracperimError, ValueError, OSError) as exc:
         sys.stderr.write(f"fracperim: error: {exc}\n")
         return 2
-    except MemoryError as exc:  # a bare MemoryError() has no message
+    except (MemoryError, OverflowError) as exc:  # a bare MemoryError() has no message
+        what = "ran out of memory" if isinstance(exc, MemoryError) else "overflowed"
         detail = f": {exc}" if str(exc) else ""
-        sys.stderr.write(f"fracperim: error: {args.command} ran out of memory{detail}\n")
+        sys.stderr.write(f"fracperim: error: {args.command} {what}{detail}\n")
         return 2
 
 

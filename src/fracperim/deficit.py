@@ -19,7 +19,7 @@ from ._textio import csv_line
 from .errors import EmptySetError, SymmetryDefectError
 from .grids import GridSet, GridSpec, bisect_halves, pad_domain, unit_ball_volume
 from .kernels import InteractionTable
-from .perimeter import DEFAULT_MARGIN, fractional_perimeter, single_cell_perimeter
+from .perimeter import fractional_perimeter, single_cell_perimeter
 from .quadrature import convolve_window, rounded_counts
 from .rearrange import _fill_order
 
@@ -45,6 +45,9 @@ __all__ = [
 DEFICIT_CSV_HEADER = "id,N,s,h,Ps,r,PsBall,Ds,A,cx,cy,err_budget,flags"
 
 _REFLECTION_RTOL = 1e-9
+# n_symmetrize's padding around each candidate, in cells: room for the
+# count-matched reference ball
+_PAD = 6
 
 
 def equivalent_radius(e: GridSet) -> float:
@@ -261,13 +264,12 @@ def s_deficit(
     table: InteractionTable,
     *,
     set_id: str = "set",
-    margin: int = DEFAULT_MARGIN,
     threads: int = 1,
 ) -> DeficitReport:
     """Full deficit report against the count-matched centered ball.
 
-    The reference ball lives on the same grid with the same margins and the
-    same kernel table, so quadrature bias cancels in the deficit.  The
+    The reference ball lives on the same grid and is measured by the same
+    engine and kernel table, so quadrature bias cancels in the deficit.  The
     error budget is expressed in deficit units: the deficit of any
     rasterized region is trusted down to ``-error_budget``.
 
@@ -281,8 +283,8 @@ def s_deficit(
     deletes it there and here.
     """
     ball = reference_ball(e)
-    ps = fractional_perimeter(e, table, margin)
-    ps_ball = fractional_perimeter(ball, table, margin)
+    ps = fractional_perimeter(e, table)
+    ps_ball = fractional_perimeter(ball, table)
     deficit = (ps - ps_ball) / ps_ball
     asym, center = fraenkel_asymmetry(e)
     flags = []
@@ -406,9 +408,9 @@ class SymmetrizeAudit:
     bound_violated: bool
 
 
-def _normalized(e: GridSet, margin: int) -> GridSet:
-    """Fresh domain: bounding box plus working margin, centered at zero."""
-    t = pad_domain(e, margin + 2)
+def _normalized(e: GridSet) -> GridSet:
+    """Fresh domain: bounding box plus _PAD cells, centered at zero."""
+    t = pad_domain(e, _PAD)
     spec = GridSpec(
         t.spec.dim,
         t.spec.cells,
@@ -421,8 +423,6 @@ def _normalized(e: GridSet, margin: int) -> GridSet:
 def n_symmetrize(
     e: GridSet,
     table: InteractionTable,
-    *,
-    margin: int = DEFAULT_MARGIN,
 ) -> tuple[GridSet, SymmetrizeAudit]:
     """Reflect the set axis by axis into a nearly symmetric competitor.
 
@@ -445,8 +445,8 @@ def n_symmetrize(
         raise EmptySetError("cannot symmetrize an empty set")
 
     def measured(f: GridSet) -> tuple[GridSet, DeficitReport]:
-        f = _normalized(f, margin)
-        return f, s_deficit(f, table, margin=margin)
+        f = _normalized(f)
+        return f, s_deficit(f, table)
 
     cur, rep = measured(e)
     steps = []

@@ -35,8 +35,8 @@ from .extension import (
 )
 from .families import FAMILY_NAMES, generate_family
 from .grids import GridSet, GridSpec, bisect_halves, unit_ball_volume
-from .kernels import DEFAULT_CUTOFF, KernelParams, build_table
-from .perimeter import DEFAULT_MARGIN, MIN_MARGIN, fractional_perimeter
+from .kernels import KernelParams, build_table
+from .perimeter import fractional_perimeter
 from .rearrange import (
     GridFunction,
     dirichlet_energy,
@@ -84,15 +84,9 @@ class ExperimentConfig:
     h_values: tuple[float, ...] = (1 / 32,)
     family: str = "ellipse-ecc"
     params: tuple[float, ...] = (0.1, 0.2, 0.4)
-    margin: int = DEFAULT_MARGIN
-    cutoff: int = DEFAULT_CUTOFF
     threads: int = 1
     seed: int = 0
     out: str | None = None
-    z0: float | None = None
-    rho: float = 1.15
-    top_factor: float = 8.0
-    lateral_factor: float = 4.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
@@ -104,24 +98,10 @@ class ExperimentConfig:
             raise ValueError("every s must lie strictly inside (0, 1)")
         if not self.h_values or any(not 0.0 < h < math.inf for h in self.h_values):
             raise ValueError(f"every h must be positive and finite: {self.h_values}")
-        for name in ("rho", "top_factor", "lateral_factor", "z0"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.margin < MIN_MARGIN:
-            raise ValueError(f"margin must be >= {MIN_MARGIN}, got {self.margin}")
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be >= 2")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.rho <= 1.0:
-            raise ValueError("z-grading ratio must exceed 1")
-        if self.top_factor <= 0.0 or self.lateral_factor <= 0.0:
-            raise ValueError("domain factors must be positive")
-        if self.z0 is not None and self.z0 <= 0.0:
-            raise ValueError("z0 must be positive when given")
 
     def family_names(self) -> tuple[str, ...]:
         names = tuple(tok.strip() for tok in self.family.split(",") if tok.strip())
@@ -143,20 +123,13 @@ _SETTINGS = {
     "h": ("h_values", _floats),
     "family": ("family", str),
     "params": ("params", _floats),
-    "margin": ("margin", int),
-    "cutoff": ("cutoff", int),
     "threads": ("threads", int),
     "seed": ("seed", int),
-    "rho": ("rho", float),
-    "top_factor": ("top_factor", float),
-    "lateral_factor": ("lateral_factor", float),
-    "z0": ("z0", float),
     "out": ("out", lambda value: str(value) or None),
 }
 
 
-_NUMBER_KINDS = {int: "an integer", float: "a number",
-                 _floats: "a comma list of numbers"}
+_NUMBER_KINDS = {int: "an integer", _floats: "a comma list of numbers"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -229,12 +202,7 @@ def _record_sort_key(r: SweepRecord):
 def _one_record(member, s, h, table, config) -> SweepRecord:
     shape = member.shape
     e = rasterize(shape, auto_spec(shape, h))
-    report = s_deficit(
-        e,
-        table,
-        set_id=f"{member.family}:{member.param:g}",
-        margin=config.margin,
-    )
+    report = s_deficit(e, table, set_id=f"{member.family}:{member.param:g}")
     dim = shape.dim
     flags = list(report.flags)
     if report.deficit > 0.0:
@@ -272,7 +240,7 @@ def sweep_s(config: ExperimentConfig) -> list[SweepRecord]:
     dim = members[0].dim
     # threads share each table: a table is not changed once it is made
     tables = {
-        (s, h): build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
+        (s, h): build_table(KernelParams(dim, s), h=h)
         for s in config.s_values
         for h in config.h_values
     }
@@ -507,7 +475,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
     def chk_interval() -> _Outcome:
         h, s = 2.0**-8, 0.5
         e = _aligned_interval_set(h, ((0.0, 1.0),))
-        table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
+        table = build_table(KernelParams(1, s), h=h)
         got = fractional_perimeter(e, table)
         want = _interval_closed_form(1.0, s)
         rel = abs(got - want) / want
@@ -516,7 +484,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
     def chk_union() -> _Outcome:
         h, s = 2.0**-7, 0.5
         e = _aligned_interval_set(h, ((0.0, 1.0), (2.0, 3.0)))
-        table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
+        table = build_table(KernelParams(1, s), h=h)
         got = fractional_perimeter(e, table)
         want = 24.0 + 8.0 * math.sqrt(3.0) - 16.0 * math.sqrt(2.0)
         rel = abs(got - want) / want
@@ -525,7 +493,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
     def _scaling_check(e: GridSet, lam: int, dim: int) -> _Outcome:
         s = 0.5
         h = e.spec.h
-        t1 = build_table(KernelParams(dim, s), h=h, cutoff=config.cutoff)
+        t1 = build_table(KernelParams(dim, s), h=h)
         t2 = t1.with_h(lam * h)
         p1 = fractional_perimeter(e, t1)
         big = GridSet(GridSpec(dim, e.spec.cells, lam * h, e.spec.origin), e.occupancy)
@@ -548,7 +516,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
 
     def chk_subadditive() -> _Outcome:
         h, s = 1 / 16, 0.5
-        table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
+        table = build_table(KernelParams(1, s), h=h)
         e1 = _aligned_interval_set(h, ((0.0, 1.0),))
         e2 = _aligned_interval_set(h, ((1.5, 2.5),))
         union = _aligned_interval_set(h, ((0.0, 1.0), (1.5, 2.5)))
@@ -565,8 +533,8 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         shape = Ball((0.0, 0.0), 1.0)
         e = rasterize(shape, auto_spec(shape, h))
         centered = reference_ball(e)
-        table = build_table(KernelParams(2, s), h=h, cutoff=config.cutoff)
-        report = s_deficit(centered, table, margin=config.margin)
+        table = build_table(KernelParams(2, s), h=h)
+        report = s_deficit(centered, table)
         return report.deficit == 0.0, report.deficit, 0.0
 
     def chk_asym_range() -> _Outcome:
@@ -586,7 +554,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
     def chk_reflection() -> _Outcome:
         h, s = 1 / 16, 0.5
         e = _blob_2d(config.seed + 1, h)
-        table = build_table(KernelParams(2, s), h=h, cutoff=config.cutoff)
+        table = build_table(KernelParams(2, s), h=h)
         p_e = fractional_perimeter(e, table)
         worst = -math.inf
         for axis in range(2):
@@ -613,9 +581,9 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         h, s = 1 / 16, 0.5
         shape = Ellipse((0.37, -0.21), 1.25, 0.8)
         e = rasterize(shape, auto_spec(shape, h))
-        table = build_table(KernelParams(2, s), h=h, cutoff=config.cutoff)
-        before = s_deficit(e, table, margin=config.margin)
-        sym, audit = n_symmetrize(e, table, margin=config.margin)
+        table = build_table(KernelParams(2, s), h=h)
+        before = s_deficit(e, table)
+        sym, audit = n_symmetrize(e, table)
         bound = 4.0 * before.deficit + 2.0 * before.error_budget
         ok = (not audit.bound_violated) and audit.final_deficit <= bound
         return ok, audit.final_deficit, bound
@@ -688,7 +656,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
     def chk_rearranged_energy() -> _Outcome:
         shape = UnionShape((Interval(0.0, 0.8), Interval(1.5, 2.7)))
         e = rasterize(shape, auto_spec(shape, 1 / 32))
-        grid, emb = extension_domain(e, z0=config.z0, rho=config.rho)
+        grid, emb = extension_domain(e)
         u = poisson_extend(emb, grid, KernelParams(1, 0.5))
         star = horizontal_rearrange(u)
         before = extension_energy(u)
@@ -700,7 +668,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
     def chk_trace_monotone() -> _Outcome:
         shape = Interval(0.0, 1.0)
         e = rasterize(shape, auto_spec(shape, 1 / 16))
-        grid, emb = extension_domain(e, z0=config.z0, rho=config.rho)
+        grid, emb = extension_domain(e)
         u = poisson_extend(emb, grid, KernelParams(1, 0.5))
         dist = trace_check(u)
         rise = float(np.diff(dist).min())
@@ -729,7 +697,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
         h, s = 2.0**-8, 0.5
         oracle_tol = 1e-4
         e = _aligned_interval_set(h, ((0.0, 1.0),))
-        table = build_table(KernelParams(1, s), h=h, cutoff=config.cutoff)
+        table = build_table(KernelParams(1, s), h=h)
         entries = dict(table.entries)
         for key in ((1,), (-1,)):
             entries[key] = entries[key] * 1.01
@@ -741,7 +709,7 @@ def verify_suite(config: ExperimentConfig | None = None) -> VerifyReport:
     def chk_empty_errors() -> _Outcome:
         spec = GridSpec(1, (16,), 1 / 8, (0.0,))
         empty = GridSet.empty(spec)
-        table = build_table(KernelParams(1, 0.5), h=1 / 8, cutoff=config.cutoff)
+        table = build_table(KernelParams(1, 0.5), h=1 / 8)
         probes = (
             lambda: equivalent_radius(empty),
             lambda: fractional_perimeter(empty, table),

@@ -65,6 +65,7 @@ from .errors import (
     CalibrationError,
     EmptySetError,
     FormatError,
+    FracperimError,
     GridMismatchError,
 )
 from .grids import GridSet, GridSpec, pad_domain
@@ -83,7 +84,6 @@ __all__ = [
     "calibrate_gamma",
     "extension_domain",
     "extension_energy",
-    "geometric_levels",
     "horizontal_rearrange",
     "lambda_constant",
     "lift_energy",
@@ -103,10 +103,6 @@ _PANEL_SCALE = 8.0
 _PANEL_CAP = 64
 # share of the total energy past which the truncation estimate warns
 _TRUNCATION_SHARE = 0.01
-# the most z-levels a ladder may have, about 190 times the default ladder
-# (53 levels on the unit ball at h = 1/16): each level holds a field on the
-# base grid, and a ratio near 1 would build levels until memory ran out
-MAX_LEVELS = 10_000
 
 
 class TruncationWarning(RuntimeWarning):
@@ -235,56 +231,32 @@ class HalfSpaceGrid:
         return len(self.z_levels)
 
 
-def geometric_levels(z0: float, rho: float, top: float) -> tuple[float, ...]:
-    """Levels z0 * rho^j up to and including the first one >= top."""
-    if z0 <= 0.0 or top <= z0:
-        raise ValueError("need 0 < z0 < top")
-    if rho <= 1.0:
-        raise ValueError("geometric ratio must exceed 1")
-    # the loop makes ceil(steps) + 1 levels, up to rounding
-    steps = math.log(top / z0) / math.log(rho)
-    if steps > MAX_LEVELS - 1:
-        raise ValueError(
-            f"rho = {rho!r} would make about {steps + 1:.0f} z-levels from "
-            f"{z0!r} to {top!r}, more than the {MAX_LEVELS} allowed"
-        )
-    levels = [z0]
-    while levels[-1] < top:
-        levels.append(levels[-1] * rho)
-    return tuple(levels)
-
-
 def _bbox_diameter(e: GridSet) -> float:
     box = e.bounding_cells()
     extents = [(hi - lo + 1) * e.spec.h for lo, hi in box]
     return math.sqrt(sum(x * x for x in extents))
 
 
-def extension_domain(
-    e: GridSet,
-    *,
-    z0: float | None = None,
-    rho: float = 1.15,
-    top_factor: float = 8.0,
-    lateral_factor: float = 4.0,
-) -> tuple[HalfSpaceGrid, GridSet]:
+def extension_domain(e: GridSet) -> tuple[HalfSpaceGrid, GridSet]:
     """Build the half-space grid for a set and re-embed the set in it.
 
-    The base grid is the set's bounding box dilated on every side by
-    `lateral_factor` times the bounding-box diagonal; levels are graded
-    geometrically from z0 (default: a quarter cell) up past
-    `top_factor` times the diagonal.  Returns the grid and the same
-    occupancy re-embedded in the enlarged base grid.
+    The base grid is the set's bounding box dilated on every side by four
+    times the bounding-box diagonal; levels are graded geometrically, by a
+    ratio of 1.15, from a quarter cell up to the first level past eight
+    times the diagonal: about log(32 diagonal / h) / 0.14 levels.
+    Returns the grid and the same occupancy re-embedded in the enlarged
+    base grid.  ``HalfSpaceGrid`` takes any other ladder.
     """
     if e.is_empty:
         raise EmptySetError("cannot build an extension domain for an empty set")
     h = e.spec.h
-    if z0 is None:
-        z0 = 0.25 * h
     diam = _bbox_diameter(e)
-    embedded = pad_domain(e, max(2, math.ceil(lateral_factor * diam / h)))
-    levels = geometric_levels(z0, rho, top_factor * diam)
-    return HalfSpaceGrid(embedded.spec, levels), embedded
+    embedded = pad_domain(e, max(2, math.ceil(4.0 * diam / h)))
+    top = 8.0 * diam
+    levels = [0.25 * h]
+    while levels[-1] < top:
+        levels.append(levels[-1] * 1.15)
+    return HalfSpaceGrid(embedded.spec, tuple(levels)), embedded
 
 
 class ExtensionField:
@@ -680,7 +652,9 @@ def extension_energy(u: ExtensionField) -> ExtensionEnergy:
     difference quotients between consecutive levels, the boundary datum
     acting as the level at z = 0.  A decay-model estimate of the energy
     ignored outside the computed box is returned, and a TruncationWarning
-    is issued when it exceeds _TRUNCATION_SHARE of the total.
+    is issued when it exceeds _TRUNCATION_SHARE of the total.  An energy
+    that is not finite, on a grid whose scale overflows double precision,
+    raises FracperimError.
 
     Each level's lateral differences and sums are one task of a level
     pass over the field, on its level workers, in a scratch buffer.  The
@@ -771,6 +745,10 @@ def _energy(u: ExtensionField) -> ExtensionEnergy:
     est = lateral_est + top_est
 
     total = x_part + z_part
+    if not all(map(math.isfinite, (total, est))):
+        raise FracperimError(
+            f"the lift energy of a grid at h = {h!r} is not finite (total "
+            f"{total!r}, truncation estimate {est!r}): its scale overflows")
     if total > 0.0 and est > _TRUNCATION_SHARE * total:
         warnings.warn(
             "field had not decayed at the domain edge: estimated "
@@ -813,7 +791,7 @@ def calibrate_gamma(
     constant is accepted only if (gamma / 2) * energy predicts the
     perimeter of an independent validation shape within `rtol`,
     otherwise a CalibrationError carries both residuals.  Both shapes
-    are lifted on extension_domain's default geometry.  ``threads`` is
+    are lifted on extension_domain's geometry.  ``threads`` is
     the number of level workers of each lift.  Returns gamma as a
     GammaRecord with both shapes' texts and the validation residual.
     """

@@ -12,17 +12,18 @@ Quadrature strategy per lattice offset d, one rule for each case:
     over [-1,1]^2 around d; tensor Gauss-Legendre per quadrant.
 ``_unit_pair_values`` alone picks the rule: the boundary identity for the
 two touching classes, ``_far_kernel_unit`` (the series and the tent rule)
-for the rest; at order 20 it gives the table window.  Beyond the table
-cutoff FAR_RULE = 3 sets the order of the tent rule; at the default cutoff
-16 it is already at 1e-9 relative error while a single midpoint
-evaluation would sit near 2e-3.  Beyond |d|_inf = 16 that rule is
-evaluated as its multipole expansion (``_FarExpansion``), built from the
-rule's own moments, so it gives the rule's values to rounding for one
-power per value instead of 36.  The table assembles K(d) over a box
-(``InteractionTable.offset_kernel``) from its near window, laid out when
-the table is made, and the far values of that box, evaluated afresh for
-each box.  A table is always built, never read from a file:
-``build_table`` makes a 2D one at the default cutoff in 3 to 4 ms.
+for the rest; at order 20 it gives the table window, every offset with
+|d|_inf <= CUTOFF = 16.  That one boundary splits K in two bands.
+Beyond it, in 2D, K is the multipole expansion (``_FarExpansion``) of the
+tent rule of order FAR_RULE = 3, built from the rule's own moments: the
+rule's values to rounding for one power per value instead of 36.  The
+rule is at 1e-9 relative error there, where a single midpoint evaluation
+would sit near 2e-3.  In 1D it is the exact series.
+The table assembles K(d) over a box (``InteractionTable.offset_kernel``)
+from its near window, laid out when the table is made, and the far
+values of that box, evaluated afresh for each box.  A table is always
+built, never read from a file: ``build_table`` makes a 2D one in 3 to
+4 ms.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ __all__ = [
     "window_offsets",
 ]
 
-DEFAULT_CUTOFF = 16
-# Gauss order of the tent rule for pair offsets beyond the table cutoff
+# the near window's |offset|_inf: beyond it the far values take the
+# multipole expansion of the tent rule of order FAR_RULE, to total
+# derivative degree 2 * _MULTIPOLE_TERMS
+CUTOFF = 16
 FAR_RULE = 3
-# beyond this |offset|_inf the far values take the rule's multipole
-# expansion, to total derivative degree 2 * _MULTIPOLE_TERMS
-_MULTIPOLE_FROM = 16
 _MULTIPOLE_TERMS = 6
 
 _SMOOTH_ORDER = 20
@@ -136,7 +136,7 @@ def _unit_pair_values(offsets, params: KernelParams, rule: int) -> np.ndarray:
     return values
 
 
-def _window_values(params: KernelParams, cutoff: int) -> dict[tuple, float]:
+def _window_values(params: KernelParams) -> dict[tuple, float]:
     """Unit pair integrals for every offset of ``window_offsets``.
 
     The rules see only sorted magnitudes a >= b, so each class is evaluated
@@ -145,12 +145,12 @@ def _window_values(params: KernelParams, cutoff: int) -> dict[tuple, float]:
     """
     dim = params.dim
     # |offset| in window_offsets order: the window in C order less its centre
-    mags = np.abs(np.indices((2 * cutoff + 1,) * dim).reshape(dim, -1).T - cutoff)
+    mags = np.abs(np.indices((2 * CUTOFF + 1,) * dim).reshape(dim, -1).T - CUTOFF)
     mags = -np.sort(-np.delete(mags, len(mags) // 2, axis=0), axis=1)
-    keys = np.ravel_multi_index(mags.T, (cutoff + 1,) * dim)
+    keys = np.ravel_multi_index(mags.T, (CUTOFF + 1,) * dim)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     values = _unit_pair_values(mags[first], params, _SMOOTH_ORDER)
-    return dict(zip(window_offsets(dim, cutoff), values[inverse].tolist()))
+    return dict(zip(window_offsets(dim), values[inverse].tolist()))
 
 
 def _pair_values_1d(d: np.ndarray, s: float) -> np.ndarray:
@@ -361,9 +361,9 @@ class _FarExpansion:
         return acc
 
 
-def window_offsets(dim: int, cutoff: int) -> list[tuple]:
-    """All nonzero offsets with |offset|_inf <= cutoff, lexicographic."""
-    side = range(-cutoff, cutoff + 1)
+def window_offsets(dim: int) -> list[tuple]:
+    """All nonzero offsets with |offset|_inf <= CUTOFF, lexicographic."""
+    side = range(-CUTOFF, CUTOFF + 1)
     if dim == 1:
         offsets = [(d,) for d in side]
     else:
@@ -381,12 +381,12 @@ def _finite(value) -> bool:
 
 @dataclass(frozen=True)
 class InteractionTable:
-    """The pair kernel K(d): near-window integrals and the far rule.
+    """The pair kernel K(d): near-window integrals and the far expansion.
 
-    ``entries`` maps every nonzero offset with |offset|_inf <= cutoff_radius
-    to its unit-lattice value, laid out by offset + cutoff in ``near_dense``
-    when the table is made.  Offsets beyond use the far rule, evaluated for
-    each box by ``offset_kernel``, which joins the two.  A 2D table also
+    ``entries`` maps every nonzero offset with |offset|_inf <= CUTOFF to
+    its unit-lattice value, laid out by offset + CUTOFF in ``near_dense``
+    when the table is made.  Offsets beyond take the far values, evaluated
+    for each box by ``offset_kernel``, which joins the two.  A 2D table also
     fits the far rule's expansion and ``edge_arc``, the tail's edge arcs
     (``perimeter._EdgeArc``; None in 1D).  Nothing in a table changes
     once it is made, so threads share it.  The rules see only sorted
@@ -396,21 +396,17 @@ class InteractionTable:
 
     params: KernelParams
     h: float
-    cutoff_radius: int
     entries: dict
 
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
-        rc = self.cutoff_radius
-        if rc < 2:
-            raise ValueError("cutoff_radius must be >= 2")
         from .perimeter import _EdgeArc
 
         # window_offsets is the C order of the window less its centre
         values = self._checked_values()
         half = values.size // 2
-        near = np.insert(values, half, 0.0).reshape((2 * rc + 1,) * self.params.dim)
+        near = np.insert(values, half, 0.0).reshape((2 * CUTOFF + 1,) * self.params.dim)
         near.setflags(write=False)
         object.__setattr__(self, "near_dense", near)
         for name, make in (("_expansion", _FarExpansion), ("edge_arc", _EdgeArc)):
@@ -424,15 +420,14 @@ class InteractionTable:
         window, else the first offset of the window with no entry, else the
         first offset whose value is not a finite number.
         """
-        rc = self.cutoff_radius
-        offsets = window_offsets(self.params.dim, rc)
+        offsets = window_offsets(self.params.dim)
         if self.entries.keys() != set(offsets):
             window = set(offsets)
             for key in self.entries:
                 if key not in window:
                     raise ValueError(
                         f"table entry at {key!r} is not a nonzero "
-                        f"{self.params.dim}D offset with |offset|_inf <= {rc}")
+                        f"{self.params.dim}D offset with |offset|_inf <= {CUTOFF}")
             missing = next(off for off in offsets if off not in self.entries)
             raise ValueError(f"table has no entry at offset {missing!r}")
         values = [self.entries[off] for off in offsets]
@@ -461,65 +456,53 @@ class InteractionTable:
     def offset_kernel(self, shape) -> np.ndarray:
         """Unit pair values K[d + n - 1] for every offset d of a box of this shape.
 
-        The near window fills the offsets within the cutoff (clipped to the
-        box) and the far rule the rest; K is 0 at d = 0.  Far values are
+        The near window fills the offsets within CUTOFF (clipped to the
+        box) and the far values the rest; K is 0 at d = 0.  Far values are
         evaluated once per sorted offset magnitude and mirrored, so
         K(d) = K(-d) and K is symmetric under axis swaps bit for bit.
         """
-        rc = self.cutoff_radius
         quad = self._far_quadrant(shape)
         k = quad[np.ix_(*(np.abs(np.arange(1 - n, n)) for n in shape))]
-        w = [min(rc, n - 1) for n in shape]
+        w = [min(CUTOFF, n - 1) for n in shape]
         k[tuple(slice(n - 1 - wk, n + wk) for n, wk in zip(shape, w))] = (
-            self.near_dense[tuple(slice(rc - wk, rc + wk + 1) for wk in w)]
+            self.near_dense[tuple(slice(CUTOFF - wk, CUTOFF + wk + 1) for wk in w)]
         )
         return k
 
     def _far_quadrant(self, shape) -> np.ndarray:
-        """The far rule at every offset d >= 0 of a box of this shape.
+        """The far values at every offset d >= 0 of a box of this shape.
 
-        Offsets with |d|_inf <= cutoff, the table's window, are left 0.  In
-        2D each sorted pair a >= b beyond the cutoff is evaluated once, by
-        the rule up to a = 16 and by its expansion beyond, in blocks of
-        rows of about ``_EXPANSION_BLOCK`` entries; both are elementwise,
-        so a value has the same bits in any box.
+        Offsets with |d|_inf <= CUTOFF, the table's window, are left 0.  In
+        1D the far values are the exact series; in 2D each sorted pair
+        a >= b beyond the window is evaluated once, by the expansion, in
+        blocks of rows of about ``_EXPANSION_BLOCK`` entries; it is
+        elementwise, so a value has the same bits in any box.
         """
-        rc = self.cutoff_radius
+        first = CUTOFF + 1
         if self.params.dim == 1:
             quad = np.zeros(shape)
-            d = np.arange(rc + 1, shape[0])
-            quad[rc + 1:] = _far_kernel_unit(d[:, None], self.params, FAR_RULE)
+            quad[first:] = _pair_values_1d(
+                np.arange(first, shape[0], dtype=np.float64), self.params.s)
             return quad
         long, short = max(shape), min(shape)
         quad = np.zeros((long, short))
-        # rows (rc, 16] are one block of the rule, later rows blocks of the
-        # expansion; a block's columns run to its last row, so it holds
-        # every b <= a of its rows and some b > a, which the mirror replaces
-        start = max(rc, _MULTIPOLE_FROM) + 1
-        edges = [rc + 1, *range(start, long, max(1, _EXPANSION_BLOCK // short)), long]
+        # a block's columns run to its last row, so it holds every b <= a
+        # of its rows and some b > a, which the mirror replaces
+        edges = [*range(first, long, max(1, _EXPANSION_BLOCK // short)), long]
         for lo, hi in zip(edges, edges[1:]):
             a, b = np.meshgrid(np.arange(lo, hi, dtype=np.float64),
                                np.arange(min(hi, short), dtype=np.float64),
                                indexing="ij")
-            values = (self._expansion(a, b) if hi > start else _far_kernel_unit(
-                np.stack([a, b], axis=-1), self.params, FAR_RULE))
-            quad[lo:hi, :a.shape[1]] = values.reshape(a.shape)
+            quad[lo:hi, :a.shape[1]] = self._expansion(a, b)
         square = quad[:short]
         square[...] = np.tril(square) + np.triu(square.T, 1)
         return quad if shape[0] >= shape[1] else quad.T
 
     def with_h(self, h: float) -> "InteractionTable":
         """This table's unit-lattice values at cell size h."""
-        return InteractionTable(self.params, h, self.cutoff_radius, self.entries)
+        return InteractionTable(self.params, h, self.entries)
 
 
-def build_table(
-    params: KernelParams,
-    h: float = 1.0,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> InteractionTable:
+def build_table(params: KernelParams, h: float = 1.0) -> InteractionTable:
     """Compute the near-window table; values come from ``_window_values``."""
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    return InteractionTable(params, h, cutoff, _window_values(params, cutoff))
-
+    return InteractionTable(params, h, _window_values(params))

@@ -11,7 +11,7 @@ grown by a margin, into two exactly-accounted parts:
            power spectrum, rounded and checked against its rounding
            residual (``quadrature``).  The table assembles
            K (``InteractionTable.offset_kernel``): its near window, built
-           with the table, inside the cutoff, the far rule beyond; which
+           with the table, up to |d|_inf = 16, the far values beyond; which
            rule gives K(d) is decided in ``kernels`` alone;
   tail:    the complement beyond Q, reduced per cell to closed form: the
            exact antiderivative in one dimension; in two, an angular
@@ -549,8 +549,8 @@ def fractional_perimeter(
     translations, reflections and axis swaps of E (bit for bit) and scales
     as h^(dim-s) exactly.  The in-box part costs one forward FFT of the
     box at twice its size, an inverse over half the offsets, prefix sums
-    for B, and one far-rule evaluation per sorted offset magnitude
-    beyond the table cutoff.  The 2D tail costs 16 edge arcs per Phi it
+    for B, and one far value per sorted offset magnitude beyond the
+    table's window.  The 2D tail costs 16 edge arcs per Phi it
     reads and 4 antiderivatives per jump of a run's count (``_tail_2d``):
     on the bench ``deficit`` sets at h = 1/128, 0.8k-3.3k Phi, 0.5k-2.2k
     jumps and 3-6 ms on a 2-vCPU VM.  In 1D it is one closed form per

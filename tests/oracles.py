@@ -19,11 +19,26 @@ import math
 
 import mpmath
 import numpy as np
+import scipy
 from scipy import integrate, signal, special
 
 from fracperim import GridSet, GridSpec, kernels
 from fracperim.perimeter import _exact_sum, _phi
 from fracperim.quadrature import convolve_window, rounded_counts
+
+# the numpy and scipy versions every float.hex and sha256 pin was taken under
+_PIN_VERSIONS = ("2.4.6", "1.17.1")
+
+
+def at_pin_versions(fallback: str) -> bool:
+    """Whether numpy and scipy are the versions the bit pins were taken
+    under; if not, a pin test compares at its ``fallback`` tolerance
+    instead, and this prints so, naming it."""
+    if (np.__version__, scipy.__version__) == _PIN_VERSIONS:
+        return True
+    print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
+          f"pinned {_PIN_VERSIONS}: comparing {fallback}")
+    return False
 
 
 def _midpoint_pair(d, s, sub):

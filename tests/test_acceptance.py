@@ -32,8 +32,6 @@ from fracperim.perimeter import fractional_perimeter
 from fracperim.shapes import AxisBox, Ball, Ellipse, Interval, UnionShape, auto_spec, rasterize
 from oracles import elliptic_bump_gap
 
-CUTOFF = 16
-
 
 def closed_form_interval(length: float, s: float) -> float:
     return 2.0 * length ** (1.0 - s) / (s * (1.0 - s))
@@ -59,7 +57,7 @@ def test_a01_line_closed_form_to_1e4():
         h = length * 2.0**-9
         for s in (0.25, 0.5, 0.75):
             t0 = time.perf_counter()
-            table = build_table(KernelParams(1, s), h=h, cutoff=CUTOFF)
+            table = build_table(KernelParams(1, s), h=h)
             e = aligned_interval_set(h, ((0.0, length),))
             got = fractional_perimeter(e, table)
             elapsed = time.perf_counter() - t0
@@ -81,7 +79,7 @@ def test_a02_dilation_homogeneity_bit_exact():
     s = 0.5
     for dim, e in cases:
         h = e.spec.h
-        t1 = build_table(KernelParams(dim, s), h=h, cutoff=CUTOFF)
+        t1 = build_table(KernelParams(dim, s), h=h)
         p1 = fractional_perimeter(e, t1)
         for lam in (2, 4):
             t2 = t1.with_h(lam * h)
@@ -114,7 +112,7 @@ def plane_limit_ratios(s: float):
         "square": (AxisBox((-1.0, -1.0), (1.0, 1.0)), 8.0, 8.0),
         "ellipse": (ell, ell.perimeter, 4.0 * (1.4 + 0.7)),
     }
-    table = build_table(KernelParams(2, s), h=h, cutoff=CUTOFF)
+    table = build_table(KernelParams(2, s), h=h)
     out = {}
     for name, (shape, per_euclid, per_taxicab) in shapes.items():
         e = rasterize(shape, auto_spec(shape, h))
@@ -126,7 +124,7 @@ def plane_limit_ratios(s: float):
 def test_a03_limit_s_to_1_on_the_line():
     # closed form: (1-s) Ps((0,L)) / P = L^(1-s) / s -> 1 as s -> 1
     s, h = 0.99, 2.0**-9
-    table = build_table(KernelParams(1, s), h=h, cutoff=CUTOFF)
+    table = build_table(KernelParams(1, s), h=h)
     e = aligned_interval_set(h, ((0.0, 1.0),))
     got = (1.0 - s) * fractional_perimeter(e, table) / 2.0
     assert abs(got - 1.0) <= 0.03, f"(1-s)Ps/P = {got:.5f} not within 3% of 1"
@@ -169,7 +167,7 @@ def test_a03_limit_s_to_1_staircase_mechanism():
 
 def test_a04_limit_s_to_0_on_the_line():
     s, h = 0.01, 2.0**-9
-    table = build_table(KernelParams(1, s), h=h, cutoff=CUTOFF)
+    table = build_table(KernelParams(1, s), h=h)
     e = aligned_interval_set(h, ((0.0, 1.0),))
     got = fractional_perimeter(e, table)
     want = closed_form_interval(1.0, s)
@@ -205,9 +203,7 @@ def test_a05_round_set_minimizes_within_budget():
     cases = 0
     for s in (0.25, 0.5, 0.75):
         tables = {
-            d: build_table(
-                KernelParams(d, s), h=(1 / 128 if d == 1 else 1 / 32), cutoff=CUTOFF
-            )
+            d: build_table(KernelParams(d, s), h=(1 / 128 if d == 1 else 1 / 32))
             for d in (1, 2)
         }
         for name, params in plan.items():
@@ -254,7 +250,7 @@ def test_a06_lift_energy_predicts_perimeter():
     )
     for dim, h, ref, val1, val2 in setups:
         params = KernelParams(dim, 0.5)
-        table = build_table(params, h=h, cutoff=CUTOFF)
+        table = build_table(params, h=h)
         # raises CalibrationError if the first held-out residual exceeds 2%
         record = fp.calibrate_gamma(
             ref, val1, params, h, table=table, rtol=0.02, threads=2
@@ -303,7 +299,7 @@ def test_a07_rearranged_lift_energy_drops_part_by_part():
     for name, shape, dim, h in sets:
         dx_c, dz_c = _rearrangement_violation(shape, dim, h)
         # the measured refinement tolerance is the violation itself,
-        # floored at zero; z0 defaults to h/4 so halving h halves z0 too
+        # floored at zero; the first level is h/4, so halving h halves it too
         tol_coarse = max(0.0, dx_c, dz_c)
         dx_f, dz_f = _rearrangement_violation(shape, dim, h / 2)
         tol_fine = max(0.0, dx_f, dz_f)
@@ -331,9 +327,7 @@ def test_a08_reflected_half_sums_never_beat_the_set():
     candidates = 0
     for s in (0.25, 0.5, 0.75):
         tables = {
-            d: build_table(
-                KernelParams(d, s), h=(1 / 128 if d == 1 else 1 / 32), cutoff=CUTOFF
-            )
+            d: build_table(KernelParams(d, s), h=(1 / 128 if d == 1 else 1 / 32))
             for d in (1, 2)
         }
         for name, t in plan.items():
@@ -369,7 +363,7 @@ def test_a09_symmetrization_controls_volume_symmetry_and_deficit():
     for name, t in sets:
         m = fp.generate_family(name, (t,), h=1 / 16)[0]
         h = 1 / 64 if m.dim == 1 else 1 / 16
-        table = build_table(KernelParams(m.dim, 0.5), h=h, cutoff=CUTOFF)
+        table = build_table(KernelParams(m.dim, 0.5), h=h)
         e = rasterize(m.shape, auto_spec(m.shape, h))
         rep = s_deficit(e, table)
         f, audit = n_symmetrize(e, table)
@@ -453,7 +447,6 @@ def test_a11_asymmetry_bounded_by_deficit_power_at_desk_scale():
         params=(0.1, 0.15, 0.22, 0.33, 0.5, 0.75),
         s_values=(s,),
         h_values=(1 / 128,),
-        cutoff=CUTOFF,
         threads=2,
     )
     summary = fp.exponent_study(cfg)

@@ -63,16 +63,14 @@ def test_deficit_csv(capsys):
 def test_extend_writes_field_and_summary(tmp_path, capsys):
     out_file = tmp_path / "field.txt"
     code, out, _ = run(
-        [
-            "extend", "--shape", INTERVAL, "--s", "0.5", "--h", "0.0625",
-            "--z0", "0.015625", "--rho", "1.2", "--out", str(out_file),
-        ],
+        ["extend", "--shape", INTERVAL, "--s", "0.5", "--h", "0.0625",
+         "--out", str(out_file)],
         capsys,
     )
     assert code == 0
     header, row = out.splitlines()
     assert header.startswith("set,N,s,h,levels,z0,z_top,")
-    assert float(row.split(",")[5]) == 0.015625
+    assert float(row.split(",")[5]) == 0.015625  # the first level, h/4
     u = fp.load_extension(out_file)
     assert u.grid.z_levels[0] == 0.015625
 
@@ -349,7 +347,6 @@ def test_config_dimension_matching_shape_is_accepted(tmp_path, capsys):
     [
         (["perim", "--shape", INTERVAL, "--s", "0.5", "--h", "nan"], "h"),
         (["verify", "--seed", "-1"], "seed"),
-        (["extend", "--shape", INTERVAL, "--rho", "inf"], "rho"),
     ],
 )
 def test_invalid_config_value_exits_2_naming_field(args, field, capsys):
@@ -359,16 +356,53 @@ def test_invalid_config_value_exits_2_naming_field(args, field, capsys):
     assert f"{field} must be" in err
 
 
-def test_endless_level_ladder_exits_2(capsys):
-    # one ulp above 1 the ladder would need some 3e16 levels; it is refused
-    # from its count before a level is made
-    code, out, err = run(
-        ["extend", "--shape", INTERVAL, "--h", "0.0625", "--rho", "1.0000000000000002"],
-        capsys,
-    )
+# the discretization knobs that had one value in use: the halo margin,
+# the near-window cutoff and the lift's level ladder
+_REMOVED = (("margin", "deficit", "4"), ("cutoff", "perim", "16"),
+            ("z0", "extend", "0.015625"), ("rho", "extend", "1.15"),
+            ("top_factor", "extend", "8"), ("lateral_factor", "extend", "4"))
+
+
+@pytest.mark.parametrize("key,command,value", _REMOVED)
+def test_removed_flag_exits_2(key, command, value, capsys):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--shape", INTERVAL, "--s", "0.5", "--h", "0.0625",
+              flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,command,value", _REMOVED)
+def test_removed_config_key_exits_2(key, command, value, tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"s = 0.5\nh = 0.0625\n{key} = {value}\n")
+    code, out, err = run([command, "--shape", INTERVAL, "--config", str(cfg)], capsys)
     assert code == 2
     assert out == ""
-    assert "more than the 10000 allowed" in err
+    assert f"line 3: unknown config key '{key}'" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["perim", "deficit", "extend"])
+def test_overflowing_scale_exits_2_naming_the_command(command, capsys):
+    # the raster's squared distances overflow; before, an OverflowError
+    # traceback and exit 1
+    code, out, err = run([command, "--shape", "kind=ball r=1e200 cx=0.0 cy=0.0",
+                          "--s", "0.5", "--h", "1e200"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"fracperim: error: {command} overflowed" in err
+
+
+def test_lift_energy_past_double_precision_exits_2(capsys):
+    # the slab weights times the cell area pass 1e308; before, the energies
+    # printed as inf with exit 0
+    code, out, err = run(["extend", "--shape", "kind=ball r=1e100 cx=0.0 cy=0.0",
+                          "--s", "0.5", "--h", "1e100"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "the lift energy of a grid at h = 1e+100 is not finite" in err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy
 
 import fracperim.deficit
 from fracperim import (
@@ -38,6 +37,7 @@ from fracperim.kernels import KernelParams, build_table
 from fracperim.perimeter import fractional_perimeter
 from fracperim.shapes import Ellipse, UnionShape
 from oracles import (
+    at_pin_versions,
     exhaustive_asymmetry_1d,
     full_lattice_scan,
     interval_union_perimeter,
@@ -271,7 +271,7 @@ class TestFraenkelAsymmetry:
 def test_foreign_table_raises_grid_mismatch():
     shape = Ellipse((0.0, 0.0), 1.25, 0.8)
     e = rasterize(shape, auto_spec(shape, 1 / 8))
-    tab = build_table(KernelParams(2, 0.5), h=1 / 8, cutoff=4)
+    tab = build_table(KernelParams(2, 0.5), h=1 / 8)
     for foreign in (tab.with_h(1 / 16), build_table(KernelParams(1, 0.5), h=1 / 8)):
         with pytest.raises(GridMismatchError):
             s_deficit(e, foreign)
@@ -500,7 +500,6 @@ class TestNSymmetrize:
 # float.hex pinned under numpy 2.4.6 / scipy 1.17.1: (initial_deficit,
 # final_deficit), the picks, and per step (plane, reflection_slack,
 # deficit_before) and per candidate (perimeter, deficit, asymmetry)
-_AUDIT_PIN_VERSIONS = ("2.4.6", "1.17.1")
 _AUDIT_PINS = {
     "offset-bump": (
         ("0x1.27c7c668823d4p-3", "0x1.1cd139083539ep-2"),
@@ -542,15 +541,13 @@ def test_symmetrize_audits_keep_their_pinned_bits():
                   for st in audit.steps),
             tuple((c.perimeter, c.deficit, c.asymmetry) for c in cands),
         )
-    if (np.__version__, scipy.__version__) == _AUDIT_PIN_VERSIONS:
+    if at_pin_versions("at 1e-12 relative"):
         hexed = {name: (tuple(v.hex() for v in ends), picks,
                         tuple(tuple(v.hex() for v in row) for row in steps),
                         tuple(tuple(v.hex() for v in row) for row in cands))
                  for name, (ends, picks, steps, cands) in got.items()}
         assert hexed == _AUDIT_PINS
         return
-    print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
-          f"pinned {_AUDIT_PIN_VERSIONS}: comparing at 1e-12 relative")
     for name, (ends, picks, steps, cands) in got.items():
         want_ends, want_picks, want_steps, want_cands = _AUDIT_PINS[name]
         assert picks == want_picks, name

@@ -19,10 +19,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import fracperim
-from fracperim.kernels import KernelParams, _far_kernel_unit, build_table
+from fracperim.kernels import CUTOFF, KernelParams, _far_kernel_unit, build_table
 from fracperim.perimeter import (
     _SERIES_TERMS,
     _EdgeArc,
@@ -32,9 +31,8 @@ from fracperim.perimeter import (
     single_cell_perimeter,
 )
 from fracperim.quadrature import gauss_unit
-from oracles import cell_pair_integral
+from oracles import at_pin_versions, cell_pair_integral
 
-_PIN_VERSIONS = ("2.4.6", "1.17.1")
 _S = (0.05, 0.5, 0.95)
 # (2, 0) and (2, 2) are the nearest offsets of the tent rule, (16, 16) the
 # window's corner, (17, 0) the first far offset
@@ -173,10 +171,8 @@ _NEAR_DENSE_SHA256 = {
 def _pinned(got, want_hex):
     """True under the pinned versions if the bits match; else 1e-13 relative."""
     got = [float(v) for v in got]
-    if (np.__version__, scipy.__version__) == _PIN_VERSIONS:
+    if at_pin_versions("at 1e-13 relative"):
         return [v.hex() for v in got] == list(want_hex)
-    print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
-          f"pinned {_PIN_VERSIONS}: comparing at 1e-13 relative")
     return got == pytest.approx([float.fromhex(v) for v in want_hex], rel=1e-13)
 
 
@@ -221,13 +217,11 @@ def test_edge_arc_fit_keeps_its_pinned_bits(s):
 def test_near_window_keeps_its_pinned_bytes(dim, s):
     table = build_table(KernelParams(dim, s))
     near = table.near_dense
-    if (np.__version__, scipy.__version__) == _PIN_VERSIONS:
+    if at_pin_versions("window entries at 1e-13 relative"):
         digest = hashlib.sha256(near.tobytes()).hexdigest()
         assert digest == _NEAR_DENSE_SHA256[dim, s]
         return
-    print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
-          f"pinned {_PIN_VERSIONS}: comparing window entries at 1e-13 relative")
-    rc = table.cutoff_radius
+    rc = CUTOFF
     if dim == 1:
         d = np.abs(np.arange(-rc, rc + 1, dtype=np.float64))
         p = 1.0 - s

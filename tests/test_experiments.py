@@ -9,9 +9,6 @@ import pytest
 
 import fracperim as fp
 from fracperim.experiments import MIN_FIT_POINTS, ExponentFit, _fit_family
-from fracperim.extension import extension_domain
-from fracperim.kernels import DEFAULT_CUTOFF
-from fracperim.perimeter import DEFAULT_MARGIN
 
 
 # ------------------------------------------------------------------ config
@@ -31,15 +28,9 @@ def test_parse_config_text_round_trip():
     h = 0.0625
     family = ellipse-ecc, two-balls
     params = 0.8, 1.0
-    margin = 5
-    cutoff = 12
     threads = 3
     seed = 7
     out = run.csv
-    z0 = 0.01
-    rho = 1.2
-    top_factor = 6.0
-    lateral_factor = 3.0
     """
     cfg = fp.config_from_mapping(fp.parse_config_text(text))
     assert cfg.dim == 2
@@ -47,13 +38,9 @@ def test_parse_config_text_round_trip():
     assert cfg.h_values == (0.0625,)
     assert cfg.family_names() == ("ellipse-ecc", "two-balls")
     assert cfg.params == (0.8, 1.0)
-    assert cfg.margin == 5
-    assert cfg.cutoff == 12
     assert cfg.threads == 3
     assert cfg.seed == 7
     assert cfg.out == "run.csv"
-    assert cfg.z0 == 0.01
-    assert cfg.rho == 1.2
 
 
 def test_parse_config_rejects_unknown_key_and_bad_line():
@@ -79,9 +66,7 @@ def test_parse_config_rejects_a_setting_given_twice(text, message):
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("margin = x", "config key 'margin' is not an integer: 'x'"),
         ("n = two", "config key 'n' is not an integer: 'two'"),
-        ("rho = fast", "config key 'rho' is not a number: 'fast'"),
         ("s = 0.5,abc", "config key 's' is not a comma list of numbers: '0.5,abc'"),
     ],
 )
@@ -91,11 +76,10 @@ def test_config_malformed_number_names_its_key(text, message):
 
 
 def test_config_defaults_are_the_library_defaults():
+    # the one setting the config shares with the library: level workers
     cfg = fp.ExperimentConfig()
-    assert (cfg.margin, cfg.cutoff) == (DEFAULT_MARGIN, DEFAULT_CUTOFF)
-    domain = inspect.signature(extension_domain).parameters
-    for name in ("z0", "rho", "top_factor", "lateral_factor"):
-        assert getattr(cfg, name) == domain[name].default, name
+    for fn in (fp.poisson_extend, fp.lift_energy, fp.calibrate_gamma):
+        assert cfg.threads == inspect.signature(fn).parameters["threads"].default
 
 
 def test_config_validation():
@@ -110,10 +94,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         fp.ExperimentConfig(threads=0)
     with pytest.raises(ValueError):
-        fp.ExperimentConfig(rho=1.0)
-    with pytest.raises(ValueError):
-        fp.ExperimentConfig(z0=-0.1)
-    with pytest.raises(ValueError):
         fp.ExperimentConfig(family="hexagon").family_names()
 
 
@@ -123,10 +103,6 @@ def test_config_validation():
         ("h_values", (math.nan,)),
         ("h_values", (math.inf,)),
         ("s_values", (math.nan,)),
-        ("rho", math.inf),
-        ("top_factor", math.nan),
-        ("lateral_factor", math.inf),
-        ("z0", math.inf),
         ("seed", -1),
     ],
 )
@@ -134,13 +110,6 @@ def test_config_rejects_nonfinite_values_and_negative_seed(field, value):
     name = field.removesuffix("_values")
     with pytest.raises(ValueError, match=rf"\b{name} must"):
         fp.ExperimentConfig(**{field: value})
-
-
-def test_config_margin_uses_the_perimeter_bound():
-    # a margin the perimeter would reject is refused when the config is built
-    with pytest.raises(ValueError, match="margin must"):
-        fp.ExperimentConfig(margin=1)
-    assert fp.ExperimentConfig(margin=2).margin == 2
 
 
 # ------------------------------------------------------------------- sweep

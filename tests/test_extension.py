@@ -25,6 +25,7 @@ from fracperim.extension import (
     _slab_weight,
 )
 from oracles import (
+    at_pin_versions,
     interval_union_perimeter,
     lift_energy_dense,
     lift_level_fftconvolve,
@@ -32,10 +33,10 @@ from oracles import (
 )
 
 
-def lift_shape(shape, dim, h, s=0.5, **domain_kw):
+def lift_shape(shape, dim, h, s=0.5):
     params = fp.KernelParams(dim, s)
     e = fp.rasterize(shape, fp.auto_spec(shape, h))
-    grid, embedded = fp.extension_domain(e, **domain_kw)
+    grid, embedded = fp.extension_domain(e)
     return fp.poisson_extend(embedded, grid, params), embedded
 
 
@@ -199,25 +200,16 @@ def test_half_space_grid_validation():
 
 
 def test_geometric_levels_cover_the_top():
-    levels = fp.geometric_levels(0.25, 1.5, 4.0)
-    assert levels[0] == 0.25
-    assert levels[-1] >= 4.0
-    assert levels[-2] < 4.0
-    ratios = [b / a for a, b in zip(levels, levels[1:])]
-    assert all(r == pytest.approx(1.5, rel=1e-12) for r in ratios)
-    with pytest.raises(ValueError):
-        fp.geometric_levels(0.0, 1.5, 4.0)
-    with pytest.raises(ValueError):
-        fp.geometric_levels(0.25, 1.0, 4.0)
-
-
-def test_geometric_levels_refuse_a_ladder_too_long_to_build():
-    # a ratio near 1 is refused from its count, before any level is made:
-    # at 1 + 1e-4 the loop would build about 73k levels, 1,350 times the
-    # 54 of the default ratio over the same span
-    with pytest.raises(ValueError, match=r"about 72948 z-levels .* the 10000 allowed"):
-        fp.geometric_levels(1 / 64, 1 + 1e-4, 23.0)
-    assert len(fp.geometric_levels(1 / 64, 1.15, 23.0)) == 54
+    # the one ladder: a quarter cell times 1.15^j, up to and including the
+    # first level at or above eight bounding-box diagonals
+    h = 1 / 16
+    e = fp.rasterize(fp.Interval(0.0, 1.0), fp.auto_spec(fp.Interval(0.0, 1.0), h))
+    levels = fp.extension_domain(e)[0].z_levels
+    top = 8.0 * e.cell_count * h  # the diagonal of a 1D set is its length
+    assert levels[0] == 0.25 * h
+    assert levels[-1] >= top > levels[-2]
+    assert all(b == a * 1.15 for a, b in zip(levels, levels[1:]))
+    assert len(levels) == 46  # log(32 * 15) / log(1.15), rounded up, plus one
 
 
 def test_extension_domain_geometry():
@@ -780,9 +772,16 @@ def test_energy_parts_match_dense_density_oracle():
 
 
 def test_truncation_warning_on_cramped_domain():
-    u, embedded = lift_shape(
-        fp.Interval(0.0, 1.0), 1, 1 / 8, lateral_factor=0.4, top_factor=0.4
-    )
+    # 0.4 diagonals (7 cells, 0.875) of room on the side and at the top,
+    # against extension_domain's 4 and 8
+    h = 1 / 8
+    e = fp.rasterize(fp.Interval(0.0, 1.0), fp.auto_spec(fp.Interval(0.0, 1.0), h))
+    embedded = fp.pad_domain(e, 3)
+    levels = [0.25 * h]
+    while levels[-1] < 0.35:
+        levels.append(levels[-1] * 1.15)
+    u = fp.poisson_extend(embedded, fp.HalfSpaceGrid(embedded.spec, tuple(levels)),
+                          fp.KernelParams(1, 0.5))
     energies = (lambda: fp.extension_energy(u),
                 lambda: fp.lift_energy(embedded, u.grid, u.params))
     for energy in energies:
@@ -890,7 +889,6 @@ def test_horizontal_rearrange_is_levelwise_rearrangement(shape, dim, h):
 # float.hex of (total, x_part, z_part, truncation_estimate), pinned under
 # numpy 2.4.6 / scipy 1.17.1 from the lift's stored stack and from a stack
 # of its rearranged levels
-_ENERGY_PIN_VERSIONS = ("2.4.6", "1.17.1")
 _ENERGY_PINS = {
     ("union", "lift"): ("0x1.64ae981abd272p+0", "0x1.32aa0c92c5e88p-2",
                         "0x1.180414f60bad0p+0", "0x1.6340bfd8c586ep-9"),
@@ -911,19 +909,15 @@ def _pinned_lifts():
 
 
 def test_energies_before_and_after_rearrangement_keep_their_pinned_bits():
-    import scipy
-
     got = {}
     for name, u in _pinned_lifts().items():
         for tag, field in (("lift", u), ("rearranged", fp.horizontal_rearrange(u))):
             en = fp.extension_energy(field)
             got[(name, tag)] = (en.total, en.x_part, en.z_part, en.truncation_estimate)
-    if (np.__version__, scipy.__version__) == _ENERGY_PIN_VERSIONS:
+    if at_pin_versions("at 1e-13 relative"):
         assert {k: tuple(v.hex() for v in vals) for k, vals in got.items()} == {
             k: tuple(pins) for k, pins in _ENERGY_PINS.items()}
     else:
-        print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
-              f"pinned {_ENERGY_PIN_VERSIONS}: comparing at 1e-13 relative")
         for key, vals in got.items():
             want = [float.fromhex(p) for p in _ENERGY_PINS[key]]
             assert vals == pytest.approx(want, rel=1e-13), key

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from fracperim.kernels import (
-    DEFAULT_CUTOFF,
+    CUTOFF,
     FAR_RULE,
     InteractionTable,
     KernelParams,
@@ -15,7 +15,7 @@ from fracperim.kernels import (
     _multipole_operator,
     build_table,
 )
-from oracles import cell_pair_integral, pair_1d, touching_pair
+from oracles import at_pin_versions, cell_pair_integral, pair_1d, touching_pair
 
 # frozen from the 1D antiderivative: values double-checked by hand
 PAIR_1D_D1 = 4.0 * (2.0 - math.sqrt(2.0))  # 2.3431457505076194
@@ -120,7 +120,6 @@ def test_2d_touching_frozen_regression(s):
 
 # float.hex of the touching pairs (1, 0) and (1, 1) at _FROZEN_TOUCHING's s,
 # pinned under numpy 2.4.6 and scipy 1.17.1
-_PIN_VERSIONS = ("2.4.6", "1.17.1")
 _TOUCHING_PINS = {
     0.01: ("0x1.ddfe134014ea1p+0", "0x1.4f1d879db1d06p-1"),
     0.25: ("0x1.3696c0c9838b0p+1", "0x1.50b2b885e7244p-1"),
@@ -131,15 +130,11 @@ _TOUCHING_PINS = {
 
 @pytest.mark.parametrize("s", sorted(_FROZEN_TOUCHING))
 def test_touching_pairs_keep_their_pinned_bits(s):
-    import scipy
-
     p = KernelParams(2, s)
     got = [cell_pair_integral(off, p, 1.0) for off in ((1, 0), (1, 1))]
-    if (np.__version__, scipy.__version__) == _PIN_VERSIONS:
+    if at_pin_versions("at 1e-13 relative"):
         assert [v.hex() for v in got] == list(_TOUCHING_PINS[s])
     else:
-        print(f"numpy {np.__version__} / scipy {scipy.__version__} are not the "
-              f"pinned {_PIN_VERSIONS}: comparing at 1e-13 relative")
         want = [float.fromhex(v) for v in _TOUCHING_PINS[s]]
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -187,7 +182,7 @@ def test_beyond_the_cutoff_pairs_take_order_20_and_kernels_far_rule():
     offsets = [(17, 0), (-17, 17), (24, -3), (3, 20), (-39, -20)]
     expansion = _expansion_at(params, offsets)
     for off, want in zip(offsets, expansion):
-        assert max(map(abs, off)) > DEFAULT_CUTOFF
+        assert max(map(abs, off)) > CUTOFF
         single = cell_pair_integral(off, params, 1.0)
         assert single == _far_kernel_unit([off], params, 20)[0], off
         far = k[off[0] + shape[0] - 1, off[1] + shape[1] - 1]
@@ -196,22 +191,6 @@ def test_beyond_the_cutoff_pairs_take_order_20_and_kernels_far_rule():
         assert abs(far - rule) <= 1e-15 * rule, off
     # the two orders differ there, so the check tells them apart
     assert k[17 + 39, 20] != cell_pair_integral((17, 0), params, 1.0)
-
-
-def test_far_memo_takes_the_rule_itself_up_to_16():
-    # a table whose cutoff is below 16 reads the rule itself there, and
-    # the expansion only beyond
-    params = KernelParams(2, 0.3)
-    table = build_table(params, cutoff=3)
-    shape = (30, 30)
-    k = table.offset_kernel(shape)
-    rule_offsets = [(4, 0), (5, -2), (16, 16), (-16, 9)]
-    for off in rule_offsets:
-        got = k[off[0] + shape[0] - 1, off[1] + shape[1] - 1]
-        assert got == _far_kernel_unit([off], params, FAR_RULE)[0], off
-    far_offsets = [(17, 0), (17, 17), (-29, 3)]
-    got = [k[a + shape[0] - 1, b + shape[1] - 1] for a, b in far_offsets]
-    assert got == _expansion_at(params, far_offsets).tolist()
 
 
 @pytest.mark.parametrize("s", [0.01, 0.05, 0.5, 0.95, 0.99])
@@ -241,12 +220,13 @@ def test_far_expansion_operator_is_built_in_integers():
 
 
 def test_table_symmetry_classes():
-    tab = build_table(KernelParams(2, 0.5), cutoff=4)
+    tab = build_table(KernelParams(2, 0.5))
     assert tab.entries[(1, 0)] == tab.entries[(0, 1)]
     assert tab.entries[(1, 0)] == tab.entries[(-1, 0)]
     assert tab.entries[(3, 2)] == tab.entries[(-2, 3)] == tab.entries[(2, -3)]
+    assert tab.entries[(16, 5)] == tab.entries[(-5, -16)]
     assert all(v > 0 for v in tab.entries.values())
-    assert len(tab.entries) == (2 * 4 + 1) ** 2 - 1
+    assert len(tab.entries) == (2 * CUTOFF + 1) ** 2 - 1
 
 
 @pytest.mark.parametrize("dim,s", [(1, 0.3), (2, 0.05), (2, 0.5), (2, 0.95)])
@@ -259,15 +239,15 @@ def test_table_entries_are_the_single_pair_rule(dim, s):
 
 
 def _edited_entries(edit):
-    entries = dict(build_table(KernelParams(1, 0.5), cutoff=2).entries)
+    entries = dict(build_table(KernelParams(1, 0.5)).entries)
     edit(entries)
     return entries
 
 
 @pytest.mark.parametrize("edit,named", [
-    # an offset beyond the cutoff on either side, in place of (2,)
-    (lambda e: (e.pop((2,)), e.update({(-3,): 99.0})), "(-3,)"),
-    (lambda e: (e.pop((2,)), e.update({(3,): 99.0})), "(3,)"),
+    # an offset beyond the window on either side, in place of (16,)
+    (lambda e: (e.pop((16,)), e.update({(-17,): 99.0})), "(-17,)"),
+    (lambda e: (e.pop((16,)), e.update({(17,): 99.0})), "(17,)"),
     (lambda e: e.pop((1,)), "no entry at offset (1,)"),
     (lambda e: e.update({(1, 0): 1.0}), "(1, 0)"),
     (lambda e: e.update({(-1,): math.inf}), "(-1,) is not a finite number"),
@@ -275,22 +255,22 @@ def _edited_entries(edit):
 ], ids=["beyond-negative", "beyond-positive", "missing", "wrong-dim", "inf", "nan"])
 def test_table_refuses_entries_that_are_not_its_window(edit, named):
     with pytest.raises(ValueError) as err:
-        InteractionTable(KernelParams(1, 0.5), 1.0, 2, _edited_entries(edit))
+        InteractionTable(KernelParams(1, 0.5), 1.0, _edited_entries(edit))
     assert named in str(err.value)
 
 
 def test_table_lays_out_entries_given_in_any_order():
-    tab = build_table(KernelParams(2, 0.35), cutoff=3)
+    tab = build_table(KernelParams(2, 0.35))
     shuffled = dict(reversed(tab.entries.items()))
-    again = InteractionTable(tab.params, tab.h, 3, shuffled)
+    again = InteractionTable(tab.params, tab.h, shuffled)
     assert np.array_equal(again.near_dense, tab.near_dense)
     for (dx, dy), value in tab.entries.items():
-        assert tab.near_dense[dx + 3, dy + 3] == value
-    assert tab.near_dense[3, 3] == 0.0
+        assert tab.near_dense[dx + CUTOFF, dy + CUTOFF] == value
+    assert tab.near_dense[CUTOFF, CUTOFF] == 0.0
 
 
 def test_table_matches_1d_closed_form():
-    tab = build_table(KernelParams(1, 0.5), cutoff=16)
+    tab = build_table(KernelParams(1, 0.5))
     for d in range(1, 17):
         exact = cell_pair_integral((d,), KernelParams(1, 0.5), 1.0)
         assert tab.entries[(d,)] == pytest.approx(exact, rel=1e-12)
